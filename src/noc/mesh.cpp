@@ -59,10 +59,27 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim) : config_(config) {
 
   // Registered credit-based flow control: credits freed by pops this cycle
   // become visible to upstream routers at the next cycle, in every kernel
-  // mode (see noc/router.h).
+  // mode (see noc/router.h).  Only the routers a pop listed as dirty have
+  // returns staged, so only they are flushed.
+  wire_credit_dirty_lists(sim);
   sim.add_end_of_cycle_hook([this](Cycle) {
-    for (auto& r : routers_) r->flush_credits();
+    for (auto& dirty : credit_dirty_) {
+      for (Router* r : dirty) r->flush_credits();
+      dirty.clear();
+    }
   });
+}
+
+void Mesh::wire_credit_dirty_lists(const Simulator& sim) {
+  credit_dirty_.assign(static_cast<std::size_t>(sim.num_shards()) + 1, {});
+  // A router pops at most one flit per mesh input per cycle, so four
+  // entries per router bound a list between two flushes: appends never
+  // allocate.
+  for (auto& list : credit_dirty_) list.reserve(4 * routers_.size());
+  for (auto& r : routers_) {
+    r->set_credit_dirty_list(
+        &credit_dirty_[static_cast<std::size_t>(sim.shard_of(r.get()) + 1)]);
+  }
 }
 
 void Mesh::assign_shards(const std::vector<int>& tile_to_shard,
@@ -99,6 +116,7 @@ void Mesh::assign_shards(const std::vector<int>& tile_to_shard,
       }
     }
   }
+  wire_credit_dirty_lists(sim);
 
   // The coordinator replays staged boundary flits right after the cycle
   // barrier, before serial components tick: deterministic order (by source

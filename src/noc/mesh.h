@@ -51,11 +51,11 @@ class Mesh {
   /// router and NI to `tile_to_shard[tile]` (values in
   /// [0, sim.num_shards())), marks every router output that crosses a
   /// shard cut as a boundary (flits staged per source shard, delivered by
-  /// the coordinator at the cycle barrier), and registers the delivery
-  /// hook.  Call once, before the first step; a no-op outside parallel
-  /// mode.  Tiles left unassigned (-1) stay serial — but a serial tile
-  /// inside the mesh prefix would break the kernel's suffix rule, so
-  /// assign every tile.
+  /// the coordinator at the cycle barrier), registers the delivery hook,
+  /// and gives each shard its own credit dirty list.  Call once, before
+  /// the first step; a no-op outside parallel mode.  Tiles left
+  /// unassigned (-1) stay serial — but a serial tile inside the mesh
+  /// prefix would break the kernel's suffix rule, so assign every tile.
   void assign_shards(const std::vector<int>& tile_to_shard, Simulator& sim);
 
   /// The shard tile `tile` was assigned to (-1 = serial / not sharded).
@@ -64,6 +64,10 @@ class Mesh {
   }
 
  private:
+  /// Points every router at the credit dirty list of the thread that ticks
+  /// it (its shard in `sim`), reserving each list for a full cycle.
+  void wire_credit_dirty_lists(const Simulator& sim);
+
   MeshConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
@@ -71,6 +75,11 @@ class Mesh {
   /// Boundary flits staged during the parallel phase, one vector per
   /// *source* shard so each is written by exactly one worker thread.
   std::vector<std::vector<BoundaryFlit>> boundary_staged_;
+  /// Routers with credit returns staged this cycle, appended by the
+  /// popping downstream router and emptied by the end-of-cycle flush.  One
+  /// list per thread that ticks routers — 0 for the sequential kernels and
+  /// unsharded tiles, 1 + s for shard s — so each has a single writer.
+  std::vector<std::vector<Router*>> credit_dirty_;
 };
 
 }  // namespace panic::noc

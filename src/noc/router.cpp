@@ -269,7 +269,9 @@ void Router::tick(Cycle now) {
     // which uses the live can_accept() check instead).
     if (chosen != static_cast<int>(Direction::kLocal) &&
         neighbors_[chosen] != nullptr) {
-      neighbors_[chosen]->stage_credit_return(kReverse[chosen]);
+      Router* up = neighbors_[chosen];
+      up->stage_credit_return(kReverse[chosen]);
+      credit_dirty_->push_back(up);
     }
     if (flit.msg != nullptr) ++flit.msg->noc_hops;  // tail flit carries msg
     forward(out, std::move(flit), now);

@@ -80,9 +80,20 @@ class Router : public Component {
 
   /// Folds credit returns staged by downstream pops this cycle back into
   /// the per-output credit counts (leak-faulted outputs repay their debt
-  /// first).  Mesh runs this for every router at the end of each executed
-  /// cycle, on the coordinator, in every kernel mode.
+  /// first).  Touches only this router's counters and does nothing when no
+  /// return is staged, so flushing a router twice, or routers in any
+  /// order, gives the same counts.  Mesh runs it at the end of each
+  /// executed cycle, on the coordinator, in every kernel mode, for the
+  /// routers its credit dirty lists name.
   void flush_credits();
+
+  /// The list this router appends an upstream neighbor to whenever it
+  /// stages a credit return on it, so the end-of-cycle flush visits only
+  /// routers with returns staged.  Owned by the Mesh, one per thread that
+  /// ticks routers, with room reserved for every append of a cycle.
+  void set_credit_dirty_list(std::vector<Router*>* list) {
+    credit_dirty_ = list;
+  }
 
   /// Marks output `out` as a shard boundary: forwarded flits are appended
   /// to `stage` (owned by this router's shard) instead of being delivered
@@ -176,10 +187,11 @@ class Router : public Component {
   /// Sends `flit` out of `out` (spends the output's credit).
   void forward(Direction out, Flit flit, Cycle now);
 
-  /// Called by the downstream router when it pops a flit we forwarded:
-  /// stages one credit back for output `out`, visible after the next
-  /// flush_credits().  Single writer per element — only the neighbor on
-  /// `out` calls this, so it is race-free across shards.
+  /// Called by the downstream router when it pops a flit we forwarded
+  /// (it also lists us as dirty): stages one credit back for output `out`,
+  /// visible after the next flush_credits().  Single writer per element —
+  /// only the neighbor on `out` calls this, so it is race-free across
+  /// shards.
   void stage_credit_return(Direction out) {
     ++returns_staged_[static_cast<int>(out)];
   }
@@ -206,6 +218,7 @@ class Router : public Component {
   std::array<std::uint32_t, 4> credits_{};
   std::array<std::uint32_t, 4> returns_staged_{};
   std::array<std::uint32_t, 4> leak_debt_{};
+  std::vector<Router*>* credit_dirty_ = nullptr;  ///< see set_credit_dirty_list
   /// Per-output shard-boundary staging vector (nullptr = direct delivery).
   std::array<std::vector<BoundaryFlit>*, kNumPorts> boundary_out_{};
 

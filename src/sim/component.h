@@ -113,7 +113,7 @@ class Component {
   telemetry::MessageTracer* tracer_ = nullptr;
   std::uint16_t trace_tag_ = 0;
   std::uint32_t slot_ = 0;  ///< registration index within the simulator
-  bool awake_ = false;      ///< mirror of Slot::active (see kernel_awake)
+  bool awake_ = false;      ///< mirror of the slot's active bit (kernel_awake)
 };
 
 }  // namespace panic

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -56,8 +57,8 @@ Simulator::Simulator(Frequency clock, SimMode mode, int threads)
   // shard's thread, or the coordinator for serial components) so the hot
   // path stays a plain increment — see telemetry/metrics.h.
   {
-    std::vector<std::uint64_t*> ticks{&component_ticks_};
-    std::vector<std::uint64_t*> wakes{&wakeups_};
+    std::vector<std::uint64_t*> ticks{&serial_.ticks};
+    std::vector<std::uint64_t*> wakes{&serial_.wakeups};
     for (auto& ss : shards_) {
       ticks.push_back(&ss->ticks);
       wakes.push_back(&ss->wakeups);
@@ -123,8 +124,10 @@ void Simulator::add(Component* c) {
   components_.push_back(c);
   Slot s;
   s.c = c;
+  s.local = c->slot_;
   slots_.push_back(s);
-  if (mode_ != SimMode::kStrictTick) activate(c->slot_);
+  serial_.append(c->slot_);
+  if (mode_ != SimMode::kStrictTick) activate(serial_, c->slot_);
 }
 
 void Simulator::set_shard(Component* c, int shard) {
@@ -180,50 +183,34 @@ void Simulator::wake_slot(std::uint32_t slot, Cycle at) {
   // preceded the caller's action within this cycle.  In the parallel phase
   // the comparison is against the shard's own cursor; slots are only woken
   // by their own shard, so the global slot index ordering still applies.
-  const std::uint32_t cur = ts != nullptr ? ts->current_slot : current_slot_;
+  const std::uint32_t cur =
+      ts != nullptr ? ts->current_slot : serial_.current_slot;
   if (phase_ == Phase::kTick && slot <= cur && eff <= now_) {
     eff = now_ + 1;
   }
+  // A shard worker only reaches here for its own slots, so this is *ts.
+  TickContext& ctx = owner(s);
   if (eff <= now_) {
-    if (!s.active) {
-      s.active = true;
-      s.c->awake_ = true;
-      if (ts != nullptr) {
-        ++ts->active_count;
-        ++ts->wakeups;
-      } else if (ShardState* os = owner_shard(s)) {
-        ++os->active_count;
-        ++os->wakeups;
-      } else {
-        ++active_count_;
-        ++wakeups_;
-      }
-    }
+    activate(ctx, slot);
     return;
   }
-  if (s.active) {
+  if (ctx.is_active(s.local)) {
     // Hot path: an active component re-arming itself (a router on every
     // accepted flit) coalesces into the slot instead of churning the wake
     // heap.  Folded into the post-tick sleep decision by finish_tick().
     if (eff < s.pending_request) s.pending_request = eff;
     return;
   }
-  if (ts != nullptr) {
-    push_wake(ts->wake_queue, slot, eff);
-  } else if (ShardState* os = owner_shard(s)) {
-    push_wake(os->wake_queue, slot, eff);
-  } else {
-    push_wake(wake_queue_, slot, eff);
-  }
+  push_wake(ctx.wake_queue, slot, eff);
 }
 
-void Simulator::activate(std::uint32_t slot) {
+void Simulator::activate(TickContext& ctx, std::uint32_t slot) {
   Slot& s = slots_[slot];
-  if (s.active) return;
-  s.active = true;
+  if (ctx.is_active(s.local)) return;
+  ctx.set_active(s.local);
   s.c->awake_ = true;
-  ++active_count_;
-  ++wakeups_;
+  ++ctx.active_count;
+  ++ctx.wakeups;
 }
 
 void Simulator::push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle) {
@@ -233,24 +220,18 @@ void Simulator::push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle) {
   q.push(Wake{cycle, slot}, now_);
 }
 
-void Simulator::drain_due_wakes(WakeQueue& q, std::size_t& active_count,
-                                std::uint64_t& wakeups) {
-  q.drain_due(now_, [&](const Wake& w) {
+void Simulator::drain_due_wakes(TickContext& ctx) {
+  ctx.wake_queue.drain_due(now_, [&](const Wake& w) {
     Slot& s = slots_[w.slot];
     if (s.pending_wake == w.cycle) s.pending_wake = Component::kNeverWake;
-    if (!s.active) {
-      s.active = true;
-      s.c->awake_ = true;
-      ++active_count;
-      ++wakeups;
-    }
+    activate(ctx, w.slot);
   });
 }
 
 Cycle Simulator::next_scheduled_cycle() const {
   Cycle t = Component::kNeverWake;
   if (!events_.empty() && events_.top().cycle < t) t = events_.top().cycle;
-  if (const Cycle w = wake_queue_.next_cycle(); w < t) t = w;
+  if (const Cycle w = serial_.wake_queue.next_cycle(); w < t) t = w;
   for (const auto& ss : shards_) {
     if (const Cycle w = ss->wake_queue.next_cycle(); w < t) t = w;
   }
@@ -267,19 +248,19 @@ void Simulator::fast_forward_to(Cycle limit) {
 }
 
 std::uint64_t Simulator::component_ticks() const {
-  std::uint64_t total = component_ticks_;
+  std::uint64_t total = serial_.ticks;
   for (const auto& ss : shards_) total += ss->ticks;
   return total;
 }
 
 std::uint64_t Simulator::wakeups() const {
-  std::uint64_t total = wakeups_;
+  std::uint64_t total = serial_.wakeups;
   for (const auto& ss : shards_) total += ss->wakeups;
   return total;
 }
 
 std::size_t Simulator::active_components() const {
-  std::size_t total = active_count_;
+  std::size_t total = serial_.active_count;
   for (const auto& ss : shards_) total += ss->active_count;
   return total;
 }
@@ -300,8 +281,28 @@ void Simulator::run_end_of_cycle() {
   for (auto& h : end_of_cycle_hooks_) h(now_);
 }
 
-void Simulator::finish_tick(std::uint32_t slot, Cycle now,
-                            std::size_t& active_count, WakeQueue& wq) {
+void Simulator::tick_active(TickContext& ctx) {
+  const Cycle now = now_;
+  // Walk the bitmap in slot order.  A tick may wake a later slot, which
+  // sets a bit ahead of the cursor and ticks this cycle, as in dense mode;
+  // it never sets one at or behind the cursor (wake_slot defers those to
+  // the next cycle).  So after each tick only the current word is re-read,
+  // minus the bits up to the cursor; later words are read when reached.
+  for (std::size_t w = 0; w < ctx.active.size(); ++w) {
+    std::uint64_t bits = ctx.active[w];
+    while (bits != 0) {
+      const auto b = static_cast<unsigned>(std::countr_zero(bits));
+      const std::uint32_t slot = ctx.slots[w * 64 + b];
+      ctx.current_slot = slot;
+      slots_[slot].c->tick(now);
+      ++ctx.ticks;
+      finish_tick(slot, now, ctx);
+      bits = ctx.active[w] & ~((std::uint64_t{2} << b) - 1);
+    }
+  }
+}
+
+void Simulator::finish_tick(std::uint32_t slot, Cycle now, TickContext& ctx) {
   Slot& s = slots_[slot];
   // Hot-slot poll skip: a component that has ticked kHotStreak+ cycles in
   // a row (a saturated router or engine) is polled for sleep only every
@@ -325,11 +326,11 @@ void Simulator::finish_tick(std::uint32_t slot, Cycle now,
   // re-arm 2–15 cycles out; idle-gap sleeps are far longer than the
   // window and still park (so fast-forward is only delayed, never lost).
   if (nw > now + kLingerWindow) {
-    s.active = false;
+    ctx.set_idle(s.local);
     s.c->awake_ = false;
     s.streak = 0;
-    --active_count;
-    if (nw != Component::kNeverWake) push_wake(wq, slot, nw);
+    --ctx.active_count;
+    if (nw != Component::kNeverWake) push_wake(ctx.wake_queue, slot, nw);
   }
 }
 
@@ -339,9 +340,7 @@ void Simulator::step() {
     return;
   }
 
-  if (mode_ == SimMode::kEventDriven) {
-    drain_due_wakes(wake_queue_, active_count_, wakeups_);
-  }
+  if (mode_ == SimMode::kEventDriven) drain_due_wakes(serial_);
 
   run_events_phase();
 
@@ -349,20 +348,10 @@ void Simulator::step() {
   if (mode_ == SimMode::kStrictTick) {
     for (Component* c : components_) {
       c->tick(now_);
-      ++component_ticks_;
+      ++serial_.ticks;
     }
   } else {
-    // Tick active components in slot (registration) order by scanning the
-    // per-slot flags.  wake() may activate later slots mid-scan (they are
-    // visited this cycle, as in dense mode) and defers earlier ones to the
-    // next cycle.
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (!slots_[slot].active) continue;
-      current_slot_ = slot;
-      slots_[slot].c->tick(now_);
-      ++component_ticks_;
-      finish_tick(slot, now_, active_count_, wake_queue_);
-    }
+    tick_active(serial_);
   }
 
   run_end_of_cycle();
@@ -391,26 +380,30 @@ void Simulator::seal_shards() {
         std::abort();
       }
       ShardState& ss = *shards_[s.shard];
-      ss.slots.push_back(i);
+      const auto local = static_cast<std::uint32_t>(ss.slots.size());
+      ss.append(i);
       any_sharded_ = true;
-      if (s.active) {
-        // Re-home the activation bookkeeping done before the seal.
-        --active_count_;
+      if (serial_.is_active(s.local)) {
+        // Re-home the activation done before the seal (its wake-up stays
+        // counted in the coordinator's cell).
+        serial_.set_idle(s.local);
+        --serial_.active_count;
+        ss.set_active(local);
         ++ss.active_count;
       }
+      s.local = local;
     } else if (!seen_serial) {
       seen_serial = true;
       first_serial_slot_ = i;
     }
   }
 
-  // Wake-ups queued during construction/wiring all landed in the serial
-  // heap; re-home them to their owners' heaps (entries move verbatim —
-  // pending_wake dedup state is per-slot and unaffected).
-  if (any_sharded_ && !wake_queue_.empty()) {
-    for (const Wake& w : wake_queue_.drain_all()) {
-      ShardState* os = owner_shard(slots_[w.slot]);
-      (os != nullptr ? os->wake_queue : wake_queue_).push(w, now_);
+  // Wake-ups queued during construction/wiring all landed in the
+  // coordinator's queue; re-home them to their owners' queues (entries
+  // move verbatim — pending_wake dedup state is per-slot and unaffected).
+  if (any_sharded_ && !serial_.wake_queue.empty()) {
+    for (const Wake& w : serial_.wake_queue.drain_all()) {
+      owner(slots_[w.slot]).wake_queue.push(w, now_);
     }
   }
 
@@ -419,17 +412,6 @@ void Simulator::seal_shards() {
     for (int i = 1; i < num_shards_; ++i) {
       workers_.emplace_back([this, i] { worker_main(i); });
     }
-  }
-}
-
-void Simulator::run_shard_phase(ShardState& ss) {
-  const Cycle now = now_;
-  for (std::uint32_t slot : ss.slots) {
-    if (!slots_[slot].active) continue;
-    ss.current_slot = slot;
-    slots_[slot].c->tick(now);
-    ++ss.ticks;
-    finish_tick(slot, now, ss.active_count, ss.wake_queue);
   }
 }
 
@@ -451,7 +433,7 @@ void Simulator::worker_main(int shard_index) {
     if (stopping_.load(std::memory_order_acquire)) return;
     seen = e;
     tls_shard_ = &ss;
-    run_shard_phase(ss);
+    tick_active(ss);
     tls_shard_ = nullptr;
     workers_done_.fetch_add(1, std::memory_order_release);
     workers_done_.notify_one();
@@ -492,10 +474,8 @@ void Simulator::merge_staged_events() {
 void Simulator::step_parallel() {
   if (!sealed_) seal_shards();
 
-  drain_due_wakes(wake_queue_, active_count_, wakeups_);
-  for (auto& ss : shards_) {
-    drain_due_wakes(ss->wake_queue, ss->active_count, ss->wakeups);
-  }
+  drain_due_wakes(serial_);
+  for (auto& ss : shards_) drain_due_wakes(*ss);
 
   run_events_phase();
 
@@ -509,7 +489,7 @@ void Simulator::step_parallel() {
     }
     // The coordinator doubles as shard 0's worker.
     tls_shard_ = shards_[0].get();
-    run_shard_phase(*shards_[0]);
+    tick_active(*shards_[0]);
     tls_shard_ = nullptr;
     if (n_workers > 0) {
       int done = workers_done_.load(std::memory_order_acquire);
@@ -530,19 +510,14 @@ void Simulator::step_parallel() {
     // kernels' state.  The cursor makes wake-backs targeting already-
     // ticked (sharded) slots defer to the next cycle, like mid-scan wakes
     // in the sequential loop.
-    current_slot_ = first_serial_slot_ == 0 ? 0 : first_serial_slot_ - 1;
+    serial_.current_slot =
+        first_serial_slot_ == 0 ? 0 : first_serial_slot_ - 1;
     for (auto& h : post_parallel_hooks_) h(now_);
   }
 
-  // Serial suffix (watchdogs, workload sources) in registration order.
-  for (std::uint32_t slot = first_serial_slot_;
-       slot < static_cast<std::uint32_t>(slots_.size()); ++slot) {
-    if (!slots_[slot].active) continue;
-    current_slot_ = slot;
-    slots_[slot].c->tick(now_);
-    ++component_ticks_;
-    finish_tick(slot, now_, active_count_, wake_queue_);
-  }
+  // Serial suffix (watchdogs, workload sources) in registration order:
+  // once sealed, the coordinator's bitmap holds no sharded slot's bit.
+  tick_active(serial_);
 
   run_end_of_cycle();
   ++now_;

@@ -188,7 +188,10 @@ class Simulator {
 
   struct Slot {
     Component* c = nullptr;
-    bool active = false;
+    /// Index into the owning tick context's `slots` and active bitmap: the
+    /// slot number itself in the coordinator's context, the rank among the
+    /// shard's slots once sealed into a shard.
+    std::uint32_t local = 0;
     /// Owning shard (-1 = serial); only used in kParallelShards mode.
     std::int16_t shard = -1;
     /// Earliest future wake-up already queued for this slot (dedups heap
@@ -312,17 +315,43 @@ class Simulator {
     std::function<void()> fn;
   };
 
+  /// The slots one thread ticks, with their active set.  The coordinator's
+  /// context lists every slot (local index == slot number): the sequential
+  /// event kernel ticks it, and so does the parallel kernel's serial
+  /// suffix, whose bits are the only ones set there once the shards are
+  /// sealed.  Each shard has a context over its own slots, so during a
+  /// tick phase no two threads write the same bitmap word.
+  struct TickContext {
+    std::vector<std::uint32_t> slots;  ///< local index -> slot, ascending
+    /// Bit `l` is set while slots[l] is active.  tick_active walks it with
+    /// countr_zero, so a cycle costs one word load per 64 slots plus the
+    /// ticks themselves, not a visit to every registered slot.
+    std::vector<std::uint64_t> active;
+    std::size_t active_count = 0;
+    WakeQueue wake_queue;
+    std::uint32_t current_slot = 0;  ///< the slot ticking (wake ordering)
+    std::uint64_t ticks = 0;         ///< kernel.component_ticks cell
+    std::uint64_t wakeups = 0;       ///< kernel.wakeups cell
+
+    void append(std::uint32_t slot) {
+      if (slots.size() % 64 == 0) active.push_back(0);
+      slots.push_back(slot);
+    }
+    static std::uint64_t bit(std::uint32_t local) {
+      return std::uint64_t{1} << (local % 64);
+    }
+    bool is_active(std::uint32_t local) const {
+      return (active[local / 64] & bit(local)) != 0;
+    }
+    void set_active(std::uint32_t local) { active[local / 64] |= bit(local); }
+    void set_idle(std::uint32_t local) { active[local / 64] &= ~bit(local); }
+  };
+
   /// Per-shard kernel state.  Heap-allocated once in the constructor so
   /// the telemetry cells have stable addresses; only the owning worker
-  /// touches the hot fields during the parallel phase.
-  struct ShardState {
+  /// touches it during the parallel phase.
+  struct ShardState : TickContext {
     int index = 0;
-    std::vector<std::uint32_t> slots;  ///< this shard's slots, ascending
-    WakeQueue wake_queue;
-    std::size_t active_count = 0;
-    std::uint32_t current_slot = 0;  ///< valid during the parallel phase
-    std::uint64_t ticks = 0;         ///< per-shard kernel.component_ticks cell
-    std::uint64_t wakeups = 0;       ///< per-shard kernel.wakeups cell
     std::vector<StagedEvent> staged_events;
     std::uint64_t staged_seq = 0;
   };
@@ -337,16 +366,19 @@ class Simulator {
   /// next_wake poll runs only every kHotStreak-th tick (power of two).
   static constexpr std::uint32_t kHotStreak = 16;
 
-  /// The shard owning `s`'s bookkeeping once sealed (nullptr = serial).
-  ShardState* owner_shard(const Slot& s) {
-    return (sealed_ && s.shard >= 0) ? shards_[s.shard].get() : nullptr;
+  /// The tick context owning `s`'s bookkeeping: its shard's once sealed,
+  /// the coordinator's otherwise.
+  TickContext& owner(const Slot& s) {
+    if (sealed_ && s.shard >= 0) return *shards_[s.shard];
+    return serial_;
   }
 
   void wake_slot(std::uint32_t slot, Cycle at);
-  void activate(std::uint32_t slot);
+  /// Sets `slot`'s bit in `ctx`, its owning context, counting a wake-up;
+  /// a no-op when the slot is already active.
+  void activate(TickContext& ctx, std::uint32_t slot);
   void push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle);
-  void drain_due_wakes(WakeQueue& q, std::size_t& active_count,
-                       std::uint64_t& wakeups);
+  void drain_due_wakes(TickContext& ctx);
   /// Earliest cycle with pending work (event or wake-up); kNeverWake if none.
   Cycle next_scheduled_cycle() const;
   bool can_fast_forward() const {
@@ -357,15 +389,16 @@ class Simulator {
 
   void run_events_phase();
   void run_end_of_cycle();
-  /// Post-tick sleep decision shared by all event-driven tick loops: folds
-  /// coalesced wake requests into the component's own next_wake answer.
-  void finish_tick(std::uint32_t slot, Cycle now, std::size_t& active_count,
-                   WakeQueue& wq);
+  /// Ticks `ctx`'s active slots in slot order: the one tick loop of the
+  /// sequential event kernel, of every shard and of the serial suffix.
+  void tick_active(TickContext& ctx);
+  /// Post-tick sleep decision: folds coalesced wake requests into the
+  /// component's own next_wake answer.
+  void finish_tick(std::uint32_t slot, Cycle now, TickContext& ctx);
 
   // --- Parallel-mode machinery. ---
   void seal_shards();
   void step_parallel();
-  void run_shard_phase(ShardState& ss);
   void merge_staged_events();
   void worker_main(int shard_index);
   void stop_workers();
@@ -376,25 +409,19 @@ class Simulator {
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t component_ticks_ = 0;  ///< serial contexts' cell
-  std::uint64_t wakeups_ = 0;          ///< serial contexts' cell
   std::uint64_t fast_forwarded_ = 0;
 
   std::vector<Component*> components_;  // registration order (slot order)
   std::vector<Slot> slots_;
-  /// Count of serial (unsharded) slots with active == true.  The active
-  /// set itself lives in the per-slot flags: the tick loop scans slots in
-  /// order (matching the strict-mode tick order) instead of maintaining a
-  /// node-based set, keeping wake/sleep churn allocation-free.
-  std::size_t active_count_ = 0;
-  WakeQueue wake_queue_;  ///< serial slots' wake heap
+  /// The coordinator's tick context: every slot in the sequential kernels,
+  /// the serial suffix once the parallel kernel seals its shards.
+  TickContext serial_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
 
   std::vector<std::function<void(Cycle)>> post_parallel_hooks_;
   std::vector<std::function<void(Cycle)>> end_of_cycle_hooks_;
 
   Phase phase_ = Phase::kIdle;
-  std::uint32_t current_slot_ = 0;  ///< valid only during Phase::kTick
 
   // --- kParallelShards state. ---
   int num_shards_ = 0;

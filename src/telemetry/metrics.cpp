@@ -20,13 +20,93 @@ const char* to_string(MetricKind kind) {
 
 // --- MetricsSnapshot ---
 
+namespace {
+bool metric_values_equal(const MetricValue& a, const MetricValue& b) {
+  return a.value == b.value && a.count == b.count && a.mean == b.mean &&
+         a.min == b.min && a.max == b.max && a.p50 == b.p50 &&
+         a.p90 == b.p90 && a.p99 == b.p99 && a.p999 == b.p999;
+}
+
+bool metric_value_is_zero(const MetricValue& v) {
+  return v.value == 0.0 && v.count == 0;
+}
+
+/// Whether `v` carries anything beyond kind and value.
+bool has_summary(const MetricValue& v) {
+  return v.kind == MetricKind::kHistogram || v.count != 0 || v.mean != 0.0 ||
+         v.min != 0 || v.max != 0 || v.p50 != 0 || v.p90 != 0 ||
+         v.p99 != 0 || v.p999 != 0;
+}
+}  // namespace
+
+void MetricsSnapshot::add(std::string_view name, const MetricValue& v) {
+  names_ += name;
+  Cell c;
+  c.value = v.value;
+  c.name_end = static_cast<std::uint32_t>(names_.size());
+  c.kind = v.kind;
+  if (has_summary(v)) {
+    summaries_.push_back(v);
+    summaries_.back().name.clear();
+    c.summary = static_cast<std::uint32_t>(summaries_.size());
+  }
+  cells_.push_back(c);
+}
+
+std::string_view MetricsSnapshot::name(std::size_t i) const {
+  const std::size_t begin = i == 0 ? 0 : cells_[i - 1].name_end;
+  return std::string_view(names_).substr(begin, cells_[i].name_end - begin);
+}
+
+MetricValue MetricsSnapshot::unnamed(std::size_t i) const {
+  const Cell& c = cells_[i];
+  MetricValue v = c.summary != 0 ? summaries_[c.summary - 1] : MetricValue{};
+  v.kind = c.kind;
+  v.value = c.value;
+  return v;
+}
+
+const std::vector<MetricValue>& MetricsSnapshot::entries() const {
+  if (entries_.size() != cells_.size()) {
+    entries_.clear();
+    entries_.reserve(cells_.size());
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      entries_.push_back(unnamed(i));
+      entries_.back().name = name(i);
+    }
+  }
+  return entries_;
+}
+
+std::size_t MetricsSnapshot::lookup(std::string_view name) const {
+  const auto hash = [](std::string_view n) {
+    return std::hash<std::string_view>{}(n);
+  };
+  if (slots_.empty()) {
+    std::size_t size = 16;
+    while (size < 2 * cells_.size()) size *= 2;
+    slots_.assign(size, 0);
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      std::size_t s = hash(this->name(i)) & (size - 1);
+      while (slots_[s] != 0) s = (s + 1) & (size - 1);
+      slots_[s] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t s = hash(name) & mask;; s = (s + 1) & mask) {
+    const std::uint32_t e = slots_[s];
+    if (e == 0) return kAbsent;
+    if (this->name(e - 1) == name) return e - 1;
+  }
+}
+
 bool MetricsSnapshot::has(const std::string& name) const {
-  return index_.find(name) != index_.end();
+  return lookup(name) != kAbsent;
 }
 
 const MetricValue* MetricsSnapshot::find(const std::string& name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  const std::size_t i = lookup(name);
+  return i == kAbsent ? nullptr : &entries()[i];
 }
 
 const MetricValue& MetricsSnapshot::at(const std::string& name) const {
@@ -43,71 +123,59 @@ std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
 }
 
 double MetricsSnapshot::value(const std::string& name) const {
-  const MetricValue* v = find(name);
-  return v == nullptr ? 0.0 : v->value;
+  const std::size_t i = lookup(name);
+  return i == kAbsent ? 0.0 : cells_[i].value;
 }
 
 double MetricsSnapshot::sum(const std::string& prefix,
                             const std::string& suffix) const {
   double total = 0.0;
-  for (const MetricValue& v : entries_) {
-    if (v.name.size() < prefix.size() + suffix.size()) continue;
-    if (v.name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (!suffix.empty() &&
-        v.name.compare(v.name.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
-      continue;
-    }
-    total += v.value;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const std::string_view n = name(i);
+    if (n.size() < prefix.size() + suffix.size()) continue;
+    if (!n.starts_with(prefix) || !n.ends_with(suffix)) continue;
+    total += cells_[i].value;
   }
   return total;
 }
-
-MetricValue& MetricsSnapshot::upsert(const std::string& name) {
-  const auto it = index_.find(name);
-  if (it != index_.end()) return entries_[it->second];
-  index_.emplace(name, entries_.size());
-  entries_.emplace_back();
-  entries_.back().name = name;
-  return entries_.back();
-}
-
-namespace {
-bool metric_values_equal(const MetricValue& a, const MetricValue& b) {
-  return a.value == b.value && a.count == b.count && a.mean == b.mean &&
-         a.min == b.min && a.max == b.max && a.p50 == b.p50 &&
-         a.p90 == b.p90 && a.p99 == b.p99 && a.p999 == b.p999;
-}
-
-bool metric_value_is_zero(const MetricValue& v) {
-  return v.value == 0.0 && v.count == 0;
-}
-}  // namespace
 
 std::vector<std::string> MetricsSnapshot::diff_names(
     const MetricsSnapshot& other,
     const std::function<bool(const std::string&)>& exclude) const {
   std::vector<std::string> diff;
-  for (const MetricValue& v : entries_) {
-    if (exclude && exclude(v.name)) continue;
-    const MetricValue* o = other.find(v.name);
-    const bool same =
-        o != nullptr ? metric_values_equal(v, *o) : metric_value_is_zero(v);
-    if (!same) diff.push_back(v.name);
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const std::string n(name(i));
+    if (exclude && exclude(n)) continue;
+    const MetricValue v = unnamed(i);
+    const std::size_t j = other.lookup(n);
+    const bool same = j != kAbsent ? metric_values_equal(v, other.unnamed(j))
+                                   : metric_value_is_zero(v);
+    if (!same) diff.push_back(n);
   }
-  for (const MetricValue& o : other.entries_) {
-    if (has(o.name)) continue;  // handled above
-    if (exclude && exclude(o.name)) continue;
-    if (!metric_value_is_zero(o)) diff.push_back(o.name);
+  for (std::size_t j = 0; j < other.cells_.size(); ++j) {
+    if (lookup(other.name(j)) != kAbsent) continue;  // handled above
+    const std::string n(other.name(j));
+    if (exclude && exclude(n)) continue;
+    if (!metric_value_is_zero(other.unnamed(j))) diff.push_back(n);
   }
   return diff;
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const MetricValue& o : other.entries_) {
-    MetricValue& v = upsert(o.name);
+  std::vector<MetricValue> merged = entries();
+  for (std::size_t j = 0; j < other.cells_.size(); ++j) {
+    const MetricValue o = other.unnamed(j);
+    const std::size_t i = lookup(other.name(j));
+    if (i == kAbsent) {  // only in `other`: appended
+      merged.push_back(o);
+      merged.back().name = other.name(j);
+      continue;
+    }
+    MetricValue& v = merged[i];
     if (v.count == 0 && v.value == 0.0) {  // fresh entry: copy wholesale
+      std::string kept = std::move(v.name);
       v = o;
+      v.name = std::move(kept);
       continue;
     }
     switch (o.kind) {
@@ -139,15 +207,20 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
       }
     }
   }
+  MetricsSnapshot out;
+  for (const MetricValue& v : merged) out.add(v.name, v);
+  *this = std::move(out);
 }
 
 std::string MetricsSnapshot::to_csv() const {
   std::string out = "name,kind,value,count,mean,min,max,p50,p90,p99,p999\n";
-  char buf[512];
-  for (const MetricValue& v : entries_) {
+  char buf[256];
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const MetricValue v = unnamed(i);
+    out += name(i);
     std::snprintf(buf, sizeof(buf),
-                  "%s,%s,%.17g,%llu,%.17g,%llu,%llu,%llu,%llu,%llu,%llu\n",
-                  v.name.c_str(), to_string(v.kind), v.value,
+                  ",%s,%.17g,%llu,%.17g,%llu,%llu,%llu,%llu,%llu,%llu\n",
+                  to_string(v.kind), v.value,
                   static_cast<unsigned long long>(v.count), v.mean,
                   static_cast<unsigned long long>(v.min),
                   static_cast<unsigned long long>(v.max),
@@ -277,10 +350,12 @@ void MetricsRegistry::reset() {
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  snap.entries_.reserve(entries_.size());
+  std::size_t name_bytes = 0;
+  for (const Entry& e : entries_) name_bytes += e.name.size();
+  snap.names_.reserve(name_bytes);
+  snap.cells_.reserve(entries_.size());
   for (const Entry& e : entries_) {
     MetricValue v;
-    v.name = e.name;
     v.kind = e.kind;
     switch (e.kind) {
       case MetricKind::kCounter: {
@@ -304,8 +379,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         v.p999 = e.hist->p999();
         break;
     }
-    snap.index_.emplace(v.name, snap.entries_.size());
-    snap.entries_.push_back(std::move(v));
+    snap.add(e.name, v);
   }
   return snap;
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "noc/mesh.h"
 #include "sim/simulator.h"
 
@@ -15,7 +18,18 @@ MessagePtr packet_of_size(std::size_t bytes) {
 }
 
 struct MeshFixture {
-  MeshFixture(int k, std::uint32_t bits) : sim(), mesh(make_config(k, bits), sim) {}
+  static constexpr int kShards = 2;
+
+  MeshFixture(int k, std::uint32_t bits,
+              SimMode mode = SimMode::kEventDriven)
+      : sim(Frequency::megahertz(500), mode, kShards),
+        mesh(make_config(k, bits), sim) {
+    // Column bands for kParallelShards (a no-op otherwise), so the links
+    // between columns cross shards.
+    std::vector<int> shard;
+    for (int t = 0; t < k * k; ++t) shard.push_back(t % k % kShards);
+    mesh.assign_shards(shard, sim);
+  }
   static MeshConfig make_config(int k, std::uint32_t bits) {
     MeshConfig c;
     c.k = k;
@@ -131,6 +145,147 @@ TEST(Router, CountersAdvance) {
       1000);
   EXPECT_GT(f.mesh.total_flits_routed(), 0u);
   EXPECT_GT(f.mesh.ni(src).flits_sent(), 0u);
+}
+
+// --- Registered credits: what the end-of-cycle flush must preserve. ---
+
+constexpr std::uint32_t kDepth = 8;  // MeshConfig::buffer_flits
+constexpr SimMode kCreditModes[] = {SimMode::kStrictTick,
+                                    SimMode::kEventDriven,
+                                    SimMode::kParallelShards};
+
+/// Runs `read` inside every cycle's tick phase: registered after the
+/// mesh, it ticks after every router but before the end-of-cycle credit
+/// flush.
+class MidCycleProbe : public Component {
+ public:
+  explicit MidCycleProbe(std::function<void()> read)
+      : Component("probe"), read_(std::move(read)) {}
+  void tick(Cycle) override { read_(); }
+
+ private:
+  std::function<void()> read_;
+};
+
+TEST(RouterCredits, PopReturnsCreditExactlyOneCycleLater) {
+  // One long message over the link between tiles 0 and 1, in both
+  // directions: the downstream router ticks after the upstream one
+  // (0 -> 1) or before it (1 -> 0).  Either way the credit a pop frees is
+  // not visible in the pop's cycle, and is after its end-of-cycle flush.
+  for (const SimMode mode : kCreditModes) {
+    for (const bool eastward : {true, false}) {
+      MeshFixture f(2, 64, mode);
+      const EngineId src = f.mesh.tile_id(eastward ? 0 : 1, 0);
+      const EngineId dst = f.mesh.tile_id(eastward ? 1 : 0, 0);
+      const Direction out = eastward ? Direction::kEast : Direction::kWest;
+      Router& up = f.mesh.router(src);
+      Router& down = f.mesh.router(dst);
+      std::uint32_t mid = 0;
+      MidCycleProbe probe([&] { mid = up.credits(out); });
+      f.sim.add(&probe);
+      f.mesh.ni(src).inject(packet_of_size(512), dst, 0);
+
+      std::uint32_t before = kDepth;
+      std::uint64_t forwarded = 0, popped = 0;
+      bool credit_spent = false;
+      for (int c = 0; c < 200; ++c) {
+        f.sim.step();
+        const auto fwd = up.flits_routed() - forwarded;
+        const auto pops = down.flits_routed() - popped;
+        forwarded += fwd;
+        popped += pops;
+        // Only the upstream's own forwards (one each) move it mid-cycle.
+        ASSERT_EQ(mid, before - fwd) << to_string(mode) << " cycle " << c;
+        ASSERT_EQ(up.credits(out), mid + pops)
+            << to_string(mode) << " cycle " << c;
+        before = up.credits(out);
+        credit_spent = credit_spent || before < kDepth;
+      }
+      EXPECT_TRUE(credit_spent);
+      EXPECT_GT(popped, 60u);
+      EXPECT_EQ(popped, forwarded);
+      EXPECT_EQ(up.credits(out), kDepth);
+    }
+  }
+}
+
+TEST(RouterCredits, UpstreamGetsReturnsOfTwoDownstreamPopsInOneCycle) {
+  // Router (1,1) forwards west->east and north->south streams; its east
+  // and south neighbors pop them, often in the same cycle, and each
+  // stages a return on it (in the parallel kernel from two shards).
+  for (const SimMode mode : kCreditModes) {
+    MeshFixture f(3, 64, mode);
+    Router& up = f.mesh.router(f.mesh.tile_id(1, 1));
+    Router& east = f.mesh.router(f.mesh.tile_id(2, 1));
+    Router& south = f.mesh.router(f.mesh.tile_id(1, 2));
+    std::uint32_t mid_east = 0, mid_south = 0;
+    MidCycleProbe probe([&] {
+      mid_east = up.credits(Direction::kEast);
+      mid_south = up.credits(Direction::kSouth);
+    });
+    f.sim.add(&probe);
+    f.mesh.ni(f.mesh.tile_id(0, 1))
+        .inject(packet_of_size(512), f.mesh.tile_id(2, 1), 0);
+    f.mesh.ni(f.mesh.tile_id(1, 0))
+        .inject(packet_of_size(512), f.mesh.tile_id(1, 2), 0);
+
+    std::uint64_t east_pops = 0, south_pops = 0;
+    int both = 0;
+    for (int c = 0; c < 300; ++c) {
+      f.sim.step();
+      const auto e = east.flits_routed() - east_pops;
+      const auto s = south.flits_routed() - south_pops;
+      east_pops += e;
+      south_pops += s;
+      ASSERT_EQ(up.credits(Direction::kEast), mid_east + e)
+          << to_string(mode) << " cycle " << c;
+      ASSERT_EQ(up.credits(Direction::kSouth), mid_south + s)
+          << to_string(mode) << " cycle " << c;
+      if (e == 1 && s == 1) ++both;
+    }
+    EXPECT_GT(both, 10) << to_string(mode);
+    EXPECT_EQ(up.credits(Direction::kEast), kDepth);
+    EXPECT_EQ(up.credits(Direction::kSouth), kDepth);
+  }
+}
+
+TEST(RouterCredits, LeakDebtStillSwallowsStagedReturns) {
+  // Router (1,0) ejects a message from (1,1) while one from (0,0) waits
+  // behind it, so (0,0)'s east credits run low.  Leaking one credit more
+  // than (0,0) holds leaves one credit of debt, which a later staged
+  // return repays: the link ends `held + 1` credits short, not `held`.
+  for (const SimMode mode : kCreditModes) {
+    MeshFixture f(2, 64, mode);
+    const EngineId dst = f.mesh.tile_id(1, 0);
+    Router& up = f.mesh.router(f.mesh.tile_id(0, 0));
+    Router& down = f.mesh.router(dst);
+    f.mesh.ni(f.mesh.tile_id(1, 1)).inject(packet_of_size(512), dst, 0);
+    f.sim.run(3);
+    f.mesh.ni(f.mesh.tile_id(0, 0))
+        .inject(packet_of_size(512), dst, f.sim.now());
+    for (int c = 0; c < 100 && up.credits(Direction::kEast) > kDepth - 2;
+         ++c) {
+      f.sim.step();
+    }
+    const std::uint32_t held = up.credits(Direction::kEast);
+    ASSERT_LE(held, kDepth - 2) << to_string(mode);
+    const std::uint32_t leak = held + 1;
+    down.fault_leak_credits(static_cast<int>(Direction::kWest), leak);
+    EXPECT_EQ(up.credits(Direction::kEast), 0u);
+
+    int received = 0;
+    ASSERT_TRUE(f.sim.run_until(
+        [&] {
+          while (f.mesh.ni(dst).try_receive(f.sim.now()) != nullptr) {
+            ++received;
+          }
+          return received == 2;
+        },
+        10000))
+        << to_string(mode);
+    EXPECT_EQ(up.credits(Direction::kEast), kDepth - leak) << to_string(mode);
+    EXPECT_EQ(down.credit_violations(), 0u) << to_string(mode);
+  }
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 // splits the mesh across shards.  The same holds under an active FaultPlan.
 // Plus targeted tests for the wake protocol itself: wake-on-enqueue,
 // sleep-with-deadline, empty-active-set fast-forward, late-event
-// determinism, and the slot-ordering rule.
+// determinism, and the slot-ordering rule, including mid-scan wakes across
+// the active bitmap's words.  The file carries the `equivalence` label,
+// which CI also runs under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/panic_nic.h"
@@ -504,6 +508,155 @@ TEST(KernelWake, StrictTickModeNeverSleeps) {
   sim.run(100);
   EXPECT_EQ(sim.component_ticks(), 100u);
   EXPECT_EQ(sim.fast_forwarded_cycles(), 0u);
+}
+
+// --- Mid-scan wakes across the active bitmap's 64-slot words. ---
+
+/// Consumes one token per tick while it holds any and hands tokens to
+/// other nodes at scripted cycles; otherwise sleeps until its next
+/// scripted cycle.  `log` holds the cycles in which it consumed a token:
+/// its observable ticks, which every kernel must reproduce.
+class ScriptedNode : public Component {
+ public:
+  explicit ScriptedNode(int id) : Component("node" + std::to_string(id)) {}
+  void give(Cycle now) {
+    ++tokens_;
+    request_wake(now);
+  }
+  /// Hands `target` a token at cycle `at`; calls come in cycle order.
+  void give_at(Cycle at, ScriptedNode* target) {
+    script_.push_back({at, target});
+  }
+  void tick(Cycle now) override {
+    if (tokens_ > 0) {
+      --tokens_;
+      log.push_back(now);
+    }
+    while (next_ < script_.size() && script_[next_].at == now) {
+      script_[next_++].target->give(now);
+    }
+  }
+  Cycle next_wake(Cycle now) const override {
+    if (tokens_ > 0) return now + 1;
+    return next_ < script_.size() ? script_[next_].at : kNeverWake;
+  }
+  std::vector<Cycle> log;
+
+ private:
+  struct Give {
+    Cycle at;
+    ScriptedNode* target;
+  };
+  std::vector<Give> script_;
+  std::size_t next_ = 0;
+  int tokens_ = 0;
+};
+
+struct ScriptedGive {
+  Cycle at;
+  int from;
+  int to;
+};
+
+// Four bitmap words in the sequential kernels, two per shard in the
+// 3-shard parallel kernel (node i on shard i % 3, so shard 0's 64th slot
+// is node 192).  Gives stay within a shard: a cross-shard wake aborts.
+constexpr int kScriptedNodes = 256;
+constexpr Cycles kScriptCycles = 20;
+
+/// Per-node logs of `gives` run for kScriptCycles under `mode`.  With
+/// `late_gives`, node kScriptedNodes, holding one token, is then added
+/// and the simulator runs kScriptCycles more; in kParallelShards it joins
+/// the serial suffix, so only it may give in that phase.
+std::vector<std::vector<Cycle>> run_wake_script(
+    SimMode mode, const std::vector<ScriptedGive>& gives,
+    const std::vector<ScriptedGive>& late_gives) {
+  Simulator sim(Frequency::megahertz(500), mode, 3);
+  std::vector<std::unique_ptr<ScriptedNode>> nodes;
+  for (int i = 0; i <= kScriptedNodes; ++i) {
+    nodes.push_back(std::make_unique<ScriptedNode>(i));
+  }
+  for (const auto* list : {&gives, &late_gives}) {
+    for (const ScriptedGive& g : *list) {
+      nodes[g.from]->give_at(g.at, nodes[g.to].get());
+    }
+  }
+  for (int i = 0; i < kScriptedNodes; ++i) {
+    sim.add(nodes[i].get());
+    sim.set_shard(nodes[i].get(), i % 3);  // no-op in the sequential modes
+  }
+  sim.run(kScriptCycles);
+  if (!late_gives.empty()) {
+    ScriptedNode& late = *nodes[kScriptedNodes];
+    late.give(0);  // not registered yet: banks the token without a wake
+    sim.add(&late);
+    sim.run(kScriptCycles);
+  }
+  std::vector<std::vector<Cycle>> logs;
+  for (const auto& n : nodes) logs.push_back(n->log);
+  return logs;
+}
+
+/// The event kernel's logs, after requiring the dense kernel and the
+/// 3-shard parallel kernel to produce the same ones.
+std::vector<std::vector<Cycle>> logs_in_every_kernel(
+    const std::vector<ScriptedGive>& gives,
+    const std::vector<ScriptedGive>& late_gives = {}) {
+  const auto event = run_wake_script(SimMode::kEventDriven, gives, late_gives);
+  EXPECT_EQ(event, run_wake_script(SimMode::kStrictTick, gives, late_gives))
+      << "dense";
+  EXPECT_EQ(event,
+            run_wake_script(SimMode::kParallelShards, gives, late_gives))
+      << "parallel";
+  return event;
+}
+
+TEST(KernelWake, MidScanWakeOfLaterSlotTicksThisCycle) {
+  // Within one word (10 -> 13), onto and over the 63 -> 64 and 127 -> 128
+  // word boundaries, and over shard 0's own word boundary (189 -> 192).
+  const std::vector<ScriptedGive> gives{{5, 10, 13},   {5, 61, 64},
+                                        {5, 63, 66},   {5, 125, 128},
+                                        {5, 127, 130}, {5, 189, 192}};
+  const auto logs = logs_in_every_kernel(gives);
+  for (const ScriptedGive& g : gives) {
+    EXPECT_EQ(logs[g.to], std::vector<Cycle>{5}) << "node " << g.to;
+  }
+}
+
+TEST(KernelWake, MidScanWakeOfEarlierSlotIsDeferred) {
+  // The same pairs reversed, plus the last word back to the first: the
+  // target's slot was already passed this cycle.
+  const std::vector<ScriptedGive> gives{
+      {5, 13, 10},   {5, 64, 61},   {5, 66, 63}, {5, 128, 125},
+      {5, 130, 127}, {5, 192, 189}, {5, 255, 0}};
+  const auto logs = logs_in_every_kernel(gives);
+  for (const ScriptedGive& g : gives) {
+    EXPECT_EQ(logs[g.to], std::vector<Cycle>{6}) << "node " << g.to;
+  }
+}
+
+TEST(KernelWake, ParkedSlotRewokenByLaterSlotTicksNextCycle) {
+  // Nodes 4 and 64 each consume a token from an earlier node and park
+  // during cycle 5; a later node (in the same word, two words on) then
+  // hands them another, which they consume at cycle 6.
+  const std::vector<ScriptedGive> gives{
+      {5, 1, 4}, {5, 7, 4}, {5, 61, 64}, {5, 130, 64}};
+  const auto logs = logs_in_every_kernel(gives);
+  EXPECT_EQ(logs[4], (std::vector<Cycle>{5, 6}));
+  EXPECT_EQ(logs[64], (std::vector<Cycle>{5, 6}));
+}
+
+TEST(KernelWake, ComponentAddedBetweenRunsOpensNewWord) {
+  // The added node is the first slot of a fifth word.  It ticks at once,
+  // then hands tokens to an earlier node and to itself, both behind the
+  // cursor, so both land at the next cycle.
+  constexpr int kLate = kScriptedNodes;
+  const std::vector<ScriptedGive> late_gives{{25, kLate, 3},
+                                             {25, kLate, kLate}};
+  const auto logs = logs_in_every_kernel({{5, 10, 13}}, late_gives);
+  EXPECT_EQ(logs[kLate], (std::vector<Cycle>{20, 26}));
+  EXPECT_EQ(logs[3], std::vector<Cycle>{26});
+  EXPECT_EQ(logs[13], std::vector<Cycle>{5});
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/stats.h"
 #include "telemetry/metrics.h"
@@ -177,6 +178,34 @@ TEST(MetricsSnapshot, CsvHasHeaderAndOneRowPerMetric) {
             std::string::npos);
   EXPECT_NE(csv.find("a,counter,1"), std::string::npos);
   EXPECT_NE(csv.find("b,counter,2"), std::string::npos);
+}
+
+TEST(MetricsSnapshot, MergeKeepsNamesAndLookupsInStep) {
+  // A snapshot stores names in one buffer and values in compact cells; it
+  // builds its lookup index and its named entries on first use.  Merges
+  // after either cache is filled must leave names, values and lookups
+  // agreeing.
+  MetricsRegistry a, b, c;
+  a.counter("a.first") = 1;
+  for (int i = 0; i < 100; ++i) b.counter("b." + std::to_string(i)) = i;
+  c.counter("c.late") = 3;
+
+  auto merged = a.snapshot();
+  EXPECT_TRUE(merged.has("a.first"));  // index built over one entry
+  merged.merge(b.snapshot());
+  EXPECT_EQ(merged.counter("b.99"), 99u);
+  EXPECT_EQ(merged.at("b.57").value, 57.0);
+  EXPECT_FALSE(merged.has("b.100"));
+
+  ASSERT_EQ(merged.entries().size(), 101u);
+  EXPECT_EQ(merged.entries().front().name, "a.first");
+  EXPECT_EQ(merged.entries()[58].name, "b.57");
+  merged.merge(c.snapshot());  // appended after the names were built
+  merged.merge(b.snapshot());  // adds into existing entries
+  EXPECT_EQ(merged.entries().back().name, "c.late");
+  EXPECT_EQ(merged.counter("b.99"), 198u);
+  EXPECT_EQ(merged.sum("b."), 2.0 * (99 * 100 / 2));
+  EXPECT_TRUE(merged.diff_names(merged).empty());
 }
 
 }  // namespace
