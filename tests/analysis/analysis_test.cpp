@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "analysis/line_rate.h"
 #include "analysis/report.h"
 
@@ -7,11 +9,14 @@ namespace panic::analysis {
 namespace {
 
 // Table 2 of the paper (values rounded there to the nearest 10 Mpps).
+// gtest names each case by the bytes of its parameter, so the struct must
+// have no padding: uninitialized padding made the names vary between runs.
 struct Table2Case {
   double rate_gbps;
-  int ports;
+  std::int64_t ports;
   double paper_mpps;
 };
+static_assert(sizeof(Table2Case) == 3 * 8);
 
 class Table2 : public ::testing::TestWithParam<Table2Case> {};
 
@@ -19,7 +24,7 @@ TEST_P(Table2, MatchesPaperWithinRounding) {
   const auto& expected = GetParam();
   LineRateInput in;
   in.line_rate = DataRate::gbps(expected.rate_gbps);
-  in.ports = expected.ports;
+  in.ports = static_cast<int>(expected.ports);
   const auto r = evaluate_line_rate(in);
   // The paper rounds (e.g. 238.1 -> 240, 297.6 -> 300): accept 2%.
   EXPECT_NEAR(r.total_pps / 1e6, expected.paper_mpps,
