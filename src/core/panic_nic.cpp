@@ -249,6 +249,7 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
                            [&router] { return router.progress(); },
                            [&router] { return router.has_pending_flits(); });
     }
+    mesh_->attach_router_watchdog();
   }
   if (faulty || config_.enable_tx_retry) host_driver_->attach(sim);
   if (faulty) injector_->arm(sim);

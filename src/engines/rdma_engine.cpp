@@ -37,7 +37,7 @@ bool RdmaEngine::process(Message& msg, Cycle now) {
     op.created_at = msg.created_at;
     op.nic_ingress_at = msg.nic_ingress_at;
     op.ingress_port = msg.ingress_port;
-    pending_[op.request_id] = op;
+    pending_[op_key(msg.tenant, op.request_id)] = op;
 
     auto read = make_message(MessageKind::kDmaRead);
     read->dma_addr = msg.dma_addr;
@@ -57,7 +57,8 @@ bool RdmaEngine::process(Message& msg, Cycle now) {
 
   if (msg.kind == MessageKind::kDmaCompletion && msg.meta_valid &&
       msg.meta.is_kvs) {
-    const auto it = pending_.find(msg.meta.kvs_request_id);
+    const auto it =
+        pending_.find(op_key(msg.tenant, msg.meta.kvs_request_id));
     if (it == pending_.end()) return false;  // stale/duplicate completion
     const PendingOp op = it->second;
     pending_.erase(it);

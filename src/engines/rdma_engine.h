@@ -45,8 +45,15 @@ class RdmaEngine : public Engine {
     EngineId ingress_port;
   };
 
+  /// Request ids are per-client sequence numbers, so two tenants' GETs
+  /// can carry the same id at once: an outstanding read is identified by
+  /// the tenant and the id together.
+  static std::uint64_t op_key(TenantId tenant, std::uint32_t request_id) {
+    return static_cast<std::uint64_t>(tenant.value) << 32 | request_id;
+  }
+
   RdmaConfig rdma_;
-  std::unordered_map<std::uint32_t, PendingOp> pending_;  // by request_id
+  std::unordered_map<std::uint64_t, PendingOp> pending_;  // by op_key
 
   std::uint64_t issued_ = 0;
   std::uint64_t replies_ = 0;

@@ -108,6 +108,22 @@ class FlitBurstQueue {
     return flit;
   }
 
+  /// The burst holding the oldest flit, ready or not.  Precondition:
+  /// !empty().
+  const FlitBurst& front() const { return bursts_.front(); }
+
+  /// Moves a queue that holds one burst `n` cycles ahead, as if each cycle
+  /// popped the oldest flit and pushed the message's next flit one cycle
+  /// after the last: the run keeps its length and its seq and ready stamps
+  /// shift by n.  This is what a NoC wormhole train does to each queue on
+  /// its path (DESIGN.md §5, "Wormhole trains").
+  void advance(std::uint32_t n) {
+    assert(bursts_.size() == 1);
+    FlitBurst& b = bursts_.front();
+    b.seq += n;
+    b.ready += n;
+  }
+
   /// Cycle at which the oldest flit becomes ready (max if empty).
   Cycle next_ready() const {
     return flits_ == 0 ? std::numeric_limits<Cycle>::max()

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "noc/mesh.h"
 #include "telemetry/telemetry.h"
 
 namespace panic::noc {
@@ -37,9 +38,15 @@ MessagePtr NetworkInterface::try_receive(Cycle now) {
   return nullptr;
 }
 
+std::uint64_t NetworkInterface::flits_sent() const {
+  if (inject_held_) mesh_->settle_trains();
+  return flits_sent_;
+}
+
 void NetworkInterface::tick(Cycle now) {
   // Injection: one flit per cycle into the router's local input.
-  if (!pending_.empty() && router_->can_accept(Direction::kLocal)) {
+  if (!inject_held_ && !pending_.empty() &&
+      router_->can_accept(Direction::kLocal)) {
     PendingMessage& p = pending_.front();
     Flit flit(p.dst, p.sent_flits, p.total_flits);
     const bool tail = flit.is_tail();
@@ -50,13 +57,18 @@ void NetworkInterface::tick(Cycle now) {
     if (tail) {
       ++messages_sent_;
       pending_.pop();
+    } else if (train_candidates_ != nullptr &&
+               p.sent_flits + Mesh::kMinTrainCycles < p.total_flits) {
+      train_candidates_->push_back(this);
     }
   }
 
   // Ejection: one flit per cycle from the router's eject queue.  Wormhole
   // switching guarantees flits of a message arrive contiguously, so the
   // message is complete when its tail flit appears.
+  if (eject_held_) return;
   if (auto flit = router_->eject_queue().try_pop_flit(now)) {
+    ejected_at_ = now;
     if (flit->is_tail()) {
       assert(flit->msg != nullptr);
       received_.try_push(std::move(flit->msg), now);
@@ -81,10 +93,17 @@ void NetworkInterface::register_telemetry(telemetry::Telemetry& t) {
 Cycle NetworkInterface::next_wake(Cycle now) const {
   // Segmentation pending: one flit per cycle (retrying while the router's
   // local input is full).  Otherwise sleep until the next ejected flit —
-  // next_ready() is kNeverWake when the eject queue is empty.
-  if (!pending_.empty()) return now + 1;
-  const Cycle eject = router_->eject_queue().next_ready();
-  return eject > now + 1 ? eject : now + 1;
+  // next_ready() is kNeverWake when the eject queue is empty.  A held
+  // side waits for its train: the injection side is due again on the
+  // train's last cycle, so the kernel runs that cycle and the Mesh hands
+  // the path back at its end; the ejection side is woken by the hand-back.
+  Cycle next = kNeverWake;
+  if (!pending_.empty()) next = inject_held_ ? inject_held_until_ : now + 1;
+  if (!eject_held_) {
+    const Cycle eject = router_->eject_queue().next_ready();
+    if (eject < next) next = eject;
+  }
+  return next > now + 1 ? next : now + 1;
 }
 
 }  // namespace panic::noc

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/fifo.h"
 #include "common/units.h"
@@ -14,6 +15,8 @@
 #include "sim/timed_queue.h"
 
 namespace panic::noc {
+
+class Mesh;
 
 class NetworkInterface : public Component {
  public:
@@ -48,12 +51,15 @@ class NetworkInterface : public Component {
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t messages_received() const { return messages_received_; }
-  std::uint64_t flits_sent() const { return flits_sent_; }
+  /// Settles a train this NI injects first (see Mesh).
+  std::uint64_t flits_sent() const;
 
   /// Publishes `noc.ni.<tile>.*` metrics.
   void register_telemetry(telemetry::Telemetry& t) override;
 
  private:
+  friend class Mesh;  // forms, carries and hands back wormhole trains
+
   struct PendingMessage {
     MessagePtr msg;
     EngineId dst;
@@ -79,6 +85,19 @@ class NetworkInterface : public Component {
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_received_ = 0;
   std::uint64_t flits_sent_ = 0;
+
+  // --- Wormhole trains (Mesh).  Inert outside the event kernel. ---
+  Mesh* mesh_ = nullptr;
+  /// Where the NI lists itself after injecting a body flit of a message
+  /// long enough to carry as a train; nullptr when trains cannot form.
+  std::vector<NetworkInterface*>* train_candidates_ = nullptr;
+  /// A train holds the injection side through `inject_held_until_` (the
+  /// cycle before the tail flit goes out) and/or the ejection side; tick
+  /// skips held sides and next_wake ignores them.
+  bool inject_held_ = false;
+  bool eject_held_ = false;
+  Cycle inject_held_until_ = 0;
+  Cycle ejected_at_ = kNeverWake;  ///< the cycle a flit last left eject_
 };
 
 }  // namespace panic::noc

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "noc/mesh.h"
 #include "telemetry/telemetry.h"
 
 namespace panic::noc {
@@ -19,12 +20,6 @@ const char* to_string(Direction d) {
 
 namespace {
 constexpr std::size_t kEjectDepth = 8;  // flits buffered toward the NI
-
-// The reverse direction on the neighbor: our East output feeds its West
-// input, etc.
-constexpr Direction kReverse[] = {Direction::kSouth, Direction::kWest,
-                                  Direction::kNorth, Direction::kEast,
-                                  Direction::kLocal};
 }  // namespace
 
 Router::Router(int x, int y, int k, std::size_t buffer_flits,
@@ -40,6 +35,12 @@ Router::Router(int x, int y, int k, std::size_t buffer_flits,
       eject_(kEjectDepth) {
   output_owner_.fill(-1);
   rr_.fill(0);
+  forwarded_at_.fill(kNeverWake);
+}
+
+std::uint64_t Router::flits_routed() const {
+  if (held_out_ != 0) mesh_->settle_trains();
+  return flits_routed_;
 }
 
 void Router::connect(Direction dir, Router* neighbor) {
@@ -101,16 +102,10 @@ void Router::accept(Direction from, Flit flit, Cycle now) {
 }
 
 bool Router::permitted(Direction dir, EngineId dst) const {
+  if (algo_ == RoutingAlgo::kXY) return dir == xy_output(dst);
   const int dx = dst.value % k_ - x_;
   const int dy = dst.value / k_ - y_;
   if (dx == 0 && dy == 0) return dir == Direction::kLocal;
-
-  if (algo_ == RoutingAlgo::kXY) {
-    // Dimension order: X fully, then Y.
-    if (dx > 0) return dir == Direction::kEast;
-    if (dx < 0) return dir == Direction::kWest;
-    return dir == (dy > 0 ? Direction::kSouth : Direction::kNorth);
-  }
 
   // West-first: all West hops first; afterwards any productive direction
   // (E/N/S toward the destination) is allowed — turns into West are the
@@ -145,6 +140,7 @@ void Router::register_telemetry(telemetry::Telemetry& t) {
 
 void Router::fault_link(int port, double probability, Cycles delay,
                         Cycle until, std::uint64_t seed) {
+  if (mesh_ != nullptr) mesh_->end_trains();
   for (int p = 0; p < kNumPorts; ++p) {
     if (port >= 0 && p != port) continue;
     PortFault& pf = port_faults_[p];
@@ -158,6 +154,7 @@ void Router::fault_link(int port, double probability, Cycles delay,
 }
 
 void Router::fault_leak_credits(int port, std::uint32_t amount) {
+  if (mesh_ != nullptr) mesh_->end_trains();
   for (int p = 0; p < kNumPorts; ++p) {
     if (port >= 0 && p != port) continue;
     port_faults_[p].leaked_credits += amount;
@@ -218,34 +215,34 @@ void Router::tick(Cycle now) {
   // Fast path: with every input empty the full allocation loop below is a
   // no-op (owned outputs have nothing ready, free outputs find no head
   // flit, and no counter moves).  Off-path routers hit this every cycle
-  // under the dense kernel, so it pays to skip the 5x5 scan outright.
-  bool idle = true;
-  for (const auto& q : inputs_) {
-    if (!q.empty()) {
-      idle = false;
-      break;
-    }
+  // under the dense kernel, so it pays to skip the 5x5 scan outright.  An
+  // input a train holds counts as empty: the Mesh moves its flits.
+  unsigned busy = 0;
+  for (int i = 0; i < kNumPorts; ++i) {
+    if (!inputs_[i].empty()) busy |= 1u << i;
   }
-  if (idle) return;
+  if ((busy & ~unsigned{held_in_}) == 0) return;
 
   // One flit may leave per output port per cycle; one flit may leave per
-  // input port per cycle.
-  std::array<bool, kNumPorts> input_used{};
+  // input port per cycle.  Held inputs start used, held outputs are
+  // skipped.
+  unsigned input_used = held_in_;
 
   for (int o = 0; o < kNumPorts; ++o) {
+    if ((held_out_ >> o & 1u) != 0) continue;
     const auto out = static_cast<Direction>(o);
 
     int chosen = -1;
     if (output_owner_[o] >= 0) {
       // Wormhole: the output is locked to an input until the tail passes.
       const int i = output_owner_[o];
-      if (!input_used[i] && inputs_[i].ready(now)) chosen = i;
+      if ((input_used >> i & 1u) == 0 && inputs_[i].ready(now)) chosen = i;
     } else {
       // Allocate: round-robin over inputs whose ready head flit is a head
       // flit routed to this output.
       for (int step = 0; step < kNumPorts; ++step) {
         const int i = (rr_[o] + step) % kNumPorts;
-        if (input_used[i]) continue;
+        if ((input_used >> i & 1u) != 0) continue;
         const FlitBurst* b = inputs_[i].peek(now);
         if (b == nullptr || b->seq != 0) continue;  // need a head flit
         if (!permitted(out, b->dst)) continue;
@@ -262,8 +259,9 @@ void Router::tick(Cycle now) {
     }
 
     Flit flit = *inputs_[chosen].try_pop_flit(now);
-    input_used[chosen] = true;
+    input_used |= 1u << chosen;
     output_owner_[o] = flit.is_tail() ? -1 : chosen;
+    forwarded_at_[o] = now;
     // Return the freed buffer slot to the upstream router as a credit,
     // visible after the end-of-cycle flush (kLocal is fed by the NI,
     // which uses the live can_accept() check instead).
@@ -278,14 +276,32 @@ void Router::tick(Cycle now) {
   }
 }
 
+Direction Router::xy_output(EngineId dst) const {
+  // Dimension order: X fully, then Y.
+  const int dx = dst.value % k_ - x_;
+  const int dy = dst.value / k_ - y_;
+  if (dx > 0) return Direction::kEast;
+  if (dx < 0) return Direction::kWest;
+  if (dy > 0) return Direction::kSouth;
+  if (dy < 0) return Direction::kNorth;
+  return Direction::kLocal;
+}
+
 Cycle Router::next_wake(Cycle now) const {
   // Each input FIFO's head is its earliest-ready flit (ready stamps are
   // monotonic per port).  A head that is already routable but stalled on a
   // full downstream retries every cycle so stall accounting matches the
-  // dense kernel.
+  // dense kernel.  Held inputs are the Mesh's to move, and an XY head
+  // flit waiting for a held output cannot move (or stall) before the
+  // train hands the path back, which wakes this router.
   Cycle next = kNeverWake;
-  for (const auto& q : inputs_) {
-    if (q.empty()) continue;
+  for (int i = 0; i < kNumPorts; ++i) {
+    const FlitBurstQueue& q = inputs_[i];
+    if (q.empty() || (held_in_ >> i & 1u) != 0) continue;
+    if (held_out_ != 0 && algo_ == RoutingAlgo::kXY && q.front().seq == 0 &&
+        (held_out_ >> static_cast<int>(xy_output(q.front().dst)) & 1u) != 0) {
+      continue;
+    }
     const Cycle ready = q.next_ready() > now + 1 ? q.next_ready() : now + 1;
     if (ready < next) next = ready;
   }

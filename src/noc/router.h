@@ -41,6 +41,12 @@ enum class Direction : std::uint8_t {
 };
 inline constexpr int kNumPorts = 5;
 
+/// The input an output feeds on the neighbor: our East output feeds its
+/// West input, etc.
+inline constexpr Direction kReverse[] = {Direction::kSouth, Direction::kWest,
+                                         Direction::kNorth, Direction::kEast,
+                                         Direction::kLocal};
+
 const char* to_string(Direction d);
 
 /// Routing algorithm.  kXY is deterministic dimension-order routing.
@@ -51,6 +57,7 @@ const char* to_string(Direction d);
 /// links for east-bound traffic.
 enum class RoutingAlgo : std::uint8_t { kXY, kWestFirst };
 
+class Mesh;
 class Router;
 
 /// A flit crossing a shard boundary, staged by the source shard during the
@@ -103,9 +110,16 @@ class Router : public Component {
     boundary_out_[static_cast<int>(out)] = stage;
   }
 
-  /// Available credits for output `out` (tests/diagnostics).
+  /// Available credits for output `out` (tests/diagnostics).  A train
+  /// keeps every registered count on its path constant, so this needs no
+  /// settling — but it is exact only at cycle boundaries.
   std::uint32_t credits(Direction out) const {
     return credits_[static_cast<int>(out)];
+  }
+
+  /// Flits queued in the `from` input buffer (tests/diagnostics).
+  std::size_t queued_flits(Direction from) const {
+    return inputs_[static_cast<int>(from)].size();
   }
 
   /// True if the input buffer for `from` can accept a flit (the upstream
@@ -134,7 +148,8 @@ class Router : public Component {
   Cycle next_wake(Cycle now) const override;
 
   // --- Counters for experiments. ---
-  std::uint64_t flits_routed() const { return flits_routed_; }
+  /// Settles any train through this router first (see Mesh).
+  std::uint64_t flits_routed() const;
   std::uint64_t stall_cycles() const { return stall_cycles_; }
 
   /// Flits accepted while can_accept(from) was false — a violated credit
@@ -164,7 +179,7 @@ class Router : public Component {
   void fault_leak_credits(int port, std::uint32_t amount);
 
   // --- Watchdog probes (fault/watchdog.h). ---
-  std::uint64_t progress() const { return flits_routed_; }
+  std::uint64_t progress() const { return flits_routed(); }
   bool has_pending_flits() const {
     for (const auto& q : inputs_) {
       if (!q.empty()) return true;
@@ -175,9 +190,14 @@ class Router : public Component {
   std::uint64_t flits_delayed() const { return flits_delayed_; }
 
  private:
+  friend class Mesh;  // forms, carries and hands back wormhole trains
+
   /// Whether output `dir` is productive and permitted for a flit to `dst`
   /// under the configured routing algorithm (tile id = y*k + x).
   bool permitted(Direction dir, EngineId dst) const;
+
+  /// The one output XY routing permits for a flit to `dst` here.
+  Direction xy_output(EngineId dst) const;
 
   /// True if the downstream of output `out` can accept a flit now: a
   /// registered credit for mesh outputs, live eject-queue occupancy for
@@ -226,6 +246,15 @@ class Router : public Component {
   std::array<int, kNumPorts> output_owner_;
   /// Round-robin arbitration pointer per output.
   std::array<int, kNumPorts> rr_;
+  /// The cycle each output last forwarded a flit (train formation).
+  std::array<Cycle, kNumPorts> forwarded_at_;
+
+  /// Ports a wormhole train holds (bit per port): the Mesh carries their
+  /// flits, so tick() skips the held outputs and inputs and next_wake
+  /// ignores them.  Zero outside the event kernel.
+  std::uint8_t held_out_ = 0;
+  std::uint8_t held_in_ = 0;
+  Mesh* mesh_ = nullptr;  ///< the mesh this router belongs to (trains)
 
   std::uint64_t flits_routed_ = 0;
   std::uint64_t stall_cycles_ = 0;

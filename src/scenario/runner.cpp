@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/json.h"
 #include "engines/ipsec_engine.h"
 #include "net/message_pool.h"
 #include "net/packet.h"
@@ -224,7 +225,9 @@ Outcome ScenarioRun::outcome() const {
 std::string ScenarioRun::result_json() const {
   const Outcome o = outcome();
   std::string j = "{\n";
-  j += "  \"scenario\": \"" + scenario_.name + "\",\n";
+  j += "  \"scenario\": ";
+  append_json_string(j, scenario_.name);
+  j += ",\n";
   j += "  \"seed\": ";
   append_u64(j, sim_seed());
   j += ",\n  \"warmup\": ";
@@ -251,7 +254,9 @@ std::string ScenarioRun::result_json() const {
     if (m.name.rfind("kernel.", 0) == 0) continue;
     if (!first) j += ",\n";
     first = false;
-    j += "    \"" + m.name + "\": ";
+    j += "    ";
+    append_json_string(j, m.name);
+    j += ": ";
     if (m.kind == telemetry::MetricKind::kHistogram) {
       j += "{\"count\": ";
       append_u64(j, m.count);
@@ -277,9 +282,12 @@ std::string ScenarioRun::result_json() const {
   // The one kernel-dependent line, kept on a single physical line so the
   // CI equivalence gate can `grep -v '"runner"'` before diffing.
   j += "\n  },\n";
-  j += "  \"runner\": {\"mode\": \"" + std::string(to_string(sim_.mode())) +
-       "\", \"threads\": " + std::to_string(sim_.num_shards()) +
-       ", \"shard_layout\": \"" + o.shard_layout + "\"}\n";
+  j += "  \"runner\": {\"mode\": ";
+  append_json_string(j, to_string(sim_.mode()));
+  j += ", \"threads\": " + std::to_string(sim_.num_shards()) +
+       ", \"shard_layout\": ";
+  append_json_string(j, o.shard_layout);
+  j += "}\n";
   j += "}\n";
   return j;
 }

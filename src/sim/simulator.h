@@ -31,12 +31,15 @@
 //     (the 1-cycle link latency is the lookahead window).  See DESIGN.md
 //     §"Sharded parallel kernel".
 //
-// All modes are cycle-identical: for every executed cycle the same events
-// fire and the same non-no-op ticks run in the same registration order
-// (quiescent components' ticks are observable no-ops by contract), so
-// statistics and final cycle counts match exactly.  The equivalence is
-// pinned by tests/sim/kernel_equivalence_test.cpp and the panic_fuzz
-// three-way differential oracle.
+// All modes are cycle-identical: they agree on all simulation state at
+// every cycle boundary — the same events fire in the same cycles, and
+// statistics, queues and final cycle counts match exactly — though not on
+// which ticks ran.  The event kernel skips quiescent components' ticks
+// (observable no-ops by contract), and its NoC carries streaming wormhole
+// bodies as trains instead of ticking each router per flit, settling them
+// on every read (noc/mesh.h).  The equivalence is pinned by
+// tests/sim/kernel_equivalence_test.cpp, tests/noc/train_test.cpp and the
+// panic_fuzz three-way differential oracle.
 #pragma once
 
 #include <array>

@@ -336,6 +336,7 @@ bool MetricsRegistry::expose_histogram(const std::string& name,
 }
 
 void MetricsRegistry::reset() {
+  settle();
   for (Entry& e : entries_) {
     switch (e.kind) {
       case MetricKind::kCounter:
@@ -349,6 +350,7 @@ void MetricsRegistry::reset() {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
+  settle();
   MetricsSnapshot snap;
   std::size_t name_bytes = 0;
   for (const Entry& e : entries_) name_bytes += e.name.size();

@@ -199,6 +199,13 @@ class MetricsRegistry {
   /// Captures every metric.  Entries appear in registration order.
   MetricsSnapshot snapshot() const;
 
+  /// Registers `fn` to run first in every snapshot() and reset(): a
+  /// component whose exposed counters may lag the clock (the NoC settles
+  /// the flits its wormhole trains carried) brings them up to date there.
+  void add_settle_hook(std::function<void()> fn) {
+    settle_hooks_.push_back(std::move(fn));
+  }
+
  private:
   struct Entry {
     std::string name;
@@ -216,6 +223,11 @@ class MetricsRegistry {
   /// when `cell` is already published under another metric.
   bool claim_cell(const std::uint64_t* cell, const std::string& name);
 
+  void settle() const {
+    for (const auto& fn : settle_hooks_) fn();
+  }
+
+  std::vector<std::function<void()>> settle_hooks_;
   std::deque<std::uint64_t> owned_;  // stable cells for counter(name)
   std::vector<Entry> entries_;       // registration order
   std::unordered_map<std::string, std::size_t> index_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace panic::telemetry {
@@ -59,13 +60,6 @@ const char* arg_name(TraceEventKind kind) {
     case TraceEventKind::kServiceEnd: return "cycles";
     case TraceEventKind::kHostDeliver: return "latency";
     default: return "arg";
-  }
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
   }
 }
 
@@ -166,7 +160,7 @@ std::string MessageTracer::to_chrome_json(Frequency clock) const {
                   "\"tid\":%zu,\"args\":{\"name\":\"",
                   i);
     out += buf;
-    append_escaped(out, names_[i]);
+    append_json_escaped(out, names_[i]);
     out += "\"}}";
   }
   for (const Line& line : lines) {

@@ -32,6 +32,19 @@ TEST(Oracles, GeneratedScenariosPassOnHealthyBuild) {
   }
 }
 
+TEST(Oracles, KvsRequestIdCollisionReplayIsClean) {
+  // Two KVS tenants reuse request ids while both have reads outstanding at
+  // the RDMA engine; its replies must leave each port in per-tenant order.
+  std::string error;
+  const auto s = Scenario::load(
+      PANIC_REPLAY_DIR "/kvs_request_id_collision.panic", &error);
+  ASSERT_TRUE(s.has_value()) << error;
+  RunResult event;
+  const auto violations = check_scenario(*s, nullptr, &event);
+  EXPECT_TRUE(violations.empty()) << to_string(violations);
+  EXPECT_GT(event.tx_packets, 0u);  // replies reached the wire
+}
+
 TEST(Oracles, RunsAreBitReproducibleFromTheScenario) {
   const Scenario s = generate_scenario(3, 20000);
   for (const SimMode mode : {SimMode::kStrictTick, SimMode::kEventDriven}) {

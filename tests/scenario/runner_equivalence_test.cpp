@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/panic_config.h"
@@ -125,6 +128,114 @@ TEST(ScenarioRunner, ResultJsonIdenticalAcrossKernelsModuloRunnerLine) {
   }
   EXPECT_EQ(strip_runner_line(jsons[0]), strip_runner_line(jsons[1]));
   EXPECT_EQ(strip_runner_line(jsons[1]), strip_runner_line(jsons[2]));
+}
+
+/// A strict JSON reader, just enough to accept or reject a result file:
+/// parse() is true only if the whole text is one JSON value, and it
+/// collects the decoded string value of every object member by key.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string text) : s_(std::move(text)) {}
+
+  bool parse() {
+    if (!value()) return false;
+    space();
+    return i_ == s_.size();
+  }
+  std::vector<std::pair<std::string, std::string>> strings;
+
+ private:
+  void space() {
+    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_]))) {
+      ++i_;
+    }
+  }
+  bool eat(char c) {
+    space();
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  bool string(std::string* out) {
+    if (!eat('"')) return false;
+    while (i_ < s_.size()) {
+      const char c = s_[i_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        *out += c;
+        continue;
+      }
+      if (i_ >= s_.size()) return false;
+      const char e = s_[i_++];
+      switch (e) {
+        case '"': case '\\': case '/': *out += e; break;
+        case 'n': *out += '\n'; break;
+        case 't': *out += '\t'; break;
+        case 'r': *out += '\r'; break;
+        case 'b': *out += '\b'; break;
+        case 'f': *out += '\f'; break;
+        case 'u': {
+          if (i_ + 4 > s_.size()) return false;
+          *out += static_cast<char>(std::stoi(s_.substr(i_, 4), nullptr, 16));
+          i_ += 4;
+          break;
+        }
+        default: return false;
+      }
+    }
+    return false;
+  }
+  bool value(std::string* str = nullptr) {
+    space();
+    if (i_ >= s_.size()) return false;
+    const char c = s_[i_];
+    if (c == '"') {
+      std::string tmp;
+      return string(str != nullptr ? str : &tmp);
+    }
+    if (c == '{') {
+      ++i_;
+      if (eat('}')) return true;
+      do {
+        std::string key, val;
+        if (!string(&key) || !eat(':') || !value(&val)) return false;
+        strings.emplace_back(key, val);
+      } while (eat(','));
+      return eat('}');
+    }
+    if (c == '[') {
+      ++i_;
+      if (eat(']')) return true;
+      do {
+        if (!value()) return false;
+      } while (eat(','));
+      return eat(']');
+    }
+    const std::size_t start = i_;
+    while (i_ < s_.size() && std::strchr("+-.eE0123456789", s_[i_]) != nullptr) {
+      ++i_;
+    }
+    return i_ > start;
+  }
+
+  std::string s_;
+  std::size_t i_ = 0;
+};
+
+TEST(ScenarioRunner, ResultJsonEscapesTheScenarioName) {
+  Scenario s = load_quickstart();
+  s.name = "quick\"start\\ \x01";
+  s.budget_cycles = 200;
+  ScenarioRun run(s, RunOptions{});
+  run.run_all();
+  JsonReader json(run.result_json());
+  ASSERT_TRUE(json.parse()) << run.result_json();
+  ASSERT_FALSE(json.strings.empty());
+  EXPECT_EQ(json.strings.front().first, "scenario");
+  EXPECT_EQ(json.strings.front().second, s.name);
 }
 
 TEST(ScenarioRunner, CheckedInFileIsACanonicalFixpoint) {
