@@ -49,7 +49,6 @@ struct Result {
   std::uint64_t delivered = 0;
   std::uint64_t faulted = 0;  // casualties attributed to the injected fault
   bool conserved = false;
-  std::string shard_layout = "none";
 };
 
 Result run_panic(std::uint64_t frames, bool kill_one_engine) {
@@ -97,7 +96,6 @@ Result run_panic(std::uint64_t frames, bool kill_one_engine) {
   r.delivered = delivered;
   r.faulted = static_cast<std::uint64_t>(conservation.delta().faulted);
   r.conserved = conservation.verify_or_log();
-  r.shard_layout = nic.shard_layout();
   return r;
 }
 
@@ -214,15 +212,13 @@ int main(int argc, char** argv) {
   std::snprintf(
       json, sizeof(json),
       "{\n  \"bench\": \"fault_resilience\",\n  \"seed\": %llu,\n"
-      "  \"threads\": %d,\n  \"shard_layout\": \"%s\",\n"
       "  \"frames\": %llu,\n  \"offload_cycles\": %llu,\n"
       "  \"kill_fraction\": %.2f,\n"
       "  \"panic\": {\"clean\": %llu, \"faulty\": %llu, \"faulted\": %llu,"
       " \"ratio\": %.4f, \"conserved\": %s},\n"
       "  \"pipeline\": {\"clean\": %llu, \"faulty\": %llu, \"ratio\": %.4f,"
       " \"conserved\": %s},\n  \"pass\": %s\n}\n",
-      static_cast<unsigned long long>(seed), args.threads(),
-      panic_clean.shard_layout.c_str(),
+      static_cast<unsigned long long>(seed),
       static_cast<unsigned long long>(frames),
       static_cast<unsigned long long>(kOffloadCycles), kKillFraction,
       static_cast<unsigned long long>(panic_clean.delivered),

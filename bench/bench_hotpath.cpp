@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "common/cli.h"
 #include "net/message_pool.h"
@@ -62,15 +61,12 @@ struct RunResult {
   // Flow-cache totals (zero when the cache is off).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::string shard_layout = "none";
   telemetry::MetricsSnapshot snapshot;
 };
 
-RunResult run_one(const scenario::Scenario& s, SimMode mode,
-                  int threads = 0) {
+RunResult run_one(const scenario::Scenario& s, SimMode mode) {
   scenario::RunOptions opts;
   opts.mode = mode;
-  opts.threads = threads;
   scenario::ScenarioRun run(s, opts);
 
   run.run_warmup();
@@ -97,7 +93,6 @@ RunResult run_one(const scenario::Scenario& s, SimMode mode,
       static_cast<std::uint64_t>(snap.sum("rmt.cache.", ".hits"));
   r.cache_misses =
       static_cast<std::uint64_t>(snap.sum("rmt.cache.", ".misses"));
-  r.shard_layout = run.nic().shard_layout();
   return r;
 }
 
@@ -110,8 +105,6 @@ int main(int argc, char** argv) {
   args.flag("smoke", "divide horizons by 10 for CI", &smoke);
   args.parse(argc, argv);
   const std::uint64_t seed = args.seed();
-  const int threads = args.threads();
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
 
   struct Leg {
     const char* file;
@@ -137,10 +130,7 @@ int main(int argc, char** argv) {
   }
 
   std::string json = "{\n  \"bench\": \"hotpath\",\n  \"seed\": " +
-                     std::to_string(seed) + ",\n  \"threads\": " +
-                     std::to_string(threads) +
-                     ",\n  \"hardware_threads\": " +
-                     std::to_string(hardware_threads) + ",\n";
+                     std::to_string(seed) + ",\n";
   {
     char buf[64];
     std::snprintf(buf, sizeof(buf),
@@ -204,24 +194,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    // With --threads N (N > 1) the sharded kernel runs as a fourth leg and
-    // must agree with the other two.
-    RunResult par;
-    bool par_match = true;
-    if (threads > 1) {
-      par = run_one(sc, SimMode::kParallelShards, threads);
-      const auto par_diff =
-          par.snapshot.diff_names(event.snapshot, excluded_from_kernel_diff);
-      par_match = par_diff.empty();
-      if (!par_match) {
-        std::fprintf(stderr,
-                     "FAIL %s: parallel/event snapshots differ on %zu"
-                     " metric(s): %s\n",
-                     name, par_diff.size(), par_diff.front().c_str());
-        ok = false;
-      }
-    }
-
     std::printf("--- %s (%llu warmup + %llu measured cycles, %llu packets)"
                 " ---\n",
                 name, static_cast<unsigned long long>(sc.warmup_cycles),
@@ -238,11 +210,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(event.cache_misses),
                 off.ns_per_cycle, cache_speedup,
                 cache_identical ? "yes" : "NO");
-    if (threads > 1) {
-      std::printf("\n  parallel(x%d): %8.1f ms  %7.2f ns/cycle  [%s]",
-                  threads, par.wall_ms, par.ns_per_cycle,
-                  par.shard_layout.c_str());
-    }
     std::printf("\n  alloc:  hit %llu + %llu  miss %llu + %llu"
                 "  bytes_reused %llu + %llu\n",
                 static_cast<unsigned long long>(dense.pool_hit),
@@ -297,16 +264,6 @@ int main(int argc, char** argv) {
                                         event.bytes_reused),
         static_cast<unsigned long long>(event.live_high_watermark));
     json += buf;
-    if (threads > 1) {
-      json.erase(json.size() - 1);  // reopen the scenario object
-      std::snprintf(buf, sizeof(buf),
-                    ", \"parallel\": {\"threads\": %d, \"wall_ms\": %.3f,"
-                    " \"ns_per_cycle\": %.3f, \"shard_layout\": \"%s\","
-                    " \"stats_match\": %s}}",
-                    threads, par.wall_ms, par.ns_per_cycle,
-                    par.shard_layout.c_str(), par_match ? "true" : "false");
-      json += buf;
-    }
     first = false;
   }
 

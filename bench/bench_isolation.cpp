@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
   }
   scenario::RunOptions opts;
   opts.mode = args.sim_mode();
-  opts.threads = args.threads();
 
   std::printf(
       "PANIC reproduction — E4: performance isolation (slack vs FIFO)\n");

@@ -1,6 +1,6 @@
-// Kernel benchmark: wall-clock cost per simulated cycle across the three
-// kernels — dense ticking (kStrictTick), the quiescence-aware event kernel
-// (kEventDriven), and the sharded parallel kernel (kParallelShards).
+// Kernel benchmark: wall-clock cost per simulated cycle across the two
+// kernels — dense ticking (kStrictTick) and the quiescence-aware event
+// kernel (kEventDriven).
 //
 // Workload shapes on full PANIC NICs:
 //   * idle-heavy       — short line-rate bursts separated by long silent
@@ -9,19 +9,12 @@
 //   * saturated        — continuous near-line-rate load on a 4x4 mesh;
 //     nothing ever sleeps, so this pins the event kernel's bookkeeping
 //     overhead (wake-coalescing keeps it >= 1x, i.e. no regression);
-//   * saturated_16x16  — the same shape on a 16x16 mesh with 100+ engines,
-//     additionally swept across 1/2/4/8 shards in parallel mode.  The
-//     per-thread speedups are wall-clock measurements on THIS machine:
-//     the JSON records hardware_threads so a single-core container's flat
-//     numbers aren't mistaken for a scaling regression.
+//   * saturated_16x16  — the same shape on a 16x16 mesh with 100+ engines.
 //
-// All modes run identical scenarios and their statistics are cross-checked
-// (the kernels are cycle-identical by contract), so every speedup is
-// measured on provably-equivalent simulations.  Results go to stdout and,
-// machine-readable, to BENCH_kernel_speedup.json.
-//
-// `--threads N` / PANIC_THREADS fixes the shard count recorded in the JSON
-// header (the sweep still covers 1/2/4/8).
+// Both modes run identical scenarios and their statistics are
+// cross-checked (the kernels are cycle-identical by contract), so every
+// speedup is measured on provably-equivalent simulations.  Results go to
+// stdout and, machine-readable, to BENCH_kernel_speedup.json.
 //
 // `--smoke` shrinks the horizons, enables per-message tracing, and writes
 // BENCH_kernel_speedup.trace.json (Chrome trace_event format) — used by CI
@@ -31,7 +24,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "common/cli.h"
 #include "core/panic_nic.h"
@@ -62,7 +54,6 @@ struct RunResult {
   std::uint64_t pool_hit = 0;
   std::uint64_t pool_miss = 0;
   std::uint64_t bytes_reused = 0;
-  std::string shard_layout = "none";
 };
 
 struct Scenario {
@@ -75,11 +66,10 @@ struct Scenario {
   int eth_ports = 2;
   int rmt_engines = 2;
   int aux_engines = 0;
-  bool parallel_sweep = false;  ///< also run kParallelShards at 1/2/4/8
 };
 
-RunResult run_scenario(const Scenario& sc, SimMode mode, int threads = 0) {
-  Simulator sim(Frequency::megahertz(500), mode, threads);
+RunResult run_scenario(const Scenario& sc, SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
   if (g_smoke) sim.telemetry().tracer().enable();
   core::PanicConfig cfg;
   cfg.mesh.k = sc.mesh_k;
@@ -133,7 +123,6 @@ RunResult run_scenario(const Scenario& sc, SimMode mode, int threads = 0) {
   r.flits = static_cast<std::uint64_t>(snap.value("noc.flits_routed"));
   r.generated =
       static_cast<std::uint64_t>(snap.sum("workload.", ".generated"));
-  r.shard_layout = nic.shard_layout();
 
   if (g_smoke) {
     sim.telemetry().tracer().write_chrome_json(
@@ -145,11 +134,11 @@ RunResult run_scenario(const Scenario& sc, SimMode mode, int threads = 0) {
 /// Best-of-N wall clock (minimum estimates the true cost under scheduler
 /// noise; statistics are identical across repetitions by determinism, so
 /// any repetition's stats are valid for the cross-checks).
-RunResult run_best(const Scenario& sc, SimMode mode, int threads = 0) {
+RunResult run_best(const Scenario& sc, SimMode mode) {
   const int reps = g_smoke ? 1 : 2;
-  RunResult best = run_scenario(sc, mode, threads);
+  RunResult best = run_scenario(sc, mode);
   for (int i = 1; i < reps; ++i) {
-    RunResult r = run_scenario(sc, mode, threads);
+    RunResult r = run_scenario(sc, mode);
     if (r.wall_ms < best.wall_ms) best = std::move(r);
   }
   return best;
@@ -159,31 +148,25 @@ RunResult run_best(const Scenario& sc, SimMode mode, int threads = 0) {
 
 int main(int argc, char** argv) {
   cli::ArgParser args("bench_kernel_speedup",
-                      "dense vs event vs parallel kernel wall-clock");
+                      "dense vs event kernel wall-clock");
   args.flag("smoke", "divide horizons by 20 for CI", &g_smoke);
   args.parse(argc, argv);
   const std::uint64_t seed = args.seed();
-  const int requested_threads = args.threads();
 
   // ~2% duty cycle for the idle-heavy shape; the saturated shapes never
   // pause (off=0 keeps every burst back-to-back).  The 16x16 scenario has
-  // 100+ engines (8 eth + 8 RMT + 13 fixed + 85 aux) and runs the parallel
-  // shard-count sweep.
+  // 100+ engines (8 eth + 8 RMT + 13 fixed + 85 aux).
   Scenario scenarios[] = {
       {"idle_heavy", 1000, 49000, 15.0, 2000000},
       {"saturated", 50000, 0, 15.0, 500000},
-      {"saturated_16x16", 50000, 0, 15.0, 100000, 16, 8, 8, 85, true},
+      {"saturated_16x16", 50000, 0, 15.0, 100000, 16, 8, 8, 85},
   };
   if (g_smoke) {
     for (Scenario& sc : scenarios) sc.cycles /= 20;
   }
 
   std::string json = "{\n  \"bench\": \"kernel_speedup\",\n  \"seed\": " +
-                     std::to_string(seed) + ",\n  \"threads\": " +
-                     std::to_string(requested_threads) +
-                     ",\n  \"hardware_threads\": " +
-                     std::to_string(std::thread::hardware_concurrency()) +
-                     ",\n  \"scenarios\": [";
+                     std::to_string(seed) + ",\n  \"scenarios\": [";
   bool first = true;
   bool ok = true;
 
@@ -237,42 +220,6 @@ int main(int argc, char** argv) {
                                         event.bytes_reused));
     json += buf;
 
-    if (sc.parallel_sweep) {
-      // Shard-count sweep: kParallelShards at 1/2/4/8 threads, each run
-      // cross-checked against the event kernel (bit-identical contract).
-      // Speedups are wall-clock on this machine — compare against
-      // hardware_threads in the JSON header before reading them as scaling.
-      json.erase(json.size() - 1);  // reopen the scenario object ('}')
-      json += ", \"parallel_sweep\": [";
-      bool sweep_first = true;
-      for (const int threads : {1, 2, 4, 8}) {
-        const RunResult par = run_best(sc, SimMode::kParallelShards, threads);
-        const bool match = par.delivered == event.delivered &&
-                           par.flits == event.flits &&
-                           par.generated == event.generated;
-        if (!match) {
-          std::fprintf(stderr, "FAIL %s: parallel(%d) stats diverge\n",
-                       sc.name, threads);
-          ok = false;
-        }
-        const double vs_event = event.wall_ms / par.wall_ms;
-        std::printf("  parallel x%d: %8.1f ms  %7.2f ns/cycle  "
-                    "%.2fx vs event  [%s]%s\n",
-                    threads, par.wall_ms, par.ns_per_cycle, vs_event,
-                    par.shard_layout.c_str(), match ? "" : "  MISMATCH");
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s\n      {\"threads\": %d, \"wall_ms\": %.3f,"
-            " \"ns_per_cycle\": %.3f, \"speedup_vs_event\": %.3f,"
-            " \"shard_layout\": \"%s\", \"stats_match\": %s}",
-            sweep_first ? "" : ",", threads, par.wall_ms, par.ns_per_cycle,
-            vs_event, par.shard_layout.c_str(), match ? "true" : "false");
-        json += buf;
-        sweep_first = false;
-      }
-      json += "\n    ]}";
-      std::printf("\n");
-    }
     first = false;
   }
   json += "\n  ]\n}\n";

@@ -13,8 +13,8 @@
 //   * conservation: the ledger closes and nothing is left live at the
 //     end (every parked message drained or was attributed);
 //   * determinism: the scenario's result JSON is identical under the
-//     dense, event-driven and parallel kernels (modulo the "runner"
-//     line), fault.recovery.* metrics included.
+//     dense and event-driven kernels (modulo the "runner" line),
+//     fault.recovery.* metrics included.
 //
 // Results go to stdout and, machine-readable, to BENCH_recovery.json.
 // `--smoke` is accepted for CI symmetry (the scenario is already
@@ -62,7 +62,7 @@ struct RtoResult {
   telemetry::MetricsSnapshot snapshot;
 };
 
-RtoResult measure(const scenario::Scenario& s, SimMode mode, int threads) {
+RtoResult measure(const scenario::Scenario& s, SimMode mode) {
   // The plan tells us where the incident windows are — the bench never
   // hard-codes cycles the scenario owns.
   Cycle first_kill = 0, rejoin = 0;
@@ -83,7 +83,6 @@ RtoResult measure(const scenario::Scenario& s, SimMode mode, int threads) {
   fault::ConservationChecker ledger;
   scenario::RunOptions opts;
   opts.mode = mode;
-  opts.threads = threads;
   scenario::ScenarioRun run(s, opts);
   auto& metrics = run.sim().telemetry().metrics();
   const auto& delivered = metrics.counter("engine.dma.packets_to_host");
@@ -162,22 +161,20 @@ int main(int argc, char** argv) {
               kSteadyFraction * 100,
               static_cast<unsigned long long>(kRtoWindow));
 
-  // --- Determinism leg: result JSON identical across all three kernels.
-  std::string json_by_mode[3];
-  const SimMode modes[3] = {SimMode::kStrictTick, SimMode::kEventDriven,
-                            SimMode::kParallelShards};
-  for (int i = 0; i < 3; ++i) {
+  // --- Determinism leg: result JSON identical across both kernels.
+  std::string json_by_mode[2];
+  const SimMode modes[2] = {SimMode::kStrictTick, SimMode::kEventDriven};
+  for (int i = 0; i < 2; ++i) {
     scenario::RunOptions opts;
     opts.mode = modes[i];
     scenario::ScenarioRun run(s, opts);
     run.run_all();
     json_by_mode[i] = strip_runner(run.result_json());
   }
-  const bool identical = json_by_mode[0] == json_by_mode[1] &&
-                         json_by_mode[0] == json_by_mode[2];
+  const bool identical = json_by_mode[0] == json_by_mode[1];
 
   // --- RTO measurement run under the requested kernel.
-  const RtoResult r = measure(s, args.sim_mode(), args.threads());
+  const RtoResult r = measure(s, args.sim_mode());
   const auto& snap = r.snapshot;
 
   Report report({"Metric", "Value"});
@@ -228,14 +225,14 @@ int main(int argc, char** argv) {
   char json[1024];
   std::snprintf(
       json, sizeof(json),
-      "{\n  \"bench\": \"recovery\",\n  \"threads\": %d,\n"
+      "{\n  \"bench\": \"recovery\",\n"
       "  \"steady_rate\": %.6f,\n  \"recovered_rate\": %.6f,\n"
       "  \"rejoin_to_steady_cycles\": %llu,\n  \"rto_window\": %llu,\n"
       "  \"rto_met\": %s,\n  \"conserved\": %s,\n  \"drained\": %s,\n"
       "  \"kernels_identical\": %s,\n  \"incidents\": %llu,\n"
       "  \"restored\": %llu,\n  \"degraded_served\": %llu,\n"
       "  \"pass\": %s\n}\n",
-      args.threads(), r.steady_rate, r.recovered_rate,
+      r.steady_rate, r.recovered_rate,
       static_cast<unsigned long long>(r.recovered_after),
       static_cast<unsigned long long>(kRtoWindow),
       r.rto_met ? "true" : "false", r.conserved ? "true" : "false",
@@ -255,6 +252,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nShape check: the empty-group window parks (not drops) "
               "arrivals, the revive drains the backlog within the RTO, "
-              "and all three kernels agree bit-for-bit.\n");
+              "and both kernels agree bit-for-bit.\n");
   return ok ? 0 : 1;
 }

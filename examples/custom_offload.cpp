@@ -95,10 +95,6 @@ int main(int argc, char** argv) {
                             &nic.mesh().ni(telemetry_tile), ecfg);
   telemetry.lookup_table().set_default(nic.topology().dma);
   sim.add(&telemetry);
-  // Under --threads N the mesh is sharded; a custom engine must live on
-  // the same shard as its tile's router/NI so their interactions never
-  // cross a shard cut (a no-op in the sequential modes).
-  sim.set_shard(&telemetry, nic.mesh().shard_of(telemetry_tile));
 
   // Traffic: three flows with different rates.
   const Ipv4Addr server(10, 0, 0, 1);

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
 
   scenario::RunOptions opts;
   opts.mode = args.sim_mode();
-  opts.threads = args.threads();
   scenario::ScenarioRun run(*s, opts);
   run.run_all();
 

@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
 
   scenario::RunOptions opts;
   opts.mode = args.sim_mode();
-  opts.threads = args.threads();
   // Opt-in per-message tracing: every RMT pass, NoC hop, queue event and
   // service window is recorded and exported for chrome://tracing.
   opts.trace_path = "quickstart.trace.json";

@@ -74,8 +74,7 @@ std::string ArgParser::usage() const {
     out += buf;
   };
   line("--seed <n>", "global simulation seed (decimal or 0x-hex)");
-  line("--threads <n>", "shard count; > 1 selects the parallel kernel");
-  line("--mode <m>", "kernel: dense | event | parallel");
+  line("--mode <m>", "kernel: dense | event");
   line("--help", "print this message and exit");
   for (const Spec& s : specs_) {
     const std::string flag =
@@ -135,19 +134,11 @@ void ArgParser::parse(int argc, const char* const* argv) {
       seed_given_ = true;
       continue;
     }
-    if (name == "threads") {
-      std::int64_t v = 0;
-      if (!parse_int(take_value(), &v) || v < 0) {
-        fail("--threads expects a non-negative integer");
-      }
-      set_sim_threads(static_cast<int>(v));
-      continue;
-    }
     if (name == "mode") {
       const char* value = take_value();
       const auto mode = sim_mode_from_string(value);
       if (!mode) {
-        fail(std::string("--mode expects dense|event|parallel, got '") +
+        fail(std::string("--mode expects dense|event, got '") +
              value + "'");
       }
       mode_ = *mode;
@@ -190,7 +181,6 @@ void ArgParser::parse(int argc, const char* const* argv) {
     }
   }
   seed_ = sim_seed();
-  threads_ = sim_threads();
 }
 
 SimMode ArgParser::sim_mode(SimMode fallback) const {

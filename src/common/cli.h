@@ -1,17 +1,17 @@
 // The one command-line surface shared by every bench, example and tool.
 //
 // Before this existed each binary hand-rolled its own argv loop on top of
-// apply_seed_args / apply_thread_args plus ad-hoc strcmp chains; the same
-// flag parsed three different ways in three binaries.  ArgParser gives all
-// of them one grammar:
+// apply_seed_args plus ad-hoc strcmp chains; the same flag parsed three
+// different ways in three binaries.  ArgParser gives all of them one
+// grammar:
 //
 //   binary [flags] [key=value ...] [positional ...]
 //
-// with `--seed N`, `--threads N`, `--mode dense|event|parallel` and
-// `--help` built in.  --seed/--threads resolve through the process-wide
-// set_sim_seed()/set_sim_threads() plumbing (common/rng.h) during parse(),
-// so they must be applied before any NIC/Simulator is constructed — i.e.
-// call parse() first thing in main, as every migrated binary does.
+// with `--seed N`, `--mode dense|event` and `--help` built in.  --seed
+// resolves through the process-wide set_sim_seed() plumbing
+// (common/rng.h) during parse(), so it must be applied before any
+// NIC/Simulator is constructed — i.e. call parse() first thing in main, as
+// every migrated binary does.
 //
 //   int main(int argc, char** argv) {
 //     cli::ArgParser args("bench_foo", "sweep chain lengths");
@@ -42,7 +42,7 @@ namespace panic::cli {
 class ArgParser {
  public:
   /// `program` is the binary name for usage text; `synopsis` one line on
-  /// what it does.  --seed/--threads/--mode/--help are pre-registered.
+  /// what it does.  --seed/--mode/--help are pre-registered.
   ArgParser(std::string program, std::string synopsis);
 
   // --- Flag registration (call before parse). ---
@@ -70,11 +70,8 @@ class ArgParser {
   std::uint64_t seed() const { return seed_; }
   /// True when the user passed --seed explicitly.
   bool seed_given() const { return seed_given_; }
-  /// The resolved process-wide shard count (sim_threads() after any
-  /// --threads); 0 = parallel mode not requested.
-  int threads() const { return threads_; }
   /// The kernel mode to construct: an explicit --mode wins, else
-  /// requested_sim_mode(fallback) (kParallelShards iff threads() > 1).
+  /// requested_sim_mode(fallback).
   SimMode sim_mode(SimMode fallback = SimMode::kEventDriven) const;
   /// True when the user passed --mode explicitly.
   bool mode_given() const { return mode_given_; }
@@ -104,7 +101,6 @@ class ArgParser {
   std::vector<Spec> specs_;
   std::uint64_t seed_ = 0;
   bool seed_given_ = false;
-  int threads_ = 0;
   SimMode mode_ = SimMode::kEventDriven;
   bool mode_given_ = false;
   Config config_;

@@ -39,29 +39,6 @@ std::uint64_t sim_seed() { return sim_seed_storage(); }
 
 void set_sim_seed(std::uint64_t seed) { sim_seed_storage() = seed; }
 
-namespace {
-
-int& sim_threads_storage() {
-  static int threads = [] {
-    if (const char* env = std::getenv("PANIC_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && v >= 0 && v <= 256) return static_cast<int>(v);
-    }
-    return 0;
-  }();
-  return threads;
-}
-
-}  // namespace
-
-int sim_threads() { return sim_threads_storage(); }
-
-void set_sim_threads(int threads) {
-  if (threads < 0) threads = 0;
-  sim_threads_storage() = threads;
-}
-
 std::uint64_t derive_seed(std::uint64_t stream) {
   const std::uint64_t global = sim_seed();
   if (global == kDefaultSimSeed) return stream;  // historic streams intact

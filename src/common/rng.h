@@ -30,23 +30,6 @@ void set_sim_seed(std::uint64_t seed);
 /// shifts every stream deterministically.
 std::uint64_t derive_seed(std::uint64_t stream);
 
-// --- Worker-thread plumbing (the --threads twin of the seed above). ---
-//
-// The process-wide shard/thread count for SimMode::kParallelShards.
-// Resolved once, lazily, exactly like sim_seed(): an explicit
-// set_sim_threads() wins, else the PANIC_THREADS environment variable,
-// else 0 (meaning "not requested" — benches and examples keep their
-// default single-threaded kernel).  The count only affects wall-clock
-// partitioning, never simulation results: every shard count produces
-// bit-identical statistics by the parallel kernel's contract.
-
-/// The resolved thread count (0 = parallel mode not requested).
-int sim_threads();
-
-/// Overrides the global thread count (benches/examples call this from a
-/// --threads argument before constructing any Simulator).
-void set_sim_threads(int threads);
-
 /// xoshiro256** 1.0 — fast, high-quality, reproducible across platforms.
 /// Satisfies the UniformRandomBitGenerator concept.
 class Rng {

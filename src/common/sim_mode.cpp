@@ -1,14 +1,11 @@
 #include "common/sim_mode.h"
 
-#include "common/rng.h"
-
 namespace panic {
 
 const char* to_string(SimMode mode) {
   switch (mode) {
     case SimMode::kEventDriven: return "event";
     case SimMode::kStrictTick: return "dense";
-    case SimMode::kParallelShards: return "parallel";
   }
   return "?";
 }
@@ -16,7 +13,6 @@ const char* to_string(SimMode mode) {
 std::optional<SimMode> sim_mode_from_string(std::string_view name) {
   if (name == "event") return SimMode::kEventDriven;
   if (name == "dense") return SimMode::kStrictTick;
-  if (name == "parallel") return SimMode::kParallelShards;
   return std::nullopt;
 }
 
@@ -29,8 +25,7 @@ void set_sim_mode(SimMode mode) { g_forced_mode = mode; }
 bool sim_mode_forced() { return g_forced_mode.has_value(); }
 
 SimMode requested_sim_mode(SimMode fallback) {
-  if (g_forced_mode.has_value()) return *g_forced_mode;
-  return sim_threads() > 1 ? SimMode::kParallelShards : fallback;
+  return g_forced_mode.value_or(fallback);
 }
 
 }  // namespace panic

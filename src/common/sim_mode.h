@@ -12,20 +12,19 @@ namespace panic {
 
 /// Kernel scheduling discipline.
 enum class SimMode : std::uint8_t {
-  kEventDriven,     ///< tick only active components; fast-forward idle gaps
-  kStrictTick,      ///< tick every component every cycle (reference mode)
-  kParallelShards,  ///< event kernel, sharded across worker threads
+  kEventDriven,  ///< tick only active components; fast-forward idle gaps
+  kStrictTick,   ///< tick every component every cycle (reference mode)
 };
 
-/// "event" / "dense" / "parallel" — the names used by `--mode`, scenario
-/// files and result JSON alike.
+/// "event" / "dense" — the names used by `--mode`, scenario files and
+/// result JSON alike.
 const char* to_string(SimMode mode);
 
 /// Reverse of to_string(); nullopt for unknown names.
 std::optional<SimMode> sim_mode_from_string(std::string_view name);
 
 /// Overrides the process-wide kernel mode (the --mode twin of
-/// set_sim_seed/set_sim_threads in common/rng.h).  ArgParser applies this
+/// set_sim_seed in common/rng.h).  ArgParser applies this
 /// from an explicit --mode; requested_sim_mode() then returns it
 /// everywhere, so helper functions deep inside a bench honor the flag
 /// without plumbing.
@@ -35,9 +34,7 @@ void set_sim_mode(SimMode mode);
 bool sim_mode_forced();
 
 /// The kernel mode a bench/example should construct: an explicit
-/// set_sim_mode() wins, else kParallelShards when the process-wide
-/// --threads / PANIC_THREADS request (common/rng.h) asks for more than one
-/// shard, else `fallback` (the caller's usual single-threaded kernel).
+/// set_sim_mode() wins, else `fallback` (the caller's usual kernel).
 /// Mode-explicit differential tests must NOT use this — they pass their
 /// mode directly so the comparison stays meaningful.
 SimMode requested_sim_mode(SimMode fallback = SimMode::kEventDriven);

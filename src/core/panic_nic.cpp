@@ -216,8 +216,7 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
   if (faulty || config_.enable_watchdog) {
     // Recovery-time telemetry: delivered == everything that reached a
     // terminal sink (host RX via DMA, wire TX via the MACs) — the same
-    // "delivered" the conservation ledger counts.  The tracker and
-    // watchdog stay serial components in the parallel kernel.
+    // "delivered" the conservation ledger counts.
     recovery_ = adopt(new fault::RecoveryTracker(config_.recovery));
     recovery_->set_throughput_probe([this] {
       std::uint64_t delivered = dma_->packets_to_host();
@@ -252,52 +251,13 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
     mesh_->attach_router_watchdog();
   }
   if (faulty || config_.enable_tx_retry) host_driver_->attach(sim);
-  if (faulty) injector_->arm(sim);
-
-  // --- Spatial sharding for the parallel kernel. ---
-  // Contiguous row-major tile bands, one per shard: minimal boundary cuts
-  // under XY routing, and every tile's router, NI, and engine land on the
-  // same shard so intra-tile interactions never cross a cut.  The
-  // watchdog (and any workload source added later) stays serial — it
-  // probes every tile and must run after the boundary exchange.
-  if (sim.mode() == SimMode::kParallelShards) {
-    const int shards = sim.num_shards();
-    const long tiles = mesh_->tiles();
-    std::vector<int> tile_shard(static_cast<std::size_t>(tiles));
-    for (long t = 0; t < tiles; ++t) {
-      tile_shard[static_cast<std::size_t>(t)] =
-          static_cast<int>(t * shards / tiles);
+  if (faulty) {
+    // A plan naming a target this NIC does not have is a configuration
+    // error, not a fault that never fires.
+    std::string error;
+    if (!injector_->arm(sim, &error)) {
+      throw std::runtime_error("fault " + error);
     }
-    // Affinity: the KVS engine is the only component besides the DMA
-    // engine that touches host memory from inside the parallel phase;
-    // co-locating their tiles on one shard serializes those accesses.
-    tile_shard[topo_.kvs.value] = tile_shard[topo_.dma.value];
-    mesh_->assign_shards(tile_shard, sim);
-
-    auto tile_of = [&](EngineId tile) {
-      return tile_shard[static_cast<std::size_t>(tile.value)];
-    };
-    for (std::size_t i = 0; i < eth_ports_.size(); ++i) {
-      sim.set_shard(eth_ports_[i], tile_of(topo_.eth_ports[i]));
-    }
-    for (std::size_t i = 0; i < rmt_engines_.size(); ++i) {
-      sim.set_shard(rmt_engines_[i], tile_of(topo_.rmt_engines[i]));
-    }
-    sim.set_shard(dma_, tile_of(topo_.dma));
-    sim.set_shard(pcie_, tile_of(topo_.pcie));
-    sim.set_shard(ipsec_rx_, tile_of(topo_.ipsec_rx));
-    sim.set_shard(ipsec_tx_, tile_of(topo_.ipsec_tx));
-    sim.set_shard(kvs_, tile_of(topo_.kvs));
-    sim.set_shard(rdma_, tile_of(topo_.rdma));
-    sim.set_shard(compression_, tile_of(topo_.compression));
-    sim.set_shard(checksum_, tile_of(topo_.checksum));
-    sim.set_shard(regex_, tile_of(topo_.regex));
-    sim.set_shard(tso_, tile_of(topo_.tso));
-    sim.set_shard(rate_limiter_, tile_of(topo_.rate_limiter));
-    for (std::size_t i = 0; i < aux_.size(); ++i) {
-      sim.set_shard(aux_[i], tile_of(topo_.aux[i]));
-    }
-    shard_layout_ = "tile-bands:" + std::to_string(shards);
   }
 
   sim.telemetry().metrics().expose_gauge("nic.rmt_passes", [this] {

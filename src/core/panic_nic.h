@@ -65,7 +65,9 @@ class PanicNic {
 
   /// Fault injection: every engine and router is registered here, and
   /// every Engine/RmtEngine consults its steering directory.  Armed in
-  /// the constructor when config.faults is non-empty.
+  /// the constructor when config.faults is non-empty; a plan naming an
+  /// unknown engine or router tile makes the constructor throw
+  /// std::runtime_error.
   fault::FaultInjector& fault_injector() { return *injector_; }
   /// Non-null when config.faults is non-empty or enable_watchdog is set.
   fault::Watchdog* watchdog() { return watchdog_; }
@@ -84,12 +86,6 @@ class PanicNic {
   /// benchmarks to name engines in custom table entries before the NIC is
   /// constructed).
   static PanicTopology plan_topology(const PanicConfig& config);
-
-  /// Human-readable shard layout for result JSON: "none" outside
-  /// kParallelShards, else "tile-bands:<n>" — contiguous row-major tile
-  /// bands, one per shard, with the KVS tile re-homed to the DMA shard
-  /// (both touch host memory).
-  std::string shard_layout() const { return shard_layout_; }
 
  private:
   PanicConfig config_;
@@ -116,7 +112,6 @@ class PanicNic {
   std::unique_ptr<fault::FaultInjector> injector_;
   fault::Watchdog* watchdog_ = nullptr;          ///< owned via owned_
   fault::RecoveryTracker* recovery_ = nullptr;   ///< owned via owned_
-  std::string shard_layout_ = "none";
 
   std::vector<std::unique_ptr<Component>> owned_;
 };

@@ -12,7 +12,7 @@
 //
 // Ordering is the TOTAL order (rank, enqueue-seq): lower rank first, and
 // equal ranks dequeue in arrival order.  That tie-break is part of the
-// contract — all three simulation kernels replay the same enqueue
+// contract — both simulation kernels replay the same enqueue
 // sequence, so dequeue order is kernel-independent (pinned by
 // tests/sched/pifo_conformance_test.cpp).
 //

@@ -37,7 +37,35 @@ void FaultInjector::register_router(int tile, noc::Router* router) {
   routers_[tile] = router;
 }
 
-bool FaultInjector::arm(Simulator& sim) {
+std::string FaultInjector::unresolved(const FaultSpec& spec) const {
+  if (spec.kind == FaultKind::kLinkFlaky ||
+      spec.kind == FaultKind::kCreditLeak) {
+    if (routers_.count(spec.router_tile) == 0) {
+      return "unknown router tile " + std::to_string(spec.router_tile);
+    }
+    return {};
+  }
+  if (engines_.count(spec.engine) == 0) {
+    return "unknown engine '" + spec.engine + "'";
+  }
+  if (!spec.fallback.empty() && engines_.count(spec.fallback) == 0) {
+    return "unknown fallback engine '" + spec.fallback + "'";
+  }
+  if (spec.kind == FaultKind::kSpareActivate &&
+      engines_.count(spec.spare_for) == 0) {
+    return "unknown spare target '" + spec.spare_for + "'";
+  }
+  return {};
+}
+
+bool FaultInjector::arm(Simulator& sim, std::string* error) {
+  for (const FaultSpec& spec : plan_.faults()) {
+    if (std::string why = unresolved(spec); !why.empty()) {
+      if (error != nullptr) *error = "plan names " + why;
+      return false;
+    }
+  }
+
   auto& metrics = sim.telemetry().metrics();
   metrics.expose_counter("fault.injected", &injected_);
   static constexpr const char* kKindMetric[kFaultKindCount] = {
@@ -52,49 +80,17 @@ bool FaultInjector::arm(Simulator& sim) {
     return static_cast<double>(steering_.dead_count());
   });
 
-  bool all_resolved = true;
   // The global --seed/PANIC_SEED shifts the whole plan's streams (identity
   // under the default global seed, so plan seeds stand alone in tests).
   const std::uint64_t plan_seed = derive_seed(plan_.seed);
   for (std::size_t i = 0; i < plan_.faults().size(); ++i) {
     const FaultSpec& spec = plan_.faults()[i];
-    const bool router_target = spec.kind == FaultKind::kLinkFlaky ||
-                               spec.kind == FaultKind::kCreditLeak;
-    if (router_target) {
-      if (routers_.find(spec.router_tile) == routers_.end()) {
-        PANIC_ERROR("fault", "plan names unknown router tile %d",
-                    spec.router_tile);
-        all_resolved = false;
-        continue;
-      }
-    } else {
-      if (engines_.find(spec.engine) == engines_.end()) {
-        PANIC_ERROR("fault", "plan names unknown engine '%s'",
-                    spec.engine.c_str());
-        all_resolved = false;
-        continue;
-      }
-      if (!spec.fallback.empty() &&
-          engines_.find(spec.fallback) == engines_.end()) {
-        PANIC_ERROR("fault", "plan names unknown fallback engine '%s'",
-                    spec.fallback.c_str());
-        all_resolved = false;
-        continue;
-      }
-      if (spec.kind == FaultKind::kSpareActivate &&
-          engines_.find(spec.spare_for) == engines_.end()) {
-        PANIC_ERROR("fault", "plan names unknown spare target '%s'",
-                    spec.spare_for.c_str());
-        all_resolved = false;
-        continue;
-      }
-    }
     const std::uint64_t stream = fault_stream(plan_seed, i);
     sim.schedule_at(spec.at, [this, &sim, spec, stream] {
       apply(sim, spec, stream);
     });
   }
-  return all_resolved;
+  return true;
 }
 
 void FaultInjector::apply(Simulator& sim, const FaultSpec& spec,

@@ -64,16 +64,20 @@ class FaultInjector {
   /// events.
   void set_recovery_tracker(RecoveryTracker* tracker) { recovery_ = tracker; }
 
-  /// Resolves every spec and schedules its application.  Returns false
-  /// (with kError logs) if any spec names an unknown target; the
-  /// resolvable remainder is still armed.  Call after every target is
-  /// registered and before the first run.
-  bool arm(Simulator& sim);
+  /// Resolves every spec and schedules its application.  Returns false,
+  /// arming nothing, if any spec names an unknown engine, fallback, spare
+  /// target or router tile; `error` (when non-null) then names the first
+  /// one.  Call after every target is registered and before the first
+  /// run.
+  bool arm(Simulator& sim, std::string* error = nullptr);
 
   /// Faults applied so far (fires at their scheduled cycles).
   std::uint64_t injected() const { return injected_; }
 
  private:
+  /// Why `spec`'s target does not resolve ("unknown engine 'x'"), or
+  /// empty when it does.
+  std::string unresolved(const FaultSpec& spec) const;
   void apply(Simulator& sim, const FaultSpec& spec, std::uint64_t stream_seed);
 
   FaultPlan plan_;

@@ -5,7 +5,7 @@
 // revive / spare activation, or the watchdog seeing progress again).  The
 // tracker samples a delivered-message probe every `period` cycles — the
 // same deterministic check-cycle pattern as the Watchdog, so the sampled
-// cycles and values are bit-identical across all three kernels — and
+// cycles and values are bit-identical across both kernels — and
 // derives, per incident:
 //
 //   * time-to-resteer:  incident open -> first sampling window in which

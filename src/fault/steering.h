@@ -14,7 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -47,7 +46,7 @@ class SteeringDirectory {
   void mark_dead(EngineId id) {
     if (!is_dead(id)) {
       dead_.push_back(id.value);
-      gen_.fetch_add(1, std::memory_order_relaxed);
+      ++gen_;
     }
   }
 
@@ -59,7 +58,7 @@ class SteeringDirectory {
     const auto it = std::find(dead_.begin(), dead_.end(), id.value);
     if (it != dead_.end()) {
       dead_.erase(it);
-      gen_.fetch_add(1, std::memory_order_relaxed);
+      ++gen_;
     }
   }
 
@@ -67,23 +66,20 @@ class SteeringDirectory {
   /// same offload).  A dead member re-steers to the first live member.
   void add_equivalence_group(std::vector<EngineId> group) {
     groups_.push_back(std::move(group));
-    gen_.fetch_add(1, std::memory_order_relaxed);
+    ++gen_;
   }
 
   /// Explicit one-off fallback (overrides group resolution).
   void set_fallback(EngineId dead, EngineId equivalent) {
     fallbacks_.push_back({dead.value, equivalent.value});
-    gen_.fetch_add(1, std::memory_order_relaxed);
+    ++gen_;
   }
 
   /// Bumped on every state change (death, new group, new fallback).
   /// Caches that memoize routing decisions (rmt::FlowCache) compare this
   /// stamp and flush when it moves, so a cached chain can never resurrect
-  /// a dead engine.  Relaxed atomic: bumps happen in the serial event
-  /// phase at a cycle boundary; shard threads only read it.
-  std::uint64_t generation() const {
-    return gen_.load(std::memory_order_relaxed);
-  }
+  /// a dead engine.
+  std::uint64_t generation() const { return gen_; }
 
   /// Resolves a proposed next hop: the hop itself when alive, a live
   /// equivalent when the hop is dead, or nullopt — meaning the caller must
@@ -112,7 +108,7 @@ class SteeringDirectory {
   std::vector<std::uint16_t> dead_;  // tiny: linear scan beats hashing
   std::vector<std::pair<std::uint16_t, std::uint16_t>> fallbacks_;
   std::vector<std::vector<EngineId>> groups_;
-  std::atomic<std::uint64_t> gen_{0};
+  std::uint64_t gen_ = 0;
 };
 
 }  // namespace panic::fault

@@ -14,8 +14,9 @@
 // moment of destruction.  The hot-path cost is a handful of increments on
 // paths that already touch the pool.  Like the pool it is a leaky
 // singleton; tests and benches reset() it at the start of a measured run.
-// Tallies are relaxed atomics: any shard of the parallel kernel may create
-// or destroy messages, and per-fate totals are order-independent sums.
+// Tallies are relaxed atomics: the ledger is shared by every simulator in
+// the process, and those may run on different threads; per-fate totals
+// are order-independent sums.
 #pragma once
 
 #include <atomic>

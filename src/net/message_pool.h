@@ -16,11 +16,12 @@
 //     baselines — recycles automatically when the unique_ptr dies.
 //   * The pool is a leaky process-wide singleton: it outlives every
 //     simulator and stays reachable at exit (leak-checker clean).
-//   * All entry points are thread-safe behind one mutex: under the
-//     parallel kernel any shard may allocate or recycle messages.  The
-//     lock is uncontended in sequential modes and short (pointer swaps) in
-//     parallel ones; which shard gets a pool hit vs. miss becomes
-//     schedule-dependent, which is why the kernel.alloc.* gauges are
+//   * All entry points are thread-safe behind one mutex: the pool is
+//     shared by every simulator in the process, and those may run on
+//     different threads.  The lock is short (pointer swaps) and
+//     uncontended while one simulator runs.  Whether an allocation is a
+//     pool hit or a miss depends on what earlier runs in the process left
+//     on the free list, which is why the kernel.alloc.* gauges are
 //     excluded from the differential oracles.
 #pragma once
 
@@ -59,8 +60,8 @@ class MessagePool {
   void release(Message* msg) noexcept;
 
   /// Point-in-time copy (by value: the cells mutate under the pool's own
-  /// lock, so handing out a reference would be a torn read in parallel
-  /// runs).
+  /// lock, so handing out a reference would be a torn read while a
+  /// simulator on another thread uses the pool).
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;

@@ -71,7 +71,7 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim)
   metrics.expose_counter("kernel.noc.train_moves", &train_moves_);
 
   // Trains are the event kernel's alone: the dense kernel is the per-flit
-  // reference, and in the parallel kernel a path would cross shards.
+  // reference.
   if (sim.mode() == SimMode::kEventDriven) {
     trains_.resize(static_cast<std::size_t>(tiles()));
     active_trains_.reserve(static_cast<std::size_t>(tiles()));
@@ -83,16 +83,17 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim)
   // Registered credit-based flow control: credits freed by pops this cycle
   // become visible to upstream routers at the next cycle, in every kernel
   // mode (see noc/router.h).  Only the routers a pop listed as dirty have
-  // returns staged, so only they are flushed.
-  wire_credit_dirty_lists(sim);
+  // returns staged, so only they are flushed.  A router pops at most one
+  // flit per mesh input per cycle, so four entries per router bound the
+  // list between two flushes: appends never allocate.
+  credit_dirty_.reserve(4 * routers_.size());
+  for (auto& r : routers_) r->set_credit_dirty_list(&credit_dirty_);
   sim.add_end_of_cycle_hook([this](Cycle now) { end_of_cycle(now); });
 }
 
 void Mesh::end_of_cycle(Cycle now) {
-  for (auto& dirty : credit_dirty_) {
-    for (Router* r : dirty) r->flush_credits();
-    dirty.clear();
-  }
+  for (Router* r : credit_dirty_) r->flush_credits();
+  credit_dirty_.clear();
   if (now >= next_train_end_) {
     Cycle next = Component::kNeverWake;
     std::size_t keep = 0;
@@ -240,68 +241,6 @@ void Mesh::end_trains() {
 void Mesh::attach_router_watchdog() {
   end_trains();
   for (auto& ni : nis_) ni->train_candidates_ = nullptr;
-}
-
-void Mesh::wire_credit_dirty_lists(const Simulator& sim) {
-  credit_dirty_.assign(static_cast<std::size_t>(sim.num_shards()) + 1, {});
-  // A router pops at most one flit per mesh input per cycle, so four
-  // entries per router bound a list between two flushes: appends never
-  // allocate.
-  for (auto& list : credit_dirty_) list.reserve(4 * routers_.size());
-  for (auto& r : routers_) {
-    r->set_credit_dirty_list(
-        &credit_dirty_[static_cast<std::size_t>(sim.shard_of(r.get()) + 1)]);
-  }
-}
-
-void Mesh::assign_shards(const std::vector<int>& tile_to_shard,
-                         Simulator& sim) {
-  if (sim.mode() != SimMode::kParallelShards) return;
-  assert(tile_to_shard.size() == static_cast<std::size_t>(tiles()));
-  tile_shards_ = tile_to_shard;
-  boundary_staged_.resize(static_cast<std::size_t>(sim.num_shards()));
-
-  const int k = config_.k;
-  for (int t = 0; t < tiles(); ++t) {
-    const int shard = tile_shards_[static_cast<std::size_t>(t)];
-    sim.set_shard(nis_[static_cast<std::size_t>(t)].get(), shard);
-    sim.set_shard(routers_[static_cast<std::size_t>(t)].get(), shard);
-    if (shard < 0) continue;
-    // Mark outputs whose neighbor lives on another shard as boundaries;
-    // the staging vector belongs to the *source* shard (single writer).
-    const int x = t % k, y = t / k;
-    struct Hop {
-      Direction dir;
-      int dx, dy;
-    };
-    static constexpr Hop kHops[] = {{Direction::kNorth, 0, -1},
-                                    {Direction::kEast, 1, 0},
-                                    {Direction::kSouth, 0, 1},
-                                    {Direction::kWest, -1, 0}};
-    for (const Hop& h : kHops) {
-      const int nx = x + h.dx, ny = y + h.dy;
-      if (nx < 0 || nx >= k || ny < 0 || ny >= k) continue;
-      const int nt = ny * k + nx;
-      if (tile_shards_[static_cast<std::size_t>(nt)] != shard) {
-        routers_[static_cast<std::size_t>(t)]->set_boundary(
-            h.dir, &boundary_staged_[static_cast<std::size_t>(shard)]);
-      }
-    }
-  }
-  wire_credit_dirty_lists(sim);
-
-  // The coordinator replays staged boundary flits right after the cycle
-  // barrier, before serial components tick: deterministic order (by source
-  // shard, then staging order within the shard), and inter-port ordering
-  // is immaterial — each mesh input port has exactly one producer.
-  sim.add_post_parallel_hook([this](Cycle now) {
-    for (auto& staged : boundary_staged_) {
-      for (BoundaryFlit& bf : staged) {
-        bf.target->accept(bf.from, std::move(bf.flit), now);
-      }
-      staged.clear();
-    }
-  });
 }
 
 int Mesh::distance(EngineId a, EngineId b) const {

@@ -199,16 +199,7 @@ void Router::forward(Direction out, Flit flit, Cycle now) {
   const int o = static_cast<int>(out);
   assert(credits_[o] > 0 && "forward() without a credit");
   --credits_[o];
-  Router* n = neighbors_[o];
-  if (boundary_out_[o] != nullptr) {
-    // Shard boundary: the coordinator replays the accept() at the cycle
-    // barrier, before any serial component ticks — same cycle, same ready
-    // stamp, so downstream state is indistinguishable from direct
-    // delivery.
-    boundary_out_[o]->push_back(BoundaryFlit{n, kReverse[o], std::move(flit)});
-    return;
-  }
-  n->accept(kReverse[o], std::move(flit), now);
+  neighbors_[o]->accept(kReverse[o], std::move(flit), now);
 }
 
 void Router::tick(Cycle now) {

@@ -14,10 +14,7 @@
 // freed by downstream pops are staged and folded back at the end of the
 // cycle (Mesh registers the flush with the simulator).  A freed slot is
 // therefore usable by the upstream one cycle later.  This makes
-// backpressure independent of intra-cycle tick order — each mesh link has
-// exactly one producer, so registered credits are also what lets the
-// parallel kernel cut the mesh at shard boundaries without changing any
-// observable behavior (see DESIGN.md §"Sharded parallel kernel").
+// backpressure independent of intra-cycle tick order.
 #pragma once
 
 #include <array>
@@ -58,17 +55,6 @@ const char* to_string(Direction d);
 enum class RoutingAlgo : std::uint8_t { kXY, kWestFirst };
 
 class Mesh;
-class Router;
-
-/// A flit crossing a shard boundary, staged by the source shard during the
-/// parallel phase and delivered by the coordinator at the cycle barrier
-/// (the 1-cycle hop latency is the conservative-synchronization lookahead
-/// that makes the deferred delivery invisible).
-struct BoundaryFlit {
-  Router* target;
-  Direction from;  ///< the target's input port
-  Flit flit;
-};
 
 class Router : public Component {
  public:
@@ -90,24 +76,16 @@ class Router : public Component {
   /// first).  Touches only this router's counters and does nothing when no
   /// return is staged, so flushing a router twice, or routers in any
   /// order, gives the same counts.  Mesh runs it at the end of each
-  /// executed cycle, on the coordinator, in every kernel mode, for the
-  /// routers its credit dirty lists name.
+  /// executed cycle, in both kernel modes, for the routers its credit
+  /// dirty list names.
   void flush_credits();
 
   /// The list this router appends an upstream neighbor to whenever it
   /// stages a credit return on it, so the end-of-cycle flush visits only
-  /// routers with returns staged.  Owned by the Mesh, one per thread that
-  /// ticks routers, with room reserved for every append of a cycle.
+  /// routers with returns staged.  Owned by the Mesh, with room reserved
+  /// for every append of a cycle.
   void set_credit_dirty_list(std::vector<Router*>* list) {
     credit_dirty_ = list;
-  }
-
-  /// Marks output `out` as a shard boundary: forwarded flits are appended
-  /// to `stage` (owned by this router's shard) instead of being delivered
-  /// directly, and the coordinator replays them at the cycle barrier.
-  /// nullptr reverts to direct delivery.
-  void set_boundary(Direction out, std::vector<BoundaryFlit>* stage) {
-    boundary_out_[static_cast<int>(out)] = stage;
   }
 
   /// Available credits for output `out` (tests/diagnostics).  A train
@@ -201,7 +179,7 @@ class Router : public Component {
 
   /// True if the downstream of output `out` can accept a flit now: a
   /// registered credit for mesh outputs, live eject-queue occupancy for
-  /// kLocal (the NI is always on this router's tile/shard).
+  /// kLocal (the NI is always on this router's tile).
   bool downstream_ready(Direction out) const;
 
   /// Sends `flit` out of `out` (spends the output's credit).
@@ -209,9 +187,7 @@ class Router : public Component {
 
   /// Called by the downstream router when it pops a flit we forwarded
   /// (it also lists us as dirty): stages one credit back for output `out`,
-  /// visible after the next flush_credits().  Single writer per element —
-  /// only the neighbor on `out` calls this, so it is race-free across
-  /// shards.
+  /// visible after the next flush_credits().
   void stage_credit_return(Direction out) {
     ++returns_staged_[static_cast<int>(out)];
   }
@@ -229,18 +205,15 @@ class Router : public Component {
   Component* local_sink_ = nullptr;
 
   /// Registered flow-control state for the four mesh outputs (kLocal uses
-  /// live eject occupancy).  `credits_` is read/written only by this
-  /// router's shard plus the coordinator's flush; `returns_staged_[o]` is
-  /// written only by the downstream neighbor of output o and consumed by
-  /// the flush; `leak_debt_[o]` swallows staged returns after a
-  /// fault_leak_credits on the downstream input, making the leak
-  /// permanent.
+  /// live eject occupancy).  `credits_` is spent by this router's ticks
+  /// and refilled by the flush; `returns_staged_[o]` is written only by
+  /// the downstream neighbor of output o and consumed by the flush;
+  /// `leak_debt_[o]` swallows staged returns after a fault_leak_credits on
+  /// the downstream input, making the leak permanent.
   std::array<std::uint32_t, 4> credits_{};
   std::array<std::uint32_t, 4> returns_staged_{};
   std::array<std::uint32_t, 4> leak_debt_{};
   std::vector<Router*>* credit_dirty_ = nullptr;  ///< see set_credit_dirty_list
-  /// Per-output shard-boundary staging vector (nullptr = direct delivery).
-  std::array<std::vector<BoundaryFlit>*, kNumPorts> boundary_out_{};
 
   /// Wormhole state: which input currently owns each output (-1 = free).
   std::array<int, kNumPorts> output_owner_;

@@ -167,9 +167,6 @@ Scenario generate_scenario(std::uint64_t seed, Cycles budget_cycles) {
   s.rmt_input_queue = pick(rng, {8, 64, 512});
   s.dma_contention_mean = static_cast<double>(pick(rng, {0, 0, 50, 150}));
   s.default_slack = static_cast<std::uint32_t>(pick(rng, {100, 1000}));
-  // Shard count for the parallel leg; 3 never divides a k*k mesh evenly,
-  // so uneven tile bands get steady coverage.
-  s.threads = static_cast<int>(pick(rng, {1, 2, 3, 4}));
 
   const int n_workloads = static_cast<int>(rng.uniform_int(1, 3));
   for (int i = 0; i < n_workloads; ++i) {
@@ -297,7 +294,6 @@ Scenario generate_chaos_scenario(std::uint64_t seed) {
   int min_k = 2;
   while (min_k * min_k < need) ++min_k;
   s.mesh_k = static_cast<int>(rng.uniform_int(min_k, 6));
-  s.threads = static_cast<int>(pick(rng, {1, 2, 3, 4}));
 
   // Half the storms run degraded-mode parking instead of fail-fast drops,
   // with a small enough depth that overflow shedding (fate kShed) happens

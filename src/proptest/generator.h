@@ -50,7 +50,7 @@ Scenario generate_rank_scenario(std::uint64_t seed, Cycles budget_cycles = 0);
 /// construction (oracles.h plan_recoverable) and the budget covers the
 /// full workload, the last recovery, and a drain window — so the
 /// convergence oracle applies to every storm: all messages reach a
-/// terminal fate and the ledger closes, in all three kernels.  Half the
+/// terminal fate and the ledger closes, in both kernels.  Half the
 /// storms run `on_no_route backpressure` to exercise degraded-mode
 /// parking and shedding.
 Scenario generate_chaos_scenario(std::uint64_t seed);

@@ -1,6 +1,7 @@
 #include "proptest/minimizer.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace panic::proptest {
 
@@ -27,12 +28,20 @@ MinimizeResult minimize(const Scenario& failing, int max_tests) {
   result.violations = check_scenario(failing);
   ++result.tested;
 
-  // Accepts `candidate` iff it is feasible and still fails some oracle.
+  // Accepts `candidate` iff it is feasible, builds and still fails some
+  // oracle.  Shrinking the engine mix or the mesh can drop an engine the
+  // fault plan or the p4lite program names, and the NIC then refuses to
+  // build.
   const auto try_reduce = [&](Scenario candidate) {
     if (result.tested >= max_tests) return false;
     if (!candidate.feasible(/*strict_finite=*/true)) return false;
     ++result.tested;
-    auto violations = check_scenario(candidate);
+    std::vector<Violation> violations;
+    try {
+      violations = check_scenario(candidate);
+    } catch (const std::exception&) {
+      return false;
+    }
     if (violations.empty()) return false;
     result.scenario = std::move(candidate);
     result.violations = std::move(violations);

@@ -6,15 +6,6 @@ namespace panic::proptest {
 
 namespace {
 
-const char* mode_name(SimMode mode) {
-  switch (mode) {
-    case SimMode::kStrictTick: return "dense";
-    case SimMode::kEventDriven: return "event";
-    case SimMode::kParallelShards: return "parallel";
-  }
-  return "?";
-}
-
 void add(std::vector<Violation>* out, const std::string& oracle,
          const std::string& detail) {
   out->push_back(Violation{oracle, detail});
@@ -72,8 +63,8 @@ void check_differential(const RunResult& a, const RunResult& b,
 
 void check_differential(const RunResult& a, const RunResult& b,
                         std::vector<Violation>* out) {
-  check_differential(a, b, "differential", mode_name(a.mode),
-                     mode_name(b.mode), excluded_from_diff, out);
+  check_differential(a, b, "differential", to_string(a.mode),
+                     to_string(b.mode), excluded_from_diff, out);
 }
 
 }  // namespace
@@ -118,7 +109,7 @@ bool plan_recoverable(const Scenario& s) {
 
 void check_single_run(const Scenario& s, const RunResult& r,
                       std::vector<Violation>* out) {
-  const std::string mode = mode_name(r.mode);
+  const std::string mode = to_string(r.mode);
 
   if (!r.conserved) {
     add(out, "conservation",
@@ -207,17 +198,13 @@ void check_single_run(const Scenario& s, const RunResult& r,
 }
 
 std::vector<Violation> check_scenario(const Scenario& s, RunResult* dense_out,
-                                      RunResult* event_out,
-                                      RunResult* parallel_out) {
+                                      RunResult* event_out) {
   std::vector<Violation> violations;
   RunResult dense = run_scenario(s, SimMode::kStrictTick);
   RunResult event = run_scenario(s, SimMode::kEventDriven);
-  RunResult parallel = run_scenario(s, SimMode::kParallelShards);
   check_differential(dense, event, &violations);
-  check_differential(dense, parallel, &violations);
   check_single_run(s, dense, &violations);
   check_single_run(s, event, &violations);
-  check_single_run(s, parallel, &violations);
   // Cache differential: the flow cache must be semantically invisible.
   // One extra event-kernel leg with the cache forced off, compared modulo
   // the cache's own rmt.cache.* telemetry.
@@ -230,7 +217,6 @@ std::vector<Violation> check_scenario(const Scenario& s, RunResult* dense_out,
   }
   if (dense_out != nullptr) *dense_out = std::move(dense);
   if (event_out != nullptr) *event_out = std::move(event);
-  if (parallel_out != nullptr) *parallel_out = std::move(parallel);
   return violations;
 }
 

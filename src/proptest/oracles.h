@@ -1,14 +1,11 @@
 // The oracle suite: every property a correct PANIC build must satisfy on
-// every scenario, checked by running the scenario under all THREE kernel
-// modes (dense, event-driven, and sharded parallel with the scenario's
-// `threads` count).
+// every scenario, checked by running the scenario under both kernel modes
+// (dense and event-driven).
 //
-//   differential     — kStrictTick, kEventDriven and kParallelShards are
-//                      cycle-identical: equal scalar stats and an equal
-//                      MetricsSnapshot (minus kernel.* bookkeeping, which
-//                      differs between modes / process histories by
-//                      design).  Checked pairwise dense-vs-event and
-//                      dense-vs-parallel.
+//   differential     — kStrictTick and kEventDriven are cycle-identical:
+//                      equal scalar stats and an equal MetricsSnapshot
+//                      (minus kernel.* bookkeeping, which differs between
+//                      modes / process histories by design).
 //   conservation     — every message created in the run is delivered,
 //                      dropped, consumed, faulted or still live; none
 //                      destroyed fate-less (per mode).
@@ -55,17 +52,16 @@ struct Violation {
 
 std::string to_string(const std::vector<Violation>& violations);
 
-/// Runs `s` under all three kernel modes and applies every oracle.  Empty
-/// result == the scenario passes.  When non-null, `dense_out`/`event_out`/
-/// `parallel_out` receive the runs (the CLI prints them on failure).
+/// Runs `s` under both kernel modes and applies every oracle.  Empty
+/// result == the scenario passes.  When non-null, `dense_out`/`event_out`
+/// receive the runs (the CLI prints them on failure).
 std::vector<Violation> check_scenario(const Scenario& s,
                                       RunResult* dense_out = nullptr,
-                                      RunResult* event_out = nullptr,
-                                      RunResult* parallel_out = nullptr);
+                                      RunResult* event_out = nullptr);
 
 /// The oracles that apply to a single run (conservation, lossless NoC,
 /// ordering, ledger-vs-telemetry, convergence) — check_scenario applies
-/// these to all modes and adds the differential comparisons.
+/// these to both modes and adds the differential comparison.
 void check_single_run(const Scenario& s, const RunResult& r,
                       std::vector<Violation>* out);
 

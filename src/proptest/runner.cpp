@@ -34,15 +34,11 @@ RunResult run_scenario(const Scenario& s, SimMode mode) {
 
   scenario::RunOptions opts;
   opts.mode = mode;
-  opts.threads = mode == SimMode::kParallelShards ? s.threads : 0;
   scenario::ScenarioRun run(s, opts);
 
   // Per-(port, tenant) egress-order tracking.  One tenant is one flow on
   // one path by generator construction, so frames of a tenant must leave
-  // a port in creation order.  The tracking state is strictly per port:
-  // under the parallel kernel each sink fires on its port's shard thread,
-  // and a port has exactly one such thread, so per-port structures need no
-  // locking (a shared map here would be a data race).
+  // a port in creation order.
   RunResult r;
   r.mode = mode;
   struct PortOrder {

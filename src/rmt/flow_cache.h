@@ -7,7 +7,7 @@
 // header, per-table hit/miss tallies) instead of walking every stage's
 // tables, but the message still pays the full simulated pipeline latency
 // and bumps the same counters, so cache-on and cache-off runs are
-// bit-identical in all observable stats across all three kernels.
+// bit-identical in all observable stats across both kernels.
 //
 // Correct by construction:
 //   - The key mask is derived from the compiled program: the union of every

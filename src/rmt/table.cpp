@@ -1,6 +1,7 @@
 #include "rmt/table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace panic::rmt {
@@ -114,7 +115,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
     case MatchKind::kExact: {
       const auto it = exact_index_.find(exact_hash(key));
       if (it != exact_index_.end() && entries_[it->second].key == key) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        ++hits_;
         return &entries_[it->second].action;
       }
       break;
@@ -122,7 +123,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
     case MatchKind::kLpm: {
       for (const TableEntry& e : entries_) {
         if ((key[0] & e.masks[0]) == e.key[0]) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          ++hits_;
           return &e.action;
         }
       }
@@ -139,7 +140,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
           }
         }
         if (match) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          ++hits_;
           return &e.action;
         }
       }
@@ -147,7 +148,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
     }
   }
   if (matched != nullptr) *matched = false;
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   return default_action_ ? &*default_action_ : nullptr;
 }
 

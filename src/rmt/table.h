@@ -2,7 +2,6 @@
 // one or more PHV fields.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -19,9 +18,9 @@ namespace panic::rmt {
 /// default-action change on any MatchTable bumps it; the flow cache
 /// (rmt/flow_cache.h) compares the stamp once per processed message and
 /// flushes when it moved, so memoized resolutions can never outlive the
-/// tables they were derived from.  Relaxed atomic: mutations happen during
-/// program construction or in the serial event phase, never concurrently
-/// with a shard's read.
+/// tables they were derived from.  Relaxed atomic: the epoch is
+/// process-wide, shared by every Simulator in the process, and those may
+/// run on different threads.
 std::uint64_t table_mutation_epoch();
 void bump_table_mutation_epoch();
 
@@ -40,33 +39,6 @@ struct TableEntry {
 class MatchTable {
  public:
   MatchTable(std::string name, MatchKind kind, std::vector<Field> key_fields);
-
-  // Movable despite the atomic counters (tables live by value inside the
-  // program's table vector).  Moves happen only during program
-  // construction, before any concurrent lookups, so a plain load/store
-  // transfer of the tallies is safe.
-  MatchTable(MatchTable&& other) noexcept
-      : name_(std::move(other.name_)),
-        kind_(other.kind_),
-        key_fields_(std::move(other.key_fields_)),
-        entries_(std::move(other.entries_)),
-        exact_index_(std::move(other.exact_index_)),
-        default_action_(std::move(other.default_action_)),
-        hits_(other.hits_.load(std::memory_order_relaxed)),
-        misses_(other.misses_.load(std::memory_order_relaxed)) {}
-  MatchTable& operator=(MatchTable&& other) noexcept {
-    name_ = std::move(other.name_);
-    kind_ = other.kind_;
-    key_fields_ = std::move(other.key_fields_);
-    entries_ = std::move(other.entries_);
-    exact_index_ = std::move(other.exact_index_);
-    default_action_ = std::move(other.default_action_);
-    hits_.store(other.hits_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    misses_.store(other.misses_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    return *this;
-  }
 
   const std::string& name() const { return name_; }
   MatchKind kind() const { return kind_; }
@@ -112,16 +84,14 @@ class MatchTable {
   /// between cache-on and cache-off runs.
   void record_lookup(bool matched) const {
     if (matched) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
     } else {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      ++misses_;
     }
   }
 
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
 
  private:
   std::uint64_t exact_hash(const std::vector<std::uint64_t>& key) const;
@@ -134,13 +104,10 @@ class MatchTable {
   std::unordered_map<std::uint64_t, std::size_t> exact_index_;
   std::optional<Action> default_action_;
 
-  /// Relaxed atomics: the compiled RmtProgram (and its tables) is shared
-  /// by every RMT engine, so under the parallel kernel lookups on one
-  /// table can run on several shards at once.  The totals are
-  /// order-independent sums; lookup state itself is read-only after
-  /// program construction.
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
+  /// Tallies, mutable because lookups are const: the compiled RmtProgram
+  /// (and its tables) is shared read-only by every RMT engine.
+  mutable std::uint64_t hits_ = 0;
+  mutable std::uint64_t misses_ = 0;
 };
 
 }  // namespace panic::rmt

@@ -121,8 +121,7 @@ void append_u64(std::string& out, std::uint64_t v) {
 ScenarioRun::ScenarioRun(const Scenario& s, const RunOptions& opts)
     : scenario_(s),
       opts_(opts),
-      sim_(Frequency::megahertz(s.freq_mhz), opts.mode,
-           opts.mode == SimMode::kParallelShards ? opts.threads : 0) {
+      sim_(Frequency::megahertz(s.freq_mhz), opts.mode) {
   if (!scenario_.feasible()) {
     throw std::runtime_error("scenario '" + scenario_.name +
                              "' is not feasible (topology/ports/queues)");
@@ -218,7 +217,6 @@ Outcome ScenarioRun::outcome() const {
   o.flits_routed =
       static_cast<std::uint64_t>(o.snapshot.value("noc.flits_routed"));
   o.rmt_passes = nic_->total_rmt_passes();
-  o.shard_layout = nic_->shard_layout();
   return o;
 }
 
@@ -284,9 +282,6 @@ std::string ScenarioRun::result_json() const {
   j += "\n  },\n";
   j += "  \"runner\": {\"mode\": ";
   append_json_string(j, to_string(sim_.mode()));
-  j += ", \"threads\": " + std::to_string(sim_.num_shards()) +
-       ", \"shard_layout\": ";
-  append_json_string(j, o.shard_layout);
   j += "}\n";
   j += "}\n";
   return j;

@@ -2,7 +2,7 @@
 // engine behind `panic_run`, the converted examples/benches, and the fuzz
 // harness's per-mode legs.  Construction builds the NIC and traffic
 // sources and schedules every `inject` / `host_tx` line through the event
-// queue (events are cycle-exact in all three kernels, so a scenario is
+// queue (events are cycle-exact in both kernels, so a scenario is
 // bit-identical however it is executed).  Callers may attach TX sinks or
 // probes between construction and run_all().
 #pragma once
@@ -26,9 +26,6 @@ namespace panic::scenario {
 struct RunOptions {
   /// Kernel to execute under; pick scenario.mode (or a CLI override).
   SimMode mode = SimMode::kEventDriven;
-  /// Shard count in kParallelShards mode; 0 resolves through
-  /// sim_threads(), a scenario's `threads` line is the usual source.
-  int threads = 0;
   /// Non-empty: enable the per-message tracer and write chrome://tracing
   /// JSON here after the run.
   std::string trace_path;
@@ -44,7 +41,6 @@ struct Outcome {
   std::uint64_t tx_packets = 0;  ///< frames out of Ethernet ports
   std::uint64_t flits_routed = 0;
   std::uint64_t rmt_passes = 0;
-  std::string shard_layout = "none";
   telemetry::MetricsSnapshot snapshot;
 };
 
@@ -52,7 +48,8 @@ class ScenarioRun {
  public:
   /// Builds simulator + NIC + sources and schedules all timed frames.
   /// Throws std::runtime_error on an unbuildable scenario (infeasible
-  /// topology, program compile error).
+  /// topology, program compile error, fault plan naming an unknown
+  /// target).
   explicit ScenarioRun(const Scenario& s, const RunOptions& opts = {});
 
   Simulator& sim() { return sim_; }

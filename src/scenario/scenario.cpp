@@ -307,9 +307,7 @@ const std::vector<FieldDoc>& field_reference() {
       {"scalar", "warmup", "<cycles>", "0",
        "cycles before the measured window"},
       {"scalar", "budget", "<cycles>", "50000", "measured cycles"},
-      {"scalar", "threads", "<int>", "2",
-       "shard count for the parallel kernel"},
-      {"scalar", "mode", "dense | event | parallel", "event",
+      {"scalar", "mode", "dense | event", "event",
        "default kernel; panic_run --mode overrides"},
       {"scalar", "slack", "<tenant> <slack>", "(none)",
        "per-tenant slack entry; repeats"},
@@ -410,7 +408,6 @@ bool Scenario::feasible(bool strict_finite) const {
   if (rmt_cache_ways == 0 || rmt_cache_ways > 1024) return false;
   if (dma_bytes_per_cycle <= 0.0) return false;
   if (budget_cycles == 0) return false;
-  if (threads < 1 || threads > 64) return false;
   if (channel_bits <= 0 || freq_mhz <= 0) return false;
   for (const WorkloadSpec& w : workloads) {
     if (w.port < 0 || w.port >= eth_ports) return false;
@@ -549,7 +546,6 @@ std::string Scenario::to_string() const {
   if (pool_reserve != 0) out << "pool_reserve " << pool_reserve << "\n";
   if (warmup_cycles != 0) out << "warmup " << warmup_cycles << "\n";
   out << "budget " << budget_cycles << "\n";
-  out << "threads " << threads << "\n";
   if (mode != SimMode::kEventDriven) {
     out << "mode " << panic::to_string(mode) << "\n";
   }
@@ -795,13 +791,10 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         s.warmup_cycles = std::stoull(rest);
       } else if (key == "budget") {
         s.budget_cycles = std::stoull(rest);
-      } else if (key == "threads") {
-        s.threads = std::stoi(rest);
       } else if (key == "mode") {
         const auto mode = sim_mode_from_string(rest);
         if (!mode) {
-          fail(error, lineno, "unknown mode '" + rest +
-                                  "' (dense|event|parallel)");
+          fail(error, lineno, "unknown mode '" + rest + "' (dense|event)");
           return std::nullopt;
         }
         s.mode = *mode;

@@ -28,7 +28,7 @@
 //   sched slack                # slack | fifo | wfq | stfq | edf | prio
 //   weight 1 4                 # wfq weight for tenant 1 (default 1)
 //   drop arrival               # arrival | evict
-//   mode event                 # dense | event | parallel (CLI overrides)
+//   mode event                 # dense | event (CLI overrides)
 //   warmup 0                   # cycles before the measured window
 //   budget 50000               # measured cycles
 //   slack <tenant> <slack>
@@ -214,9 +214,6 @@ struct Scenario {
   Cycles budget_cycles = 50000;
   /// The kernel this scenario runs under by default; --mode overrides.
   SimMode mode = SimMode::kEventDriven;
-  /// Shard count for the kParallelShards kernel (also the parallel leg of
-  /// the three-way fuzz oracle).
-  int threads = 2;
 
   std::vector<WorkloadSpec> workloads;
   std::vector<InjectSpec> injects;

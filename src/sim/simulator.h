@@ -1,5 +1,4 @@
-// Event-driven simulation kernel with a dense-tick reference mode and a
-// sharded parallel mode.
+// Event-driven simulation kernel with a dense-tick reference mode.
 //
 // The kernel advances a single global clock (the paper analyses the NIC at
 // one core frequency, e.g. 500 MHz, §4.2).  Per executed cycle it first
@@ -7,7 +6,7 @@
 // scheduled for that cycle (DMA completions, timer expirations,
 // packet-injection times), then ticks components once.
 //
-// Three modes:
+// Two modes:
 //
 //   * kEventDriven (default) — only *active* components tick.  After each
 //     tick a component reports its next required cycle via
@@ -18,20 +17,8 @@
 //     bursty workloads cost no wall-clock time.
 //   * kStrictTick — every registered component ticks every cycle (the
 //     original dense kernel).  Wake bookkeeping is bypassed entirely.
-//   * kParallelShards — the event kernel, spatially partitioned: each
-//     component is assigned to a shard (Simulator::set_shard; by mesh
-//     coordinates in the PANIC composition) and per executed cycle every
-//     shard runs its slice of the tick loop on its own worker thread.
-//     Components with no shard ("serial" components — watchdogs, workload
-//     sources) tick on the coordinator after the parallel phase, matching
-//     their registration-order position.  Cross-shard interactions are
-//     conservative-synchronization exchanges at cycle boundaries: the NoC
-//     stages boundary flits and credit returns during the parallel phase
-//     and the kernel applies them between the barrier and the next cycle
-//     (the 1-cycle link latency is the lookahead window).  See DESIGN.md
-//     §"Sharded parallel kernel".
 //
-// All modes are cycle-identical: they agree on all simulation state at
+// Both modes are cycle-identical: they agree on all simulation state at
 // every cycle boundary — the same events fire in the same cycles, and
 // statistics, queues and final cycle counts match exactly — though not on
 // which ticks ran.  The event kernel skips quiescent components' ticks
@@ -39,16 +26,13 @@
 // bodies as trains instead of ticking each router per flit, settling them
 // on every read (noc/mesh.h).  The equivalence is pinned by
 // tests/sim/kernel_equivalence_test.cpp, tests/noc/train_test.cpp and the
-// panic_fuzz three-way differential oracle.
+// panic_fuzz differential oracle.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "common/sim_mode.h"
@@ -60,19 +44,13 @@ namespace panic {
 
 class Simulator {
  public:
-  /// `threads` is only meaningful in kParallelShards mode: the number of
-  /// shards (== worker threads, the coordinator doubles as shard 0).
-  /// 0 resolves through sim_threads() (--threads/PANIC_THREADS), falling
-  /// back to min(hardware_concurrency, 8).  The count never changes
-  /// simulation results, only how the tick loop is partitioned.
   explicit Simulator(Frequency clock = Frequency::megahertz(500),
-                     SimMode mode = SimMode::kEventDriven, int threads = 0);
-  ~Simulator();
+                     SimMode mode = SimMode::kEventDriven);
+  // Components and the kernel's own telemetry callbacks hold its address.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   SimMode mode() const { return mode_; }
-
-  /// Shard count (>= 1) in kParallelShards mode, 0 otherwise.
-  int num_shards() const { return num_shards_; }
 
   /// The unified observability surface: every registered component's
   /// metrics plus the per-message tracer.  The kernel's own counters are
@@ -92,28 +70,12 @@ class Simulator {
   /// they sleep).
   void add(Component* c);
 
-  /// Assigns `c` to shard `shard` (in [0, num_shards())); -1 reverts to
-  /// serial.  Only meaningful in kParallelShards mode, and only before the
-  /// first step: the shard map is sealed when the clock starts.  Serial
-  /// components must occupy a registration-order suffix (checked at seal
-  /// time) so the coordinator can tick them after the parallel phase in
-  /// exactly their sequential position.
-  void set_shard(Component* c, int shard);
-
-  /// The shard `c` is assigned to, or -1 (serial / non-parallel mode).
-  int shard_of(const Component* c) const {
-    return slots_[c->slot_].shard;
-  }
-
   /// Schedules `fn` to run at the start of `cycle`.  Events at the same
   /// cycle run in scheduling order.  A `cycle` in the past (or equal to
   /// the current cycle once the event phase has passed) is deterministic
-  /// in all modes: the event fires at the start of the next executed
+  /// in both modes: the event fires at the start of the next executed
   /// cycle, and fast-forward never skips it — see
-  /// tests/sim/simulator_test.cpp (LateEvent*).  Safe to call from a shard
-  /// worker mid-tick: the request is staged per shard and merged in
-  /// registration order at the barrier, reproducing the sequential
-  /// scheduling order exactly.
+  /// tests/sim/simulator_test.cpp (LateEvent*).
   void schedule_at(Cycle cycle, std::function<void()> fn);
 
   /// Schedules `fn` to run `delay` cycles from now.
@@ -124,22 +86,11 @@ class Simulator {
   /// Activates `c` so it ticks at cycle `at` (clamped to the present; a
   /// component that already ticked this cycle is deferred to the next one,
   /// exactly when a dense tick would first observe the caller's effect).
-  /// No-op in strict-tick mode.  In parallel mode a shard worker may only
-  /// wake components of its own shard; cross-shard hand-offs go through
-  /// the staged boundary exchange instead.
+  /// No-op in strict-tick mode.
   void wake(Component* c, Cycle at);
 
-  /// Registers a hook that runs on the coordinator right after the
-  /// parallel phase barrier and before serial-suffix components tick —
-  /// where the NoC delivers staged boundary flits, so everything a serial
-  /// component (watchdog probes included) observes matches the sequential
-  /// kernels.  Never invoked outside kParallelShards mode.
-  void add_post_parallel_hook(std::function<void(Cycle)> fn) {
-    post_parallel_hooks_.push_back(std::move(fn));
-  }
-
   /// Registers a hook that runs at the very end of every executed cycle,
-  /// after all ticks, in every mode — where the NoC applies staged credit
+  /// after all ticks, in both modes — where the NoC applies staged credit
   /// returns (credits freed by a pop become visible the next cycle, making
   /// intra-cycle component order immaterial).
   void add_end_of_cycle_hook(std::function<void(Cycle)> fn) {
@@ -166,15 +117,14 @@ class Simulator {
 
   // --- Kernel counters (work accounting for benches and tests). ---
   std::uint64_t events_executed() const { return events_executed_; }
-  /// Total Component::tick invocations across the run (sums the per-shard
-  /// cells in parallel mode).
-  std::uint64_t component_ticks() const;
+  /// Total Component::tick invocations across the run.
+  std::uint64_t component_ticks() const { return ctx_.ticks; }
   /// Transitions of a component from quiescent to active.
-  std::uint64_t wakeups() const;
+  std::uint64_t wakeups() const { return ctx_.wakeups; }
   /// Cycles skipped without executing (empty active set, no due work).
   std::uint64_t fast_forwarded_cycles() const { return fast_forwarded_; }
   /// Number of currently active components.
-  std::size_t active_components() const;
+  std::size_t active_components() const { return ctx_.active_count; }
 
  private:
   struct Event {
@@ -191,12 +141,6 @@ class Simulator {
 
   struct Slot {
     Component* c = nullptr;
-    /// Index into the owning tick context's `slots` and active bitmap: the
-    /// slot number itself in the coordinator's context, the rank among the
-    /// shard's slots once sealed into a shard.
-    std::uint32_t local = 0;
-    /// Owning shard (-1 = serial); only used in kParallelShards mode.
-    std::int16_t shard = -1;
     /// Earliest future wake-up already queued for this slot (dedups heap
     /// pushes; stale heap entries are ignored on pop).
     Cycle pending_wake = Component::kNeverWake;
@@ -206,8 +150,7 @@ class Simulator {
     /// the value is folded into the post-tick sleep decision and cleared.
     Cycle pending_request = Component::kNeverWake;
     /// Consecutive ticks without sleeping; drives the hot-slot poll skip
-    /// in finish_tick.  A pure function of the slot's own tick history, so
-    /// it is identical across shard layouts.
+    /// in finish_tick.
     std::uint32_t streak = 0;
   };
   struct Wake {
@@ -285,48 +228,16 @@ class Simulator {
       }
     }
 
-    /// Removes and returns every pending wake (seal-time re-homing).
-    std::vector<Wake> drain_all() {
-      std::vector<Wake> out;
-      out.reserve(size_);
-      for (auto& bucket : wheel_) {
-        out.insert(out.end(), bucket.begin(), bucket.end());
-        bucket.clear();
-      }
-      while (!far_.empty()) {
-        out.push_back(far_.top());
-        far_.pop();
-      }
-      size_ = 0;
-      return out;
-    }
-
    private:
     std::array<std::vector<Wake>, kWheelSpan> wheel_;
     std::priority_queue<Wake, std::vector<Wake>, WakeOrder> far_;
     std::size_t size_ = 0;
   };
 
-  /// An event scheduled from inside a shard worker's tick.  Merged into
-  /// the global queue at the barrier, ordered by (scheduling slot, per-
-  /// slot sequence) — the order the sequential tick loop would have pushed
-  /// them in.
-  struct StagedEvent {
-    std::uint32_t slot;
-    std::uint64_t seq;
-    Cycle cycle;
-    std::function<void()> fn;
-  };
-
-  /// The slots one thread ticks, with their active set.  The coordinator's
-  /// context lists every slot (local index == slot number): the sequential
-  /// event kernel ticks it, and so does the parallel kernel's serial
-  /// suffix, whose bits are the only ones set there once the shards are
-  /// sealed.  Each shard has a context over its own slots, so during a
-  /// tick phase no two threads write the same bitmap word.
+  /// The event kernel's active set and wake queue, plus the tick and
+  /// wake-up tallies both kernels publish.
   struct TickContext {
-    std::vector<std::uint32_t> slots;  ///< local index -> slot, ascending
-    /// Bit `l` is set while slots[l] is active.  tick_active walks it with
+    /// Bit `s` is set while slot s is active.  tick_active walks it with
     /// countr_zero, so a cycle costs one word load per 64 slots plus the
     /// ticks themselves, not a visit to every registered slot.
     std::vector<std::uint64_t> active;
@@ -336,27 +247,14 @@ class Simulator {
     std::uint64_t ticks = 0;         ///< kernel.component_ticks cell
     std::uint64_t wakeups = 0;       ///< kernel.wakeups cell
 
-    void append(std::uint32_t slot) {
-      if (slots.size() % 64 == 0) active.push_back(0);
-      slots.push_back(slot);
+    static std::uint64_t bit(std::uint32_t slot) {
+      return std::uint64_t{1} << (slot % 64);
     }
-    static std::uint64_t bit(std::uint32_t local) {
-      return std::uint64_t{1} << (local % 64);
+    bool is_active(std::uint32_t slot) const {
+      return (active[slot / 64] & bit(slot)) != 0;
     }
-    bool is_active(std::uint32_t local) const {
-      return (active[local / 64] & bit(local)) != 0;
-    }
-    void set_active(std::uint32_t local) { active[local / 64] |= bit(local); }
-    void set_idle(std::uint32_t local) { active[local / 64] &= ~bit(local); }
-  };
-
-  /// Per-shard kernel state.  Heap-allocated once in the constructor so
-  /// the telemetry cells have stable addresses; only the owning worker
-  /// touches it during the parallel phase.
-  struct ShardState : TickContext {
-    int index = 0;
-    std::vector<StagedEvent> staged_events;
-    std::uint64_t staged_seq = 0;
+    void set_active(std::uint32_t slot) { active[slot / 64] |= bit(slot); }
+    void set_idle(std::uint32_t slot) { active[slot / 64] &= ~bit(slot); }
   };
 
   enum class Phase : std::uint8_t { kIdle, kEvents, kTick };
@@ -369,19 +267,12 @@ class Simulator {
   /// next_wake poll runs only every kHotStreak-th tick (power of two).
   static constexpr std::uint32_t kHotStreak = 16;
 
-  /// The tick context owning `s`'s bookkeeping: its shard's once sealed,
-  /// the coordinator's otherwise.
-  TickContext& owner(const Slot& s) {
-    if (sealed_ && s.shard >= 0) return *shards_[s.shard];
-    return serial_;
-  }
-
   void wake_slot(std::uint32_t slot, Cycle at);
-  /// Sets `slot`'s bit in `ctx`, its owning context, counting a wake-up;
-  /// a no-op when the slot is already active.
-  void activate(TickContext& ctx, std::uint32_t slot);
-  void push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle);
-  void drain_due_wakes(TickContext& ctx);
+  /// Sets `slot`'s active bit, counting a wake-up; a no-op when the slot
+  /// is already active.
+  void activate(std::uint32_t slot);
+  void push_wake(std::uint32_t slot, Cycle cycle);
+  void drain_due_wakes();
   /// Earliest cycle with pending work (event or wake-up); kNeverWake if none.
   Cycle next_scheduled_cycle() const;
   bool can_fast_forward() const {
@@ -392,19 +283,11 @@ class Simulator {
 
   void run_events_phase();
   void run_end_of_cycle();
-  /// Ticks `ctx`'s active slots in slot order: the one tick loop of the
-  /// sequential event kernel, of every shard and of the serial suffix.
-  void tick_active(TickContext& ctx);
+  /// Ticks the active slots in slot order (the event kernel's tick loop).
+  void tick_active();
   /// Post-tick sleep decision: folds coalesced wake requests into the
   /// component's own next_wake answer.
-  void finish_tick(std::uint32_t slot, Cycle now, TickContext& ctx);
-
-  // --- Parallel-mode machinery. ---
-  void seal_shards();
-  void step_parallel();
-  void merge_staged_events();
-  void worker_main(int shard_index);
-  void stop_workers();
+  void finish_tick(std::uint32_t slot, Cycle now);
 
   Frequency clock_;
   SimMode mode_;
@@ -416,33 +299,12 @@ class Simulator {
 
   std::vector<Component*> components_;  // registration order (slot order)
   std::vector<Slot> slots_;
-  /// The coordinator's tick context: every slot in the sequential kernels,
-  /// the serial suffix once the parallel kernel seals its shards.
-  TickContext serial_;
+  TickContext ctx_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
 
-  std::vector<std::function<void(Cycle)>> post_parallel_hooks_;
   std::vector<std::function<void(Cycle)>> end_of_cycle_hooks_;
 
   Phase phase_ = Phase::kIdle;
-
-  // --- kParallelShards state. ---
-  int num_shards_ = 0;
-  bool sealed_ = false;
-  bool any_sharded_ = false;  ///< false => degenerate sequential execution
-  /// First slot ticked by the coordinator after the parallel phase (==
-  /// slots_.size() when every slot is sharded).  Sharded slots occupy
-  /// [0, first_serial_slot_), serial slots the rest.
-  std::uint32_t first_serial_slot_ = 0;
-  std::vector<std::unique_ptr<ShardState>> shards_;
-  std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<int> workers_done_{0};
-  std::atomic<bool> stopping_{false};
-
-  /// The shard context of the calling thread during the parallel phase
-  /// (nullptr on the coordinator outside it, and always in serial modes).
-  static thread_local ShardState* tls_shard_;
 };
 
 }  // namespace panic

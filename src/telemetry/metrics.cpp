@@ -287,9 +287,9 @@ bool MetricsRegistry::claim_cell(const std::uint64_t* cell,
   if (!inserted) {
     PANIC_WARN("telemetry",
                "counter cell of '%s' already published as '%s' — a cell "
-               "must have exactly one writer (shard)",
+               "backs exactly one metric",
                name.c_str(), it->second.c_str());
-    assert(false && "counter cell published twice (two-shard writer?)");
+    assert(false && "counter cell published twice");
     return false;
   }
   return true;
@@ -302,18 +302,6 @@ bool MetricsRegistry::expose_counter(const std::string& name,
   e.name = name;
   e.kind = MetricKind::kCounter;
   e.cell = cell;
-  return add(std::move(e));
-}
-
-bool MetricsRegistry::expose_counter_sum(const std::string& name,
-                                         std::vector<std::uint64_t*> cells) {
-  for (const std::uint64_t* c : cells) {
-    if (!claim_cell(c, name)) return false;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricKind::kCounter;
-  e.cells = std::move(cells);
   return add(std::move(e));
 }
 
@@ -340,8 +328,7 @@ void MetricsRegistry::reset() {
   for (Entry& e : entries_) {
     switch (e.kind) {
       case MetricKind::kCounter:
-        if (e.cell != nullptr) *e.cell = 0;
-        for (std::uint64_t* c : e.cells) *c = 0;
+        *e.cell = 0;
         break;
       case MetricKind::kHistogram: e.hist->reset(); break;
       case MetricKind::kGauge: break;  // read-only view
@@ -360,12 +347,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricValue v;
     v.kind = e.kind;
     switch (e.kind) {
-      case MetricKind::kCounter: {
-        std::uint64_t total = e.cell != nullptr ? *e.cell : 0;
-        for (const std::uint64_t* c : e.cells) total += *c;
-        v.value = static_cast<double>(total);
+      case MetricKind::kCounter:
+        v.value = static_cast<double>(*e.cell);
         break;
-      }
       case MetricKind::kGauge:
         v.value = e.gauge ? e.gauge() : 0.0;
         break;

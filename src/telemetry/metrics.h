@@ -166,19 +166,9 @@ class MetricsRegistry {
 
   /// Publishes an externally-owned counter cell.  The pointee must outlive
   /// the registry (components outlive the simulator run by contract).
+  /// Publishing one cell under two names (which would count it twice) is
+  /// rejected and asserts in debug builds.
   bool expose_counter(const std::string& name, std::uint64_t* cell);
-
-  /// Publishes one counter backed by several externally-owned cells,
-  /// summed at snapshot time (and each zeroed by reset()).  This is the
-  /// sharded-publication contract of the parallel kernel: every cell has
-  /// exactly ONE writer — a shard thread or the coordinator — so the hot
-  /// path stays a plain `++cell` with no shared atomics; the registry only
-  /// reads the cells at snapshot/reset time, when the workers are parked
-  /// at the cycle barrier.  Registering the same cell address under two
-  /// metrics (which would mean two shards publish — and therefore write —
-  /// one cell) is rejected and asserts in debug builds.
-  bool expose_counter_sum(const std::string& name,
-                          std::vector<std::uint64_t*> cells);
 
   /// Publishes a sampled value; `fn` runs at snapshot time.
   bool expose_gauge(const std::string& name, std::function<double()> fn);
@@ -210,8 +200,7 @@ class MetricsRegistry {
   struct Entry {
     std::string name;
     MetricKind kind;
-    std::uint64_t* cell = nullptr;        // kCounter, single cell
-    std::vector<std::uint64_t*> cells;    // kCounter, per-shard cells (sum)
+    std::uint64_t* cell = nullptr;        // kCounter
     std::function<double()> gauge;        // kGauge
     Histogram* hist = nullptr;            // kHistogram
   };
@@ -231,7 +220,7 @@ class MetricsRegistry {
   std::deque<std::uint64_t> owned_;  // stable cells for counter(name)
   std::vector<Entry> entries_;       // registration order
   std::unordered_map<std::string, std::size_t> index_;
-  /// Every published counter cell, for the single-writer check.
+  /// Every published counter cell, for the one-name-per-cell check.
   std::unordered_map<const std::uint64_t*, std::string> cell_owners_;
 };
 

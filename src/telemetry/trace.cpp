@@ -66,7 +66,6 @@ const char* arg_name(TraceEventKind kind) {
 }  // namespace
 
 void MessageTracer::enable(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (capacity == 0) capacity = 1;
   ring_.assign(capacity, TraceEvent{});
   next_ = count_ = 0;
@@ -75,7 +74,6 @@ void MessageTracer::enable(std::size_t capacity) {
 }
 
 void MessageTracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   next_ = count_ = 0;
   recorded_ = dropped_ = 0;
 }
@@ -89,7 +87,6 @@ std::uint16_t MessageTracer::intern(std::string_view name) {
 }
 
 std::vector<TraceEvent> MessageTracer::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<TraceEvent> out;
   out.reserve(count_);
   const std::size_t start = count_ == ring_.size() ? next_ : 0;

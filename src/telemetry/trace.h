@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,14 +78,11 @@ class MessageTracer {
     return names_[where];
   }
 
-  /// Records one event.  A no-op unless enabled.  The mutex is taken only
-  /// on the enabled path: under the parallel kernel several shards can
-  /// trace at once (router hops, engine service windows), but the disabled
-  /// default stays a single predicted branch.
+  /// Records one event.  A no-op unless enabled, so the disabled default
+  /// stays a single predicted branch.
   void record(TraceEventKind kind, Cycle cycle, MessageId msg,
               std::uint16_t where, std::uint32_t arg = 0) {
     if (!enabled_) return;
-    std::lock_guard<std::mutex> lock(mu_);
     TraceEvent& e = ring_[next_];
     if (count_ == ring_.size()) ++dropped_;  // overwriting the oldest
     e.kind = kind;
@@ -116,7 +112,6 @@ class MessageTracer {
 
  private:
   bool enabled_ = false;
-  mutable std::mutex mu_;  ///< guards the ring while enabled (see record())
   std::vector<TraceEvent> ring_;
   std::size_t next_ = 0;   ///< slot the next event lands in
   std::size_t count_ = 0;  ///< live events in the ring

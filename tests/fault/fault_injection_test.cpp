@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/panic_nic.h"
@@ -260,6 +262,50 @@ TEST(FaultInjection, ArmFailsOnUnknownTargets) {
     fault::FaultInjector injector(plan);
     EXPECT_FALSE(injector.arm(sim));
   }
+}
+
+/// What building a 5x5 NIC with one aux engine under `plan` throws, or
+/// empty when it builds.
+std::string build_error(const fault::FaultPlan& plan) {
+  Simulator sim;
+  core::PanicConfig cfg = aux_chain_config(1);
+  cfg.faults = plan;
+  try {
+    core::PanicNic nic(cfg, sim);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A plan naming a target the NIC does not have fails the build, naming the
+// target, instead of arming the rest and never firing that fault.
+
+TEST(FaultInjection, UnknownEngineFailsTheBuild) {
+  fault::FaultPlan plan;
+  plan.kill("nosuchengine", 100);
+  EXPECT_EQ(build_error(plan),
+            "fault plan names unknown engine 'nosuchengine'");
+}
+
+TEST(FaultInjection, UnknownFallbackFailsTheBuild) {
+  fault::FaultPlan plan;
+  plan.kill("aux0", 100, "aux7");
+  EXPECT_EQ(build_error(plan),
+            "fault plan names unknown fallback engine 'aux7'");
+}
+
+TEST(FaultInjection, UnknownSpareTargetFailsTheBuild) {
+  fault::FaultPlan plan;
+  plan.spare("aux0", "aux3", 100);
+  EXPECT_EQ(build_error(plan), "fault plan names unknown spare target 'aux3'");
+}
+
+TEST(FaultInjection, UnknownRouterTileFailsTheBuild) {
+  fault::FaultPlan plan;
+  plan.flaky_link(25, -1, 100, 0.5, 4);  // a 5x5 mesh has tiles 0..24
+  EXPECT_EQ(build_error(plan), "fault plan names unknown router tile 25");
+  EXPECT_EQ(build_error(fault::FaultPlan{}.leak_credits(24, -1, 100, 1)), "");
 }
 
 // --- Host-driver TX timeout/retry (recovery on the host side). ---

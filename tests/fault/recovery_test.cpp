@@ -3,7 +3,7 @@
 // the host driver's seeded backoff schedule; end-to-end revive / spare /
 // degraded-backpressure scenarios on a live PANIC NIC; and cross-kernel
 // checks that the whole lifecycle — kill, park, revive, drain — is
-// bit-identical under the dense, event-driven and parallel kernels.
+// bit-identical under the dense and event-driven kernels.
 #include "fault/recovery.h"
 
 #include <gtest/gtest.h>
@@ -296,8 +296,8 @@ TEST(Recovery, BackpressureShedsAtTheDepthBound) {
 TEST(Recovery, WatchdogEscalationIsIdenticalInAllThreeKernels) {
   using Result =
       std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>;
-  const auto run_mode = [](SimMode mode, int threads) -> Result {
-    Simulator sim(Frequency::megahertz(500), mode, threads);
+  const auto run_mode = [](SimMode mode) -> Result {
+    Simulator sim(Frequency::megahertz(500), mode);
     core::PanicConfig cfg = aux_chain_config(1);
     // A long stall with work queued behind it: the watchdog must flag
     // the wedge, escalate into the tracker, then see it recover.
@@ -318,13 +318,11 @@ TEST(Recovery, WatchdogEscalationIsIdenticalInAllThreeKernels) {
             nic.dma().packets_to_host()};
   };
 
-  const Result dense = run_mode(SimMode::kStrictTick, 0);
-  const Result event = run_mode(SimMode::kEventDriven, 0);
-  const Result parallel = run_mode(SimMode::kParallelShards, 2);
+  const Result dense = run_mode(SimMode::kStrictTick);
+  const Result event = run_mode(SimMode::kEventDriven);
   EXPECT_GT(std::get<0>(dense), 0u);  // the wedge was flagged
   EXPECT_GT(std::get<2>(dense), 0u);  // and seen recovering
   EXPECT_EQ(dense, event);
-  EXPECT_EQ(dense, parallel);
 }
 
 // --- Whole lifecycle, differentially, through the oracle suite. ---
@@ -338,7 +336,6 @@ TEST(Recovery, KillParkReviveDrainPassesEveryOracle) {
   s.aux_engines = 2;
   s.on_no_route = NoRoutePolicy::kBackpressure;
   s.budget_cycles = 60000;
-  s.threads = 2;
 
   scenario::WorkloadSpec w;
   w.name = "gen";
@@ -357,7 +354,7 @@ TEST(Recovery, KillParkReviveDrainPassesEveryOracle) {
 
   // Kill both group members (empty group: backpressure parks), then
   // revive both — a fully recoverable storm, so the convergence oracle
-  // applies on top of the three-kernel differential and conservation.
+  // applies on top of the dense-vs-event differential and conservation.
   s.faults.kill("aux0", 4000)
       .kill("aux1", 5000)
       .revive("aux0", 9000, /*warmup=*/100)

@@ -18,18 +18,10 @@ MessagePtr packet_of_size(std::size_t bytes) {
 }
 
 struct MeshFixture {
-  static constexpr int kShards = 2;
-
   MeshFixture(int k, std::uint32_t bits,
               SimMode mode = SimMode::kEventDriven)
-      : sim(Frequency::megahertz(500), mode, kShards),
-        mesh(make_config(k, bits), sim) {
-    // Column bands for kParallelShards (a no-op otherwise), so the links
-    // between columns cross shards.
-    std::vector<int> shard;
-    for (int t = 0; t < k * k; ++t) shard.push_back(t % k % kShards);
-    mesh.assign_shards(shard, sim);
-  }
+      : sim(Frequency::megahertz(500), mode),
+        mesh(make_config(k, bits), sim) {}
   static MeshConfig make_config(int k, std::uint32_t bits) {
     MeshConfig c;
     c.k = k;
@@ -151,8 +143,7 @@ TEST(Router, CountersAdvance) {
 
 constexpr std::uint32_t kDepth = 8;  // MeshConfig::buffer_flits
 constexpr SimMode kCreditModes[] = {SimMode::kStrictTick,
-                                    SimMode::kEventDriven,
-                                    SimMode::kParallelShards};
+                                    SimMode::kEventDriven};
 
 /// Runs `read` inside every cycle's tick phase: registered after the
 /// mesh, it ticks after every router but before the end-of-cycle credit
@@ -225,7 +216,7 @@ TEST(RouterCredits, PopReturnsCreditExactlyOneCycleLater) {
 TEST(RouterCredits, UpstreamGetsReturnsOfTwoDownstreamPopsInOneCycle) {
   // Router (1,1) forwards west->east and north->south streams; its east
   // and south neighbors pop them, often in the same cycle, and each
-  // stages a return on it (in the parallel kernel from two shards).
+  // stages a return on it.
   std::vector<std::uint32_t> dense_credits;  // east, south per step
   for (const SimMode mode : kCreditModes) {
     const bool event = mode == SimMode::kEventDriven;

@@ -7,6 +7,8 @@
 // ordering oracle can see it; the differential oracle must stay quiet).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engines/sched_queue.h"
 #include "proptest/generator.h"
 #include "proptest/minimizer.h"
@@ -93,6 +95,38 @@ TEST_F(MinimizerSelftest, MinimizedScenarioPassesOnceBugIsFixed) {
   engines::SchedulerQueue::set_selftest_bug(false);
   const auto fixed = check_scenario(min.scenario);
   EXPECT_TRUE(fixed.empty()) << to_string(fixed);
+}
+
+TEST_F(MinimizerSelftest, RejectsCandidatesThatFailToBuild) {
+  // The offload chain and the stall both name aux1, so shrinking the
+  // engine mix to one aux engine yields a candidate that fails to build.
+  // That must count as a rejected reduction, not end the minimizer.
+  const char* text =
+      "panic_scenario 1\n"
+      "name build_failure\n"
+      "mesh_k 5\n"
+      "aux_engines 2\n"
+      "aux_fixed_cycles 1\n"
+      "budget 20000\n"
+      "workload name=gen port=0 kind=udp pattern=const gap=100 frames=20"
+      " dport=7777\n"
+      "fault stall aux1 @500 for=1500\n"
+      "program <<END\n"
+      "stage offload {\n"
+      "  table offload_port exact(l4.dport) {\n"
+      "    7777 -> clear_chain, chain(aux1, dma);\n"
+      "  }\n"
+      "}\n"
+      "END\n"
+      "end\n";
+  std::string error;
+  const auto failing = Scenario::parse(text, &error);
+  ASSERT_TRUE(failing.has_value()) << error;
+  ASSERT_FALSE(check_scenario(*failing).empty());
+
+  const MinimizeResult min = minimize(*failing, 300);
+  EXPECT_FALSE(min.violations.empty());
+  EXPECT_EQ(min.scenario.aux_engines, 2);
 }
 
 TEST(MinimizerOnHealthyBuild, LeavesPassingScenariosAlone) {

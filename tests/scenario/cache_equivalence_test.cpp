@@ -1,7 +1,7 @@
 // The flow cache's semantic-invisibility contract, end to end: cache-on
 // and cache-off runs of the same scenario are bit-identical in every
 // observable metric (modulo the cache's own rmt.cache.* namespace) across
-// all three kernels — including under a mid-run engine death whose
+// both kernels — including under a mid-run engine death whose
 // re-steer must invalidate every memoized chain.
 #include "scenario/runner.h"
 
@@ -27,7 +27,6 @@ bool excluded_from_kernel_diff(const std::string& name) {
 telemetry::MetricsSnapshot run_snap(const Scenario& s, SimMode mode) {
   RunOptions opts;
   opts.mode = mode;
-  opts.threads = s.threads;
   ScenarioRun run(s, opts);
   run.run_all();
   return run.sim().snapshot();
@@ -68,9 +67,7 @@ TEST(CacheEquivalence, FaultResteerBitIdenticalAcrossKernelsAndCache) {
 
   telemetry::MetricsSnapshot first_on;
   bool have_first = false;
-  const SimMode kModes[] = {SimMode::kStrictTick, SimMode::kEventDriven,
-                            SimMode::kParallelShards};
-  for (const SimMode mode : kModes) {
+  for (const SimMode mode : {SimMode::kStrictTick, SimMode::kEventDriven}) {
     SCOPED_TRACE(panic::to_string(mode));
     const auto snap_on = run_snap(*s, mode);
     const auto snap_off = run_snap(off, mode);

@@ -1,8 +1,8 @@
 // The runner contract behind `panic_run`: executing a checked-in
 // .scenario file through ScenarioRun is bit-identical to hand-building
-// the same design point with direct Simulator/PanicNic calls — in all
-// three kernels — and the result JSON of any two kernels agrees modulo
-// the single "runner" line (the CI diff gate).
+// the same design point with direct Simulator/PanicNic calls — in both
+// kernels — and the result JSON of the two kernels agrees modulo the
+// single "runner" line (the CI diff gate).
 #include "scenario/runner.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,10 +39,9 @@ Scenario load_quickstart() {
 /// The quickstart design point rebuilt by hand, bypassing the scenario
 /// layer entirely: stock PanicConfig (quickstart uses only defaults) and
 /// the three frames event-scheduled exactly as the file specifies.
-telemetry::MetricsSnapshot run_hand_built(SimMode mode, int threads,
-                                          Cycle budget, Cycle* final_cycle) {
-  Simulator sim(Frequency::megahertz(500), mode,
-                mode == SimMode::kParallelShards ? threads : 0);
+telemetry::MetricsSnapshot run_hand_built(SimMode mode, Cycle budget,
+                                          Cycle* final_cycle) {
+  Simulator sim(Frequency::megahertz(500), mode);
   core::PanicConfig cfg;
   core::PanicNic nic(cfg, sim);
 
@@ -66,21 +66,18 @@ TEST(ScenarioRunner, MatchesHandBuiltReplicaInAllThreeKernels) {
   const Scenario s = load_quickstart();
   ASSERT_TRUE(s.workloads.empty());  // replica below assumes inject-only
 
-  const SimMode kModes[] = {SimMode::kStrictTick, SimMode::kEventDriven,
-                            SimMode::kParallelShards};
-  for (const SimMode mode : kModes) {
+  for (const SimMode mode : {SimMode::kStrictTick, SimMode::kEventDriven}) {
     SCOPED_TRACE(panic::to_string(mode));
 
     RunOptions opts;
     opts.mode = mode;
-    opts.threads = s.threads;
     ScenarioRun run(s, opts);
     run.run_all();
     const Outcome o = run.outcome();
 
     Cycle hand_final = 0;
     const telemetry::MetricsSnapshot hand =
-        run_hand_built(mode, s.threads, s.budget_cycles, &hand_final);
+        run_hand_built(mode, s.budget_cycles, &hand_final);
 
     EXPECT_EQ(o.final_cycle, hand_final);
     const auto diffs = o.snapshot.diff_names(hand, is_kernel_metric);
@@ -112,12 +109,9 @@ TEST(ScenarioRunner, ResultJsonIdenticalAcrossKernelsModuloRunnerLine) {
   const Scenario s = load_quickstart();
 
   std::vector<std::string> jsons;
-  for (const SimMode mode :
-       {SimMode::kStrictTick, SimMode::kEventDriven,
-        SimMode::kParallelShards}) {
+  for (const SimMode mode : {SimMode::kStrictTick, SimMode::kEventDriven}) {
     RunOptions opts;
     opts.mode = mode;
-    opts.threads = s.threads;
     ScenarioRun run(s, opts);
     run.run_all();
     jsons.push_back(run.result_json());
@@ -127,7 +121,19 @@ TEST(ScenarioRunner, ResultJsonIdenticalAcrossKernelsModuloRunnerLine) {
               std::string::npos);
   }
   EXPECT_EQ(strip_runner_line(jsons[0]), strip_runner_line(jsons[1]));
-  EXPECT_EQ(strip_runner_line(jsons[1]), strip_runner_line(jsons[2]));
+}
+
+TEST(ScenarioRunner, UnknownFaultTargetFailsToBuild) {
+  // What `panic_run check` reports for a plan naming a missing engine:
+  // the dry build throws, so no run starts with the fault silently unarmed.
+  Scenario s = load_quickstart();
+  s.faults.kill("nosuchengine", 100);
+  try {
+    ScenarioRun run(s);
+    ADD_FAILURE() << "built a NIC whose fault plan names a missing engine";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "fault plan names unknown engine 'nosuchengine'");
+  }
 }
 
 /// A strict JSON reader, just enough to accept or reject a result file:

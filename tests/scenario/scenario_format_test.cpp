@@ -40,8 +40,7 @@ Scenario make_full_scenario() {
   s.pool_reserve = 4096;
   s.warmup_cycles = 1000;
   s.budget_cycles = 30000;
-  s.mode = SimMode::kParallelShards;
-  s.threads = 4;
+  s.mode = SimMode::kStrictTick;
 
   WorkloadSpec udp;
   udp.name = "bulk";
@@ -145,7 +144,7 @@ TEST(ScenarioFormat, SerializeParseIsByteIdenticalFixpoint) {
   // Spot-check that the reparse reconstructed the struct, not just the
   // text (kind-conditional keys are where round-trips usually break).
   EXPECT_EQ(parsed->name, "format_full");
-  EXPECT_EQ(parsed->mode, SimMode::kParallelShards);
+  EXPECT_EQ(parsed->mode, SimMode::kStrictTick);
   EXPECT_EQ(parsed->tenant_slacks, s.tenant_slacks);
   EXPECT_TRUE(parsed->rmt_cache_enabled);
   EXPECT_EQ(parsed->rmt_cache_sets, 32u);
@@ -399,7 +398,16 @@ TEST(ScenarioFormat, BadEnumValuesReportAlternatives) {
   EXPECT_EQ(parse_error("panic_scenario 1\ndrop sometimes\nend\n"),
             "line 2: unknown drop policy 'sometimes'");
   EXPECT_EQ(parse_error("panic_scenario 1\nmode warp\nend\n"),
-            "line 2: unknown mode 'warp' (dense|event|parallel)");
+            "line 2: unknown mode 'warp' (dense|event)");
+}
+
+TEST(ScenarioFormat, RemovedKernelSpellingsAreRejected) {
+  // The sharded kernel and its shard count are gone; old files fail on
+  // the line that names them instead of running under another kernel.
+  EXPECT_EQ(parse_error("panic_scenario 1\nbudget 100\nthreads 2\nend\n"),
+            "line 3: unknown key 'threads'");
+  EXPECT_EQ(parse_error("panic_scenario 1\nmode parallel\nend\n"),
+            "line 2: unknown mode 'parallel' (dense|event)");
 }
 
 TEST(ScenarioFormat, WrongHeaderFails) {

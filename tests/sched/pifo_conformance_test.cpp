@@ -3,8 +3,8 @@
 // RankProgram involved) over adversarial arrival patterns, the
 // (rank, enqueue-seq) tie-break is pinned, overflow accounting closes the
 // conservation ledger under custom programs, and one WFQ and one custom
-// rank-program scenario must be cycle- and metric-identical across all
-// three simulation kernels.
+// rank-program scenario must be cycle- and metric-identical across both
+// simulation kernels.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -350,7 +350,7 @@ TEST(PifoConformance, LegacyKindsKeepMetricNamespace) {
 }
 
 // --- Cross-kernel determinism: the same scenario must produce identical
-// --- results (modulo kernel.* bookkeeping) under all three kernels.
+// --- results (modulo kernel.* bookkeeping) under both kernels.
 
 scenario::Scenario two_tenant_scenario() {
   scenario::Scenario s;
@@ -382,8 +382,7 @@ scenario::Scenario two_tenant_scenario() {
 
 void expect_kernels_agree(const scenario::Scenario& s) {
   ASSERT_TRUE(s.feasible());
-  const SimMode modes[] = {SimMode::kStrictTick, SimMode::kEventDriven,
-                           SimMode::kParallelShards};
+  const SimMode modes[] = {SimMode::kStrictTick, SimMode::kEventDriven};
   std::vector<proptest::RunResult> runs;
   for (const SimMode mode : modes) runs.push_back(proptest::run_scenario(s, mode));
   for (const auto& r : runs) {

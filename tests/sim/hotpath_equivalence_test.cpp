@@ -2,7 +2,7 @@
 // full-NIC run is pinned to golden values.  The pins were first captured
 // before the message pool / ring-queue / flit-burst hot path landed (PR 2,
 // commit d36886f) and re-captured once when mesh links moved to registered
-// credit-based flow control (the sharded-kernel PR): under credit gating a
+// credit-based flow control: under credit gating a
 // router stalls one cycle earlier than under live occupancy checks when the
 // downstream buffer is full, shifting two stats by a handful of units
 // (flits 379016 -> 379013, stalls 4965 -> 4968) while delivery, drops and
@@ -10,9 +10,8 @@
 //
 // The scenario is deterministic (seeded sources, no wall-clock input), so
 // the values are exact across machines; any drift means the zero-allocation
-// machinery changed observable behaviour, which it must never do.  All
-// three kernel modes are pinned — strict-tick, event-driven and the sharded
-// parallel kernel (which must be cycle-identical to both) — and each is run
+// machinery changed observable behaviour, which it must never do.  Both
+// kernel modes are pinned — strict-tick and event-driven — and each is run
 // twice: once with allocating FrameFactory sources (the pre-pool workload
 // path) and once with the zero-allocation FrameFiller sources, which must
 // be indistinguishable.
@@ -55,10 +54,7 @@ class HotpathEquivalence
 TEST_P(HotpathEquivalence, SaturatedStatsMatchPrePoolGolden) {
   const auto [mode, use_filler] = GetParam();
 
-  // Three threads deliberately do not divide the 16-tile mesh evenly, so
-  // the parallel pin also covers uneven tile bands.
-  Simulator sim(Frequency::megahertz(500), mode,
-                mode == SimMode::kParallelShards ? 3 : 0);
+  Simulator sim(Frequency::megahertz(500), mode);
   core::PanicConfig cfg;
   cfg.mesh.k = 4;
   cfg.tenant_slacks = {{1, 10}, {2, 100000}};
@@ -144,15 +140,13 @@ TEST_P(HotpathEquivalence, SaturatedStatsMatchPrePoolGolden) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, HotpathEquivalence,
     ::testing::Combine(::testing::Values(SimMode::kStrictTick,
-                                         SimMode::kEventDriven,
-                                         SimMode::kParallelShards),
+                                         SimMode::kEventDriven),
                        ::testing::Bool()),
     [](const auto& info) {
       const SimMode mode = std::get<0>(info.param);
       const bool filler = std::get<1>(info.param);
-      std::string name = mode == SimMode::kStrictTick    ? "StrictTick"
-                         : mode == SimMode::kEventDriven ? "EventDriven"
-                                                         : "ParallelShards";
+      std::string name =
+          mode == SimMode::kStrictTick ? "StrictTick" : "EventDriven";
       return name + (filler ? "Filler" : "Factory");
     });
 

@@ -1,14 +1,12 @@
-// Pins the central claim of the simulation kernels: kStrictTick,
-// kEventDriven and kParallelShards are cycle-identical.  A full PANIC NIC
-// under a bursty multi-tenant workload (the §3.1.3 isolation scenario) must
-// produce the same statistics, to the cycle, in all three modes — while the
-// event kernel executes far fewer component ticks and the parallel kernel
-// splits the mesh across shards.  The same holds under an active FaultPlan.
-// Plus targeted tests for the wake protocol itself: wake-on-enqueue,
-// sleep-with-deadline, empty-active-set fast-forward, late-event
-// determinism, and the slot-ordering rule, including mid-scan wakes across
-// the active bitmap's words.  The file carries the `equivalence` label,
-// which CI also runs under ThreadSanitizer.
+// Pins the central claim of the simulation kernels: kStrictTick and
+// kEventDriven are cycle-identical.  A full PANIC NIC under a bursty
+// multi-tenant workload (the §3.1.3 isolation scenario) must produce the
+// same statistics, to the cycle, in both modes — while the event kernel
+// executes far fewer component ticks.  The same holds under an active
+// FaultPlan.  Plus targeted tests for the wake protocol itself:
+// wake-on-enqueue, sleep-with-deadline, empty-active-set fast-forward,
+// late-event determinism, wake coalescing, and the slot-ordering rule,
+// including mid-scan wakes across the active bitmap's words.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -42,9 +40,8 @@ struct ScenarioResult {
   std::uint64_t t2_count = 0, t2_p50 = 0, t2_p99 = 0, t2_max = 0;
 };
 
-ScenarioResult run_isolation_scenario(SimMode mode, Cycles cycles,
-                                      int threads = 0) {
-  Simulator sim(Frequency::megahertz(500), mode, threads);
+ScenarioResult run_isolation_scenario(SimMode mode, Cycles cycles) {
+  Simulator sim(Frequency::megahertz(500), mode);
   core::PanicConfig config;
   config.mesh.k = 4;
   config.sched_policy = engines::SchedPolicy::kSlackPriority;
@@ -139,61 +136,6 @@ TEST(KernelEquivalence, MultiTenantIsolationIsCycleIdentical) {
   EXPECT_LT(event.ticks, dense.ticks);
 }
 
-TEST(KernelEquivalence, ParallelShardsMatchesDenseOnIsolationScenario) {
-  constexpr Cycles kCycles = 100000;
-  const ScenarioResult dense =
-      run_isolation_scenario(SimMode::kStrictTick, kCycles);
-  // Three threads do not divide the 16-tile mesh evenly, so this also
-  // covers uneven tile bands.
-  const ScenarioResult par =
-      run_isolation_scenario(SimMode::kParallelShards, kCycles, /*threads=*/3);
-
-  EXPECT_EQ(dense.final_cycle, par.final_cycle);
-  EXPECT_EQ(dense.events, par.events);
-  EXPECT_EQ(dense.bulk_generated, par.bulk_generated);
-  EXPECT_EQ(dense.inter_generated, par.inter_generated);
-  EXPECT_EQ(dense.delivered, par.delivered);
-  EXPECT_EQ(dense.flits_routed, par.flits_routed);
-  EXPECT_EQ(dense.rmt_passes, par.rmt_passes);
-  EXPECT_EQ(dense.dma_queue_drops, par.dma_queue_drops);
-  EXPECT_EQ(dense.dma_queue_max_depth, par.dma_queue_max_depth);
-  EXPECT_EQ(dense.t1_count, par.t1_count);
-  EXPECT_EQ(dense.t1_p50, par.t1_p50);
-  EXPECT_EQ(dense.t1_p99, par.t1_p99);
-  EXPECT_EQ(dense.t1_max, par.t1_max);
-  EXPECT_EQ(dense.t2_count, par.t2_count);
-  EXPECT_EQ(dense.t2_p50, par.t2_p50);
-  EXPECT_EQ(dense.t2_p99, par.t2_p99);
-  EXPECT_EQ(dense.t2_max, par.t2_max);
-  EXPECT_GT(par.delivered, 0u);
-  // The parallel kernel keeps the event kernel's quiescence machinery, so
-  // it too does less tick work than dense.
-  EXPECT_LT(par.ticks, dense.ticks);
-}
-
-TEST(KernelEquivalence, ParallelShardsLayoutIndependent) {
-  // The shard layout must be unobservable: 1, 2 and 4 threads (and the
-  // sequential event kernel) all produce the same statistics.
-  constexpr Cycles kCycles = 60000;
-  const ScenarioResult ref =
-      run_isolation_scenario(SimMode::kEventDriven, kCycles);
-  for (const int threads : {1, 2, 4}) {
-    const ScenarioResult par =
-        run_isolation_scenario(SimMode::kParallelShards, kCycles, threads);
-    EXPECT_EQ(ref.final_cycle, par.final_cycle) << "threads=" << threads;
-    EXPECT_EQ(ref.events, par.events) << "threads=" << threads;
-    EXPECT_EQ(ref.delivered, par.delivered) << "threads=" << threads;
-    EXPECT_EQ(ref.flits_routed, par.flits_routed) << "threads=" << threads;
-    EXPECT_EQ(ref.rmt_passes, par.rmt_passes) << "threads=" << threads;
-    EXPECT_EQ(ref.dma_queue_drops, par.dma_queue_drops)
-        << "threads=" << threads;
-    EXPECT_EQ(ref.t1_count, par.t1_count) << "threads=" << threads;
-    EXPECT_EQ(ref.t1_p99, par.t1_p99) << "threads=" << threads;
-    EXPECT_EQ(ref.t2_count, par.t2_count) << "threads=" << threads;
-    EXPECT_EQ(ref.t2_p99, par.t2_p99) << "threads=" << threads;
-  }
-}
-
 // --- Equivalence under an active FaultPlan.  Faults are scheduled through
 // the same event queue as everything else, and their randomness comes from
 // plan-seeded streams — so a faulty run must stay cycle-identical across
@@ -221,10 +163,9 @@ struct FaultScenarioResult {
   bool conserved = false;
 };
 
-FaultScenarioResult run_fault_scenario(SimMode mode, Cycles cycles,
-                                       int threads = 0) {
+FaultScenarioResult run_fault_scenario(SimMode mode, Cycles cycles) {
   fault::ConservationChecker conservation;
-  Simulator sim(Frequency::megahertz(500), mode, threads);
+  Simulator sim(Frequency::megahertz(500), mode);
 
   core::PanicConfig cfg;
   cfg.mesh.k = 5;
@@ -333,37 +274,6 @@ TEST(KernelEquivalence, ActiveFaultPlanIsCycleIdentical) {
   EXPECT_TRUE(event.conserved);
   // ...and the event kernel still did less work under faults.
   EXPECT_LT(event.ticks, dense.ticks);
-}
-
-TEST(KernelEquivalence, ActiveFaultPlanIsCycleIdenticalUnderParallelShards) {
-  // Faults fire cycle-exactly under the sharded kernel: injector events run
-  // in the serial event phase before the fork, and the fault Rng streams
-  // are plan-seeded, so a faulty parallel run matches dense to the cycle.
-  constexpr Cycles kCycles = 60000;
-  const FaultScenarioResult dense =
-      run_fault_scenario(SimMode::kStrictTick, kCycles);
-  const FaultScenarioResult par =
-      run_fault_scenario(SimMode::kParallelShards, kCycles, /*threads=*/3);
-
-  EXPECT_EQ(dense.final_cycle, par.final_cycle);
-  EXPECT_EQ(dense.events, par.events);
-  EXPECT_EQ(dense.aux_generated, par.aux_generated);
-  EXPECT_EQ(dense.plain_generated, par.plain_generated);
-  EXPECT_EQ(dense.delivered, par.delivered);
-  EXPECT_EQ(dense.flits_routed, par.flits_routed);
-  EXPECT_EQ(dense.rmt_passes, par.rmt_passes);
-  EXPECT_EQ(dense.resteered, par.resteered);
-  EXPECT_EQ(dense.corrupted, par.corrupted);
-  EXPECT_EQ(dense.engine_faulted, par.engine_faulted);
-  EXPECT_EQ(dense.rmt_faulted, par.rmt_faulted);
-  EXPECT_EQ(dense.flits_delayed, par.flits_delayed);
-  EXPECT_EQ(dense.faults_injected, par.faults_injected);
-  EXPECT_EQ(dense.engines_dead, par.engines_dead);
-  EXPECT_EQ(dense.watchdog_checks, par.watchdog_checks);
-  EXPECT_EQ(dense.watchdog_flags, par.watchdog_flags);
-  EXPECT_EQ(dense.conservation_faulted, par.conservation_faulted);
-  EXPECT_EQ(par.faults_injected, 4u);
-  EXPECT_TRUE(par.conserved);
 }
 
 // --- Targeted wake-protocol tests. ---
@@ -510,6 +420,35 @@ TEST(KernelWake, StrictTickModeNeverSleeps) {
   EXPECT_EQ(sim.fast_forwarded_cycles(), 0u);
 }
 
+TEST(KernelWake, WakeCoalescingKeepsActiveComponentsCheap) {
+  // A flooder pushes two items per cycle into a sink that drains one, so
+  // the sink's queue never empties and it stays active for the whole run.
+  // Every request_wake it receives therefore hits an ACTIVE slot — the
+  // saturated-router shape wake coalescing exists for — and none may
+  // count as a quiescent->active transition or churn the wake queue.
+  class Flooder : public Component {
+   public:
+    explicit Flooder(Sink* sink) : Component("flooder"), sink_(sink) {}
+    void tick(Cycle now) override {
+      sink_->push(1, now);
+      sink_->push(2, now);
+    }
+
+   private:
+    Sink* sink_;
+  };
+  Simulator sim;
+  Sink sink;
+  Flooder flooder(&sink);
+  sim.add(&flooder);  // slot 0: pushes before the sink's tick each cycle
+  sim.add(&sink);     // slot 1: consumes, queue still non-empty -> active
+  sim.run(200);
+  EXPECT_EQ(sink.consumed.size(), 200u);
+  // Exactly the two initial activations; all 400 pushed-while-active wake
+  // requests coalesced into the slot instead of transitioning.
+  EXPECT_EQ(sim.wakeups(), 2u);
+}
+
 // --- Mid-scan wakes across the active bitmap's 64-slot words. ---
 
 /// Consumes one token per tick while it holds any and hands tokens to
@@ -558,20 +497,17 @@ struct ScriptedGive {
   int to;
 };
 
-// Four bitmap words in the sequential kernels, two per shard in the
-// 3-shard parallel kernel (node i on shard i % 3, so shard 0's 64th slot
-// is node 192).  Gives stay within a shard: a cross-shard wake aborts.
+// Four bitmap words.
 constexpr int kScriptedNodes = 256;
 constexpr Cycles kScriptCycles = 20;
 
 /// Per-node logs of `gives` run for kScriptCycles under `mode`.  With
 /// `late_gives`, node kScriptedNodes, holding one token, is then added
-/// and the simulator runs kScriptCycles more; in kParallelShards it joins
-/// the serial suffix, so only it may give in that phase.
+/// and the simulator runs kScriptCycles more.
 std::vector<std::vector<Cycle>> run_wake_script(
     SimMode mode, const std::vector<ScriptedGive>& gives,
     const std::vector<ScriptedGive>& late_gives) {
-  Simulator sim(Frequency::megahertz(500), mode, 3);
+  Simulator sim(Frequency::megahertz(500), mode);
   std::vector<std::unique_ptr<ScriptedNode>> nodes;
   for (int i = 0; i <= kScriptedNodes; ++i) {
     nodes.push_back(std::make_unique<ScriptedNode>(i));
@@ -581,10 +517,7 @@ std::vector<std::vector<Cycle>> run_wake_script(
       nodes[g.from]->give_at(g.at, nodes[g.to].get());
     }
   }
-  for (int i = 0; i < kScriptedNodes; ++i) {
-    sim.add(nodes[i].get());
-    sim.set_shard(nodes[i].get(), i % 3);  // no-op in the sequential modes
-  }
+  for (int i = 0; i < kScriptedNodes; ++i) sim.add(nodes[i].get());
   sim.run(kScriptCycles);
   if (!late_gives.empty()) {
     ScriptedNode& late = *nodes[kScriptedNodes];
@@ -597,27 +530,24 @@ std::vector<std::vector<Cycle>> run_wake_script(
   return logs;
 }
 
-/// The event kernel's logs, after requiring the dense kernel and the
-/// 3-shard parallel kernel to produce the same ones.
-std::vector<std::vector<Cycle>> logs_in_every_kernel(
+/// The event kernel's logs, after requiring the dense kernel to produce
+/// the same ones.
+std::vector<std::vector<Cycle>> logs_in_both_kernels(
     const std::vector<ScriptedGive>& gives,
     const std::vector<ScriptedGive>& late_gives = {}) {
   const auto event = run_wake_script(SimMode::kEventDriven, gives, late_gives);
   EXPECT_EQ(event, run_wake_script(SimMode::kStrictTick, gives, late_gives))
       << "dense";
-  EXPECT_EQ(event,
-            run_wake_script(SimMode::kParallelShards, gives, late_gives))
-      << "parallel";
   return event;
 }
 
 TEST(KernelWake, MidScanWakeOfLaterSlotTicksThisCycle) {
   // Within one word (10 -> 13), onto and over the 63 -> 64 and 127 -> 128
-  // word boundaries, and over shard 0's own word boundary (189 -> 192).
+  // word boundaries, and over the 191 -> 192 one (189 -> 192).
   const std::vector<ScriptedGive> gives{{5, 10, 13},   {5, 61, 64},
                                         {5, 63, 66},   {5, 125, 128},
                                         {5, 127, 130}, {5, 189, 192}};
-  const auto logs = logs_in_every_kernel(gives);
+  const auto logs = logs_in_both_kernels(gives);
   for (const ScriptedGive& g : gives) {
     EXPECT_EQ(logs[g.to], std::vector<Cycle>{5}) << "node " << g.to;
   }
@@ -629,7 +559,7 @@ TEST(KernelWake, MidScanWakeOfEarlierSlotIsDeferred) {
   const std::vector<ScriptedGive> gives{
       {5, 13, 10},   {5, 64, 61},   {5, 66, 63}, {5, 128, 125},
       {5, 130, 127}, {5, 192, 189}, {5, 255, 0}};
-  const auto logs = logs_in_every_kernel(gives);
+  const auto logs = logs_in_both_kernels(gives);
   for (const ScriptedGive& g : gives) {
     EXPECT_EQ(logs[g.to], std::vector<Cycle>{6}) << "node " << g.to;
   }
@@ -641,7 +571,7 @@ TEST(KernelWake, ParkedSlotRewokenByLaterSlotTicksNextCycle) {
   // hands them another, which they consume at cycle 6.
   const std::vector<ScriptedGive> gives{
       {5, 1, 4}, {5, 7, 4}, {5, 61, 64}, {5, 130, 64}};
-  const auto logs = logs_in_every_kernel(gives);
+  const auto logs = logs_in_both_kernels(gives);
   EXPECT_EQ(logs[4], (std::vector<Cycle>{5, 6}));
   EXPECT_EQ(logs[64], (std::vector<Cycle>{5, 6}));
 }
@@ -653,7 +583,7 @@ TEST(KernelWake, ComponentAddedBetweenRunsOpensNewWord) {
   constexpr int kLate = kScriptedNodes;
   const std::vector<ScriptedGive> late_gives{{25, kLate, 3},
                                              {25, kLate, kLate}};
-  const auto logs = logs_in_every_kernel({{5, 10, 13}}, late_gives);
+  const auto logs = logs_in_both_kernels({{5, 10, 13}}, late_gives);
   EXPECT_EQ(logs[kLate], (std::vector<Cycle>{20, 26}));
   EXPECT_EQ(logs[3], std::vector<Cycle>{26});
   EXPECT_EQ(logs[13], std::vector<Cycle>{5});

@@ -133,36 +133,15 @@ TEST(MetricsSnapshot, MergeAddsCountersAndCombinesHistograms) {
   EXPECT_DOUBLE_EQ(merged.value("depth"), 9.0);  // latest gauge sample wins
 }
 
-TEST(MetricsRegistry, CounterSumMergesCellsAtSnapshot) {
-  // The sharded-kernel publication contract: one cell per shard, each
-  // written by exactly one thread, summed only at snapshot time.
-  MetricsRegistry m;
-  std::uint64_t serial = 2, shard0 = 40, shard1 = 100;
-  EXPECT_TRUE(m.expose_counter_sum("kernel.ticks", {&serial, &shard0, &shard1}));
-  EXPECT_EQ(m.snapshot().counter("kernel.ticks"), 142u);
-
-  shard1 += 8;
-  EXPECT_EQ(m.snapshot().counter("kernel.ticks"), 150u);
-
-  // reset() zeroes every cell so windowed measurement still works.
-  m.reset();
-  EXPECT_EQ(serial, 0u);
-  EXPECT_EQ(shard0, 0u);
-  EXPECT_EQ(shard1, 0u);
-  EXPECT_EQ(m.snapshot().counter("kernel.ticks"), 0u);
-}
-
 TEST(MetricsRegistry, DuplicateCellPublicationIsRejected) {
-  // A cell published under two metrics would mean two shards write one
-  // counter; claim_cell refuses the second registration (and asserts in
-  // debug builds, so there the refusal is fatal).
+  // A cell published under two metrics would be counted twice;
+  // claim_cell refuses the second registration (and asserts in debug
+  // builds, so there the refusal is fatal).
   MetricsRegistry m;
   std::uint64_t cell = 7;
   EXPECT_TRUE(m.expose_counter("first", &cell));
 #ifdef NDEBUG
   EXPECT_FALSE(m.expose_counter("second", &cell));
-  std::uint64_t other = 1;
-  EXPECT_FALSE(m.expose_counter_sum("third", {&other, &cell}));
 #else
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(m.expose_counter("second", &cell), "published twice");

@@ -1,14 +1,14 @@
 // panic_fuzz: randomized differential property-testing harness.
 //
-//   panic_fuzz [--runs N] [--seed S] [--budget-cycles C] [--threads T]
-//              [--out FILE] [--chaos | --sched]
+//   panic_fuzz [--runs N] [--seed S] [--budget-cycles C] [--out FILE]
+//              [--chaos | --sched]
 //   panic_fuzz --replay FILE
 //   panic_fuzz --selftest
 //   panic_fuzz --selftest-tie
 //
 // Default mode generates N seeded scenarios (seed S, S+1, ...), runs each
-// under all three kernel modes (dense, event-driven, sharded parallel) and
-// applies the oracle suite.  On the first violation it greedily minimizes
+// under both kernel modes (dense and event-driven) and applies the oracle
+// suite.  On the first violation it greedily minimizes
 // the scenario and writes a self-contained replay file (default
 // panic_fuzz_min.panic), then exits 1.
 //
@@ -26,9 +26,6 @@
 // cross-checks every dequeue against an independent interpreted
 // evaluation of the same program.  Failures minimize to
 // panic_sched_min.panic.
-//
-// --threads overrides the generator's per-scenario shard count for the
-// parallel leg (PANIC_THREADS works too).
 //
 // --replay re-runs a saved case: the file records every seed, so the run
 // reproduces bit-identically — in every kernel mode — from the file alone.
@@ -49,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "common/cli.h"
@@ -78,14 +76,7 @@ struct Options {
   bool chaos = false;
   bool sched = false;
   int max_shrink_tests = 300;
-  int threads = 0;  // 0 = scenario's own draw; >0 forces the parallel leg
 };
-
-/// Applies the --threads / PANIC_THREADS override to a scenario.
-void apply_threads(const Options& opt, Scenario* s) {
-  if (opt.threads > 0) s->threads = opt.threads;
-  else if (panic::sim_threads() > 0) s->threads = panic::sim_threads();
-}
 
 /// panic_fuzz's --seed names the GENERATOR base seed (scenario files must
 /// reproduce from disk alone, so the process-wide sim seed stays at its
@@ -118,7 +109,6 @@ Options parse_args(int argc, char** argv) {
   if (opt.chaos && !opt.out_given) opt.out = "panic_chaos_min.panic";
   if (opt.sched && !opt.out_given) opt.out = "panic_sched_min.panic";
   if (opt.selftest_tie && !opt.out_given) opt.out = "panic_tie_min.panic";
-  opt.threads = args.threads();
   if (args.seed_given()) {
     opt.seed = args.seed();
     opt.seed_given = true;
@@ -168,12 +158,17 @@ int run_replay(const Options& opt) {
                  opt.replay.c_str());
     return 2;
   }
-  apply_threads(opt, &*scenario);
   std::printf("replaying %s (%llu frames, budget %llu cycles)\n",
               opt.replay.c_str(),
               static_cast<unsigned long long>(scenario->total_frames()),
               static_cast<unsigned long long>(scenario->budget_cycles));
-  const auto violations = panic::proptest::check_scenario(*scenario);
+  std::vector<Violation> violations;
+  try {
+    violations = panic::proptest::check_scenario(*scenario);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", opt.replay.c_str(), e.what());
+    return 2;
+  }
   if (violations.empty()) {
     std::printf("replay PASSED: no oracle violations\n");
     return 0;
@@ -191,7 +186,6 @@ int run_fuzz(const Options& opt) {
         : opt.sched
             ? panic::proptest::generate_rank_scenario(seed, opt.budget_cycles)
             : panic::proptest::generate_scenario(seed, opt.budget_cycles);
-    apply_threads(opt, &scenario);
     const auto violations = panic::proptest::check_scenario(scenario);
     std::printf("%s %d/%d seed=%llu frames=%llu faults=%zu %s\n",
                 opt.chaos   ? "storm"

@@ -1,6 +1,6 @@
-// panic_run — execute any scenario file under any of the three kernels.
+// panic_run — execute any scenario file under either kernel.
 //
-//   panic_run <scenario> [--threads N] [--seed S] [--mode dense|event|parallel]
+//   panic_run <scenario> [--seed S] [--mode dense|event]
 //             [--trace out.json] [--out result.json]
 //   panic_run check <scenario...>    parse + feasibility + NIC build dry-run
 //   panic_run print <scenario>       canonical serialization to stdout
@@ -48,7 +48,6 @@ int check_one(const std::string& path) {
   try {
     panic::scenario::RunOptions opts;
     opts.mode = s->mode;
-    opts.threads = s->threads;
     panic::scenario::ScenarioRun run(*s, opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
@@ -98,10 +97,9 @@ int cmd_run(const Scenario& loaded, const panic::cli::ArgParser& args,
             const std::string& trace_path, const std::string& out_path,
             const std::string& rmt_cache) {
   Scenario s = loaded;
-  // --seed/--threads were applied to the process-wide globals by parse();
-  // a scenario's own `seed` line fills in only when --seed was absent.
+  // --seed was applied to the process-wide global by parse(); a
+  // scenario's own `seed` line fills in only when --seed was absent.
   if (!args.seed_given() && s.seed != 0) panic::set_sim_seed(s.seed);
-  if (args.threads() > 0) s.threads = args.threads();
   if (rmt_cache == "on") {
     s.rmt_cache_enabled = true;
   } else if (rmt_cache == "off") {
@@ -113,10 +111,8 @@ int cmd_run(const Scenario& loaded, const panic::cli::ArgParser& args,
   }
 
   panic::scenario::RunOptions opts;
-  // Explicit --mode wins, then --threads > 1 selects the parallel kernel,
-  // else the scenario's own `mode` line.
+  // Explicit --mode wins, else the scenario's own `mode` line.
   opts.mode = args.sim_mode(s.mode);
-  opts.threads = s.threads;
   opts.trace_path = trace_path;
   if (args.mode_given()) s.mode = opts.mode;
 
