@@ -38,12 +38,18 @@ namespace panic::noc {
 /// index `seq`; flit `seq + i` becomes visible at cycle `ready + i`.
 struct FlitBurst {
   EngineId dst;
+  /// Outputs the message's head flit may take at the router whose input
+  /// holds this burst (bit per noc::Direction), computed once when the
+  /// head arrives; 0 for bursts that do not start with the head.
+  std::uint8_t route = 0;
   std::uint32_t seq = 0;
   std::uint32_t total = 1;
   std::uint32_t count = 0;
   Cycle ready = 0;
   MessagePtr msg;  ///< attached once the tail flit has joined the run
 };
+// `route` sits in dst's padding: a descriptor stays half a cache line.
+static_assert(sizeof(FlitBurst) == 32);
 
 class FlitBurstQueue {
  public:
@@ -60,8 +66,10 @@ class FlitBurstQueue {
   /// Descriptors held (≤ size(); the compression ratio in telemetry).
   std::size_t bursts() const { return bursts_.size(); }
 
-  /// Enqueues one flit, visible at `ready`.  Caller must check !full().
-  void push_flit(Flit flit, Cycle ready) {
+  /// Enqueues one flit, visible at `ready`; a head flit carries its
+  /// `route` (a head never joins an earlier run).  Caller must check
+  /// !full().
+  void push_flit(Flit flit, Cycle ready, std::uint8_t route = 0) {
     assert(!full());
     if (!bursts_.empty()) {
       FlitBurst& b = bursts_.back();
@@ -79,6 +87,7 @@ class FlitBurstQueue {
     b.total = flit.total;
     b.count = 1;
     b.ready = ready;
+    b.route = route;
     b.msg = std::move(flit.msg);
     bursts_.push(std::move(b));
     ++flits_;
@@ -87,11 +96,6 @@ class FlitBurstQueue {
   /// True if the oldest flit exists and is ready at `now`.
   bool ready(Cycle now) const {
     return flits_ != 0 && bursts_.front().ready <= now;
-  }
-
-  /// The burst whose first flit is the queue head, if that flit is ready.
-  const FlitBurst* peek(Cycle now) const {
-    return ready(now) ? &bursts_.front() : nullptr;
   }
 
   /// Dequeues the oldest flit if ready.
@@ -128,11 +132,6 @@ class FlitBurstQueue {
   Cycle next_ready() const {
     return flits_ == 0 ? std::numeric_limits<Cycle>::max()
                        : bursts_.front().ready;
-  }
-
-  void clear() {
-    bursts_.clear();
-    flits_ = 0;
   }
 
  private:

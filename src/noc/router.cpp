@@ -1,5 +1,6 @@
 #include "noc/router.h"
 
+#include <bit>
 #include <cassert>
 
 #include "noc/mesh.h"
@@ -20,6 +21,7 @@ const char* to_string(Direction d) {
 
 namespace {
 constexpr std::size_t kEjectDepth = 8;  // flits buffered toward the NI
+constexpr unsigned kAllPorts = (1u << kNumPorts) - 1;
 }  // namespace
 
 Router::Router(int x, int y, int k, std::size_t buffer_flits,
@@ -78,7 +80,8 @@ bool Router::can_accept(Direction from) const {
 }
 
 void Router::accept(Direction from, Flit flit, Cycle now) {
-  auto& q = inputs_[static_cast<int>(from)];
+  const int in = static_cast<int>(from);
+  auto& q = inputs_[in];
   assert(!q.full());
   // The assert above vanishes under NDEBUG; keep a counter the fuzz
   // harness's lossless-NoC oracle can check in any build flavor.
@@ -86,37 +89,41 @@ void Router::accept(Direction from, Flit flit, Cycle now) {
   // +1: the hop latency — the flit is routable the cycle after it arrives.
   Cycle ready = now + 1;
   if (faults_armed_) {
-    PortFault& pf = port_faults_[static_cast<int>(from)];
+    PortFault& pf = port_faults_[in];
     if (pf.flaky_p > 0.0 && now < pf.flaky_until &&
         pf.rng.bernoulli(pf.flaky_p)) {
       ready += pf.flaky_delay;
       ++flits_delayed_;
     }
   }
-  q.push_flit(std::move(flit), ready);
+  // Route computation happens once per head flit per hop, here.
+  const std::uint8_t outs = flit.is_head() ? route(flit.dst) : 0;
+  q.push_flit(std::move(flit), ready, outs);
+  occupied_ |= static_cast<std::uint8_t>(1u << in);
   // An awake router re-discovers the flit itself: it ticks every cycle
-  // and its parking poll (next_wake) scans the input FIFOs.  Eliding the
-  // redundant wake here removes the hottest request_wake call site under
-  // saturation (one per accepted flit).
+  // and its parking poll (next_wake) reads the occupancy mask.  Eliding
+  // the redundant wake here removes the hottest request_wake call site
+  // under saturation (one per accepted flit).
   if (!kernel_awake()) request_wake(ready);  // the flit's ready cycle
 }
 
-bool Router::permitted(Direction dir, EngineId dst) const {
-  if (algo_ == RoutingAlgo::kXY) return dir == xy_output(dst);
+std::uint8_t Router::route(EngineId dst) const {
+  const auto bit = [](Direction d) {
+    return static_cast<std::uint8_t>(1u << static_cast<int>(d));
+  };
   const int dx = dst.value % k_ - x_;
   const int dy = dst.value / k_ - y_;
-  if (dx == 0 && dy == 0) return dir == Direction::kLocal;
-
-  // West-first: all West hops first; afterwards any productive direction
-  // (E/N/S toward the destination) is allowed — turns into West are the
-  // only ones prohibited, which breaks every cycle of the turn graph.
-  if (dx < 0) return dir == Direction::kWest;
-  switch (dir) {
-    case Direction::kEast: return dx > 0;
-    case Direction::kSouth: return dy > 0;
-    case Direction::kNorth: return dy < 0;
-    default: return false;
+  // Both algorithms take every West hop first.  XY then finishes X before
+  // turning into Y; west-first may take any productive direction (E/N/S
+  // toward the destination) — turns into West are the only ones it
+  // prohibits, which breaks every cycle of the turn graph.
+  if (dx < 0) return bit(Direction::kWest);
+  std::uint8_t outs = dx > 0 ? bit(Direction::kEast) : 0;
+  if (outs == 0 || algo_ == RoutingAlgo::kWestFirst) {
+    if (dy > 0) outs |= bit(Direction::kSouth);
+    if (dy < 0) outs |= bit(Direction::kNorth);
   }
+  return outs != 0 ? outs : bit(Direction::kLocal);
 }
 
 bool Router::downstream_ready(Direction out) const {
@@ -203,55 +210,69 @@ void Router::forward(Direction out, Flit flit, Cycle now) {
 }
 
 void Router::tick(Cycle now) {
-  // Fast path: with every input empty the full allocation loop below is a
-  // no-op (owned outputs have nothing ready, free outputs find no head
-  // flit, and no counter moves).  Off-path routers hit this every cycle
-  // under the dense kernel, so it pays to skip the 5x5 scan outright.  An
-  // input a train holds counts as empty: the Mesh moves its flits.
-  unsigned busy = 0;
-  for (int i = 0; i < kNumPorts; ++i) {
-    if (!inputs_[i].empty()) busy |= 1u << i;
+  // Only occupied inputs a train does not hold can move a flit (the Mesh
+  // moves a held input's flits).  Off-path routers stop here every cycle
+  // under the dense kernel.
+  const unsigned live = occupied_ & ~unsigned{held_in_};
+  if (live == 0) return;
+
+  // Inputs whose front flit is ready, per output the inputs whose ready
+  // front flit is a head permitted there, and the outputs worth visiting:
+  // the owned ones and the requested ones.
+  unsigned ready = 0;
+  std::array<unsigned, kNumPorts> requests{};
+  unsigned visit = owned_;
+  for (unsigned m = live; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
+    const FlitBurst& b = inputs_[i].front();
+    if (b.ready > now) continue;
+    ready |= 1u << i;
+    if (b.seq != 0) continue;
+    visit |= b.route;
+    for (unsigned r = b.route; r != 0; r &= r - 1) {
+      requests[std::countr_zero(r)] |= 1u << i;
+    }
   }
-  if ((busy & ~unsigned{held_in_}) == 0) return;
+  if (ready == 0) return;
 
   // One flit may leave per output port per cycle; one flit may leave per
-  // input port per cycle.  Held inputs start used, held outputs are
+  // input port per cycle.  Outputs go in index order; held ones are
   // skipped.
-  unsigned input_used = held_in_;
-
-  for (int o = 0; o < kNumPorts; ++o) {
-    if ((held_out_ >> o & 1u) != 0) continue;
-    const auto out = static_cast<Direction>(o);
-
-    int chosen = -1;
-    if (output_owner_[o] >= 0) {
+  unsigned input_used = 0;
+  for (visit &= ~unsigned{held_out_}; visit != 0; visit &= visit - 1) {
+    const int o = std::countr_zero(visit);
+    int chosen = output_owner_[o];
+    if (chosen >= 0) {
       // Wormhole: the output is locked to an input until the tail passes.
-      const int i = output_owner_[o];
-      if ((input_used >> i & 1u) == 0 && inputs_[i].ready(now)) chosen = i;
+      if (((ready & ~input_used) >> chosen & 1u) == 0) continue;
     } else {
-      // Allocate: round-robin over inputs whose ready head flit is a head
-      // flit routed to this output.
-      for (int step = 0; step < kNumPorts; ++step) {
-        const int i = (rr_[o] + step) % kNumPorts;
-        if ((input_used >> i & 1u) != 0) continue;
-        const FlitBurst* b = inputs_[i].peek(now);
-        if (b == nullptr || b->seq != 0) continue;  // need a head flit
-        if (!permitted(out, b->dst)) continue;
-        chosen = i;
-        rr_[o] = (i + 1) % kNumPorts;
-        break;
-      }
+      // Allocate: the first requester at or after the round-robin
+      // pointer, which moves past it whether or not the flit can leave.
+      const unsigned want = requests[o] & ~input_used;
+      if (want == 0) continue;
+      const unsigned rotated =
+          (want >> rr_[o] | want << (kNumPorts - rr_[o])) & kAllPorts;
+      chosen = (rr_[o] + std::countr_zero(rotated)) % kNumPorts;
+      rr_[o] = (chosen + 1) % kNumPorts;
     }
 
-    if (chosen < 0) continue;
+    const auto out = static_cast<Direction>(o);
     if (!downstream_ready(out)) {
       ++stall_cycles_;  // a flit was ready but the downstream buffer was full
       continue;
     }
 
-    Flit flit = *inputs_[chosen].try_pop_flit(now);
+    FlitBurstQueue& q = inputs_[chosen];
+    Flit flit = *q.try_pop_flit(now);
+    if (q.empty()) occupied_ &= static_cast<std::uint8_t>(~(1u << chosen));
     input_used |= 1u << chosen;
-    output_owner_[o] = flit.is_tail() ? -1 : chosen;
+    if (flit.is_tail()) {
+      output_owner_[o] = -1;
+      owned_ &= static_cast<std::uint8_t>(~(1u << o));
+    } else {
+      output_owner_[o] = chosen;
+      owned_ |= static_cast<std::uint8_t>(1u << o);
+    }
     forwarded_at_[o] = now;
     // Return the freed buffer slot to the upstream router as a credit,
     // visible after the end-of-cycle flush (kLocal is fed by the NI,
@@ -267,33 +288,18 @@ void Router::tick(Cycle now) {
   }
 }
 
-Direction Router::xy_output(EngineId dst) const {
-  // Dimension order: X fully, then Y.
-  const int dx = dst.value % k_ - x_;
-  const int dy = dst.value / k_ - y_;
-  if (dx > 0) return Direction::kEast;
-  if (dx < 0) return Direction::kWest;
-  if (dy > 0) return Direction::kSouth;
-  if (dy < 0) return Direction::kNorth;
-  return Direction::kLocal;
-}
-
 Cycle Router::next_wake(Cycle now) const {
-  // Each input FIFO's head is its earliest-ready flit (ready stamps are
-  // monotonic per port).  A head that is already routable but stalled on a
-  // full downstream retries every cycle so stall accounting matches the
-  // dense kernel.  Held inputs are the Mesh's to move, and an XY head
-  // flit waiting for a held output cannot move (or stall) before the
-  // train hands the path back, which wakes this router.
+  // Each input FIFO's front is its earliest-ready flit (ready stamps are
+  // monotonic per port).  A front that is already routable but stalled on
+  // a full downstream retries every cycle so stall accounting matches the
+  // dense kernel.  Held inputs are the Mesh's to move, and a head flit
+  // whose permitted outputs are all held cannot move (or stall) before a
+  // train hands its path back, which wakes this router.
   Cycle next = kNeverWake;
-  for (int i = 0; i < kNumPorts; ++i) {
-    const FlitBurstQueue& q = inputs_[i];
-    if (q.empty() || (held_in_ >> i & 1u) != 0) continue;
-    if (held_out_ != 0 && algo_ == RoutingAlgo::kXY && q.front().seq == 0 &&
-        (held_out_ >> static_cast<int>(xy_output(q.front().dst)) & 1u) != 0) {
-      continue;
-    }
-    const Cycle ready = q.next_ready() > now + 1 ? q.next_ready() : now + 1;
+  for (unsigned m = occupied_ & ~unsigned{held_in_}; m != 0; m &= m - 1) {
+    const FlitBurst& b = inputs_[std::countr_zero(m)].front();
+    if (b.seq == 0 && (b.route & ~held_out_) == 0) continue;
+    const Cycle ready = b.ready > now + 1 ? b.ready : now + 1;
     if (ready < next) next = ready;
   }
   return next;

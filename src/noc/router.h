@@ -1,4 +1,4 @@
-// 5-port wormhole mesh router with XY dimension-order routing.
+// 5-port wormhole mesh router with XY or west-first routing.
 //
 // Properties matching §3.1.2 of the paper:
 //   * one cycle of latency per hop (flits become visible downstream one
@@ -15,6 +15,24 @@
 // cycle (Mesh registers the flush with the simulator).  A freed slot is
 // therefore usable by the upstream one cycle later.  This makes
 // backpressure independent of intra-cycle tick order.
+//
+// Allocation.  A head flit's permitted outputs are computed once per hop,
+// when it arrives (accept), and stored with its burst.  Each cycle, tick()
+// turns the ready flits at the front of the occupied inputs into one
+// request bitmask per output, visits only the owned and requested
+// outputs, and grants them under this contract:
+//   * outputs are visited in index order N, E, S, W, L; an output a train
+//     holds is skipped, and so is an input a train holds;
+//   * an output owned by a message (head granted, tail not yet through)
+//     serves only its owner input;
+//   * a free output grants the first requesting input not used this
+//     cycle at or after its round-robin pointer `rr_[o]`, and moves the
+//     pointer past it *before* checking the downstream: a grant that
+//     finds no credit (or a full eject queue) still moves the pointer and
+//     counts one stall cycle;
+//   * a stalled grant does not use its input, so a later output may take
+//     the same head in the same cycle (a west-first head permitted on E
+//     and S that stalls on E leaves through S).
 #pragma once
 
 #include <array>
@@ -121,8 +139,9 @@ class Router : public Component {
   void tick(Cycle now) override;
 
   /// Quiescent when every input FIFO is empty (arriving flits wake the
-  /// router via accept()); otherwise sleeps until the earliest head flit
-  /// becomes routable.
+  /// router via accept()); otherwise sleeps until the earliest front flit
+  /// becomes routable.  Ignores held inputs, and a head flit whose
+  /// permitted outputs are all held by trains.
   Cycle next_wake(Cycle now) const override;
 
   // --- Counters for experiments. ---
@@ -158,24 +177,16 @@ class Router : public Component {
 
   // --- Watchdog probes (fault/watchdog.h). ---
   std::uint64_t progress() const { return flits_routed(); }
-  bool has_pending_flits() const {
-    for (const auto& q : inputs_) {
-      if (!q.empty()) return true;
-    }
-    return false;
-  }
+  bool has_pending_flits() const { return occupied_ != 0; }
 
   std::uint64_t flits_delayed() const { return flits_delayed_; }
 
  private:
   friend class Mesh;  // forms, carries and hands back wormhole trains
 
-  /// Whether output `dir` is productive and permitted for a flit to `dst`
+  /// The outputs (bit per Direction) a head flit to `dst` may take here
   /// under the configured routing algorithm (tile id = y*k + x).
-  bool permitted(Direction dir, EngineId dst) const;
-
-  /// The one output XY routing permits for a flit to `dst` here.
-  Direction xy_output(EngineId dst) const;
+  std::uint8_t route(EngineId dst) const;
 
   /// True if the downstream of output `out` can accept a flit now: a
   /// registered credit for mesh outputs, live eject-queue occupancy for
@@ -200,6 +211,9 @@ class Router : public Component {
   /// Input FIFOs store flit bursts (contiguous runs of one message as a
   /// single descriptor); capacity and credits are still counted in flits.
   std::array<FlitBurstQueue, kNumPorts> inputs_;
+  /// Bit per non-empty input FIFO: set by accept(), cleared by the pop
+  /// that empties it (a train keeps its queues non-empty).
+  std::uint8_t occupied_ = 0;
   std::array<Router*, kNumPorts> neighbors_{};
   FlitBurstQueue eject_;
   Component* local_sink_ = nullptr;
@@ -215,8 +229,10 @@ class Router : public Component {
   std::array<std::uint32_t, 4> leak_debt_{};
   std::vector<Router*>* credit_dirty_ = nullptr;  ///< see set_credit_dirty_list
 
-  /// Wormhole state: which input currently owns each output (-1 = free).
+  /// Wormhole state: which input currently owns each output (-1 = free),
+  /// and a bit per owned output.
   std::array<int, kNumPorts> output_owner_;
+  std::uint8_t owned_ = 0;
   /// Round-robin arbitration pointer per output.
   std::array<int, kNumPorts> rr_;
   /// The cycle each output last forwarded a flit (train formation).

@@ -207,6 +207,11 @@ Scenario generate_scenario(std::uint64_t seed, Cycles budget_cycles) {
     s.rmt_cache_sets = static_cast<std::uint32_t>(pick(rng, {1, 2, 8, 64}));
     s.rmt_cache_ways = static_cast<std::uint32_t>(pick(rng, {1, 2, 4}));
   }
+
+  // NoC routing: usually XY, sometimes west-first, so the dense-vs-event
+  // differential covers its adaptive output choice under trains, faults
+  // and backpressure.
+  if (rng.bernoulli(0.25)) s.routing = noc::RoutingAlgo::kWestFirst;
   return s;
 }
 

@@ -293,7 +293,7 @@ TEST(Recovery, BackpressureShedsAtTheDepthBound) {
 
 // --- Watchdog escalation feeds fault.recovery.* in every kernel. ---
 
-TEST(Recovery, WatchdogEscalationIsIdenticalInAllThreeKernels) {
+TEST(Recovery, WatchdogEscalationIsIdenticalInBothKernels) {
   using Result =
       std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>;
   const auto run_mode = [](SimMode mode) -> Result {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "noc/mesh.h"
@@ -301,6 +304,169 @@ TEST(RouterCredits, LeakDebtStillSwallowsStagedReturns) {
         << to_string(mode);
     EXPECT_EQ(up.credits(Direction::kEast), kDepth - leak) << to_string(mode);
     EXPECT_EQ(down.credit_violations(), 0u) << to_string(mode);
+  }
+}
+
+// --- Arbitration: the switch allocator's decisions, pinned exactly. ---
+//
+// Both kernels run the same Router::tick, so the dense-vs-event gates
+// cannot see a change in how outputs are granted.  These cases pin the
+// allocator's observable decisions on a 3x3 mesh with 64-bit links and
+// 8-flit buffers: which message reaches its destination NI when, and each
+// router's forwards and stall cycles.  The expected strings were recorded
+// from the reference allocator (the 5x5 round-robin scan); every case must
+// read the same under both kernels.
+
+/// A message that takes exactly `flits` (>= 2) flits on 64-bit links.
+MessagePtr message_of_flits(std::uint32_t flits) {
+  auto msg = make_message();
+  // flits_for(w, 64) == w / 8 + 1 when w is a multiple of 8.
+  msg->data.resize(8 * (flits - 1) - msg->chain.wire_size());
+  EXPECT_EQ(flits_for(msg->wire_size(), 64), flits);
+  return msg;
+}
+
+struct ArbSend {
+  Cycle at;  ///< the cycle the source NI is handed the message
+  int sx, sy, dx, dy;
+  std::uint32_t flits;
+  char label;
+};
+
+/// Runs `sends` for `cycles` cycles and returns what the allocator
+/// decided: "label@cycle" per delivered message in arrival order, then
+/// each router's forwarded flits and stall cycles (row-major tiles).
+/// `trains`, if given, receives the number of wormhole trains formed.
+std::string arbitrate(SimMode mode, RoutingAlgo routing,
+                      const std::vector<ArbSend>& sends, Cycles cycles,
+                      std::uint64_t* trains = nullptr) {
+  Simulator sim(Frequency::megahertz(500), mode);
+  MeshConfig config;
+  config.k = 3;
+  config.channel_bits = 64;
+  config.routing = routing;
+  Mesh mesh(config, sim);
+  std::vector<std::pair<MessageId, char>> labels;
+  std::ostringstream os;
+  for (Cycles c = 0; c < cycles; ++c) {
+    for (const ArbSend& s : sends) {
+      if (s.at != sim.now()) continue;
+      auto msg = message_of_flits(s.flits);
+      labels.emplace_back(msg->id, s.label);
+      mesh.ni(mesh.tile_id(s.sx, s.sy))
+          .inject(std::move(msg), mesh.tile_id(s.dx, s.dy), sim.now());
+    }
+    sim.step();
+    for (int t = 0; t < mesh.tiles(); ++t) {
+      NetworkInterface& ni = mesh.ni(EngineId{static_cast<std::uint16_t>(t)});
+      while (MessagePtr m = ni.try_receive(sim.now())) {
+        for (const auto& [id, label] : labels) {
+          if (id == m->id) os << label << '@' << sim.now() << ' ';
+        }
+      }
+    }
+  }
+  os << "| routed";
+  for (int t = 0; t < mesh.tiles(); ++t) {
+    os << ' ' << mesh.router(EngineId{static_cast<std::uint16_t>(t)})
+                     .flits_routed();
+  }
+  os << " | stalls";
+  for (int t = 0; t < mesh.tiles(); ++t) {
+    os << ' ' << mesh.router(EngineId{static_cast<std::uint16_t>(t)})
+                     .stall_cycles();
+  }
+  if (trains != nullptr) {
+    *trains = sim.snapshot().counter("kernel.noc.trains");
+  }
+  return os.str();
+}
+
+TEST(RouterArbitration, FourInputsShareOneOutputInRoundRobinOrder) {
+  // Router (1,1)'s South output feeds tile (1,2), whose ejection a long
+  // self-addressed message B holds.  Heads on (1,1)'s Local, North, East
+  // and West inputs all want South: they are granted round robin, and
+  // once (1,2)'s buffer is full every cycle with a granted head counts a
+  // stall at (1,1).
+  const std::vector<ArbSend> sends = {
+      {0, 1, 2, 1, 2, 30, 'B'}, {0, 1, 1, 1, 2, 4, 'L'},
+      {0, 1, 0, 1, 2, 4, 'N'},  {0, 2, 1, 1, 2, 4, 'E'},
+      {0, 0, 1, 1, 2, 4, 'W'},
+  };
+  for (const SimMode mode : kCreditModes) {
+    EXPECT_EQ(arbitrate(mode, RoutingAlgo::kXY, sends, 80),
+              "B@32 L@36 N@40 W@44 E@48 | routed 0 4 0 4 16 4 0 46 0 | "
+              "stalls 0 0 0 0 23 0 0 0 0")
+        << to_string(mode);
+  }
+}
+
+TEST(RouterArbitration, StalledGrantStillMovesThePointer) {
+  // P fills tile (1,2)'s North buffer, so (1,1)'s South output is free but
+  // has no credit while heads on East and West want it.  Each cycle the
+  // grant goes to the first requester at or after the pointer, the
+  // pointer moves past it and the grant stalls; so the two alternate, and
+  // whichever holds the grant when B's tail frees a slot goes first.  One
+  // more flit on B flips the winner.
+  const std::pair<std::uint32_t, const char*> cases[] = {
+      {30, "B@32 P@40 E@44 W@48 | routed 0 8 0 4 16 4 0 46 0 | "
+           "stalls 0 0 0 0 22 0 0 0 0"},
+      {31, "B@33 P@41 W@45 E@49 | routed 0 8 0 4 16 4 0 47 0 | "
+           "stalls 0 0 0 0 23 0 0 0 0"},
+  };
+  for (const auto& [blocker, expected] : cases) {
+    const std::vector<ArbSend> sends = {
+        {0, 1, 2, 1, 2, blocker, 'B'}, {0, 1, 0, 1, 2, 8, 'P'},
+        {0, 2, 1, 1, 2, 4, 'E'},       {0, 0, 1, 1, 2, 4, 'W'},
+    };
+    for (const SimMode mode : kCreditModes) {
+      EXPECT_EQ(arbitrate(mode, RoutingAlgo::kXY, sends, 80), expected)
+          << to_string(mode) << " blocker " << blocker;
+    }
+  }
+}
+
+TEST(RouterArbitration, WestFirstHeadStalledOnEastLeavesSouthSameCycle) {
+  // M fills tile (2,1)'s West buffer behind B, so (1,1)'s East output has
+  // no credit when H's head (to (2,2): East and South both productive)
+  // reaches (1,1).  East, visited first, grants H and stalls; the stalled
+  // grant does not use H's input, so South takes H in the same cycle.
+  // (1,1) counts exactly that one stall and (1,2) forwards H's 4 flits.
+  const std::vector<ArbSend> sends = {
+      {0, 2, 1, 2, 1, 30, 'B'},
+      {0, 1, 1, 2, 1, 8, 'M'},
+      {0, 1, 1, 2, 2, 4, 'H'},
+  };
+  for (const SimMode mode : kCreditModes) {
+    EXPECT_EQ(arbitrate(mode, RoutingAlgo::kWestFirst, sends, 80),
+              "H@16 B@32 M@40 | routed 0 0 0 0 12 38 0 4 4 | "
+              "stalls 0 0 0 0 1 0 0 0 0")
+        << to_string(mode);
+  }
+}
+
+TEST(RouterArbitration, HeadWaitsForOwnedOutputWithoutStalling) {
+  // M owns (1,1)'s East output for 40 flits; H's only permitted output is
+  // East too (under either algorithm), so H waits for M's tail.  An owned
+  // output serves only its owner, and nothing downstream is full, so no
+  // router counts a stall.  The event kernel carries M as a train, which
+  // holds the output H waits for.
+  const std::vector<ArbSend> sends = {
+      {0, 0, 1, 2, 1, 40, 'M'},
+      {3, 1, 1, 2, 1, 4, 'H'},
+  };
+  for (const RoutingAlgo routing :
+       {RoutingAlgo::kXY, RoutingAlgo::kWestFirst}) {
+    for (const SimMode mode : kCreditModes) {
+      std::uint64_t trains = 0;
+      EXPECT_EQ(arbitrate(mode, routing, sends, 80, &trains),
+                "M@44 H@48 | routed 0 0 0 40 44 44 0 0 0 | "
+                "stalls 0 0 0 0 0 0 0 0 0")
+          << to_string(mode);
+      if (mode == SimMode::kEventDriven) {
+        EXPECT_GT(trains, 0u);
+      }
+    }
   }
 }
 

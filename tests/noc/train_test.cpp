@@ -241,7 +241,10 @@ TEST(NocTrain, CrossTrafficOnATrainRoutersOtherOutputs) {
 
 TEST(NocTrain, WestFirstRoutingWithContention) {
   // Adaptive routing: heads may pick among productive outputs, so a head
-  // next to a held output keeps its router awake instead of sleeping.
+  // next to a held output keeps its router awake instead of sleeping.  At
+  // cycle 30 the (0,1) -> (3,2) train holds (1,1)'s East output; the head
+  // to (2,2) reaches the front of (1,1)'s local input behind another
+  // message's tail, with East held and South free, and must leave South.
   const auto trains = run_lockstep(
       [](Leg& leg, Cycle c) {
         if (c == 0) {
@@ -249,6 +252,10 @@ TEST(NocTrain, WestFirstRoutingWithContention) {
           leg.send(0, 1, 3, 2, 95);
         }
         if (c == 20) leg.send(1, 0, 3, 1, 60);
+        if (c == 30) {
+          leg.send(1, 1, 1, 2, 4);
+          leg.send(1, 1, 2, 2, 12);
+        }
         if (c == 40) leg.send(3, 3, 0, 0, 50);
       },
       300, RoutingAlgo::kWestFirst);

@@ -137,8 +137,10 @@ TEST(Scenario, ToConfigCarriesEveryKnob) {
 }
 
 TEST(Generator, ProducesFeasibleScenariosAcrossSeeds) {
+  int west_first = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Scenario s = generate_scenario(seed);
+    if (s.routing == noc::RoutingAlgo::kWestFirst) ++west_first;
     EXPECT_TRUE(s.feasible()) << "seed " << seed << ":\n" << s.to_string();
     EXPECT_GE(s.workloads.size(), 1u) << "seed " << seed;
     EXPECT_GT(s.total_frames(), 0u) << "seed " << seed;
@@ -155,6 +157,9 @@ TEST(Generator, ProducesFeasibleScenariosAcrossSeeds) {
     ASSERT_TRUE(parsed.has_value()) << "seed " << seed;
     EXPECT_EQ(parsed->to_string(), s.to_string()) << "seed " << seed;
   }
+  // About a quarter of the scenarios route west-first.
+  EXPECT_GT(west_first, 25);
+  EXPECT_LT(west_first, 75);
 }
 
 TEST(Generator, IsDeterministicAndSeedSensitive) {
