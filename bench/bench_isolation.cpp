@@ -25,7 +25,7 @@ struct TenantLatency {
 
 TenantLatency run(const scenario::Scenario& base,
                   const scenario::RunOptions& opts,
-                  engines::SchedPolicy policy, double bulk_gap) {
+                  engines::SchedKind policy, double bulk_gap) {
   scenario::Scenario s = base;
   s.sched_policy = policy;
   s.workloads[0].mean_gap_cycles = bulk_gap;  // workload 0 = bulk
@@ -67,13 +67,13 @@ int main(int argc, char** argv) {
   Report report({"Bulk load", "Policy", "mouse p50", "mouse p99",
                  "mouse max", "bulk p50", "mouse n"});
   for (double gap : {40.0, 20.0, 10.0}) {
-    for (auto policy : {engines::SchedPolicy::kFifo,
-                        engines::SchedPolicy::kSlackPriority}) {
+    for (auto policy : {engines::SchedKind::kFifo,
+                        engines::SchedKind::kSlack}) {
       const auto r = run(*base, opts, policy, gap);
       report.add_row(
           {strf("1/%.0f cyc", gap),
-           policy == engines::SchedPolicy::kFifo ? "FIFO (baseline)"
-                                                 : "slack (PANIC)",
+           policy == engines::SchedKind::kFifo ? "FIFO (baseline)"
+                                               : "slack (PANIC)",
            strf("%llu", static_cast<unsigned long long>(r.mouse.p50)),
            strf("%llu", static_cast<unsigned long long>(r.mouse.p99)),
            strf("%llu", static_cast<unsigned long long>(r.mouse.max)),

@@ -101,7 +101,7 @@ void BM_Crc32(benchmark::State& state) {
 BENCHMARK(BM_Crc32);
 
 void BM_SchedQueue(benchmark::State& state) {
-  engines::SchedulerQueue q(engines::SchedPolicy::kSlackPriority, 1024);
+  engines::SchedulerQueue q(engines::SchedKind::kSlack, 1024);
   Rng rng(3);
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {

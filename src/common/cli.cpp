@@ -66,7 +66,7 @@ void ArgParser::option(std::string_view name, std::string_view doc,
 
 std::string ArgParser::usage() const {
   std::string out = "usage: " + program_ +
-                    " [flags] [key=value ...] [file ...]\n  " + synopsis_ +
+                    " [flags] [file ...]\n  " + synopsis_ +
                     "\n\nflags:\n";
   auto line = [&out](const char* flag, const char* doc) {
     char buf[256];
@@ -94,19 +94,18 @@ void ArgParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) != 0) {
-      // Bare token: key=value goes to the config, the rest are
-      // positionals.  A leading '-' without '--' is a typo worth
-      // rejecting, not a positional.
+      // Bare token: a positional.  A leading '-' without '--' is a typo
+      // worth rejecting, and so is key=value — no binary takes settings
+      // that way, so accepting one would silently ignore it.
       if (arg[0] == '-' && arg[1] != '\0') {
         fail(std::string("unknown argument '") + arg +
              "' (flags are spelled --name)");
       }
       const char* eq = std::strchr(arg, '=');
       if (eq != nullptr && eq != arg) {
-        config_.set(std::string(arg, eq), eq + 1);
-      } else {
-        positionals_.emplace_back(arg);
+        fail(std::string("unexpected argument '") + arg + "'");
       }
+      positionals_.emplace_back(arg);
       continue;
     }
     // "--name" or "--name=value".

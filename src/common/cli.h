@@ -5,7 +5,7 @@
 // different ways in three binaries.  ArgParser gives all of them one
 // grammar:
 //
-//   binary [flags] [key=value ...] [positional ...]
+//   binary [flags] [positional ...]
 //
 // with `--seed N`, `--mode dense|event` and `--help` built in.  --seed
 // resolves through the process-wide set_sim_seed() plumbing
@@ -23,10 +23,10 @@
 //   }
 //
 // Unknown `--flags` are an error (usage to stderr, exit 2) — silent
-// acceptance is how typos in CI invocations go unnoticed.  Bare
-// `key=value` tokens are collected into a panic::Config for binaries that
-// take free-form build parameters ("policy=fifo topology=8x8"); remaining
-// bare tokens become positionals (scenario/replay file paths).
+// acceptance is how typos in CI invocations go unnoticed.  So is a bare
+// `key=value` token: every setting lives in a scenario file or a --flag.
+// The remaining bare tokens become positionals (scenario/replay file
+// paths).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/config.h"
 #include "common/sim_mode.h"
 
 namespace panic::cli {
@@ -60,8 +59,8 @@ class ArgParser {
   void option(std::string_view name, std::string_view doc, double* out);
 
   /// Parses argv, applying built-ins as encountered.  On --help prints
-  /// usage and exits 0; on an unknown flag or malformed value prints the
-  /// error plus usage to stderr and exits 2.
+  /// usage and exits 0; on an unknown flag, a malformed value or a bare
+  /// key=value token prints the error plus usage to stderr and exits 2.
   void parse(int argc, const char* const* argv);
 
   // --- Results (valid after parse). ---
@@ -76,8 +75,6 @@ class ArgParser {
   /// True when the user passed --mode explicitly.
   bool mode_given() const { return mode_given_; }
 
-  /// Bare key=value tokens.
-  const Config& config() const { return config_; }
   /// Remaining bare tokens, in order (file paths etc.).
   const std::vector<std::string>& positionals() const { return positionals_; }
 
@@ -103,7 +100,6 @@ class ArgParser {
   bool seed_given_ = false;
   SimMode mode_ = SimMode::kEventDriven;
   bool mode_given_ = false;
-  Config config_;
   std::vector<std::string> positionals_;
 };
 

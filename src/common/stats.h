@@ -1,6 +1,6 @@
-// Measurement utilities used by every benchmark: streaming moments,
-// log-bucketed latency histograms with percentile queries, and windowed
-// rate meters.  All are allocation-free on the hot path.
+// Measurement utilities used by every benchmark: log-bucketed latency
+// histograms with percentile queries and windowed rate meters.  Both are
+// allocation-free on the hot path.
 #pragma once
 
 #include <array>
@@ -9,33 +9,6 @@
 #include <vector>
 
 namespace panic {
-
-/// Streaming mean / variance / min / max (Welford's algorithm).
-class StreamingStats {
- public:
-  void add(double x);
-
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  /// Merges another accumulator into this one (parallel reduction).
-  void merge(const StreamingStats& other);
-
-  void reset();
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Latency histogram with HdrHistogram-style log-linear buckets: values are
 /// grouped by power-of-two magnitude, with `kSubBuckets` linear sub-buckets

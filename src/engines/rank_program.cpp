@@ -237,7 +237,7 @@ std::optional<RankProgram> RankProgram::compile(std::string_view source,
   }
 
   // Fast paths: exactly one statement of the form `rank = slack` or
-  // `rank = <const>` (the legacy slack / fifo policies).
+  // `rank = <const>` (the built-in slack / fifo policies).
   if (p.statements_.size() == 1 && p.statements_[0].dst == kRankSlot) {
     std::uint32_t slot = 0;
     if (p.statements_[0].expr.is_var(&slot) && slot == 0) {

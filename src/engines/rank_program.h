@@ -60,16 +60,8 @@
 
 namespace panic::engines {
 
-/// Legacy two-policy knob, kept for existing call sites; SchedSpec widens
-/// it to the full rank-program space.
-enum class SchedPolicy : std::uint8_t {
-  kSlackPriority,  ///< PANIC: dequeue lowest slack first
-  kFifo,           ///< baseline: arrival order
-};
-
 enum class SchedKind : std::uint8_t {
-  kSlack,   ///< rank = slack (the default; bit-identical to the legacy
-            ///< slack-priority queue)
+  kSlack,   ///< rank = slack (the default: PANIC's slack priority)
   kFifo,    ///< rank = 0 (arrival order; the baseline)
   kWfq,     ///< weighted fair queueing (start-time, per-tenant weights)
   kStfq,    ///< start-time fair queueing (WFQ with unit weights, raw bytes)
@@ -85,8 +77,8 @@ std::optional<SchedKind> sched_kind_from_name(std::string_view name);
 std::string builtin_rank_source(SchedKind kind);
 
 /// Full scheduling specification: a policy kind, its rank program (for
-/// kCustom) and per-tenant WFQ weights.  Implicitly convertible from the
-/// legacy SchedPolicy so existing configs/tests compile unchanged.
+/// kCustom) and per-tenant WFQ weights.  Implicitly convertible from a
+/// SchedKind.
 struct SchedSpec {
   SchedKind kind = SchedKind::kSlack;
   std::string rank_source;  ///< kCustom only; others use builtin source
@@ -95,19 +87,11 @@ struct SchedSpec {
 
   SchedSpec() = default;
   SchedSpec(SchedKind k) : kind(k) {}  // NOLINT(runtime/explicit)
-  SchedSpec(SchedPolicy p)             // NOLINT(runtime/explicit)
-      : kind(p == SchedPolicy::kFifo ? SchedKind::kFifo : SchedKind::kSlack) {
-  }
 
   /// The rank-program text this spec compiles to.
   std::string source() const {
     return kind == SchedKind::kCustom ? rank_source
                                       : builtin_rank_source(kind);
-  }
-  /// Legacy kinds keep the pre-PIFO fast paths, telemetry surface and
-  /// DropPolicy::kEvictLoosest slack comparison bit-identical.
-  bool legacy() const {
-    return kind == SchedKind::kSlack || kind == SchedKind::kFifo;
   }
   std::uint32_t weight_for(std::uint16_t tenant) const;
   void set_weight(std::uint16_t tenant, std::uint32_t weight);

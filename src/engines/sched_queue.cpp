@@ -54,9 +54,9 @@ SchedulerQueue::SchedulerQueue(const SchedSpec& spec, std::size_t capacity,
     // means a caller built a bad SchedSpec in code.
     throw std::runtime_error("sched rank program: " + error);
   }
-  // Legacy kinds pin the pre-PIFO fast paths outright; other programs
-  // earn one when they compile to a single trivial statement.
-  if (spec_.kind == SchedKind::kSlack || program_->trivial_slack()) {
+  // A program that compiles to a single trivial statement (`sched slack`
+  // is `rank = slack`, `sched fifo` is `rank = 0`) skips the evaluator.
+  if (program_->trivial_slack()) {
     fast_ = FastPath::kSlackField;
   } else if (program_->trivial_const(&const_rank_)) {
     fast_ = FastPath::kConst;
@@ -103,21 +103,17 @@ bool SchedulerQueue::try_enqueue(MessagePtr msg, Cycle now) {
   const std::uint64_t rank = compute_rank(*msg, now);
   if (full() && drop_policy_ == DropPolicy::kEvictLoosest) {
     // Find the loosest (largest-rank, then youngest) queued message; if
-    // it is looser than the arrival, evict it to make room.  Linear scan:
-    // the heap only exposes the tightest element.  Legacy kinds compare
-    // raw slack here (the pre-PIFO behavior, preserved bit-for-bit);
-    // everything else compares ranks.
+    // its rank is larger than the arrival's, evict it to make room.
+    // Linear scan: the heap only exposes the tightest element.  Under a
+    // constant rank (`sched fifo`) nothing is looser than the arrival, so
+    // evict degenerates to tail-drop.
     std::size_t loosest = items_.size();
     for (std::size_t i = 0; i < items_.size(); ++i) {
       if (loosest == items_.size() || order(items_[i], items_[loosest])) {
         loosest = i;
       }
     }
-    const bool evict =
-        loosest < items_.size() &&
-        (spec_.legacy() ? items_[loosest].msg->slack > msg->slack
-                        : items_[loosest].rank > rank);
-    if (evict) {
+    if (loosest < items_.size() && items_[loosest].rank > rank) {
       trace(telemetry::TraceEventKind::kQueueDrop, now,
             *items_[loosest].msg);
       items_[loosest].msg->set_fate(MessageFate::kDropped);
@@ -269,10 +265,9 @@ void SchedulerQueue::register_metrics(telemetry::MetricsRegistry& m,
   m.expose_counter(prefix + ".audit_violations", &audit_violations_);
   m.expose_gauge(prefix + ".depth",
                  [this] { return static_cast<double>(items_.size()); });
-  if (!spec_.legacy()) {
-    // The sched.pifo.* family — registered only for programmable kinds so
-    // `sched slack` / `sched fifo` snapshots stay bit-identical to the
-    // pre-PIFO queue (same rule as the rmt.cache.* counters).
+  if (fast_ == FastPath::kProgram) {
+    // The sched.pifo.* family exists only where a rank program runs per
+    // message; the slack-field and constant fast paths never touch it.
     m.expose_counter(prefix + ".pifo.rank_evals", &rank_evals_);
     m.expose_gauge(prefix + ".pifo.vtime",
                    [this] { return static_cast<double>(vtime_); });

@@ -46,8 +46,8 @@ enum class DropPolicy : std::uint8_t {
 
 class SchedulerQueue {
  public:
-  /// `spec` may be a SchedSpec, a SchedKind or a legacy SchedPolicy (both
-  /// convert).  A kCustom spec whose program does not compile throws
+  /// `spec` may be a SchedSpec or a SchedKind (which converts).  A
+  /// kCustom spec whose program does not compile throws
   /// std::runtime_error — scenario parsing validates first, so this only
   /// trips on programmatic misuse.
   SchedulerQueue(const SchedSpec& spec, std::size_t capacity,
@@ -55,12 +55,6 @@ class SchedulerQueue {
 
   SchedKind kind() const { return spec_.kind; }
   const SchedSpec& spec() const { return spec_; }
-  /// Legacy view: kFifo stays kFifo, everything else reports slack
-  /// priority (the nearest pre-PIFO policy).
-  SchedPolicy policy() const {
-    return spec_.kind == SchedKind::kFifo ? SchedPolicy::kFifo
-                                          : SchedPolicy::kSlackPriority;
-  }
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
@@ -128,10 +122,10 @@ class SchedulerQueue {
 
   /// Publishes this queue's counters under `prefix` (e.g.
   /// "engine.ipsec_rx.queue") — called by the owning engine's
-  /// register_telemetry.  Non-legacy policies additionally publish the
-  /// "<prefix>.pifo.*" family (rank_evals, vtime, flows); the legacy
-  /// slack/fifo kinds do not, keeping their metric namespace bit-identical
-  /// to the pre-PIFO queue.
+  /// register_telemetry.  A queue that evaluates its rank program per
+  /// message (FastPath::kProgram) additionally publishes the
+  /// "<prefix>.pifo.*" family (rank_evals, vtime, flows); a queue whose
+  /// rank is the slack field or a constant has nothing to report there.
   void register_metrics(telemetry::MetricsRegistry& m,
                         const std::string& prefix);
 

@@ -136,7 +136,7 @@ Scenario generate_scenario(std::uint64_t seed, Cycles budget_cycles) {
   while (min_k * min_k < need) ++min_k;
   s.mesh_k = static_cast<int>(rng.uniform_int(min_k, 6));
 
-  // Rank policy: the legacy slack/fifo kinds keep most of the weight
+  // Rank policy: the slack/fifo kinds keep most of the weight
   // (they carry the regression goldens), the programmable built-ins share
   // the rest.  Every built-in is per-tenant monotone — within one tenant
   // ranks never decrease — which is the precondition of the per-tenant

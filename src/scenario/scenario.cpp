@@ -645,7 +645,7 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     if (!rest.empty() && rest[0] == ' ') rest = rest.substr(1);
 
     if (!saw_header) {
-      if ((key != "panic_scenario" && key != "panicfuzz") || rest != "1") {
+      if (key != "panic_scenario" || rest != "1") {
         fail(error, lineno, "expected 'panic_scenario 1' header");
         return std::nullopt;
       }

@@ -8,8 +8,7 @@
 //   * the examples and benches are checked-in `.scenario` files plus thin
 //     wrappers (examples/*.scenario, bench/*.scenario);
 //   * the proptest generator emits it and `panic_fuzz --replay` consumes
-//     it (`.panic` replays are the same schema; the legacy `panicfuzz 1`
-//     header is still accepted).
+//     it (`.panic` replays are the same schema).
 //
 // The format is line-oriented: one `key value` scalar per line, repeating
 // `slack` / `workload` / `inject` / `host_tx` / `fault` lines, an optional
@@ -254,9 +253,8 @@ struct Scenario {
   /// Canonical rendering; round-trips through parse() byte-identically.
   std::string to_string() const;
 
-  /// Parses the scenario format (canonical `panic_scenario 1` or legacy
-  /// `panicfuzz 1` header).  nullopt (and "line N: reason" in *error when
-  /// non-null) on malformed input.
+  /// Parses the scenario format (`panic_scenario 1` header).  nullopt (and
+  /// "line N: reason" in *error when non-null) on malformed input.
   static std::optional<Scenario> parse(const std::string& text,
                                        std::string* error = nullptr);
 

@@ -184,19 +184,6 @@ void Simulator::tick_active() {
 
 void Simulator::finish_tick(std::uint32_t slot, Cycle now) {
   Slot& s = slots_[slot];
-  // Hot-slot poll skip: a component that has ticked kHotStreak+ cycles in
-  // a row (a saturated router or engine) is polled for sleep only every
-  // kHotStreak-th tick; in between it just stays active.  The virtual
-  // next_wake call — which for a router scans every input FIFO — is the
-  // dominant event-kernel overhead the dense kernel never pays, and under
-  // saturation the answer is almost always "stay awake" anyway.  Any
-  // cycles kept awake in error are no-op ticks by the dense-mode
-  // contract, so statistics cannot move; a deferred pending_request is
-  // folded in at the next poll, which can only keep the slot awake
-  // longer, never make it miss work.
-  if (++s.streak >= kHotStreak && (s.streak & (kHotStreak - 1)) != 0) {
-    return;
-  }
   Cycle nw = s.c->next_wake(now);
   if (s.pending_request < nw) nw = s.pending_request;
   s.pending_request = Component::kNeverWake;
@@ -208,7 +195,6 @@ void Simulator::finish_tick(std::uint32_t slot, Cycle now) {
   if (nw > now + kLingerWindow) {
     ctx_.set_idle(slot);
     s.c->awake_ = false;
-    s.streak = 0;
     --ctx_.active_count;
     if (nw != Component::kNeverWake) push_wake(slot, nw);
   }

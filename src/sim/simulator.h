@@ -149,9 +149,6 @@ class Simulator {
     /// here — two loads and a store — instead of churning the wake heap;
     /// the value is folded into the post-tick sleep decision and cleared.
     Cycle pending_request = Component::kNeverWake;
-    /// Consecutive ticks without sleeping; drives the hot-slot poll skip
-    /// in finish_tick.
-    std::uint32_t streak = 0;
   };
   struct Wake {
     Cycle cycle;
@@ -263,9 +260,6 @@ class Simulator {
   /// parking it when its next wake is at most this many cycles away; see
   /// the comment in finish_tick for the cost model.
   static constexpr Cycles kLingerWindow = 8;
-  /// After this many consecutive ticks a slot counts as hot and its
-  /// next_wake poll runs only every kHotStreak-th tick (power of two).
-  static constexpr std::uint32_t kHotStreak = 16;
 
   void wake_slot(std::uint32_t slot, Cycle at);
   /// Sets `slot`'s active bit, counting a wake-up; a no-op when the slot

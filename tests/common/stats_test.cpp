@@ -2,53 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace panic {
 namespace {
-
-TEST(StreamingStats, Empty) {
-  StreamingStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(StreamingStats, Basic) {
-  StreamingStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-9);  // sample variance
-}
-
-TEST(StreamingStats, MergeMatchesSequential) {
-  StreamingStats all, a, b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10 + i;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats a, empty;
-  a.add(5.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
-}
 
 TEST(Histogram, Empty) {
   Histogram h;

@@ -14,7 +14,7 @@ struct SweepCase {
   int k;
   std::uint32_t width;
   int rmt_engines;
-  engines::SchedPolicy sched;
+  engines::SchedKind sched;
   engines::KvsCacheMode kvs_mode;
 };
 
@@ -23,7 +23,7 @@ std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   std::string name = "k" + std::to_string(p.k) + "_w" +
                      std::to_string(p.width) + "_rmt" +
                      std::to_string(p.rmt_engines);
-  name += p.sched == engines::SchedPolicy::kSlackPriority ? "_slack" : "_fifo";
+  name += p.sched == engines::SchedKind::kSlack ? "_slack" : "_fifo";
   name += p.kvs_mode == engines::KvsCacheMode::kLocation ? "_loc" : "_val";
   return name;
 }
@@ -72,19 +72,19 @@ TEST_P(ConfigSweep, KvsHitPathWorksEndToEnd) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConfigSweep,
     ::testing::Values(
-        SweepCase{4, 128, 2, engines::SchedPolicy::kSlackPriority,
+        SweepCase{4, 128, 2, engines::SchedKind::kSlack,
                   engines::KvsCacheMode::kLocation},
-        SweepCase{4, 64, 1, engines::SchedPolicy::kSlackPriority,
+        SweepCase{4, 64, 1, engines::SchedKind::kSlack,
                   engines::KvsCacheMode::kLocation},
-        SweepCase{4, 128, 2, engines::SchedPolicy::kFifo,
+        SweepCase{4, 128, 2, engines::SchedKind::kFifo,
                   engines::KvsCacheMode::kLocation},
-        SweepCase{4, 128, 2, engines::SchedPolicy::kSlackPriority,
+        SweepCase{4, 128, 2, engines::SchedKind::kSlack,
                   engines::KvsCacheMode::kValue},
-        SweepCase{5, 256, 3, engines::SchedPolicy::kSlackPriority,
+        SweepCase{5, 256, 3, engines::SchedKind::kSlack,
                   engines::KvsCacheMode::kLocation},
-        SweepCase{6, 64, 2, engines::SchedPolicy::kFifo,
+        SweepCase{6, 64, 2, engines::SchedKind::kFifo,
                   engines::KvsCacheMode::kValue},
-        SweepCase{8, 128, 4, engines::SchedPolicy::kSlackPriority,
+        SweepCase{8, 128, 4, engines::SchedKind::kSlack,
                   engines::KvsCacheMode::kLocation}),
     case_name);
 

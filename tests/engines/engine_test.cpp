@@ -103,7 +103,7 @@ TEST(Engine, SlackPriorityServicesUrgentFirst) {
   const EngineId sink = m.tile(2, 2);
 
   EngineConfig cfg;
-  cfg.sched_policy = SchedPolicy::kSlackPriority;
+  cfg.sched_policy = SchedKind::kSlack;
   DelayEngine engine("delay", &m.mesh.ni(worker), cfg, /*fixed=*/200);
   m.sim.add(&engine);
 

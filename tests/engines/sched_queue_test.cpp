@@ -14,7 +14,7 @@ MessagePtr msg_with_slack(std::uint32_t slack) {
 }
 
 TEST(SchedulerQueue, SlackPriorityOrdering) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 16);
+  SchedulerQueue q(SchedKind::kSlack, 16);
   q.try_enqueue(msg_with_slack(50), 0);
   q.try_enqueue(msg_with_slack(10), 0);
   q.try_enqueue(msg_with_slack(30), 0);
@@ -26,7 +26,7 @@ TEST(SchedulerQueue, SlackPriorityOrdering) {
 }
 
 TEST(SchedulerQueue, FifoPolicyIgnoresSlack) {
-  SchedulerQueue q(SchedPolicy::kFifo, 16);
+  SchedulerQueue q(SchedKind::kFifo, 16);
   q.try_enqueue(msg_with_slack(50), 0);
   q.try_enqueue(msg_with_slack(10), 0);
   EXPECT_EQ(q.dequeue(0)->slack, 50u);  // arrival order
@@ -34,7 +34,7 @@ TEST(SchedulerQueue, FifoPolicyIgnoresSlack) {
 }
 
 TEST(SchedulerQueue, EqualSlackIsFifo) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 16);
+  SchedulerQueue q(SchedKind::kSlack, 16);
   for (std::uint32_t i = 0; i < 5; ++i) {
     auto msg = msg_with_slack(7);
     msg->flow = FlowId{i};
@@ -48,14 +48,14 @@ TEST(SchedulerQueue, EqualSlackIsFifo) {
 TEST(SchedulerQueue, UrgentArrivalOvertakesQueuedBulk) {
   // The §3.1.3 scenario: bulk messages are queued; a high-priority (low
   // slack) message arrives later and must dequeue first.
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 64);
+  SchedulerQueue q(SchedKind::kSlack, 64);
   for (int i = 0; i < 10; ++i) q.try_enqueue(msg_with_slack(1000), 0);
   q.try_enqueue(msg_with_slack(1), 5);
   EXPECT_EQ(q.dequeue(5)->slack, 1u);
 }
 
 TEST(SchedulerQueue, DropsWhenFull) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 2);
+  SchedulerQueue q(SchedKind::kSlack, 2);
   EXPECT_TRUE(q.try_enqueue(msg_with_slack(1), 0));
   EXPECT_TRUE(q.try_enqueue(msg_with_slack(2), 0));
   EXPECT_FALSE(q.try_enqueue(msg_with_slack(0), 0));  // dropped, even urgent
@@ -64,7 +64,7 @@ TEST(SchedulerQueue, DropsWhenFull) {
 }
 
 TEST(SchedulerQueue, WaitAccounting) {
-  SchedulerQueue q(SchedPolicy::kFifo, 8);
+  SchedulerQueue q(SchedKind::kFifo, 8);
   q.try_enqueue(msg_with_slack(0), 10);
   q.try_enqueue(msg_with_slack(0), 20);
   q.dequeue(30);  // waited 20
@@ -74,7 +74,7 @@ TEST(SchedulerQueue, WaitAccounting) {
 }
 
 TEST(SchedulerQueue, MaxDepthTracksHighWater) {
-  SchedulerQueue q(SchedPolicy::kFifo, 8);
+  SchedulerQueue q(SchedKind::kFifo, 8);
   q.try_enqueue(msg_with_slack(0), 0);
   q.try_enqueue(msg_with_slack(0), 0);
   q.dequeue(0);
@@ -83,7 +83,7 @@ TEST(SchedulerQueue, MaxDepthTracksHighWater) {
 }
 
 TEST(SchedulerQueue, HeadSlack) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 8);
+  SchedulerQueue q(SchedKind::kSlack, 8);
   EXPECT_EQ(q.head_slack(), 0u);
   q.try_enqueue(msg_with_slack(42), 0);
   q.try_enqueue(msg_with_slack(7), 0);
@@ -91,14 +91,13 @@ TEST(SchedulerQueue, HeadSlack) {
 }
 
 TEST(SchedulerQueue, ZeroCapacityClampedToOne) {
-  SchedulerQueue q(SchedPolicy::kFifo, 0);
+  SchedulerQueue q(SchedKind::kFifo, 0);
   EXPECT_TRUE(q.try_enqueue(msg_with_slack(0), 0));
   EXPECT_FALSE(q.try_enqueue(msg_with_slack(0), 0));
 }
 
 TEST(SchedulerQueue, EvictLoosestAdmitsUrgentWhenFull) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 3,
-                   DropPolicy::kEvictLoosest);
+  SchedulerQueue q(SchedKind::kSlack, 3, DropPolicy::kEvictLoosest);
   q.try_enqueue(msg_with_slack(100), 0);
   q.try_enqueue(msg_with_slack(500), 0);
   q.try_enqueue(msg_with_slack(300), 0);
@@ -114,8 +113,7 @@ TEST(SchedulerQueue, EvictLoosestAdmitsUrgentWhenFull) {
 }
 
 TEST(SchedulerQueue, EvictLoosestStillDropsLooserArrival) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 2,
-                   DropPolicy::kEvictLoosest);
+  SchedulerQueue q(SchedKind::kSlack, 2, DropPolicy::kEvictLoosest);
   q.try_enqueue(msg_with_slack(10), 0);
   q.try_enqueue(msg_with_slack(20), 0);
   // The arrival is looser than everything queued: it is the one dropped.
@@ -126,8 +124,7 @@ TEST(SchedulerQueue, EvictLoosestStillDropsLooserArrival) {
 }
 
 TEST(SchedulerQueue, EvictLoosestEqualSlackDropsArrival) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 1,
-                   DropPolicy::kEvictLoosest);
+  SchedulerQueue q(SchedKind::kSlack, 1, DropPolicy::kEvictLoosest);
   q.try_enqueue(msg_with_slack(50), 0);
   // Equal slack: the queued (older) message keeps its place.
   EXPECT_FALSE(q.try_enqueue(msg_with_slack(50), 0));
@@ -139,7 +136,7 @@ TEST(SchedulerQueue, DropArrivalOverflowAccountsEverywhere) {
   // must all agree on how many messages the overflow destroyed.
   fault::ConservationChecker conservation;
   telemetry::MetricsRegistry m;
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 4, DropPolicy::kDropArrival);
+  SchedulerQueue q(SchedKind::kSlack, 4, DropPolicy::kDropArrival);
   q.register_metrics(m, "engine.test.queue");
 
   for (std::uint32_t i = 0; i < 6; ++i) q.try_enqueue(msg_with_slack(i), 0);
@@ -160,7 +157,7 @@ TEST(SchedulerQueue, EvictLoosestOverflowAccountsEverywhere) {
   // queued message, and every victim gets a kDropped fate.
   fault::ConservationChecker conservation;
   telemetry::MetricsRegistry m;
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 4, DropPolicy::kEvictLoosest);
+  SchedulerQueue q(SchedKind::kSlack, 4, DropPolicy::kEvictLoosest);
   q.register_metrics(m, "engine.test.queue");
 
   // Fill with loose messages, then push urgent ones that each evict.
@@ -188,7 +185,7 @@ TEST(SchedulerQueue, EvictAllDrainsWithoutTouchingStatistics) {
   // Fault drains are not scheduling decisions: the caller assigns fates
   // and the drop/dequeue counters stay untouched.
   fault::ConservationChecker conservation;
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 8);
+  SchedulerQueue q(SchedKind::kSlack, 8);
   for (std::uint32_t i = 0; i < 5; ++i) q.try_enqueue(msg_with_slack(i), 0);
 
   auto drained = q.evict_all();
@@ -203,9 +200,22 @@ TEST(SchedulerQueue, EvictAllDrainsWithoutTouchingStatistics) {
   EXPECT_TRUE(conservation.verify());
 }
 
+TEST(SchedulerQueue, FifoEvictLoosestTailDrops) {
+  // Eviction compares ranks, and under `sched fifo` every rank is 0: no
+  // queued message is looser than the arrival, so evict degenerates to
+  // tail-drop whatever the slacks say.
+  SchedulerQueue q(SchedKind::kFifo, 2, DropPolicy::kEvictLoosest);
+  q.try_enqueue(msg_with_slack(500), 0);
+  q.try_enqueue(msg_with_slack(900), 0);
+  EXPECT_FALSE(q.try_enqueue(msg_with_slack(1), 0));
+  EXPECT_EQ(q.dropped(), 1u);
+  EXPECT_EQ(q.dequeue(0)->slack, 500u);
+  EXPECT_EQ(q.dequeue(0)->slack, 900u);
+  EXPECT_EQ(q.dequeue(0), nullptr);
+}
+
 TEST(SchedulerQueue, DropArrivalNeverEvicts) {
-  SchedulerQueue q(SchedPolicy::kSlackPriority, 1,
-                   DropPolicy::kDropArrival);
+  SchedulerQueue q(SchedKind::kSlack, 1, DropPolicy::kDropArrival);
   q.try_enqueue(msg_with_slack(1000), 0);
   EXPECT_FALSE(q.try_enqueue(msg_with_slack(1), 0));  // urgent but dropped
   EXPECT_EQ(q.dequeue(0)->slack, 1000u);

@@ -9,7 +9,6 @@
 #include "engines/tso_engine.h"
 #include "net/packet.h"
 #include "rmt/parser.h"
-#include "workload/trace.h"
 
 namespace panic {
 namespace {

@@ -15,7 +15,7 @@ Scenario small_scenario() {
   s.eth_ports = 2;
   s.rmt_engines = 1;
   s.aux_engines = 2;
-  s.sched_policy = engines::SchedPolicy::kSlackPriority;
+  s.sched_policy = engines::SchedKind::kSlack;
   s.drop_policy = engines::DropPolicy::kEvictLoosest;
   s.engine_queue_capacity = 8;
   s.rmt_input_queue = 64;
@@ -68,26 +68,26 @@ TEST(Scenario, ParseRejectsMalformedInput) {
   EXPECT_NE(error.find("header"), std::string::npos);
 
   EXPECT_FALSE(
-      Scenario::parse("panicfuzz 1\nmesh_k 4\n", &error).has_value());
+      Scenario::parse("panic_scenario 1\nmesh_k 4\n", &error).has_value());
   EXPECT_NE(error.find("end"), std::string::npos);
 
   EXPECT_FALSE(
-      Scenario::parse("panicfuzz 1\nwibble 3\nend\n", &error).has_value());
+      Scenario::parse("panic_scenario 1\nwibble 3\nend\n", &error).has_value());
   EXPECT_NE(error.find("wibble"), std::string::npos);
 
-  EXPECT_FALSE(Scenario::parse("panicfuzz 1\nworkload port=zero\nend\n",
+  EXPECT_FALSE(Scenario::parse("panic_scenario 1\nworkload port=zero\nend\n",
                                &error)
                    .has_value());
 
   EXPECT_FALSE(
-      Scenario::parse("panicfuzz 1\nfault explode dma @5\nend\n", &error)
+      Scenario::parse("panic_scenario 1\nfault explode dma @5\nend\n", &error)
           .has_value());
   EXPECT_NE(error.find("fault plan"), std::string::npos);
 }
 
 TEST(Scenario, ParseAcceptsCommentsAndBlankLines) {
   const auto parsed = Scenario::parse(
-      "# a comment\n\npanicfuzz 1\n  # indented comment\nmesh_k 5\nend\n");
+      "# a comment\n\npanic_scenario 1\n  # indented comment\nmesh_k 5\nend\n");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->mesh_k, 5);
 }
@@ -126,7 +126,7 @@ TEST(Scenario, ToConfigCarriesEveryKnob) {
   EXPECT_EQ(cfg.eth_ports, 2);
   EXPECT_EQ(cfg.rmt_engines, 1);
   EXPECT_EQ(cfg.aux_engines, 2);
-  EXPECT_EQ(cfg.sched_policy, engines::SchedPolicy::kSlackPriority);
+  EXPECT_EQ(cfg.sched_policy, engines::SchedKind::kSlack);
   EXPECT_EQ(cfg.drop_policy, engines::DropPolicy::kEvictLoosest);
   EXPECT_EQ(cfg.engine_queue_capacity, 8u);
   EXPECT_EQ(cfg.rmt_input_queue, 64u);

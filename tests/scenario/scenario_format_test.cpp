@@ -1,7 +1,7 @@
 // The scenario-language contract: canonical serialization is a parse
 // fixpoint (parse -> to_string -> parse is byte-identical), malformed
-// input fails with a line-numbered error, and the legacy `panicfuzz 1`
-// replay header still parses.
+// input fails with a line-numbered error, and `panic_scenario 1` is the
+// only header.
 #include "scenario/scenario.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ Scenario make_full_scenario() {
   s.rmt_engines = 2;
   s.aux_engines = 2;
   s.spare_tiles = 1;
-  s.sched_policy = engines::SchedPolicy::kFifo;
+  s.sched_policy = engines::SchedKind::kFifo;
   s.drop_policy = engines::DropPolicy::kEvictLoosest;
   s.engine_queue_capacity = 128;
   s.rmt_input_queue = 256;
@@ -208,13 +208,11 @@ TEST(ScenarioFormat, NonCanonicalInputNormalizes) {
   EXPECT_EQ(parsed->to_string(), tidy.to_string());
 }
 
-TEST(ScenarioFormat, LegacyPanicfuzzHeaderStillAccepted) {
+TEST(ScenarioFormat, LegacyPanicfuzzHeaderRejected) {
   std::string error;
-  const auto parsed = Scenario::parse("panicfuzz 1\nseed 9\nend\n", &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->seed, 9u);
-  // Canonical output upgrades to the new header.
-  EXPECT_EQ(parsed->to_string().substr(0, 16), "panic_scenario 1");
+  EXPECT_FALSE(
+      Scenario::parse("panicfuzz 1\nseed 9\nend\n", &error).has_value());
+  EXPECT_EQ(error, "line 1: expected 'panic_scenario 1' header");
 }
 
 TEST(ScenarioFormat, ProgramHeredocPreservesBodyVerbatim) {

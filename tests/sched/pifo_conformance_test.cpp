@@ -274,9 +274,9 @@ TEST(PifoConformance, OverflowAccountingClosesLedgerUnderPifo) {
     EXPECT_TRUE(conservation.verify()) << conservation.delta().to_string();
   }
   // kEvictLoosest with a rank program that makes every later arrival
-  // tighter: each arrival evicts the loosest queued message (the
-  // non-legacy path compares ranks, not slack), and the ledger still
-  // closes with evictions counted as drops.
+  // tighter: each arrival evicts the loosest queued message (eviction
+  // compares ranks, not slack), and the ledger still closes with
+  // evictions counted as drops.
   {
     fault::ConservationChecker conservation;
     SchedSpec spec(SchedKind::kCustom);
@@ -325,8 +325,9 @@ TEST(PifoConformance, DropsDoNotAdvanceVirtualFinishTimes) {
 }
 
 TEST(PifoConformance, LegacyKindsKeepMetricNamespace) {
-  // `sched slack` / `sched fifo` snapshots must stay bit-identical to the
-  // pre-PIFO queue: no sched.pifo.* family.  Programmable kinds get it.
+  // The sched.pifo.* family exists exactly when the queue evaluates its
+  // rank program per message: `sched slack` (rank = slack) and `sched
+  // fifo` (rank = 0) take the fast paths and publish none of it.
   for (const SchedKind kind : {SchedKind::kSlack, SchedKind::kFifo}) {
     telemetry::MetricsRegistry m;
     SchedulerQueue q(kind, 8);
@@ -346,6 +347,15 @@ TEST(PifoConformance, LegacyKindsKeepMetricNamespace) {
     EXPECT_TRUE(snap.has("q.pifo.rank_evals")) << to_string(kind);
     EXPECT_TRUE(snap.has("q.pifo.vtime")) << to_string(kind);
     EXPECT_TRUE(snap.has("q.pifo.flows")) << to_string(kind);
+  }
+  // The rule follows the compiled program, not the kind's name.
+  for (const char* source : {"rank = slack\n", "rank = 7\n"}) {
+    SchedSpec spec(SchedKind::kCustom);
+    spec.rank_source = source;
+    telemetry::MetricsRegistry m;
+    SchedulerQueue q(spec, 8);
+    q.register_metrics(m, "q");
+    EXPECT_FALSE(m.snapshot().has("q.pifo.rank_evals")) << source;
   }
 }
 

@@ -178,13 +178,10 @@ TEST(RankProgram, EmptyCustomSpecFails) {
 }
 
 TEST(SchedSpecConversions, LegacyPolicyStillCompilesEverywhere) {
-  // The implicit conversions existing call sites rely on.
-  const SchedSpec from_policy = SchedPolicy::kFifo;
-  EXPECT_EQ(from_policy.kind, SchedKind::kFifo);
+  // The implicit SchedKind -> SchedSpec conversion call sites rely on.
   const SchedSpec from_kind = SchedKind::kEdf;
   EXPECT_EQ(from_kind.kind, SchedKind::kEdf);
-  EXPECT_TRUE(from_policy.legacy());
-  EXPECT_FALSE(from_kind.legacy());
+  EXPECT_EQ(from_kind.source(), builtin_rank_source(SchedKind::kEdf));
 }
 
 TEST(SchedSpecConversions, WeightTable) {

@@ -44,7 +44,7 @@ ScenarioResult run_isolation_scenario(SimMode mode, Cycles cycles) {
   Simulator sim(Frequency::megahertz(500), mode);
   core::PanicConfig config;
   config.mesh.k = 4;
-  config.sched_policy = engines::SchedPolicy::kSlackPriority;
+  config.sched_policy = engines::SchedKind::kSlack;
   config.tenant_slacks = {{1, 10}, {2, 100000}};
   config.dma.contention_mean = 150.0;  // exercises the DMA's Rng draws
   core::PanicNic nic(config, sim);

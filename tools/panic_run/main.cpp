@@ -149,16 +149,6 @@ int main(int argc, char** argv) {
               "JSON must be identical either way modulo rmt.cache.*",
               &rmt_cache);
   args.parse(argc, argv);
-  // Every setting lives in the scenario file or a --flag; a bare
-  // key=value token would otherwise be silently ignored.
-  const std::vector<std::string> keys = args.config().keys();
-  if (!keys.empty()) {
-    std::fprintf(stderr, "%s", args.usage().c_str());
-    std::fprintf(stderr, "unexpected argument '%s=%s': panic_run takes no "
-                 "key=value settings\n", keys[0].c_str(),
-                 args.config().get_string(keys[0], "").c_str());
-    return 2;
-  }
 
   std::vector<std::string> rest = args.positionals();
   std::string command = "run";
