@@ -13,7 +13,7 @@
 // engines killed 30% into the run must deliver >= 80% of its fault-free
 // count, and the run must conserve messages.  Results go to stdout and,
 // machine-readable, to BENCH_fault_resilience.json (including the sim
-// seed for reproduction).  `--seed N` / PANIC_SEED vary the run;
+// seed for reproduction).  `--seed N` varies the run;
 // `--smoke` shrinks it for CI.
 #include <cstdio>
 #include <cstring>

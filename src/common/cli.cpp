@@ -8,60 +8,27 @@
 
 namespace panic::cli {
 
-namespace {
-
-bool parse_int(const char* text, std::int64_t* out) {
-  char* end = nullptr;
-  const std::int64_t v = std::strtoll(text, &end, 0);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_uint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
-
 ArgParser::ArgParser(std::string program, std::string synopsis)
     : program_(std::move(program)), synopsis_(std::move(synopsis)) {}
 
-void ArgParser::add(std::string_view name, std::string_view doc, Kind kind,
-                    void* out) {
-  specs_.push_back(Spec{std::string(name), std::string(doc), kind, out});
+void ArgParser::add(std::string_view name, std::string_view doc,
+                    bool takes_value, Setter set) {
+  specs_.push_back(
+      Spec{std::string(name), std::string(doc), takes_value, std::move(set)});
 }
 
 void ArgParser::flag(std::string_view name, std::string_view doc, bool* out) {
-  add(name, doc, Kind::kBool, out);
+  add(name, doc, false, [out](const char*, std::string*) {
+    *out = true;
+    return true;
+  });
 }
 void ArgParser::option(std::string_view name, std::string_view doc,
                        std::string* out) {
-  add(name, doc, Kind::kString, out);
-}
-void ArgParser::option(std::string_view name, std::string_view doc,
-                       std::int64_t* out) {
-  add(name, doc, Kind::kInt, out);
-}
-void ArgParser::option(std::string_view name, std::string_view doc,
-                       std::uint64_t* out) {
-  add(name, doc, Kind::kUint, out);
-}
-void ArgParser::option(std::string_view name, std::string_view doc,
-                       double* out) {
-  add(name, doc, Kind::kDouble, out);
+  add(name, doc, true, [out](const char* value, std::string*) {
+    *out = value;
+    return true;
+  });
 }
 
 std::string ArgParser::usage() const {
@@ -78,7 +45,7 @@ std::string ArgParser::usage() const {
   line("--help", "print this message and exit");
   for (const Spec& s : specs_) {
     const std::string flag =
-        "--" + s.name + (s.kind == Kind::kBool ? "" : " <v>");
+        "--" + s.name + (s.takes_value ? " <v>" : "");
     line(flag.c_str(), s.doc.c_str());
   }
   return out;
@@ -128,14 +95,17 @@ void ArgParser::parse(int argc, const char* const* argv) {
     }
     if (name == "seed") {
       std::uint64_t v = 0;
-      if (!parse_uint(take_value(), &v)) fail("--seed expects an integer");
+      std::string why;
+      if (!codec::read(take_value(), &v, &why, {}, /*hex=*/true)) {
+        fail("--seed: " + why);
+      }
       set_sim_seed(v);
       seed_given_ = true;
       continue;
     }
     if (name == "mode") {
       const char* value = take_value();
-      const auto mode = sim_mode_from_string(value);
+      const auto mode = codec::value_of<SimMode>(kSimModeNames, value);
       if (!mode) {
         fail(std::string("--mode expects dense|event, got '") +
              value + "'");
@@ -153,31 +123,13 @@ void ArgParser::parse(int argc, const char* const* argv) {
       }
     }
     if (match == nullptr) fail("unknown flag --" + name);
-    switch (match->kind) {
-      case Kind::kBool:
-        if (inline_value != nullptr) fail("--" + name + " takes no value");
-        *static_cast<bool*>(match->out) = true;
-        break;
-      case Kind::kString:
-        *static_cast<std::string*>(match->out) = take_value();
-        break;
-      case Kind::kInt:
-        if (!parse_int(take_value(), static_cast<std::int64_t*>(match->out))) {
-          fail("--" + name + " expects an integer");
-        }
-        break;
-      case Kind::kUint:
-        if (!parse_uint(take_value(),
-                        static_cast<std::uint64_t*>(match->out))) {
-          fail("--" + name + " expects an unsigned integer");
-        }
-        break;
-      case Kind::kDouble:
-        if (!parse_double(take_value(), static_cast<double*>(match->out))) {
-          fail("--" + name + " expects a number");
-        }
-        break;
+    if (!match->takes_value) {
+      if (inline_value != nullptr) fail("--" + name + " takes no value");
+      match->set(nullptr, nullptr);
+      continue;
     }
+    std::string why;
+    if (!match->set(take_value(), &why)) fail("--" + name + ": " + why);
   }
   seed_ = sim_seed();
 }

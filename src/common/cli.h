@@ -30,10 +30,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/sim_mode.h"
 
 namespace panic::cli {
@@ -50,13 +53,20 @@ class ArgParser {
 
   /// Boolean switch: `--name` sets *out = true.
   void flag(std::string_view name, std::string_view doc, bool* out);
-  /// Valued options: `--name <v>` or `--name=<v>`.  Integers accept
-  /// decimal or 0x-hex.
+  /// Valued options: `--name <v>` or `--name=<v>`.  Numbers go through
+  /// common/codec.h and must lie in `range`; integers accept decimal or
+  /// 0x-hex.
   void option(std::string_view name, std::string_view doc, std::string* out);
-  void option(std::string_view name, std::string_view doc, std::int64_t* out);
-  void option(std::string_view name, std::string_view doc,
-              std::uint64_t* out);
-  void option(std::string_view name, std::string_view doc, double* out);
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void option(std::string_view name, std::string_view doc, T* out,
+              codec::Range<T> range = {}) {
+    add(name, doc, true,
+        [out, range](const char* value, std::string* why) {
+          return codec::read(value, out, why, range,
+                             /*hex=*/std::is_integral_v<T>);
+        });
+  }
 
   /// Parses argv, applying built-ins as encountered.  On --help prints
   /// usage and exits 0; on an unknown flag, a malformed value or a bare
@@ -82,15 +92,18 @@ class ArgParser {
   std::string usage() const;
 
  private:
-  enum class Kind : std::uint8_t { kBool, kString, kInt, kUint, kDouble };
+  /// Stores a flag's value (nullptr for a switch); false + *why when the
+  /// value is malformed.
+  using Setter = std::function<bool(const char* value, std::string* why)>;
   struct Spec {
     std::string name;
     std::string doc;
-    Kind kind;
-    void* out;
+    bool takes_value;
+    Setter set;
   };
 
-  void add(std::string_view name, std::string_view doc, Kind kind, void* out);
+  void add(std::string_view name, std::string_view doc, bool takes_value,
+           Setter set);
   [[noreturn]] void fail(const std::string& message) const;
 
   std::string program_;

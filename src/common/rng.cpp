@@ -2,8 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 namespace panic {
 namespace {
@@ -21,23 +19,13 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t& sim_seed_storage() {
-  static std::uint64_t seed = [] {
-    if (const char* env = std::getenv("PANIC_SEED")) {
-      char* end = nullptr;
-      const std::uint64_t v = std::strtoull(env, &end, 0);
-      if (end != env) return v;
-    }
-    return kDefaultSimSeed;
-  }();
-  return seed;
-}
+std::uint64_t g_sim_seed = kDefaultSimSeed;
 
 }  // namespace
 
-std::uint64_t sim_seed() { return sim_seed_storage(); }
+std::uint64_t sim_seed() { return g_sim_seed; }
 
-void set_sim_seed(std::uint64_t seed) { sim_seed_storage() = seed; }
+void set_sim_seed(std::uint64_t seed) { g_sim_seed = seed; }
 
 std::uint64_t derive_seed(std::uint64_t stream) {
   const std::uint64_t global = sim_seed();

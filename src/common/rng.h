@@ -12,14 +12,14 @@ namespace panic {
 /// The default global simulation seed (also every Rng's default seed).
 inline constexpr std::uint64_t kDefaultSimSeed = 0x9E3779B97F4A7C15ull;
 
-/// The process-wide simulation seed.  Resolved once, lazily: an explicit
-/// set_sim_seed() wins, else the PANIC_SEED environment variable (decimal
-/// or 0x-hex), else kDefaultSimSeed.  Every reproducible run — faulty or
-/// not — is a function of this one value plus the per-stream seeds below.
+/// The process-wide simulation seed: kDefaultSimSeed unless
+/// set_sim_seed() (a --seed flag or a scenario's `seed` line) changed it.
+/// Every reproducible run — faulty or not — is a function of this one
+/// value plus the per-stream seeds below.
 std::uint64_t sim_seed();
 
-/// Overrides the global seed (benches/examples call this from a --seed/
-/// seed= argument before building the NIC).  Must be called before any
+/// Overrides the global seed (benches/examples call this from a --seed
+/// argument before building the NIC).  Must be called before any
 /// component derives a stream from it to affect that stream.
 void set_sim_seed(std::uint64_t seed);
 

@@ -2,20 +2,6 @@
 
 namespace panic {
 
-const char* to_string(SimMode mode) {
-  switch (mode) {
-    case SimMode::kEventDriven: return "event";
-    case SimMode::kStrictTick: return "dense";
-  }
-  return "?";
-}
-
-std::optional<SimMode> sim_mode_from_string(std::string_view name) {
-  if (name == "event") return SimMode::kEventDriven;
-  if (name == "dense") return SimMode::kStrictTick;
-  return std::nullopt;
-}
-
 namespace {
 std::optional<SimMode> g_forced_mode;
 }  // namespace

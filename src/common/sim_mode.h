@@ -8,6 +8,8 @@
 #include <optional>
 #include <string_view>
 
+#include "common/codec.h"
+
 namespace panic {
 
 /// Kernel scheduling discipline.
@@ -18,10 +20,14 @@ enum class SimMode : std::uint8_t {
 
 /// "event" / "dense" — the names used by `--mode`, scenario files and
 /// result JSON alike.
-const char* to_string(SimMode mode);
+inline constexpr codec::Name<SimMode> kSimModeNames[] = {
+    {SimMode::kEventDriven, "event"},
+    {SimMode::kStrictTick, "dense"},
+};
 
-/// Reverse of to_string(); nullopt for unknown names.
-std::optional<SimMode> sim_mode_from_string(std::string_view name);
+inline const char* to_string(SimMode mode) {
+  return codec::name_of(kSimModeNames, mode).data();
+}
 
 /// Overrides the process-wide kernel mode (the --mode twin of
 /// set_sim_seed in common/rng.h).  ArgParser applies this

@@ -41,7 +41,7 @@ struct HostDriverConfig {
   /// delay lands in [(1-j)*base, (1+j)*base).  0 disables jitter.
   double jitter = 0.25;
   /// Per-driver jitter stream, combined with the global sim seed via
-  /// derive_seed — shift PANIC_SEED and every retry schedule shifts
+  /// derive_seed — shift --seed and every retry schedule shifts
   /// deterministically with it.
   std::uint64_t seed = 0x7D17;
 };

@@ -4,30 +4,6 @@
 
 namespace panic::engines {
 
-const char* to_string(SchedKind kind) {
-  switch (kind) {
-    case SchedKind::kSlack: return "slack";
-    case SchedKind::kFifo: return "fifo";
-    case SchedKind::kWfq: return "wfq";
-    case SchedKind::kStfq: return "stfq";
-    case SchedKind::kEdf: return "edf";
-    case SchedKind::kPrio: return "prio";
-    case SchedKind::kCustom: return "pifo";
-  }
-  return "slack";
-}
-
-std::optional<SchedKind> sched_kind_from_name(std::string_view name) {
-  if (name == "slack") return SchedKind::kSlack;
-  if (name == "fifo") return SchedKind::kFifo;
-  if (name == "wfq") return SchedKind::kWfq;
-  if (name == "stfq") return SchedKind::kStfq;
-  if (name == "edf") return SchedKind::kEdf;
-  if (name == "prio") return SchedKind::kPrio;
-  if (name == "pifo") return SchedKind::kCustom;
-  return std::nullopt;
-}
-
 std::string builtin_rank_source(SchedKind kind) {
   switch (kind) {
     case SchedKind::kSlack:

@@ -55,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/units.h"
 #include "lang/expr.h"
 
@@ -70,8 +71,17 @@ enum class SchedKind : std::uint8_t {
   kCustom,  ///< a `sched pifo rank=<<END ... END` program
 };
 
-const char* to_string(SchedKind kind);
-std::optional<SchedKind> sched_kind_from_name(std::string_view name);
+/// The `sched` keywords ("pifo" names kCustom).
+inline constexpr codec::Name<SchedKind> kSchedKindNames[] = {
+    {SchedKind::kSlack, "slack"}, {SchedKind::kFifo, "fifo"},
+    {SchedKind::kWfq, "wfq"},     {SchedKind::kStfq, "stfq"},
+    {SchedKind::kEdf, "edf"},     {SchedKind::kPrio, "prio"},
+    {SchedKind::kCustom, "pifo"},
+};
+
+inline const char* to_string(SchedKind kind) {
+  return codec::name_of(kSchedKindNames, kind).data();
+}
 
 /// The canonical rank-program source for a built-in policy.
 std::string builtin_rank_source(SchedKind kind);

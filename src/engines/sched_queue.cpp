@@ -1,7 +1,6 @@
 #include "engines/sched_queue.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -10,37 +9,18 @@ namespace panic::engines {
 
 namespace {
 bool g_audit = false;
-int g_selftest_bug = -1;     // -1 = unresolved (consult the environment)
-int g_selftest_tiebug = -1;  // -1 = unresolved (consult the environment)
-
-int resolve_env_flag(const char* name) {
-  const char* env = std::getenv(name);
-  return (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
-}
+bool g_selftest_bug = false;
+bool g_selftest_tiebug = false;
 }  // namespace
 
 void SchedulerQueue::set_audit(bool on) { g_audit = on; }
 bool SchedulerQueue::audit_enabled() { return g_audit; }
 
-void SchedulerQueue::set_selftest_bug(bool on) { g_selftest_bug = on ? 1 : 0; }
+void SchedulerQueue::set_selftest_bug(bool on) { g_selftest_bug = on; }
+bool SchedulerQueue::selftest_bug() { return g_selftest_bug; }
 
-bool SchedulerQueue::selftest_bug() {
-  if (g_selftest_bug < 0) {
-    g_selftest_bug = resolve_env_flag("PANIC_FUZZ_SELFTEST");
-  }
-  return g_selftest_bug == 1;
-}
-
-void SchedulerQueue::set_selftest_tiebug(bool on) {
-  g_selftest_tiebug = on ? 1 : 0;
-}
-
-bool SchedulerQueue::selftest_tiebug() {
-  if (g_selftest_tiebug < 0) {
-    g_selftest_tiebug = resolve_env_flag("PANIC_FUZZ_TIE_SELFTEST");
-  }
-  return g_selftest_tiebug == 1;
-}
+void SchedulerQueue::set_selftest_tiebug(bool on) { g_selftest_tiebug = on; }
+bool SchedulerQueue::selftest_tiebug() { return g_selftest_tiebug; }
 
 SchedulerQueue::SchedulerQueue(const SchedSpec& spec, std::size_t capacity,
                                DropPolicy drop_policy)

@@ -44,6 +44,12 @@ enum class DropPolicy : std::uint8_t {
                   ///< with the largest rank (if looser than the arrival)
 };
 
+/// The `drop` keywords.
+inline constexpr codec::Name<DropPolicy> kDropPolicyNames[] = {
+    {DropPolicy::kDropArrival, "arrival"},
+    {DropPolicy::kEvictLoosest, "evict"},
+};
+
 class SchedulerQueue {
  public:
   /// `spec` may be a SchedSpec or a SchedKind (which converts).  A
@@ -100,9 +106,8 @@ class SchedulerQueue {
   /// dequeue from a queue holding >= 2 messages returns the SECOND-best
   /// message (a planted off-by-one).  The audit above flags it, so
   /// panic_fuzz must detect it, shrink the scenario and emit a replay —
-  /// pinned by tests/proptest/minimizer_selftest.cpp.  Armed explicitly
-  /// or via a non-zero PANIC_FUZZ_SELFTEST environment variable (read
-  /// once, on first query, unless the setter ran first).
+  /// pinned by tests/proptest/minimizer_selftest.cpp.  Armed by
+  /// `panic_fuzz --selftest`.
   static void set_selftest_bug(bool on);
   static bool selftest_bug();
 
@@ -110,9 +115,8 @@ class SchedulerQueue {
   /// messages dequeue NEWEST-first instead of oldest-first (an off-by-one
   /// in the comparator).  Because it lives inside the heap's Order, only
   /// an audit that re-derives the (rank, seq) order independently can see
-  /// it — which is exactly what the audit above does.  Armed explicitly
-  /// or via PANIC_FUZZ_TIE_SELFTEST (same once-only rules as above);
-  /// exercised by `panic_fuzz --selftest-tie`.
+  /// it — which is exactly what the audit above does.  Armed by
+  /// `panic_fuzz --selftest-tie`.
   static void set_selftest_tiebug(bool on);
   static bool selftest_tiebug();
 

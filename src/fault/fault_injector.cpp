@@ -80,7 +80,7 @@ bool FaultInjector::arm(Simulator& sim, std::string* error) {
     return static_cast<double>(steering_.dead_count());
   });
 
-  // The global --seed/PANIC_SEED shifts the whole plan's streams (identity
+  // The global --seed shifts the whole plan's streams (identity
   // under the default global seed, so plan seeds stand alone in tests).
   const std::uint64_t plan_seed = derive_seed(plan_.seed);
   for (std::size_t i = 0; i < plan_.faults().size(); ++i) {

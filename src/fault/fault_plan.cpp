@@ -1,104 +1,150 @@
 #include "fault/fault_plan.h"
 
-#include <cstdio>
+#include <limits>
 #include <sstream>
+
+#include "common/codec.h"
 
 namespace panic::fault {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kEngineDeath: return "kill";
-    case FaultKind::kEngineStall: return "stall";
-    case FaultKind::kEngineDegrade: return "degrade";
-    case FaultKind::kLinkFlaky: return "flaky";
-    case FaultKind::kCorruption: return "corrupt";
-    case FaultKind::kCreditLeak: return "leak";
-    case FaultKind::kEngineRevive: return "revive";
-    case FaultKind::kSpareActivate: return "spare";
-  }
-  return "?";
-}
-
 namespace {
 
-const char* port_name(int port) {
-  switch (port) {
-    case 0: return "n";
-    case 1: return "e";
-    case 2: return "s";
-    case 3: return "w";
-    case 4: return "local";
-  }
-  return "?";
-}
+constexpr codec::Name<FaultKind> kKindNames[] = {
+    {FaultKind::kEngineDeath, "kill"},    {FaultKind::kEngineStall, "stall"},
+    {FaultKind::kEngineDegrade, "degrade"}, {FaultKind::kLinkFlaky, "flaky"},
+    {FaultKind::kCorruption, "corrupt"},  {FaultKind::kCreditLeak, "leak"},
+    {FaultKind::kEngineRevive, "revive"}, {FaultKind::kSpareActivate, "spare"},
+};
 
-int parse_port(const std::string& s) {
-  if (s == "n" || s == "north") return 0;
-  if (s == "e" || s == "east") return 1;
-  if (s == "s" || s == "south") return 2;
-  if (s == "w" || s == "west") return 3;
-  if (s == "local" || s == "l") return 4;
-  return -1;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t* out) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const std::string& s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
+/// Router input ports; the first spelling of each is the printed one.
+constexpr codec::Name<int> kPortNames[] = {
+    {0, "n"},     {1, "e"},    {2, "s"},     {3, "w"},    {4, "local"},
+    {0, "north"}, {1, "east"}, {2, "south"}, {3, "west"}, {4, "l"},
+};
 
 }  // namespace
 
 std::string FaultSpec::to_string() const {
-  std::ostringstream os;
-  os << fault::to_string(kind) << ' ';
+  std::string out = std::string(codec::name_of(kKindNames, kind)) + " ";
   if (kind == FaultKind::kLinkFlaky || kind == FaultKind::kCreditLeak) {
-    os << router_tile;
-    if (port >= 0) os << " port=" << port_name(port);
+    out += codec::write(router_tile);
+    if (port >= 0) {
+      out += " port=" + std::string(codec::name_of(kPortNames, port));
+    }
   } else {
-    os << engine;
+    out += engine;
   }
-  os << " @" << at;
+  out += " @" + codec::write(at);
+  const std::string for_text =
+      duration > 0 ? " for=" + codec::write(duration) : "";
   switch (kind) {
     case FaultKind::kEngineDeath:
-      if (!fallback.empty()) os << " fallback=" << fallback;
+      if (!fallback.empty()) out += " fallback=" + fallback;
       break;
     case FaultKind::kEngineStall:
-      os << " for=" << duration;
+      out += " for=" + codec::write(duration);
       break;
     case FaultKind::kEngineDegrade:
-      os << " x=" << factor;
-      if (duration > 0) os << " for=" << duration;
+      out += " x=" + codec::write(factor) + for_text;
       break;
     case FaultKind::kLinkFlaky:
-      os << " p=" << probability << " delay=" << delay;
-      if (duration > 0) os << " for=" << duration;
+      out += " p=" + codec::write(probability) +
+             " delay=" + codec::write(delay) + for_text;
       break;
     case FaultKind::kCorruption:
-      os << " p=" << probability;
-      if (duration > 0) os << " for=" << duration;
+      out += " p=" + codec::write(probability) + for_text;
       break;
     case FaultKind::kCreditLeak:
-      os << " credits=" << amount;
+      out += " credits=" + codec::write(amount);
       break;
     case FaultKind::kEngineRevive:
-      if (warmup > 0) os << " warmup=" << warmup;
+      if (warmup > 0) out += " warmup=" + codec::write(warmup);
       break;
     case FaultKind::kSpareActivate:
-      os << " for=" << spare_for;
+      out += " for=" + spare_for;
       break;
   }
-  return os.str();
+  return out;
+}
+
+std::optional<FaultSpec> FaultSpec::parse(std::string_view line,
+                                          std::string* error) {
+  auto fail = [&](const std::string& why) -> std::optional<FaultSpec> {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  std::istringstream toks{std::string(line.substr(0, line.find('#')))};
+  std::vector<std::string> tok;
+  for (std::string t; toks >> t;) tok.push_back(std::move(t));
+  if (tok.empty()) return fail("missing fault kind");
+
+  FaultSpec spec;
+  const auto kind = codec::value_of<FaultKind>(kKindNames, tok[0]);
+  if (!kind) return fail("unknown fault kind '" + tok[0] + "'");
+  spec.kind = *kind;
+  if (tok.size() < 2) return fail("missing target");
+
+  if (spec.kind == FaultKind::kLinkFlaky ||
+      spec.kind == FaultKind::kCreditLeak) {
+    if (!codec::read(tok[1], &spec.router_tile, nullptr,
+                     {0, std::numeric_limits<int>::max()})) {
+      return fail("router target must be a tile id");
+    }
+  } else {
+    spec.engine = tok[1];
+  }
+
+  bool saw_at = false;
+  for (std::size_t i = 2; i < tok.size(); ++i) {
+    const std::string& t = tok[i];
+    // "@<cycle>" or "key=value".
+    const std::size_t eq = t[0] == '@' ? 0 : t.find('=');
+    const std::string key = t[0] == '@' ? "@" : t.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : t.substr(eq + 1);
+    std::string why;
+    bool ok = true;
+    if (key == "@") {
+      ok = codec::read(value, &spec.at, &why);
+      saw_at = true;
+    } else if (eq == std::string::npos) {
+      return fail("unknown token '" + t + "'");
+    } else if (key == "for" && spec.kind == FaultKind::kSpareActivate) {
+      spec.spare_for = value;  // an engine name, not a duration
+    } else if (key == "for") {
+      ok = codec::read(value, &spec.duration, &why);
+    } else if (key == "warmup") {
+      ok = codec::read(value, &spec.warmup, &why);
+    } else if (key == "x") {
+      ok = codec::read(value, &spec.factor, &why,
+                       {0.0, std::numeric_limits<double>::max(), true});
+    } else if (key == "p") {
+      ok = codec::read(value, &spec.probability, &why, {0.0, 1.0});
+    } else if (key == "delay") {
+      ok = codec::read(value, &spec.delay, &why);
+    } else if (key == "credits") {
+      ok = codec::read(value, &spec.amount, &why);
+    } else if (key == "fallback") {
+      spec.fallback = value;
+    } else if (key == "port") {
+      const auto port = codec::value_of<int>(kPortNames, value);
+      if (!port) return fail("bad port in " + t);
+      spec.port = *port;
+    } else {
+      return fail("unknown token '" + t + "'");
+    }
+    if (!ok) return fail("bad " + t + ": " + why);
+  }
+  if (!saw_at) return fail("missing @<cycle>");
+  if (spec.kind == FaultKind::kEngineStall && spec.duration == 0) {
+    return fail("stall requires for=<cycles>");
+  }
+  if (spec.kind == FaultKind::kCreditLeak && spec.amount == 0) {
+    return fail("leak requires credits=<n>");
+  }
+  if (spec.kind == FaultKind::kSpareActivate && spec.spare_for.empty()) {
+    return fail("spare requires for=<dead_engine>");
+  }
+  return spec;
 }
 
 FaultPlan& FaultPlan::kill(std::string engine, Cycle at, std::string fb) {
@@ -191,127 +237,6 @@ FaultPlan& FaultPlan::spare(std::string engine, std::string dead_engine,
   s.at = at;
   add(std::move(s));
   return *this;
-}
-
-std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
-                                          std::string* error) {
-  FaultPlan plan;
-  std::istringstream lines(text);
-  std::string line;
-  int lineno = 0;
-
-  auto fail = [&](const std::string& why) -> std::optional<FaultPlan> {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(lineno) + ": " + why;
-    }
-    return std::nullopt;
-  };
-
-  while (std::getline(lines, line)) {
-    ++lineno;
-    // Strip comments, tokenize on whitespace.
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    std::istringstream toks(line);
-    std::vector<std::string> tok;
-    for (std::string t; toks >> t;) tok.push_back(std::move(t));
-    if (tok.empty()) continue;
-
-    if (tok[0] == "seed") {
-      if (tok.size() != 2 || !parse_u64(tok[1], &plan.seed)) {
-        return fail("expected: seed <u64>");
-      }
-      continue;
-    }
-
-    FaultSpec spec;
-    if (tok[0] == "kill") {
-      spec.kind = FaultKind::kEngineDeath;
-    } else if (tok[0] == "stall") {
-      spec.kind = FaultKind::kEngineStall;
-    } else if (tok[0] == "degrade") {
-      spec.kind = FaultKind::kEngineDegrade;
-    } else if (tok[0] == "flaky") {
-      spec.kind = FaultKind::kLinkFlaky;
-    } else if (tok[0] == "corrupt") {
-      spec.kind = FaultKind::kCorruption;
-    } else if (tok[0] == "leak") {
-      spec.kind = FaultKind::kCreditLeak;
-    } else if (tok[0] == "revive") {
-      spec.kind = FaultKind::kEngineRevive;
-    } else if (tok[0] == "spare") {
-      spec.kind = FaultKind::kSpareActivate;
-    } else {
-      return fail("unknown fault kind '" + tok[0] + "'");
-    }
-    if (tok.size() < 2) return fail("missing target");
-
-    const bool router_target = spec.kind == FaultKind::kLinkFlaky ||
-                               spec.kind == FaultKind::kCreditLeak;
-    if (router_target) {
-      std::uint64_t tile = 0;
-      if (!parse_u64(tok[1], &tile)) return fail("router target must be a tile id");
-      spec.router_tile = static_cast<int>(tile);
-    } else {
-      spec.engine = tok[1];
-    }
-
-    bool saw_at = false;
-    for (std::size_t i = 2; i < tok.size(); ++i) {
-      const std::string& t = tok[i];
-      std::uint64_t u = 0;
-      double d = 0.0;
-      if (t.size() > 1 && t[0] == '@') {
-        if (!parse_u64(t.substr(1), &spec.at)) return fail("bad cycle in " + t);
-        saw_at = true;
-      } else if (t.rfind("for=", 0) == 0) {
-        if (spec.kind == FaultKind::kSpareActivate) {
-          spec.spare_for = t.substr(4);  // an engine name, not a duration
-        } else if (!parse_u64(t.substr(4), &spec.duration)) {
-          return fail("bad " + t);
-        }
-      } else if (t.rfind("warmup=", 0) == 0) {
-        if (!parse_u64(t.substr(7), &spec.warmup)) return fail("bad " + t);
-      } else if (t.rfind("x=", 0) == 0) {
-        if (!parse_double(t.substr(2), &spec.factor)) return fail("bad " + t);
-      } else if (t.rfind("p=", 0) == 0) {
-        if (!parse_double(t.substr(2), &d)) return fail("bad " + t);
-        spec.probability = d;
-      } else if (t.rfind("delay=", 0) == 0) {
-        if (!parse_u64(t.substr(6), &spec.delay)) return fail("bad " + t);
-      } else if (t.rfind("credits=", 0) == 0) {
-        if (!parse_u64(t.substr(8), &u)) return fail("bad " + t);
-        spec.amount = static_cast<std::uint32_t>(u);
-      } else if (t.rfind("fallback=", 0) == 0) {
-        spec.fallback = t.substr(9);
-      } else if (t.rfind("port=", 0) == 0) {
-        spec.port = parse_port(t.substr(5));
-        if (spec.port < 0) return fail("bad port in " + t);
-      } else {
-        return fail("unknown token '" + t + "'");
-      }
-    }
-    if (!saw_at) return fail("missing @<cycle>");
-    if (spec.kind == FaultKind::kEngineStall && spec.duration == 0) {
-      return fail("stall requires for=<cycles>");
-    }
-    if (spec.kind == FaultKind::kCreditLeak && spec.amount == 0) {
-      return fail("leak requires credits=<n>");
-    }
-    if (spec.kind == FaultKind::kSpareActivate && spec.spare_for.empty()) {
-      return fail("spare requires for=<dead_engine>");
-    }
-    plan.add(std::move(spec));
-  }
-  return plan;
-}
-
-std::string FaultPlan::to_string() const {
-  std::ostringstream os;
-  os << "seed " << seed << '\n';
-  for (const FaultSpec& s : faults_) os << s.to_string() << '\n';
-  return os.str();
 }
 
 }  // namespace panic::fault

@@ -12,11 +12,10 @@
 // the plan's seed through common/rng.h splitmix streams, one stream per
 // fault, so adding a fault never perturbs the draws of another.
 //
-// Plans can be built programmatically (the builder helpers below) or
-// parsed from a config string — one fault per line:
+// Plans are built programmatically (the builder helpers below) or read
+// one fault line at a time by FaultSpec::parse — the `fault` lines of a
+// scenario file (src/scenario), whose `fault_seed` line sets the seed:
 //
-//   # comment (blank lines ignored)
-//   seed 42
 //   kill     <engine> @<cycle> [fallback=<engine>]
 //   stall    <engine> @<cycle> for=<cycles>
 //   degrade  <engine> @<cycle> x=<factor> [for=<cycles>]
@@ -27,7 +26,9 @@
 //   revive   <engine> @<cycle> [warmup=<cycles>]
 //   spare    <engine> for=<dead_engine> @<cycle>
 //
-// `for=0` / omitted duration means "until the end of the run" (permanent).
+// Numbers go through common/codec.h: decimal, whole token, in range
+// (x > 0, p in 0..1); a `#` starts a comment.  `for=0` / omitted duration
+// means "until the end of the run" (permanent).
 // `revive` brings a killed engine back: it accepts work again at <cycle>,
 // and after `warmup` further cycles the SteeringDirectory marks it alive so
 // new chains steer back to it (in-flight messages drain on the old path).
@@ -41,6 +42,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
@@ -60,8 +62,6 @@ enum class FaultKind : std::uint8_t {
 
 /// Number of FaultKind values (sized arrays in the injector telemetry).
 inline constexpr std::size_t kFaultKindCount = 8;
-
-const char* to_string(FaultKind kind);
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kEngineDeath;
@@ -92,8 +92,15 @@ struct FaultSpec {
   /// `for=<engine>` operand — a name, unlike the duration `for=` elsewhere).
   std::string spare_for;
 
-  /// Round-trips through FaultPlan::parse.
+  /// Round-trips through parse().
   std::string to_string() const;
+
+  /// Parses one fault line of the grammar above.  nullopt, and the reason
+  /// in *error when non-null, on malformed input.
+  static std::optional<FaultSpec> parse(std::string_view line,
+                                        std::string* error = nullptr);
+
+  bool operator==(const FaultSpec&) const = default;
 };
 
 class FaultPlan {
@@ -124,13 +131,7 @@ class FaultPlan {
   FaultPlan& revive(std::string engine, Cycle at, Cycles warmup = 0);
   FaultPlan& spare(std::string engine, std::string dead_engine, Cycle at);
 
-  /// Parses the line-oriented config format above.  Returns nullopt (and
-  /// fills *error with "line N: reason" when non-null) on malformed input.
-  static std::optional<FaultPlan> parse(const std::string& text,
-                                        std::string* error = nullptr);
-
-  /// Round-trips through parse().
-  std::string to_string() const;
+  bool operator==(const FaultPlan&) const = default;
 
  private:
   std::vector<FaultSpec> faults_;

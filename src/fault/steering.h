@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/ids.h"
 
 namespace panic::fault {
@@ -32,6 +33,12 @@ namespace panic::fault {
 enum class NoRoutePolicy : std::uint8_t {
   kDrop,
   kBackpressure,
+};
+
+/// The `on_no_route` keywords.
+inline constexpr codec::Name<NoRoutePolicy> kNoRoutePolicyNames[] = {
+    {NoRoutePolicy::kDrop, "drop"},
+    {NoRoutePolicy::kBackpressure, "backpressure"},
 };
 
 class SteeringDirectory {

@@ -158,9 +158,7 @@ class ExprParser {
       out.reads_.push_back(*slot);
       return emit(out, Op::kVar, *slot, +1);
     }
-    if (tok.kind == TokKind::kError) {
-      return fail("bad character '" + tok.text + "'");
-    }
+    if (tok.kind == TokKind::kError) return fail(tok.error);
     if (tok.kind == TokKind::kEnd) return fail("expected expression");
     return fail("expected expression, got '" + tok.text + "'");
   }

@@ -2,6 +2,9 @@
 
 #include <cctype>
 
+#include "common/codec.h"
+#include "net/addr.h"
+
 namespace panic::lang {
 
 void Lexer::skip_ws() {
@@ -26,54 +29,30 @@ Token Lexer::lex_number() {
   Token t;
   t.line = line_;
   t.kind = TokKind::kNumber;
+  // The token is the whole run of letters, digits, '_' and '.', so `4x`
+  // and `1.5` are bad numbers rather than a number and something else.
   const std::size_t start = pos_;
-  // Dotted quad?  Exactly three dots with digits between reads as an IPv4
-  // address literal (p4lite table keys).
-  std::size_t probe = pos_;
   int dots = 0;
-  while (probe < src_.size() &&
-         (std::isdigit(static_cast<unsigned char>(src_[probe])) ||
-          src_[probe] == '.')) {
-    if (src_[probe] == '.') ++dots;
-    ++probe;
-  }
-  if (dots == 3) {
-    std::uint64_t value = 0;
-    std::uint64_t octet = 0;
-    for (; pos_ < probe; ++pos_) {
-      if (src_[pos_] == '.') {
-        value = (value << 8) | octet;
-        octet = 0;
-      } else {
-        octet = octet * 10 + static_cast<std::uint64_t>(src_[pos_] - '0');
-      }
-    }
-    t.value = (value << 8) | octet;
-    t.text = std::string(src_.substr(start, pos_ - start));
-    return t;
-  }
-  if (src_[pos_] == '0' && pos_ + 1 < src_.size() &&
-      (src_[pos_ + 1] == 'x' || src_[pos_ + 1] == 'X')) {
-    pos_ += 2;
-    std::uint64_t value = 0;
-    while (pos_ < src_.size() &&
-           std::isxdigit(static_cast<unsigned char>(src_[pos_]))) {
-      const char d = src_[pos_++];
-      value = value * 16 +
-              static_cast<std::uint64_t>(
-                  d <= '9' ? d - '0' : (d | 0x20) - 'a' + 10);
-    }
-    t.value = value;
-    t.text = std::string(src_.substr(start, pos_ - start));
-    return t;
-  }
-  std::uint64_t value = 0;
   while (pos_ < src_.size() &&
-         std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-    value = value * 10 + static_cast<std::uint64_t>(src_[pos_++] - '0');
+         (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
+          src_[pos_] == '_' || src_[pos_] == '.')) {
+    if (src_[pos_] == '.') ++dots;
+    ++pos_;
   }
-  t.value = value;
   t.text = std::string(src_.substr(start, pos_ - start));
+  std::string why;
+  if (dots == 3) {
+    // A dotted quad is an IPv4 address literal (p4lite table keys).
+    if (const auto addr = Ipv4Addr::parse(t.text)) {
+      t.value = addr->value();
+      return t;
+    }
+    why = "expected an IPv4 address, got '" + t.text + "'";
+  } else if (codec::read(t.text, &t.value, &why, {}, /*hex=*/true)) {
+    return t;
+  }
+  t.kind = TokKind::kError;
+  t.error = "bad number: " + why;
   return t;
 }
 
@@ -166,6 +145,7 @@ Token Lexer::next() {
   ++pos_;
   t.kind = TokKind::kError;
   t.text = std::string(1, c);
+  t.error = "bad character '" + t.text + "'";
   return t;
 }
 

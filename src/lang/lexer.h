@@ -3,8 +3,10 @@
 // Extracted from the p4lite RMT compiler so the scheduler's rank-program
 // compiler (src/engines/rank_program) and p4lite expressions share one
 // token stream: identifiers with dots (ipv4.dst, flow.finish), decimal /
-// hex / dotted-quad numbers, '#' and '//' comments, and the full C-like
-// operator set used by lang::Expr.
+// hex / dotted-quad numbers (read by common/codec.h and Ipv4Addr::parse,
+// so an out-of-range literal is an error token, never a wrapped value),
+// '#' and '//' comments, and the full C-like operator set used by
+// lang::Expr.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +30,14 @@ enum class TokKind : std::uint8_t {
   kAndAnd, kOrOr,       // && ||
   kQuestion, kColon,    // ? :
   kEnd,    // end of input
-  kError,  // unlexable character (text holds it)
+  kError,  // bad character or number (text holds it, error says why)
 };
 
 struct Token {
   TokKind kind = TokKind::kEnd;
   std::string text;
   std::uint64_t value = 0;  // for kNumber
+  std::string error;        // for kError: why the token is bad
   int line = 0;             // 1-based
 };
 

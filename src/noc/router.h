@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "noc/burst_queue.h"
 #include "noc/flit.h"
@@ -71,6 +72,12 @@ const char* to_string(Direction d);
 /// on a mesh without virtual channels, and able to route around congested
 /// links for east-bound traffic.
 enum class RoutingAlgo : std::uint8_t { kXY, kWestFirst };
+
+/// The `routing` keywords.
+inline constexpr codec::Name<RoutingAlgo> kRoutingNames[] = {
+    {RoutingAlgo::kXY, "xy"},
+    {RoutingAlgo::kWestFirst, "westfirst"},
+};
 
 class Mesh;
 

@@ -12,6 +12,5 @@ using Scenario = panic::scenario::Scenario;
 using WorkloadSpec = panic::scenario::WorkloadSpec;
 using InjectSpec = panic::scenario::InjectSpec;
 using HostTxSpec = panic::scenario::HostTxSpec;
-using panic::scenario::to_string;
 
 }  // namespace panic::proptest

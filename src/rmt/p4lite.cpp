@@ -1,6 +1,5 @@
 #include "rmt/p4lite.h"
 
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -37,9 +36,6 @@ class Compiler {
   bool compile_into(RmtProgram& program, bool require_parser) {
     bool saw_parser = false;
     while (cur().kind != TokKind::kEnd) {
-      if (cur().kind == TokKind::kError) {
-        return fail("bad character in input");
-      }
       if (cur().kind == TokKind::kIdent && cur().text == "parser") {
         advance();
         if (!expect_ident("default") || !expect(TokKind::kSemi)) return false;
@@ -63,12 +59,11 @@ class Compiler {
   const lang::Token& cur() const { return cursor_.cur; }
   void advance() { cursor_.advance(); }
 
+  /// Records the first error; at a bad token the lexer's reason wins.
   bool fail(const std::string& message) {
     if (error_.empty()) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "p4lite:%d: %s", cur().line,
-                    message.c_str());
-      error_ = buf;
+      error_ = "p4lite:" + std::to_string(cur().line) + ": " +
+               (cur().kind == TokKind::kError ? cur().error : message);
     }
     return false;
   }

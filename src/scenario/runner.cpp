@@ -122,9 +122,9 @@ ScenarioRun::ScenarioRun(const Scenario& s, const RunOptions& opts)
     : scenario_(s),
       opts_(opts),
       sim_(Frequency::megahertz(s.freq_mhz), opts.mode) {
-  if (!scenario_.feasible()) {
+  if (std::string why; !scenario_.feasible(/*strict_finite=*/false, &why)) {
     throw std::runtime_error("scenario '" + scenario_.name +
-                             "' is not feasible (topology/ports/queues)");
+                             "' is not feasible: " + why);
   }
   if (!opts_.trace_path.empty()) sim_.telemetry().tracer().enable();
   if (scenario_.pool_reserve > 0) {

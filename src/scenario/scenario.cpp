@@ -1,10 +1,14 @@
 #include "scenario/scenario.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/codec.h"
 #include "common/log.h"
 #include "engines/rank_program.h"
 #include "net/addr.h"
@@ -18,410 +22,765 @@ namespace {
 /// compression, checksum, regex, tso, rate_limiter) — must match
 /// PanicNic::plan_topology.
 constexpr int kFixedEngineTiles = 11;
+/// No tile count can exceed the largest mesh.
+constexpr int kMaxTiles = kMaxMeshK * kMaxMeshK;
+/// RMT flow-cache geometry bounds.
+constexpr std::uint32_t kMaxCacheSets = 1u << 20;
+constexpr std::uint32_t kMaxCacheWays = 1024;
 
-const char* pattern_name(workload::ArrivalPattern p) {
-  switch (p) {
-    case workload::ArrivalPattern::kConstantRate: return "const";
-    case workload::ArrivalPattern::kPoisson: return "poisson";
-    case workload::ArrivalPattern::kOnOff: return "onoff";
-  }
-  return "?";
-}
+constexpr std::string_view kHeader = "panic_scenario 1";
+constexpr std::string_view kHeredoc = "<<END";
 
-bool parse_pattern(const std::string& s, workload::ArrivalPattern* out) {
-  if (s == "const") *out = workload::ArrivalPattern::kConstantRate;
-  else if (s == "poisson") *out = workload::ArrivalPattern::kPoisson;
-  else if (s == "onoff") *out = workload::ArrivalPattern::kOnOff;
-  else return false;
-  return true;
-}
+using codec::Name;
+using codec::Range;
+using WKind = WorkloadSpec::Kind;
+using IKind = InjectSpec::Kind;
 
-bool parse_kind(const std::string& s, WorkloadSpec::Kind* out) {
-  if (s == "udp") *out = WorkloadSpec::Kind::kUdp;
-  else if (s == "min") *out = WorkloadSpec::Kind::kMinFrame;
-  else if (s == "kvs") *out = WorkloadSpec::Kind::kKvs;
-  else if (s == "esp") *out = WorkloadSpec::Kind::kEsp;
-  else if (s == "udp_fill") *out = WorkloadSpec::Kind::kUdpFill;
-  else if (s == "min_fill") *out = WorkloadSpec::Kind::kMinFill;
-  else return false;
-  return true;
-}
+constexpr Name<WKind> kWorkloadKinds[] = {
+    {WKind::kUdp, "udp"},           {WKind::kMinFrame, "min"},
+    {WKind::kKvs, "kvs"},           {WKind::kEsp, "esp"},
+    {WKind::kUdpFill, "udp_fill"},  {WKind::kMinFill, "min_fill"},
+};
+constexpr Name<IKind> kInjectKinds[] = {
+    {IKind::kUdp, "udp"},
+    {IKind::kKvsGet, "kvs_get"},
+    {IKind::kKvsSet, "kvs_set"},
+    {IKind::kEsp, "esp"},
+};
 
-bool parse_inject_kind(const std::string& s, InjectSpec::Kind* out) {
-  if (s == "udp") *out = InjectSpec::Kind::kUdp;
-  else if (s == "kvs_get") *out = InjectSpec::Kind::kKvsGet;
-  else if (s == "kvs_set") *out = InjectSpec::Kind::kKvsSet;
-  else if (s == "esp") *out = InjectSpec::Kind::kEsp;
-  else return false;
-  return true;
-}
+constexpr Name<bool> kBits[] = {{false, "0"}, {true, "1"}};
+constexpr bool kIpv4 = true;  ///< text(): the value is an IPv4 address
 
-bool fail(std::string* error, int line, const std::string& reason) {
-  if (error != nullptr) {
-    *error = "line " + std::to_string(line) + ": " + reason;
-  }
+constexpr Range<double> kPositive{0.0, std::numeric_limits<double>::max(),
+                                  /*open_lo=*/true};
+
+bool fail(std::string* why, std::string reason) {
+  if (why != nullptr) *why = std::move(reason);
   return false;
 }
 
-/// Splits "key=value" (returns false when '=' is missing).
-bool split_kv(const std::string& tok, std::string* key, std::string* val) {
-  const auto eq = tok.find('=');
-  if (eq == std::string::npos) return false;
-  *key = tok.substr(0, eq);
-  *val = tok.substr(eq + 1);
-  return true;
-}
+/// The lines of a scenario text; `number` counts the lines read.
+struct Lines {
+  std::istringstream in;
+  int number = 0;
 
-bool check_addr(const std::string& val, const std::string& key,
-                std::string* reason) {
-  if (!Ipv4Addr::parse(val).has_value()) {
-    *reason = "bad IPv4 address for '" + key + "': '" + val + "'";
+  /// The next line that is neither blank nor a `#` comment, trimmed.
+  bool next(std::string* line) {
+    while (std::getline(in, *line)) {
+      ++number;
+      const auto first = line->find_first_not_of(" \t\r");
+      if (first == std::string::npos) continue;
+      const auto last = line->find_last_not_of(" \t\r");
+      *line = line->substr(first, last - first + 1);
+      if ((*line)[0] != '#') return true;
+    }
     return false;
   }
-  return true;
-}
 
-bool parse_workload_line(const std::string& rest, WorkloadSpec* spec,
-                         std::string* reason) {
-  std::istringstream in(rest);
-  std::string tok;
-  while (in >> tok) {
-    std::string key, val;
-    if (!split_kv(tok, &key, &val)) {
-      *reason = "expected key=value, got '" + tok + "'";
-      return false;
+  /// A heredoc body: raw lines (comments and blanks kept) up to a line
+  /// that is exactly END.  False when the text ends first.
+  bool heredoc(std::string* body) {
+    for (std::string line; std::getline(in, line);) {
+      ++number;
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (line == "END") return true;
+      *body += line + "\n";
     }
-    try {
-      if (key == "name") spec->name = val;
-      else if (key == "port") spec->port = std::stoi(val);
-      else if (key == "kind") {
-        if (!parse_kind(val, &spec->kind)) {
-          *reason = "unknown workload kind '" + val + "'";
-          return false;
-        }
-      } else if (key == "tenant") {
-        spec->tenant = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "pattern") {
-        if (!parse_pattern(val, &spec->pattern)) {
-          *reason = "unknown arrival pattern '" + val + "'";
-          return false;
-        }
-      } else if (key == "gap") spec->mean_gap_cycles = std::stod(val);
-      else if (key == "on") spec->on_cycles = std::stoull(val);
-      else if (key == "off") spec->off_cycles = std::stoull(val);
-      else if (key == "frames") spec->max_frames = std::stoull(val);
-      else if (key == "bytes") spec->frame_bytes = std::stoull(val);
-      else if (key == "flows") {
-        spec->flows = static_cast<std::uint32_t>(std::stoul(val));
-      } else if (key == "sport") {
-        spec->src_port = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "dport") {
-        spec->dst_port = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "wan") spec->wan_fraction = std::stod(val);
-      else if (key == "seed") spec->seed = std::stoull(val);
-      else if (key == "src") {
-        if (!check_addr(val, key, reason)) return false;
-        spec->src = val;
-      } else if (key == "dst") {
-        if (!check_addr(val, key, reason)) return false;
-        spec->dst = val;
-      } else if (key == "spi") {
-        spec->spi = static_cast<std::uint32_t>(std::stoul(val, nullptr, 0));
-      } else {
-        *reason = "unknown workload key '" + key + "'";
-        return false;
-      }
-    } catch (const std::exception&) {
-      *reason = "bad value for '" + key + "': '" + val + "'";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool parse_inject_line(const std::string& rest, InjectSpec* spec,
-                       std::string* reason) {
-  std::istringstream in(rest);
-  std::string tok;
-  bool saw_kind = false;
-  while (in >> tok) {
-    std::string key, val;
-    if (!split_kv(tok, &key, &val)) {
-      *reason = "expected key=value, got '" + tok + "'";
-      return false;
-    }
-    try {
-      if (key == "at") spec->at = std::stoull(val);
-      else if (key == "port") spec->port = std::stoi(val);
-      else if (key == "kind") {
-        if (!parse_inject_kind(val, &spec->kind)) {
-          *reason = "unknown inject kind '" + val + "'";
-          return false;
-        }
-        saw_kind = true;
-      } else if (key == "src") {
-        if (!check_addr(val, key, reason)) return false;
-        spec->src = val;
-      } else if (key == "dst") {
-        if (!check_addr(val, key, reason)) return false;
-        spec->dst = val;
-      } else if (key == "sport") {
-        spec->src_port = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "dport") {
-        spec->dst_port = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "tenant") {
-        spec->tenant = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "key") spec->key = std::stoull(val);
-      else if (key == "req") {
-        spec->request_id = static_cast<std::uint32_t>(std::stoul(val));
-      } else if (key == "bytes") spec->value_bytes = std::stoull(val);
-      else if (key == "spi") {
-        spec->spi = static_cast<std::uint32_t>(std::stoul(val, nullptr, 0));
-      } else if (key == "seq") {
-        spec->seq = static_cast<std::uint32_t>(std::stoul(val));
-      } else if (key == "tamper") spec->tamper = std::stoi(val) != 0;
-      else {
-        *reason = "unknown inject key '" + key + "'";
-        return false;
-      }
-    } catch (const std::exception&) {
-      *reason = "bad value for '" + key + "': '" + val + "'";
-      return false;
-    }
-  }
-  if (!saw_kind) {
-    *reason = "inject line needs kind=udp|kvs_get|kvs_set|esp";
     return false;
   }
-  return true;
+};
+
+/// `opener`, then `body` as a heredoc block (a last line left open is
+/// closed), as the value of one printed line.
+std::string heredoc(const std::string& opener, const std::string& body) {
+  const bool open = !body.empty() && body.back() != '\n';
+  return opener + "\n" + body + (open ? "\n" : "") + "END";
 }
 
-bool parse_host_tx_line(const std::string& rest, HostTxSpec* spec,
-                        std::string* reason) {
-  std::istringstream in(rest);
-  std::string tok;
-  while (in >> tok) {
-    std::string key, val;
-    if (!split_kv(tok, &key, &val)) {
-      *reason = "expected key=value, got '" + tok + "'";
-      return false;
+std::vector<std::string> split(std::string_view text) {
+  std::istringstream in{std::string(text)};
+  std::vector<std::string> out;
+  for (std::string tok; in >> tok;) out.push_back(std::move(tok));
+  return out;
+}
+
+/// When a field is printed in canonical text.
+struct Print {
+  unsigned kinds = ~0u;     ///< bit per spec kind whose lines carry the key
+  bool if_changed = false;  ///< only when it differs from the default
+};
+constexpr Print kAlways{};
+constexpr Print kIfChanged{~0u, true};
+
+/// Printed on the lines of these kinds only (and, with `if_changed`, only
+/// when not the default).
+template <typename... K>
+constexpr Print only(bool if_changed, K... kinds) {
+  return {((1u << static_cast<unsigned>(kinds)) | ...), if_changed};
+}
+
+/// One key of a line type — the top-level keys (S = Scenario) or the
+/// `key=value` tokens of a workload / inject / host_tx line — declared
+/// once for the parser, the printer, feasible() and the field reference.
+template <typename S>
+struct Field {
+  std::string_view key{};
+  std::string syntax{};    ///< value syntax, with the range
+  std::string fallback{};  ///< the default, as the reference shows it
+  std::string_view doc{};
+  Print print{};
+  bool required = false;
+  /// Reads one value into the spec; heredoc keys pull their block from
+  /// `lines`.  False + the reason (without the key) on a bad value.
+  std::function<bool(S&, std::string_view, Lines*, std::string*)> read{};
+  /// The member as canonical text.  Structural keys print through `lines`
+  /// instead: one value per `<key> <value>` line.
+  std::function<std::string(const S&)> value{};
+  std::function<std::vector<std::string>(const S&)> lines{};
+  /// A structural key's part of feasible(): false + "<key>: <reason>".
+  std::function<bool(const S&, std::string*)> check{};
+  std::string default_text{};  ///< value(S{}), for Print::if_changed
+  /// Line-type keys (workload, inject, host_tx): their own keys' section
+  /// of the field reference.
+  std::string line_docs{};
+};
+
+/// One line of the field reference.
+template <typename S>
+std::string doc_line(const Field<S>& f) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "  %-20s %-28s default %-10s %s\n",
+                std::string(f.key).c_str(), f.syntax.c_str(),
+                f.fallback.c_str(), std::string(f.doc).c_str());
+  return buf;
+}
+
+/// Fills in the default-derived parts of `f`.
+template <typename S>
+Field<S> finish(Field<S> f, std::string shown_default = "") {
+  if (f.value) f.default_text = f.value(S{});
+  f.fallback = !shown_default.empty() ? std::move(shown_default)
+               : f.default_text.empty() ? "(empty)"
+                                        : f.default_text;
+  return f;
+}
+
+template <typename S, typename T>
+Field<S> number(std::string_view key, T S::*m, Print print,
+                std::string_view doc, Range<T> range = {}, bool hex = false) {
+  Field<S> f{.key = key,
+             .syntax = range.text() + (hex ? " or 0x-hex" : ""),
+             .doc = doc,
+             .print = print};
+  f.read = [m, range, hex](S& s, std::string_view v, Lines*,
+                           std::string* why) {
+    return codec::read(v, &(s.*m), why, range, hex);
+  };
+  f.value = [m](const S& s) { return codec::write(s.*m); };
+  return finish(std::move(f));
+}
+
+template <typename S, typename E, std::size_t N>
+Field<S> choice(std::string_view key, E S::*m, const Name<E> (&names)[N],
+                Print print, std::string_view doc) {
+  const std::span<const Name<E>> table(names);
+  Field<S> f{.key = key,
+             .syntax = codec::alternatives<E>(table),
+             .doc = doc,
+             .print = print};
+  f.read = [m, table, syntax = f.syntax](S& s, std::string_view v, Lines*,
+                                         std::string* why) {
+    const auto e = codec::value_of<E>(table, v);
+    if (!e) return fail(why, "expected " + syntax + ", got '" +
+                                 std::string(v) + "'");
+    s.*m = *e;
+    return true;
+  };
+  f.value = [m, table](const S& s) {
+    return std::string(codec::name_of<E>(table, s.*m));
+  };
+  return finish(std::move(f));
+}
+
+/// A string value; `ipv4` requires a dotted-quad address.  Empty is the
+/// default, which the reference shows as `shown_default`.
+template <typename S>
+Field<S> text(std::string_view key, std::string S::*m, std::string_view doc,
+              std::string shown_default = "", bool ipv4 = false) {
+  Field<S> f{.key = key,
+             .syntax = ipv4 ? "<a.b.c.d>" : "<string>",
+             .doc = doc,
+             .print = kIfChanged};
+  f.read = [m, ipv4](S& s, std::string_view v, Lines*, std::string* why) {
+    if (ipv4 && !Ipv4Addr::parse(v).has_value()) {
+      return fail(why, "expected an IPv4 address, got '" + std::string(v) +
+                           "'");
     }
-    try {
-      if (key == "at") spec->at = std::stoull(val);
-      else if (key == "port") spec->port = std::stoi(val);
-      else if (key == "src") {
-        if (!check_addr(val, key, reason)) return false;
-        spec->src = val;
-      } else if (key == "dst") {
-        if (!check_addr(val, key, reason)) return false;
-        spec->dst = val;
-      } else if (key == "sport") {
-        spec->src_port = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "dport") {
-        spec->dst_port = static_cast<std::uint16_t>(std::stoul(val));
-      } else if (key == "bytes") spec->payload_bytes = std::stoull(val);
-      else {
-        *reason = "unknown host_tx key '" + key + "'";
-        return false;
-      }
-    } catch (const std::exception&) {
-      *reason = "bad value for '" + key + "': '" + val + "'";
+    s.*m = std::string(v);
+    return true;
+  };
+  f.value = [m](const S& s) { return s.*m; };
+  return finish(std::move(f), std::move(shown_default));
+}
+
+/// A key with its own grammar (heredocs, repeating entries): it reads its
+/// value itself and prints any number of lines.
+Field<Scenario> structural(
+    std::string_view key, std::string syntax, std::string fallback,
+    std::string_view doc,
+    std::function<bool(Scenario&, std::string_view, Lines*, std::string*)>
+        read,
+    std::function<std::vector<std::string>(const Scenario&)> lines,
+    std::function<bool(const Scenario&, std::string*)> check = {}) {
+  return Field<Scenario>{.key = key,
+                         .syntax = std::move(syntax),
+                         .fallback = std::move(fallback),
+                         .doc = doc,
+                         .read = std::move(read),
+                         .lines = std::move(lines),
+                         .check = std::move(check)};
+}
+
+/// A key every line of its type must carry.
+template <typename S>
+Field<S> required(Field<S> f) {
+  f.required = true;
+  f.fallback = "(required)";
+  return f;
+}
+
+template <typename S>
+const Field<S>* find(const std::vector<Field<S>>& fields,
+                     std::string_view key) {
+  for (const Field<S>& f : fields) {
+    if (f.key == key) return &f;
+  }
+  return nullptr;
+}
+
+template <typename S>
+bool shown(const Field<S>& f, const S& s) {
+  if constexpr (requires { s.kind; }) {
+    if ((f.print.kinds >> static_cast<unsigned>(s.kind) & 1u) == 0) {
       return false;
     }
   }
+  return !f.print.if_changed || f.value(s) != f.default_text;
+}
+
+/// The per-field part of feasible(): every value but the default must
+/// read back through its own declaration (so it lies in the declared
+/// range), and every structural key must pass its check.
+template <typename S>
+bool check_all(const std::vector<Field<S>>& fields, const S& s,
+               std::string* why) {
+  for (const Field<S>& f : fields) {
+    S scratch;
+    std::string reason;
+    if (f.value && f.value(s) != f.default_text &&
+        !f.read(scratch, f.value(s), nullptr, &reason)) {
+      return fail(why, std::string(f.key) + ": " + reason);
+    }
+    if (f.check && !f.check(s, why)) return false;
+  }
   return true;
+}
+
+/// The ` key=value` tokens `spec` prints.
+template <typename S>
+std::string write_tokens(const std::vector<Field<S>>& fields, const S& spec) {
+  std::string out;
+  for (const Field<S>& f : fields) {
+    if (!shown(f, spec)) continue;
+    out += ' ';
+    out += f.key;
+    out += '=';
+    out += f.value(spec);
+  }
+  return out;
+}
+
+/// Reads `key=value` tokens into `spec`.
+template <typename S>
+bool read_tokens(const std::vector<Field<S>>& fields, std::string_view text,
+                 S* spec, std::string* why) {
+  std::vector<bool> seen(fields.size());
+  for (const std::string& tok : split(text)) {
+    const auto eq = tok.find('=');
+    if (eq == std::string::npos) {
+      return fail(why, "expected key=value, got '" + tok + "'");
+    }
+    const std::string key = tok.substr(0, eq);
+    const Field<S>* f = find(fields, key);
+    if (f == nullptr) return fail(why, "unknown key '" + key + "'");
+    std::string reason;
+    if (!f->read(*spec, std::string_view(tok).substr(eq + 1), nullptr,
+                 &reason)) {
+      return fail(why, key + ": " + reason);
+    }
+    seen[static_cast<std::size_t>(f - fields.data())] = true;
+  }
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (fields[i].required && !seen[i]) {
+      return fail(why, std::string(fields[i].key) + ": missing (" +
+                           fields[i].syntax + ")");
+    }
+  }
+  return true;
+}
+
+// --- The repeating line types. ---
+
+const std::vector<Field<WorkloadSpec>>& workload_fields() {
+  using W = WorkloadSpec;
+  static const std::vector<Field<W>> fields = {
+      text("name", &W::name, "telemetry name (workload.<name>.generated)",
+           "w<index>"),
+      number("port", &W::port, kAlways, "Ethernet port fed by this source",
+             {0, kMaxTiles - 1}),
+      choice("kind", &W::kind, kWorkloadKinds, kAlways, "frame factory"),
+      number("tenant", &W::tenant, kAlways, "tenant id stamped on frames"),
+      choice("pattern", &W::pattern, workload::kArrivalPatternNames, kAlways,
+             "arrival process"),
+      number("gap", &W::mean_gap_cycles, kAlways,
+             "mean inter-arrival cycles", kPositive),
+      number("on", &W::on_cycles, kAlways, "onoff burst duration"),
+      number("off", &W::off_cycles, kAlways, "onoff idle duration"),
+      number("frames", &W::max_frames, kAlways,
+             "stop after this many frames (0 = unlimited)"),
+      number("bytes", &W::frame_bytes, kAlways, "udp/udp_fill frame size"),
+      // Source ports stay inside [40000, 41024): the range the default
+      // program's LB hash was tuned against.
+      number("flows", &W::flows, kIfChanged,
+             "distinct 5-tuples cycled (sport 40000+seq%flows); flow "
+             "locality",
+             {1, 1024}),
+      number("sport", &W::src_port, kIfChanged, "UDP source port (esp)"),
+      number("dport", &W::dst_port, kAlways, "UDP destination port"),
+      number("wan", &W::wan_fraction, kAlways,
+             "kvs: fraction arriving WAN-encrypted (0 or 1)", {0.0, 1.0}),
+      number("seed", &W::seed, kAlways, "per-source random stream"),
+      text("src", &W::src, "client IPv4", "10.<tenant>.0.2", kIpv4),
+      text("dst", &W::dst, "server IPv4", "10.0.0.1", kIpv4),
+      number("spi", &W::spi, only(false, WKind::kEsp),
+             "esp: SPI (seq starts at 1)", {}, /*hex=*/true),
+  };
+  return fields;
+}
+
+const std::vector<Field<InjectSpec>>& inject_fields() {
+  using I = InjectSpec;
+  constexpr Print kUdpEsp = only(true, IKind::kUdp, IKind::kEsp);
+  constexpr Print kKvs = only(false, IKind::kKvsGet, IKind::kKvsSet);
+  static const std::vector<Field<I>> fields = {
+      number("at", &I::at, kAlways, "injection cycle (event-scheduled)"),
+      number("port", &I::port, kAlways, "Ethernet port", {0, kMaxTiles - 1}),
+      required(
+          choice("kind", &I::kind, kInjectKinds, kAlways, "frame constructor")),
+      text("src", &I::src, "source IPv4", "10.1.0.2", kIpv4),
+      text("dst", &I::dst, "destination IPv4", "10.0.0.1", kIpv4),
+      number("sport", &I::src_port, kUdpEsp, "UDP source port"),
+      number("dport", &I::dst_port, kUdpEsp, "UDP destination port"),
+      number("tenant", &I::tenant, kKvs, "kvs: in-frame tenant"),
+      number("key", &I::key, kKvs, "kvs: key"),
+      number("req", &I::request_id, kKvs, "kvs: request id"),
+      number("bytes", &I::value_bytes, only(false, IKind::kKvsSet),
+             "kvs_set: value size"),
+      number("spi", &I::spi, only(false, IKind::kEsp), "esp: SPI", {},
+             /*hex=*/true),
+      number("seq", &I::seq, only(false, IKind::kEsp),
+             "esp: sequence number"),
+      choice("tamper", &I::tamper, kBits, only(true, IKind::kEsp),
+             "esp: corrupt the auth tag (frame must be dropped)"),
+  };
+  return fields;
+}
+
+const std::vector<Field<HostTxSpec>>& host_tx_fields() {
+  using T = HostTxSpec;
+  static const std::vector<Field<T>> fields = {
+      number("at", &T::at, kAlways, "post cycle (event-scheduled)"),
+      number("port", &T::port, kAlways, "egress port", {0, kMaxTiles - 1}),
+      text("src", &T::src, "source IPv4", "10.0.0.1", kIpv4),
+      text("dst", &T::dst,
+           "destination IPv4 (WAN prefix -> encrypted on egress)",
+           "203.0.113.80", kIpv4),
+      number("sport", &T::src_port, kAlways, "UDP source port"),
+      number("dport", &T::dst_port, kAlways, "UDP destination port"),
+      number("bytes", &T::payload_bytes, kAlways, "payload size"),
+  };
+  return fields;
+}
+
+/// A line-type key: each `key k=v ...` line appends one spec to `list`.
+template <typename S>
+Field<Scenario> line_type(std::string_view key,
+                          std::vector<S> Scenario::*list,
+                          const std::vector<Field<S>>& fields,
+                          std::string_view doc) {
+  Field<Scenario> f = structural(
+      key, "<key>=<value> ...", "(none)", doc,
+      [list, &fields](Scenario& s, std::string_view v, Lines*,
+                      std::string* why) {
+        S spec;
+        if (!read_tokens(fields, v, &spec, why)) return false;
+        (s.*list).push_back(std::move(spec));
+        return true;
+      },
+      [list, &fields](const Scenario& s) {
+        std::vector<std::string> out;
+        for (const S& spec : s.*list) {
+          out.push_back(write_tokens(fields, spec).substr(1));
+        }
+        return out;
+      },
+      [key, list, &fields](const Scenario& s, std::string* why) {
+        for (std::size_t i = 0; i < (s.*list).size(); ++i) {
+          const S& spec = (s.*list)[i];
+          std::string reason;
+          if (spec.port >= s.eth_ports) {
+            reason = "port: expected 0..eth_ports-1 = " +
+                     std::to_string(s.eth_ports - 1) + ", got " +
+                     std::to_string(spec.port);
+          }
+          if (!reason.empty() || !check_all(fields, spec, &reason)) {
+            return fail(why, std::string(key) + " " + std::to_string(i) +
+                                 ": " + reason);
+          }
+        }
+        return true;
+      });
+  f.line_docs = "\n[" + std::string(key) + "]\n";
+  for (const Field<S>& sub : fields) f.line_docs += doc_line(sub);
+  return f;
+}
+
+// --- Structural top-level keys. ---
+
+Field<Scenario> sched_key() {
+  using engines::SchedKind;
+  constexpr std::string_view key = "sched";
+  // `pifo` is the custom policy, which only the heredoc form spells.
+  const std::string opener = "pifo rank=" + std::string(kHeredoc);
+  const std::string syntax =
+      codec::alternatives<SchedKind>(engines::kSchedKindNames) + " rank=" +
+      std::string(kHeredoc) + " ... END";
+  return structural(
+      key, syntax,
+      engines::to_string(Scenario{}.sched_policy.kind),
+      "engine queue PIFO rank policy; `pifo rank=<<END` opens a heredoc "
+      "holding a custom rank program (engines/rank_program.h)",
+      [opener, syntax](Scenario& s, std::string_view v, Lines* lines,
+                       std::string* why) {
+        if (v == opener) {
+          std::string body;
+          if (!lines->heredoc(&body)) {
+            return fail(why, "missing END terminator");
+          }
+          // Compile now, so a bad program fails at parse time with the
+          // compiler's own "line N: reason" (N into the heredoc).
+          std::string error;
+          if (!engines::RankProgram::compile(body, &error).has_value()) {
+            return fail(why, "rank program " + error);
+          }
+          s.sched_policy.kind = SchedKind::kCustom;
+          s.sched_policy.rank_source = body;
+          return true;
+        }
+        const auto kind =
+            codec::value_of<SchedKind>(engines::kSchedKindNames, v);
+        if (!kind || *kind == SchedKind::kCustom) {
+          return fail(why, "expected " + syntax + ", got '" +
+                               std::string(v) + "'");
+        }
+        s.sched_policy.kind = *kind;
+        s.sched_policy.rank_source.clear();
+        return true;
+      },
+      [opener](const Scenario& s) -> std::vector<std::string> {
+        if (s.sched_policy.kind != SchedKind::kCustom) {
+          return {engines::to_string(s.sched_policy.kind)};
+        }
+        return {heredoc(opener, s.sched_policy.rank_source)};
+      },
+      [key](const Scenario& s, std::string* why) {
+        std::string error;
+        return s.sched_policy.kind != SchedKind::kCustom ||
+               engines::RankProgram::compile_spec(s.sched_policy, &error) !=
+                   nullptr ||
+               fail(why, std::string(key) + ": " + error);
+      });
+}
+
+/// `<key> <tenant> <value>` lines, at most one per tenant; `entries`
+/// maps a scenario to its list.
+template <typename Entries>
+Field<Scenario> tenant_entries(std::string_view key, Entries entries,
+                               Range<std::uint32_t> range, bool sorted,
+                               std::string fallback, std::string_view doc) {
+  return structural(
+      key, "<0..65535> <" + range.text() + ">", std::move(fallback), doc,
+      [=](Scenario& s, std::string_view v, Lines*, std::string* why) {
+        const std::vector<std::string> tok = split(v);
+        std::uint16_t tenant = 0;
+        std::uint32_t value = 0;
+        if (tok.size() != 2) {
+          return fail(why, "expected '<tenant> <value>', got '" +
+                               std::string(v) + "'");
+        }
+        if (!codec::read(tok[0], &tenant, why) ||
+            !codec::read(tok[1], &value, why, range)) {
+          return false;
+        }
+        auto& list = entries(s);
+        for (const auto& [t, unused] : list) {
+          if (t == tenant) return fail(why, "duplicate tenant " + tok[0]);
+        }
+        list.emplace_back(tenant, value);
+        if (sorted) std::sort(list.begin(), list.end());
+        return true;
+      },
+      [=](const Scenario& s) {
+        std::vector<std::string> out;
+        for (const auto& [tenant, value] : entries(s)) {
+          out.push_back(codec::write(tenant) + " " + codec::write(value));
+        }
+        return out;
+      },
+      [=](const Scenario& s, std::string* why) {
+        for (const auto& [tenant, value] : entries(s)) {
+          if (!range.contains(value)) {
+            return fail(why, std::string(key) + " " + codec::write(tenant) +
+                                 ": expected " + range.text() + ", got " +
+                                 codec::write(value));
+          }
+        }
+        return true;
+      });
+}
+
+/// `rmt_cache off | on | sets=<n> ways=<n>`.
+Field<Scenario> rmt_cache_key() {
+  using S = Scenario;
+  constexpr std::string_view key = "rmt_cache";
+  static const std::vector<Field<S>> geometry = {
+      number("sets", &S::rmt_cache_sets, kAlways, "", {1, kMaxCacheSets}),
+      number("ways", &S::rmt_cache_ways, kAlways, "", {1, kMaxCacheWays}),
+  };
+  const std::string defaults = write_tokens(geometry, S{});
+  std::string syntax = codec::alternatives<bool>(codec::kSwitchNames) + " |";
+  for (const Field<S>& f : geometry) {
+    syntax += ' ';
+    syntax += f.key;
+    syntax += '=';
+    syntax += f.syntax;
+  }
+  return structural(
+      key, syntax, defaults.substr(1),
+      "RMT flow-signature resolution cache (host-time only; rmt.cache.* "
+      "metrics)",
+      [syntax](S& s, std::string_view v, Lines*, std::string* why) {
+        if (const auto on = codec::value_of<bool>(codec::kSwitchNames, v)) {
+          s.rmt_cache_enabled = *on;
+          return true;
+        }
+        if (v.find('=') == std::string_view::npos) {
+          return fail(why, "expected " + syntax + ", got '" + std::string(v) +
+                               "'");
+        }
+        s.rmt_cache_enabled = true;
+        return read_tokens(geometry, v, &s, why);
+      },
+      [defaults](const S& s) -> std::vector<std::string> {
+        const std::string tokens = write_tokens(geometry, s);
+        if (!s.rmt_cache_enabled) {
+          return {std::string(codec::name_of(codec::kSwitchNames, false))};
+        }
+        if (tokens == defaults) return {};
+        return {tokens.substr(1)};
+      },
+      [key](const S& s, std::string* why) {
+        std::string reason;
+        return check_all(geometry, s, &reason) ||
+               fail(why, std::string(key) + ": " + reason);
+      });
+}
+
+Field<Scenario> fault_seed_key() {
+  return structural(
+      "fault_seed", "0..2^64-1", codec::write(Scenario{}.faults.seed),
+      "fault plan seed (printed with a non-empty plan)",
+      [](Scenario& s, std::string_view v, Lines*, std::string* why) {
+        return codec::read(v, &s.faults.seed, why);
+      },
+      [](const Scenario& s) -> std::vector<std::string> {
+        if (s.faults.empty()) return {};
+        return {codec::write(s.faults.seed)};
+      });
+}
+
+Field<Scenario> fault_key() {
+  return structural(
+      "fault", "<fault-plan line>", "(none)",
+      "fault/fault_plan.h grammar, e.g. 'kill aux0 @15000', 'revive aux0 "
+      "@30000 warmup=500', 'spare aux1 for=aux0 @30000'; repeats",
+      [](Scenario& s, std::string_view v, Lines*, std::string* why) {
+        auto spec = fault::FaultSpec::parse(v, why);
+        if (!spec.has_value()) return false;
+        s.faults.add(std::move(*spec));
+        return true;
+      },
+      [](const Scenario& s) {
+        std::vector<std::string> out;
+        for (const fault::FaultSpec& spec : s.faults.faults()) {
+          out.push_back(spec.to_string());
+        }
+        return out;
+      });
+}
+
+Field<Scenario> program_key() {
+  return structural(
+      "program", std::string(kHeredoc) + " ... END", "(none)",
+      "p4lite stages appended to the default RMT program",
+      [](Scenario& s, std::string_view v, Lines* lines, std::string* why) {
+        if (v != kHeredoc) {
+          return fail(why, "expected '" + std::string(kHeredoc) + "', got '" +
+                               std::string(v) + "'");
+        }
+        std::string body;
+        if (!lines->heredoc(&body)) return fail(why, "missing END terminator");
+        s.program = body;
+        return true;
+      },
+      [](const Scenario& s) -> std::vector<std::string> {
+        if (s.program.empty()) return {};
+        return {heredoc(std::string(kHeredoc), s.program)};
+      });
+}
+
+/// The terminator: Scenario::parse stops at it before any read.
+Field<Scenario> end_key() {
+  return structural("end", "", "", "mandatory terminator", nullptr,
+                    [](const Scenario&) { return std::vector{std::string()}; });
+}
+
+// --- The top-level keys, in canonical order. ---
+
+const std::vector<Field<Scenario>>& scenario_fields() {
+  using S = Scenario;
+  static const std::vector<Field<S>> fields = {
+      text("name", &S::name, "scenario label, echoed in result JSON"),
+      number("seed", &S::seed, kAlways,
+             "generator provenance seed (0 = hand-written)"),
+      number("mesh_k", &S::mesh_k, kAlways, "mesh side length (k*k tiles)",
+             {2, kMaxMeshK}),
+      number("channel_bits", &S::channel_bits, kIfChanged,
+             "NoC channel width", {1}),
+      number("freq_mhz", &S::freq_mhz, kIfChanged, "core clock frequency",
+             {1}),
+      number("eth_ports", &S::eth_ports, kAlways, "Ethernet port count",
+             {1, kMaxTiles}),
+      number("rmt_engines", &S::rmt_engines, kAlways,
+             "RMT pipeline engine count", {1, kMaxTiles}),
+      number("aux_engines", &S::aux_engines, kAlways,
+             "extra pass-through delay engines", {0, kMaxTiles}),
+      number("aux_fixed_cycles", &S::aux_fixed_cycles, kIfChanged,
+             "aux engine fixed service latency"),
+      number("spare_tiles", &S::spare_tiles, kIfChanged,
+             "tiles reserved for caller-attached engines", {0, kMaxTiles}),
+      choice("routing", &S::routing, noc::kRoutingNames, kIfChanged,
+             "NoC routing algorithm (dimension-ordered XY or west-first "
+             "turn-model)"),
+      sched_key(),
+      tenant_entries(
+          "weight", [](auto& s) -> auto& { return s.sched_policy.weights; },
+          {1}, /*sorted=*/true, "(none; absent tenants = 1)",
+          "per-tenant wfq weight `<tenant> <weight>`, read by rank programs "
+          "as `weight`; repeats"),
+      choice("drop", &S::drop_policy, engines::kDropPolicyNames, kAlways,
+             "full-queue drop policy"),
+      number("queue_capacity", &S::engine_queue_capacity, kAlways,
+             "per-engine queue capacity", {1, kMaxQueueCapacity}),
+      number("rmt_input_queue", &S::rmt_input_queue, kAlways,
+             "RMT engine input queue capacity", {1, kMaxRmtInputQueue}),
+      rmt_cache_key(),
+      number("dma_base_latency", &S::dma_base_latency, kIfChanged,
+             "DMA fixed service latency"),
+      number("dma_bytes_per_cycle", &S::dma_bytes_per_cycle, kIfChanged,
+             "DMA payload bandwidth per cycle", kPositive),
+      number("dma_contention", &S::dma_contention_mean, kAlways,
+             "mean of the DMA contention jitter (0 = none)", {0.0}),
+      number("default_slack", &S::default_slack, kAlways,
+             "slack for tenants without an explicit entry"),
+      number("pool_reserve", &S::pool_reserve, kIfChanged,
+             "pre-warm the MessagePool free list to this depth before the "
+             "run",
+             {0, kMaxPoolReserve}),
+      number("warmup", &S::warmup_cycles, kIfChanged,
+             "cycles before the measured window"),
+      number("budget", &S::budget_cycles, kAlways, "measured cycles", {1}),
+      choice("mode", &S::mode, kSimModeNames, kIfChanged,
+             "default kernel; panic_run --mode overrides"),
+      tenant_entries(
+          "slack", [](auto& s) -> auto& { return s.tenant_slacks; }, {},
+          /*sorted=*/false, "(none)",
+          "per-tenant slack `<tenant> <slack>`; repeats"),
+      line_type("workload", &S::workloads, workload_fields(),
+                "one open-loop traffic source (keys below); repeats"),
+      line_type("inject", &S::injects, inject_fields(),
+                "one frame into a port at an exact cycle (keys below); "
+                "repeats"),
+      line_type("host_tx", &S::host_txs, host_tx_fields(),
+                "one host TX frame posted at an exact cycle (keys below); "
+                "repeats"),
+      choice("on_no_route", &S::on_no_route, fault::kNoRoutePolicyNames,
+             kIfChanged,
+             "degraded-mode admission when steering has no live route: "
+             "drop (fate kFaulted) or bounded parking until a revive/spare "
+             "re-opens the route (overflow fate kShed)"),
+      number("no_route_depth", &S::no_route_depth, kIfChanged,
+             "backpressure parking capacity per steering tile"),
+      fault_seed_key(),
+      fault_key(),
+      program_key(),
+      end_key(),
+  };
+  return fields;
 }
 
 }  // namespace
 
-const char* to_string(WorkloadSpec::Kind kind) {
-  switch (kind) {
-    case WorkloadSpec::Kind::kUdp: return "udp";
-    case WorkloadSpec::Kind::kMinFrame: return "min";
-    case WorkloadSpec::Kind::kKvs: return "kvs";
-    case WorkloadSpec::Kind::kEsp: return "esp";
-    case WorkloadSpec::Kind::kUdpFill: return "udp_fill";
-    case WorkloadSpec::Kind::kMinFill: return "min_fill";
-  }
-  return "?";
+std::string field_reference() {
+  std::string out = "\n[scalar]\n";
+  for (const Field<Scenario>& f : scenario_fields()) out += doc_line(f);
+  for (const Field<Scenario>& f : scenario_fields()) out += f.line_docs;
+  return out;
 }
 
-const char* to_string(InjectSpec::Kind kind) {
-  switch (kind) {
-    case InjectSpec::Kind::kUdp: return "udp";
-    case InjectSpec::Kind::kKvsGet: return "kvs_get";
-    case InjectSpec::Kind::kKvsSet: return "kvs_set";
-    case InjectSpec::Kind::kEsp: return "esp";
-  }
-  return "?";
-}
-
-const std::vector<FieldDoc>& field_reference() {
-  static const std::vector<FieldDoc> kFields = {
-      // --- Scalars, in canonical serialization order. ---
-      {"scalar", "name", "<string>", "(empty)",
-       "scenario label, echoed in result JSON"},
-      {"scalar", "seed", "<uint64>", "0",
-       "generator provenance seed (0 = hand-written)"},
-      {"scalar", "mesh_k", "<int>", "4", "mesh side length (k*k tiles)"},
-      {"scalar", "channel_bits", "<int>", "128", "NoC channel width"},
-      {"scalar", "freq_mhz", "<int>", "500", "core clock frequency"},
-      {"scalar", "eth_ports", "<int>", "2", "Ethernet port count"},
-      {"scalar", "rmt_engines", "<int>", "2", "RMT pipeline engine count"},
-      {"scalar", "aux_engines", "<int>", "0",
-       "extra pass-through delay engines"},
-      {"scalar", "aux_fixed_cycles", "<cycles>", "100",
-       "aux engine fixed service latency"},
-      {"scalar", "spare_tiles", "<int>", "0",
-       "tiles reserved for caller-attached engines"},
-      {"scalar", "routing", "xy | westfirst", "xy",
-       "NoC routing algorithm (dimension-ordered XY or west-first "
-       "turn-model)"},
-      {"scalar", "sched",
-       "slack | fifo | wfq | stfq | edf | prio | pifo rank=<<END ... END",
-       "slack",
-       "engine queue PIFO rank policy; `pifo rank=<<END` opens a heredoc "
-       "holding a custom rank program (engines/rank_program.h)"},
-      {"scalar", "weight", "<tenant> <weight>", "(none; absent tenants = 1)",
-       "per-tenant wfq weight entry, read by rank programs as `weight`; "
-       "repeats"},
-      {"scalar", "drop", "arrival | evict", "arrival",
-       "full-queue drop policy"},
-      {"scalar", "queue_capacity", "<size>", "256",
-       "per-engine queue capacity"},
-      {"scalar", "rmt_input_queue", "<size>", "512",
-       "RMT engine input queue capacity"},
-      {"scalar", "rmt_cache", "off | sets=<n> ways=<n>", "sets=64 ways=4",
-       "RMT flow-signature resolution cache (host-time only; rmt.cache.* "
-       "metrics)"},
-      {"scalar", "dma_base_latency", "<cycles>", "75",
-       "DMA fixed service latency"},
-      {"scalar", "dma_bytes_per_cycle", "<double>", "32",
-       "DMA payload bandwidth per cycle"},
-      {"scalar", "dma_contention", "<double>", "0",
-       "mean of the DMA contention jitter (0 = none)"},
-      {"scalar", "default_slack", "<uint32>", "1000",
-       "slack for tenants without an explicit entry"},
-      {"scalar", "pool_reserve", "<count>", "0",
-       "pre-warm the MessagePool free list to this depth before the run"},
-      {"scalar", "warmup", "<cycles>", "0",
-       "cycles before the measured window"},
-      {"scalar", "budget", "<cycles>", "50000", "measured cycles"},
-      {"scalar", "mode", "dense | event", "event",
-       "default kernel; panic_run --mode overrides"},
-      {"scalar", "slack", "<tenant> <slack>", "(none)",
-       "per-tenant slack entry; repeats"},
-      {"scalar", "on_no_route", "drop | backpressure", "drop",
-       "degraded-mode admission when steering has no live route: drop "
-       "(fate kFaulted) or bounded parking until a revive/spare re-opens "
-       "the route (overflow fate kShed)"},
-      {"scalar", "no_route_depth", "<size>", "64",
-       "backpressure parking capacity per steering tile"},
-      {"scalar", "fault_seed", "<uint64>", "1", "fault plan seed"},
-      {"scalar", "fault", "<fault-plan line>", "(none)",
-       "fault/fault_plan.h grammar, e.g. 'kill aux0 @15000', 'revive aux0 "
-       "@30000 warmup=500', 'spare aux1 for=aux0 @30000'; repeats"},
-      {"scalar", "program", "<<END ... END", "(none)",
-       "p4lite stages appended to the default RMT program"},
-      {"scalar", "end", "", "", "mandatory terminator"},
-      // --- workload line keys. ---
-      {"workload", "name", "<string>", "w<index>",
-       "telemetry name (workload.<name>.generated)"},
-      {"workload", "port", "<int>", "0", "Ethernet port fed by this source"},
-      {"workload", "kind", "udp | min | kvs | esp | udp_fill | min_fill",
-       "udp", "frame factory"},
-      {"workload", "tenant", "<uint16>", "1", "tenant id stamped on frames"},
-      {"workload", "pattern", "const | poisson | onoff", "poisson",
-       "arrival process"},
-      {"workload", "gap", "<double>", "500", "mean inter-arrival cycles"},
-      {"workload", "on", "<cycles>", "1000", "onoff burst duration"},
-      {"workload", "off", "<cycles>", "9000", "onoff idle duration"},
-      {"workload", "frames", "<uint64>", "100",
-       "stop after this many frames (0 = unlimited)"},
-      {"workload", "bytes", "<size>", "256", "udp/udp_fill frame size"},
-      {"workload", "flows", "<uint32>", "1024",
-       "distinct 5-tuples cycled (sport 40000+seq%flows); flow locality"},
-      {"workload", "sport", "<uint16>", "40000", "UDP source port (esp)"},
-      {"workload", "dport", "<uint16>", "9", "UDP destination port"},
-      {"workload", "wan", "<double>", "0",
-       "kvs: fraction arriving WAN-encrypted (0 or 1)"},
-      {"workload", "seed", "<uint64>", "1", "per-source random stream"},
-      {"workload", "src", "<a.b.c.d>", "10.<tenant>.0.2", "client IPv4"},
-      {"workload", "dst", "<a.b.c.d>", "10.0.0.1", "server IPv4"},
-      {"workload", "spi", "<uint32>", "0x2001", "esp: SPI (seq starts at 1)"},
-      // --- inject line keys. ---
-      {"inject", "at", "<cycle>", "0", "injection cycle (event-scheduled)"},
-      {"inject", "port", "<int>", "0", "Ethernet port"},
-      {"inject", "kind", "udp | kvs_get | kvs_set | esp", "(required)",
-       "frame constructor"},
-      {"inject", "src", "<a.b.c.d>", "10.1.0.2", "source IPv4"},
-      {"inject", "dst", "<a.b.c.d>", "10.0.0.1", "destination IPv4"},
-      {"inject", "sport", "<uint16>", "40000", "UDP source port"},
-      {"inject", "dport", "<uint16>", "9", "UDP destination port"},
-      {"inject", "tenant", "<uint16>", "1", "kvs: in-frame tenant"},
-      {"inject", "key", "<uint64>", "0", "kvs: key"},
-      {"inject", "req", "<uint32>", "0", "kvs: request id"},
-      {"inject", "bytes", "<size>", "64", "kvs_set: value size"},
-      {"inject", "spi", "<uint32>", "0x2001", "esp: SPI"},
-      {"inject", "seq", "<uint32>", "1", "esp: sequence number"},
-      {"inject", "tamper", "0 | 1", "0",
-       "esp: corrupt the auth tag (frame must be dropped)"},
-      // --- host_tx line keys. ---
-      {"host_tx", "at", "<cycle>", "0", "post cycle (event-scheduled)"},
-      {"host_tx", "port", "<int>", "0", "egress port"},
-      {"host_tx", "src", "<a.b.c.d>", "10.0.0.1", "source IPv4"},
-      {"host_tx", "dst", "<a.b.c.d>", "203.0.113.80",
-       "destination IPv4 (WAN prefix -> encrypted on egress)"},
-      {"host_tx", "sport", "<uint16>", "9000", "UDP source port"},
-      {"host_tx", "dport", "<uint16>", "4500", "UDP destination port"},
-      {"host_tx", "bytes", "<size>", "200", "payload size"},
-  };
-  return kFields;
-}
-
-bool Scenario::feasible(bool strict_finite) const {
-  if (mesh_k < 2 || eth_ports < 1 || rmt_engines < 1 || aux_engines < 0 ||
-      spare_tiles < 0) {
-    return false;
-  }
+bool Scenario::feasible(bool strict_finite, std::string* why) const {
+  if (!check_all(scenario_fields(), *this, why)) return false;
   const int tiles = mesh_k * mesh_k;
-  if (kFixedEngineTiles + eth_ports + rmt_engines + aux_engines +
-          spare_tiles > tiles) {
-    return false;
-  }
-  if (engine_queue_capacity == 0 || rmt_input_queue == 0) return false;
-  for (const auto& [tenant, weight] : sched_policy.weights) {
-    (void)tenant;
-    if (weight == 0) return false;  // wfq divides by weight (total, but silly)
-  }
-  if (sched_policy.kind == engines::SchedKind::kCustom) {
-    std::string perror;
-    if (engines::RankProgram::compile_spec(sched_policy, &perror) == nullptr) {
-      return false;  // SchedulerQueue construction would throw
-    }
+  const int needed =
+      kFixedEngineTiles + eth_ports + rmt_engines + aux_engines + spare_tiles;
+  if (needed > tiles) {
+    return fail(why, "mesh_k: " + std::to_string(tiles) + " tiles, but " +
+                         std::to_string(kFixedEngineTiles) +
+                         " fixed engines + eth_ports + rmt_engines + "
+                         "aux_engines + spare_tiles need " +
+                         std::to_string(needed));
   }
   if (on_no_route == fault::NoRoutePolicy::kBackpressure &&
       no_route_depth == 0) {
-    return false;  // a zero-depth parking buffer sheds everything
+    // A zero-depth parking buffer sheds everything.
+    return fail(why, "no_route_depth: expected 1..2^64-1 under "
+                     "backpressure, got 0");
   }
-  if (rmt_cache_sets == 0 || rmt_cache_sets > (1u << 20)) return false;
-  if (rmt_cache_ways == 0 || rmt_cache_ways > 1024) return false;
-  if (dma_bytes_per_cycle <= 0.0) return false;
-  if (budget_cycles == 0) return false;
-  if (channel_bits <= 0 || freq_mhz <= 0) return false;
-  for (const WorkloadSpec& w : workloads) {
-    if (w.port < 0 || w.port >= eth_ports) return false;
-    if (strict_finite && w.max_frames == 0) return false;  // must terminate
-    if (w.mean_gap_cycles <= 0.0) return false;
-    // Source ports stay inside [40000, 41024): the range the default
-    // program's LB hash was tuned against.
-    if (w.flows == 0 || w.flows > 1024) return false;
-  }
-  for (const InjectSpec& i : injects) {
-    if (i.port < 0 || i.port >= eth_ports) return false;
-  }
-  for (const HostTxSpec& t : host_txs) {
-    if (t.port < 0 || t.port >= eth_ports) return false;
+  for (std::size_t i = 0; strict_finite && i < workloads.size(); ++i) {
+    if (workloads[i].max_frames == 0) {
+      return fail(why, "workload " + std::to_string(i) +
+                           ": frames: unlimited in a run that must end");
+    }
   }
   return true;
 }
@@ -494,417 +853,50 @@ core::PanicConfig Scenario::to_config() const {
   return cfg;
 }
 
+
 std::string Scenario::to_string() const {
-  std::ostringstream out;
-  out << "panic_scenario 1\n";
-  if (!name.empty()) out << "name " << name << "\n";
-  out << "seed " << seed << "\n";
-  out << "mesh_k " << mesh_k << "\n";
-  if (channel_bits != 128) out << "channel_bits " << channel_bits << "\n";
-  if (freq_mhz != 500) out << "freq_mhz " << freq_mhz << "\n";
-  out << "eth_ports " << eth_ports << "\n";
-  out << "rmt_engines " << rmt_engines << "\n";
-  out << "aux_engines " << aux_engines << "\n";
-  if (aux_fixed_cycles != 100) {
-    out << "aux_fixed_cycles " << aux_fixed_cycles << "\n";
-  }
-  if (spare_tiles != 0) out << "spare_tiles " << spare_tiles << "\n";
-  if (routing != noc::RoutingAlgo::kXY) out << "routing westfirst\n";
-  if (sched_policy.kind == engines::SchedKind::kCustom) {
-    out << "sched pifo rank=<<END\n" << sched_policy.rank_source;
-    if (!sched_policy.rank_source.empty() &&
-        sched_policy.rank_source.back() != '\n') {
-      out << "\n";
-    }
-    out << "END\n";
-  } else {
-    out << "sched " << engines::to_string(sched_policy.kind) << "\n";
-  }
-  for (const auto& [tenant, weight] : sched_policy.weights) {
-    out << "weight " << tenant << " " << weight << "\n";
-  }
-  out << "drop "
-      << (drop_policy == engines::DropPolicy::kDropArrival ? "arrival"
-                                                           : "evict")
-      << "\n";
-  out << "queue_capacity " << engine_queue_capacity << "\n";
-  out << "rmt_input_queue " << rmt_input_queue << "\n";
-  if (!rmt_cache_enabled) {
-    out << "rmt_cache off\n";
-  } else if (rmt_cache_sets != 64 || rmt_cache_ways != 4) {
-    out << "rmt_cache sets=" << rmt_cache_sets << " ways=" << rmt_cache_ways
-        << "\n";
-  }
-  if (dma_base_latency != 75) {
-    out << "dma_base_latency " << dma_base_latency << "\n";
-  }
-  if (dma_bytes_per_cycle != 32.0) {
-    out << "dma_bytes_per_cycle " << dma_bytes_per_cycle << "\n";
-  }
-  out << "dma_contention " << dma_contention_mean << "\n";
-  out << "default_slack " << default_slack << "\n";
-  if (pool_reserve != 0) out << "pool_reserve " << pool_reserve << "\n";
-  if (warmup_cycles != 0) out << "warmup " << warmup_cycles << "\n";
-  out << "budget " << budget_cycles << "\n";
-  if (mode != SimMode::kEventDriven) {
-    out << "mode " << panic::to_string(mode) << "\n";
-  }
-  for (const auto& [tenant, slack] : tenant_slacks) {
-    out << "slack " << tenant << " " << slack << "\n";
-  }
-  for (const WorkloadSpec& w : workloads) {
-    out << "workload";
-    if (!w.name.empty()) out << " name=" << w.name;
-    out << " port=" << w.port << " kind=" << scenario::to_string(w.kind)
-        << " tenant=" << w.tenant << " pattern=" << pattern_name(w.pattern)
-        << " gap=" << w.mean_gap_cycles << " on=" << w.on_cycles
-        << " off=" << w.off_cycles << " frames=" << w.max_frames
-        << " bytes=" << w.frame_bytes;
-    if (w.flows != 1024) out << " flows=" << w.flows;
-    if (w.src_port != 40000) out << " sport=" << w.src_port;
-    out << " dport=" << w.dst_port << " wan=" << w.wan_fraction
-        << " seed=" << w.seed;
-    if (!w.src.empty()) out << " src=" << w.src;
-    if (!w.dst.empty()) out << " dst=" << w.dst;
-    if (w.kind == WorkloadSpec::Kind::kEsp) out << " spi=" << w.spi;
-    out << "\n";
-  }
-  for (const InjectSpec& i : injects) {
-    out << "inject at=" << i.at << " port=" << i.port
-        << " kind=" << scenario::to_string(i.kind);
-    if (!i.src.empty()) out << " src=" << i.src;
-    if (!i.dst.empty()) out << " dst=" << i.dst;
-    if (i.kind == InjectSpec::Kind::kUdp || i.kind == InjectSpec::Kind::kEsp) {
-      if (i.src_port != 40000) out << " sport=" << i.src_port;
-      if (i.dst_port != 9) out << " dport=" << i.dst_port;
-    }
-    if (i.kind == InjectSpec::Kind::kKvsGet ||
-        i.kind == InjectSpec::Kind::kKvsSet) {
-      out << " tenant=" << i.tenant << " key=" << i.key
-          << " req=" << i.request_id;
-      if (i.kind == InjectSpec::Kind::kKvsSet) out << " bytes=" << i.value_bytes;
-    }
-    if (i.kind == InjectSpec::Kind::kEsp) {
-      out << " spi=" << i.spi << " seq=" << i.seq;
-      if (i.tamper) out << " tamper=1";
-    }
-    out << "\n";
-  }
-  for (const HostTxSpec& t : host_txs) {
-    out << "host_tx at=" << t.at << " port=" << t.port;
-    if (!t.src.empty()) out << " src=" << t.src;
-    if (!t.dst.empty()) out << " dst=" << t.dst;
-    out << " sport=" << t.src_port << " dport=" << t.dst_port
-        << " bytes=" << t.payload_bytes << "\n";
-  }
-  if (on_no_route != fault::NoRoutePolicy::kDrop) {
-    out << "on_no_route backpressure\n";
-  }
-  if (no_route_depth != 64) out << "no_route_depth " << no_route_depth << "\n";
-  if (!faults.empty()) {
-    out << "fault_seed " << faults.seed << "\n";
-    for (const fault::FaultSpec& spec : faults.faults()) {
-      out << "fault " << spec.to_string() << "\n";
+  std::string out = std::string(kHeader) + "\n";
+  for (const Field<Scenario>& f : scenario_fields()) {
+    const std::vector<std::string> values =
+        f.lines ? f.lines(*this)
+                : shown(f, *this) ? std::vector{f.value(*this)}
+                                  : std::vector<std::string>{};
+    for (const std::string& v : values) {
+      out += std::string(f.key) + (v.empty() ? "" : " ") + v + "\n";
     }
   }
-  if (!program.empty()) {
-    out << "program <<END\n" << program;
-    if (program.back() != '\n') out << "\n";
-    out << "END\n";
-  }
-  out << "end\n";
-  return out.str();
+  return out;
 }
 
 std::optional<Scenario> Scenario::parse(const std::string& text,
                                         std::string* error) {
-  Scenario s;
-  s.faults = fault::FaultPlan{};
-  std::vector<std::string> fault_lines;
-  std::uint64_t fault_seed = 1;
-
-  std::istringstream in(text);
+  Lines lines{std::istringstream(text)};
+  auto fail_at = [&](int line, const std::string& reason) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(line) + ": " + reason;
+    }
+    return std::nullopt;
+  };
   std::string line;
-  int lineno = 0;
-  bool saw_header = false;
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    // Trim + skip blanks/comments.
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t\r");
-    line = line.substr(first, last - first + 1);
-    if (line[0] == '#') continue;
-
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    std::string rest;
-    std::getline(ls, rest);
-    if (!rest.empty() && rest[0] == ' ') rest = rest.substr(1);
-
-    if (!saw_header) {
-      if (key != "panic_scenario" || rest != "1") {
-        fail(error, lineno, "expected 'panic_scenario 1' header");
-        return std::nullopt;
-      }
-      saw_header = true;
-      continue;
-    }
-    try {
-      if (key == "name") s.name = rest;
-      else if (key == "seed") s.seed = std::stoull(rest);
-      else if (key == "mesh_k") s.mesh_k = std::stoi(rest);
-      else if (key == "channel_bits") s.channel_bits = std::stoi(rest);
-      else if (key == "freq_mhz") s.freq_mhz = std::stoi(rest);
-      else if (key == "eth_ports") s.eth_ports = std::stoi(rest);
-      else if (key == "rmt_engines") s.rmt_engines = std::stoi(rest);
-      else if (key == "aux_engines") s.aux_engines = std::stoi(rest);
-      else if (key == "spare_tiles") s.spare_tiles = std::stoi(rest);
-      else if (key == "routing") {
-        if (rest == "xy") s.routing = noc::RoutingAlgo::kXY;
-        else if (rest == "westfirst") s.routing = noc::RoutingAlgo::kWestFirst;
-        else {
-          fail(error, lineno, "unknown routing '" + rest + "' (xy|westfirst)");
-          return std::nullopt;
-        }
-      }
-      else if (key == "sched") {
-        if (rest == "pifo rank=<<END") {
-          // Custom rank program, heredoc like `program <<END`.
-          const int open_line = lineno;
-          std::string body;
-          bool closed = false;
-          while (std::getline(in, line)) {
-            ++lineno;
-            std::string trimmed = line;
-            if (!trimmed.empty() && trimmed.back() == '\r') trimmed.pop_back();
-            if (trimmed == "END") {
-              closed = true;
-              break;
-            }
-            body += trimmed;
-            body += '\n';
-          }
-          if (!closed) {
-            fail(error, lineno, "sched rank block missing END terminator");
-            return std::nullopt;
-          }
-          // Validate up front so a bad program fails at parse time with
-          // the compiler's own "line N: reason" (N into the heredoc).
-          std::string perror;
-          if (!engines::RankProgram::compile(body, &perror).has_value()) {
-            fail(error, open_line, "sched rank program: " + perror);
-            return std::nullopt;
-          }
-          s.sched_policy.kind = engines::SchedKind::kCustom;
-          s.sched_policy.rank_source = body;
-        } else if (const auto kind = engines::sched_kind_from_name(rest);
-                   kind.has_value() && *kind != engines::SchedKind::kCustom) {
-          s.sched_policy.kind = *kind;
-          s.sched_policy.rank_source.clear();
-        } else {
-          fail(error, lineno,
-               "unknown sched policy '" + rest +
-                   "' (slack|fifo|wfq|stfq|edf|prio|pifo rank=<<END)");
-          return std::nullopt;
-        }
-      } else if (key == "weight") {
-        std::istringstream rs(rest);
-        unsigned tenant = 0, weight = 0;
-        if (!(rs >> tenant >> weight) || tenant > 0xFFFF) {
-          fail(error, lineno, "expected 'weight <tenant> <weight>'");
-          return std::nullopt;
-        }
-        if (weight == 0) {
-          fail(error, lineno, "weight must be positive");
-          return std::nullopt;
-        }
-        for (const auto& [t, w] : s.sched_policy.weights) {
-          if (t == tenant) {
-            fail(error, lineno,
-                 "duplicate weight for tenant " + std::to_string(tenant));
-            return std::nullopt;
-          }
-        }
-        s.sched_policy.set_weight(static_cast<std::uint16_t>(tenant),
-                                  static_cast<std::uint32_t>(weight));
-      } else if (key == "drop") {
-        if (rest == "arrival") s.drop_policy = engines::DropPolicy::kDropArrival;
-        else if (rest == "evict") s.drop_policy = engines::DropPolicy::kEvictLoosest;
-        else {
-          fail(error, lineno, "unknown drop policy '" + rest + "'");
-          return std::nullopt;
-        }
-      } else if (key == "queue_capacity") {
-        s.engine_queue_capacity = std::stoull(rest);
-      } else if (key == "rmt_input_queue") {
-        s.rmt_input_queue = std::stoull(rest);
-      } else if (key == "rmt_cache") {
-        if (rest == "off") {
-          s.rmt_cache_enabled = false;
-        } else if (rest == "on") {
-          s.rmt_cache_enabled = true;
-        } else {
-          std::istringstream rs(rest);
-          std::string tok;
-          bool saw_any = false;
-          while (rs >> tok) {
-            std::string k, v;
-            if (!split_kv(tok, &k, &v)) {
-              fail(error, lineno,
-                   "expected 'rmt_cache off' or 'rmt_cache sets=<n> "
-                   "ways=<n>'");
-              return std::nullopt;
-            }
-            if (k == "sets") {
-              s.rmt_cache_sets = static_cast<std::uint32_t>(std::stoul(v));
-            } else if (k == "ways") {
-              s.rmt_cache_ways = static_cast<std::uint32_t>(std::stoul(v));
-            } else {
-              fail(error, lineno, "unknown rmt_cache key '" + k + "'");
-              return std::nullopt;
-            }
-            saw_any = true;
-          }
-          if (!saw_any) {
-            fail(error, lineno,
-                 "expected 'rmt_cache off' or 'rmt_cache sets=<n> ways=<n>'");
-            return std::nullopt;
-          }
-          s.rmt_cache_enabled = true;
-        }
-      } else if (key == "aux_fixed_cycles") {
-        s.aux_fixed_cycles = std::stoull(rest);
-      } else if (key == "dma_base_latency") {
-        s.dma_base_latency = std::stoull(rest);
-      } else if (key == "dma_bytes_per_cycle") {
-        s.dma_bytes_per_cycle = std::stod(rest);
-      } else if (key == "dma_contention") {
-        s.dma_contention_mean = std::stod(rest);
-      } else if (key == "pool_reserve") {
-        s.pool_reserve = std::stoull(rest);
-      } else if (key == "default_slack") {
-        s.default_slack = static_cast<std::uint32_t>(std::stoul(rest));
-      } else if (key == "warmup") {
-        s.warmup_cycles = std::stoull(rest);
-      } else if (key == "budget") {
-        s.budget_cycles = std::stoull(rest);
-      } else if (key == "mode") {
-        const auto mode = sim_mode_from_string(rest);
-        if (!mode) {
-          fail(error, lineno, "unknown mode '" + rest + "' (dense|event)");
-          return std::nullopt;
-        }
-        s.mode = *mode;
-      } else if (key == "slack") {
-        std::istringstream rs(rest);
-        unsigned tenant = 0, slack = 0;
-        if (!(rs >> tenant >> slack)) {
-          fail(error, lineno, "expected 'slack <tenant> <value>'");
-          return std::nullopt;
-        }
-        s.tenant_slacks.emplace_back(static_cast<std::uint16_t>(tenant),
-                                     static_cast<std::uint32_t>(slack));
-      } else if (key == "workload") {
-        WorkloadSpec spec;
-        std::string reason;
-        if (!parse_workload_line(rest, &spec, &reason)) {
-          fail(error, lineno, reason);
-          return std::nullopt;
-        }
-        s.workloads.push_back(spec);
-      } else if (key == "inject") {
-        InjectSpec spec;
-        std::string reason;
-        if (!parse_inject_line(rest, &spec, &reason)) {
-          fail(error, lineno, reason);
-          return std::nullopt;
-        }
-        s.injects.push_back(spec);
-      } else if (key == "host_tx") {
-        HostTxSpec spec;
-        std::string reason;
-        if (!parse_host_tx_line(rest, &spec, &reason)) {
-          fail(error, lineno, reason);
-          return std::nullopt;
-        }
-        s.host_txs.push_back(spec);
-      } else if (key == "on_no_route") {
-        if (rest == "drop") s.on_no_route = fault::NoRoutePolicy::kDrop;
-        else if (rest == "backpressure") {
-          s.on_no_route = fault::NoRoutePolicy::kBackpressure;
-        } else {
-          fail(error, lineno,
-               "unknown on_no_route '" + rest + "' (drop|backpressure)");
-          return std::nullopt;
-        }
-      } else if (key == "no_route_depth") {
-        s.no_route_depth = std::stoull(rest);
-      } else if (key == "fault_seed") {
-        fault_seed = std::stoull(rest);
-      } else if (key == "fault") {
-        fault_lines.push_back(rest);
-      } else if (key == "program") {
-        if (rest != "<<END") {
-          fail(error, lineno, "expected 'program <<END'");
-          return std::nullopt;
-        }
-        // Heredoc: raw lines (comments and blanks preserved) up to a line
-        // that is exactly END.
-        std::string body;
-        bool closed = false;
-        while (std::getline(in, line)) {
-          ++lineno;
-          std::string trimmed = line;
-          if (!trimmed.empty() && trimmed.back() == '\r') trimmed.pop_back();
-          if (trimmed == "END") {
-            closed = true;
-            break;
-          }
-          body += trimmed;
-          body += '\n';
-        }
-        if (!closed) {
-          fail(error, lineno, "program block missing END terminator");
-          return std::nullopt;
-        }
-        s.program = body;
-      } else if (key == "end") {
-        saw_end = true;
-        break;
-      } else {
-        fail(error, lineno, "unknown key '" + key + "'");
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
-      fail(error, lineno, "bad value for '" + key + "': '" + rest + "'");
-      return std::nullopt;
-    }
+  const bool any = lines.next(&line);
+  if (!any || line != kHeader) {
+    return fail_at(lines.number, std::string(any ? "expected" : "missing") +
+                                     " '" + std::string(kHeader) + "' header");
   }
-  if (!saw_header) {
-    fail(error, lineno, "missing 'panic_scenario 1' header");
-    return std::nullopt;
+  Scenario s;
+  while (lines.next(&line)) {
+    const int at = lines.number;
+    const auto space = line.find_first_of(" \t");
+    const std::string key = line.substr(0, space);
+    const std::string_view value = std::string_view(line).substr(
+        std::min(line.size(), line.find_first_not_of(" \t", space)));
+    const Field<Scenario>* f = find(scenario_fields(), key);
+    if (f == nullptr) return fail_at(at, "unknown key '" + key + "'");
+    if (!f->read) return s;  // the `end` terminator
+    std::string why;
+    if (!f->read(s, value, &lines, &why)) return fail_at(at, key + ": " + why);
   }
-  if (!saw_end) {
-    fail(error, lineno, "missing 'end' terminator");
-    return std::nullopt;
-  }
-  if (!fault_lines.empty()) {
-    std::string plan_text = "seed " + std::to_string(fault_seed) + "\n";
-    for (const std::string& fl : fault_lines) plan_text += fl + "\n";
-    std::string plan_error;
-    auto plan = fault::FaultPlan::parse(plan_text, &plan_error);
-    if (!plan.has_value()) {
-      if (error != nullptr) *error = "fault plan: " + plan_error;
-      return std::nullopt;
-    }
-    s.faults = std::move(*plan);
-  } else {
-    s.faults.seed = fault_seed;
-  }
-  return s;
+  return fail_at(lines.number, "missing 'end' terminator");
 }
 
 bool Scenario::save(const std::string& path) const {

@@ -15,9 +15,10 @@
 // heredoc-style `program <<END ... END` block holding p4lite source, and a
 // mandatory `end` terminator.  The canonical header is `panic_scenario 1`.
 // Serialization is canonical — fixed key order, optional keys emitted only
-// when they differ from the default — so parse→to_string→parse is a
-// byte-identical fixpoint, which is what lets the fuzz minimizer and the
-// nightly soak exchange replays bit-exactly.
+// when they differ from the default, doubles printed exactly — so
+// parse→to_string→parse is a byte-identical fixpoint and parse(to_string())
+// equals the scenario it printed, which is what lets the fuzz minimizer
+// and the nightly soak exchange replays bit-exactly.
 //
 //   panic_scenario 1
 //   name quickstart            # optional, labels result JSON
@@ -41,8 +42,12 @@
 //   END
 //   end
 //
-// Full field reference: `panic_run fields`, or DESIGN.md §"Scenario
-// language" (both are generated from the same descriptor table).
+// Every field is declared once in scenario.cpp: its key, member, range,
+// print rule and doc.  Parsing, printing, feasible() and the field
+// reference (`panic_run fields`, copied into DESIGN.md §9) all read that
+// declaration, and every number goes through common/codec.h, so a value
+// either means exactly what it says or the parse fails with
+// `line N: <key>: <reason>`.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +62,12 @@
 #include "workload/traffic_gen.h"
 
 namespace panic::scenario {
+
+// Caps on the fields that size allocations before a run starts.
+inline constexpr int kMaxMeshK = 32;
+inline constexpr std::size_t kMaxQueueCapacity = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxRmtInputQueue = std::size_t{1} << 16;
+inline constexpr std::uint64_t kMaxPoolReserve = std::uint64_t{1} << 18;
 
 /// One open-loop traffic source feeding one Ethernet port.
 struct WorkloadSpec {
@@ -99,9 +110,9 @@ struct WorkloadSpec {
   std::string dst;
   /// kEsp: security parameter index; sequence numbers start at 1.
   std::uint32_t spi = 0x2001;
-};
 
-const char* to_string(WorkloadSpec::Kind kind);
+  bool operator==(const WorkloadSpec&) const = default;
+};
 
 /// One hand-placed frame delivered into an Ethernet port at an exact
 /// cycle (the scenario-file form of PanicNic::inject_rx between runs —
@@ -131,9 +142,9 @@ struct InjectSpec {
   /// kEsp: flip a byte of the auth tag so the frame fails authentication
   /// (the tampered-packet demonstration of examples/ipsec_gateway).
   bool tamper = false;
-};
 
-const char* to_string(InjectSpec::Kind kind);
+  bool operator==(const InjectSpec&) const = default;
+};
 
 /// One host-originated TX frame posted to the driver at an exact cycle
 /// (egress-path traffic: TX descriptors -> checksum -> encrypt -> wire).
@@ -145,20 +156,14 @@ struct HostTxSpec {
   std::uint16_t src_port = 9000;
   std::uint16_t dst_port = 4500;
   std::size_t payload_bytes = 200;
+
+  bool operator==(const HostTxSpec&) const = default;
 };
 
-/// One scenario-language field, for `panic_run fields` and the DESIGN.md
-/// reference (both render this table).
-struct FieldDoc {
-  const char* section;  ///< "scalar", "workload", "inject", "host_tx"
-  const char* key;
-  const char* syntax;   ///< value syntax / enum alternatives
-  const char* fallback; ///< default value as text
-  const char* doc;
-};
-
-/// The full scenario-language schema, in canonical serialization order.
-const std::vector<FieldDoc>& field_reference();
+/// The full scenario-language schema, in canonical serialization order:
+/// one line per key with its syntax (range or alternatives), default and
+/// doc, under a `[section]` header per line type (`panic_run fields`).
+std::string field_reference();
 
 struct Scenario {
   /// Scenario name, used to label result JSON; empty for generated fuzz
@@ -234,13 +239,15 @@ struct Scenario {
   /// tso, rate_limiter, eth<N>, aux<N>).
   std::string program;
 
-  /// Whether this scenario can be built at all: the 11 fixed engines plus
-  /// ports/RMT/aux must fit the k*k mesh (PanicNic::plan_topology throws
-  /// otherwise), and every workload/inject/host_tx must reference an
-  /// existing port.  `strict_finite` additionally requires every trace to
-  /// be finite (the fuzz harness's termination precondition; hand-written
-  /// scenarios may run unlimited sources under a cycle budget).
-  bool feasible(bool strict_finite = false) const;
+  /// Whether this scenario can be built at all: every field inside its
+  /// declared range, the 11 fixed engines plus ports/RMT/aux inside the
+  /// k*k mesh (PanicNic::plan_topology throws otherwise), and every
+  /// workload/inject/host_tx on an existing port.  `strict_finite`
+  /// additionally requires every trace to be finite (the fuzz harness's
+  /// termination precondition; hand-written scenarios may run unlimited
+  /// sources under a cycle budget).  When infeasible, *why (when non-null)
+  /// reads "<field>: <reason>".
+  bool feasible(bool strict_finite = false, std::string* why = nullptr) const;
 
   /// Sum of max_frames across workloads (the <=10-packet shrink target of
   /// the harness self-test).
@@ -254,7 +261,8 @@ struct Scenario {
   std::string to_string() const;
 
   /// Parses the scenario format (`panic_scenario 1` header).  nullopt (and
-  /// "line N: reason" in *error when non-null) on malformed input.
+  /// "line N: <key>: <reason>" in *error when non-null) on malformed
+  /// input.
   static std::optional<Scenario> parse(const std::string& text,
                                        std::string* error = nullptr);
 
@@ -262,6 +270,8 @@ struct Scenario {
   bool save(const std::string& path) const;
   static std::optional<Scenario> load(const std::string& path,
                                       std::string* error = nullptr);
+
+  bool operator==(const Scenario&) const = default;
 };
 
 }  // namespace panic::scenario

@@ -8,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "engines/ethernet_port.h"
@@ -19,6 +20,13 @@ enum class ArrivalPattern : std::uint8_t {
   kConstantRate,  ///< fixed inter-arrival gap
   kPoisson,       ///< exponential gaps
   kOnOff,         ///< bursts at line rate, idle between bursts
+};
+
+/// The scenario `pattern=` keywords.
+inline constexpr codec::Name<ArrivalPattern> kArrivalPatternNames[] = {
+    {ArrivalPattern::kConstantRate, "const"},
+    {ArrivalPattern::kPoisson, "poisson"},
+    {ArrivalPattern::kOnOff, "onoff"},
 };
 
 struct TrafficConfig {

@@ -129,10 +129,10 @@ TEST(FaultInjection, ExplicitFallbackParsedFromTextPlan) {
   fault::ConservationChecker conservation;
   Simulator sim;
   core::PanicConfig cfg = aux_chain_config(2);
-  const auto plan =
-      fault::FaultPlan::parse("seed 9\nkill aux0 @1500 fallback=aux1\n");
-  ASSERT_TRUE(plan.has_value());
-  cfg.faults = *plan;
+  const auto spec = fault::FaultSpec::parse("kill aux0 @1500 fallback=aux1");
+  ASSERT_TRUE(spec.has_value());
+  cfg.faults.seed = 9;
+  cfg.faults.add(*spec);
   core::PanicNic nic(cfg, sim);
 
   constexpr int kFrames = 20;

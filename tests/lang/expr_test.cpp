@@ -173,5 +173,14 @@ TEST(Expr, EmbeddedParseStopsAtForeignToken) {
   EXPECT_EQ(e->eval(vars), 5u);
 }
 
+TEST(Expr, LiteralsAreExact) {
+  EXPECT_EQ(eval("18446744073709551615"), ~std::uint64_t{0});
+  EXPECT_EQ(eval("0x10 + 010"), 26u);  // decimal, not octal
+  EXPECT_EQ(compile_error("18446744073709551616"),
+            "bad number: expected 0..2^64-1, got '18446744073709551616'");
+  EXPECT_EQ(compile_error("1.5"),
+            "bad number: expected an integer or 0x-hex, got '1.5'");
+}
+
 }  // namespace
 }  // namespace panic::lang

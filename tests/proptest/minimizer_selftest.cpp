@@ -1,5 +1,5 @@
 // Pins the harness's acceptance criterion end to end: with the planted
-// SchedulerQueue off-by-one armed (the PANIC_FUZZ_SELFTEST bug), the
+// SchedulerQueue off-by-one armed (`panic_fuzz --selftest`'s bug), the
 // fuzz pipeline must DETECT the bug, SHRINK the failing scenario to a
 // <=10-packet reproducer, and the emitted replay text must REPRODUCE the
 // violation bit-identically from its recorded seeds — in both kernel

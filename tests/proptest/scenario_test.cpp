@@ -82,7 +82,7 @@ TEST(Scenario, ParseRejectsMalformedInput) {
   EXPECT_FALSE(
       Scenario::parse("panic_scenario 1\nfault explode dma @5\nend\n", &error)
           .has_value());
-  EXPECT_NE(error.find("fault plan"), std::string::npos);
+  EXPECT_EQ(error, "line 2: fault: unknown fault kind 'explode'");
 }
 
 TEST(Scenario, ParseAcceptsCommentsAndBlankLines) {

@@ -275,5 +275,31 @@ TEST(P4Lite, HexNumbers) {
   EXPECT_NE(program->stages[0].tables[0].lookup(phv), nullptr);
 }
 
+TEST(P4Lite, RejectsOutOfRangeLiterals) {
+  // Dotted quads go through Ipv4Addr::parse, every other literal through
+  // the shared codec: nothing wraps.
+  std::string error;
+  EXPECT_FALSE(compile_p4lite(R"(
+    parser default;
+    stage s {
+      table t exact(ipv4.dst) { 10.0.0.300 -> drop; }
+    }
+  )",
+                              kSymbols, &error)
+                   .has_value());
+  EXPECT_EQ(error, "p4lite:4: bad number: expected an IPv4 address, got "
+                   "'10.0.0.300'");
+  EXPECT_FALSE(compile_p4lite(R"(
+    parser default;
+    stage s {
+      table t exact(l4.dport) { 18446744073709551617 -> drop; }
+    }
+  )",
+                              kSymbols, &error)
+                   .has_value());
+  EXPECT_EQ(error, "p4lite:4: bad number: expected 0..2^64-1, got "
+                   "'18446744073709551617'");
+}
+
 }  // namespace
 }  // namespace panic::rmt

@@ -373,30 +373,30 @@ TEST(ScenarioFormat, UnknownKeyReportsLineNumber) {
 
 TEST(ScenarioFormat, BadScalarValueReportsLineNumber) {
   EXPECT_EQ(parse_error("panic_scenario 1\nmesh_k banana\nend\n"),
-            "line 2: bad value for 'mesh_k': 'banana'");
+            "line 2: mesh_k: expected an integer, got 'banana'");
 }
 
 TEST(ScenarioFormat, CommentsAndBlanksCountTowardLineNumbers) {
   // The error is on physical line 4; comments/blanks must not shift it.
   EXPECT_EQ(parse_error("panic_scenario 1\n# comment\n\nsched bogus\nend\n"),
-            "line 4: unknown sched policy 'bogus' "
-            "(slack|fifo|wfq|stfq|edf|prio|pifo rank=<<END)");
+            "line 4: sched: expected slack | fifo | wfq | stfq | edf | prio | "
+            "pifo rank=<<END ... END, got 'bogus'");
 }
 
 TEST(ScenarioFormat, BadRmtCacheValueReportsLineNumber) {
   EXPECT_EQ(parse_error("panic_scenario 1\nrmt_cache banana\nend\n"),
-            "line 2: expected 'rmt_cache off' or 'rmt_cache sets=<n> "
-            "ways=<n>'");
+            "line 2: rmt_cache: expected on | off | sets=1..1048576 "
+            "ways=1..1024, got 'banana'");
   EXPECT_EQ(
       parse_error("panic_scenario 1\nrmt_cache sets=8 frobs=2\nend\n"),
-      "line 2: unknown rmt_cache key 'frobs'");
+      "line 2: rmt_cache: unknown key 'frobs'");
 }
 
 TEST(ScenarioFormat, BadEnumValuesReportAlternatives) {
   EXPECT_EQ(parse_error("panic_scenario 1\ndrop sometimes\nend\n"),
-            "line 2: unknown drop policy 'sometimes'");
+            "line 2: drop: expected arrival | evict, got 'sometimes'");
   EXPECT_EQ(parse_error("panic_scenario 1\nmode warp\nend\n"),
-            "line 2: unknown mode 'warp' (dense|event)");
+            "line 2: mode: expected event | dense, got 'warp'");
 }
 
 TEST(ScenarioFormat, RemovedKernelSpellingsAreRejected) {
@@ -405,7 +405,7 @@ TEST(ScenarioFormat, RemovedKernelSpellingsAreRejected) {
   EXPECT_EQ(parse_error("panic_scenario 1\nbudget 100\nthreads 2\nend\n"),
             "line 3: unknown key 'threads'");
   EXPECT_EQ(parse_error("panic_scenario 1\nmode parallel\nend\n"),
-            "line 2: unknown mode 'parallel' (dense|event)");
+            "line 2: mode: expected event | dense, got 'parallel'");
 }
 
 TEST(ScenarioFormat, WrongHeaderFails) {
@@ -422,29 +422,29 @@ TEST(ScenarioFormat, MissingEndTerminatorFails) {
 
 TEST(ScenarioFormat, UnterminatedProgramBlockFails) {
   EXPECT_EQ(parse_error("panic_scenario 1\nprogram <<END\nstage x {\n"),
-            "line 3: program block missing END terminator");
+            "line 2: program: missing END terminator");
 }
 
 TEST(ScenarioFormat, InjectWithoutKindFails) {
   EXPECT_EQ(parse_error("panic_scenario 1\ninject at=5\nend\n"),
-            "line 2: inject line needs kind=udp|kvs_get|kvs_set|esp");
+            "line 2: inject: kind: missing (udp | kvs_get | kvs_set | esp)");
 }
 
 TEST(ScenarioFormat, BadWorkloadAddressFails) {
   EXPECT_EQ(
       parse_error("panic_scenario 1\nworkload src=999.1.2.3\nend\n"),
-      "line 2: bad IPv4 address for 'src': '999.1.2.3'");
+      "line 2: workload: src: expected an IPv4 address, got '999.1.2.3'");
 }
 
 TEST(ScenarioFormat, MalformedKeyValueTokenFails) {
   EXPECT_EQ(parse_error("panic_scenario 1\nhost_tx at\nend\n"),
-            "line 2: expected key=value, got 'at'");
+            "line 2: host_tx: expected key=value, got 'at'");
 }
 
 TEST(ScenarioFormat, UnterminatedSchedRankBlockFails) {
   EXPECT_EQ(
       parse_error("panic_scenario 1\nsched pifo rank=<<END\nrank = slack\n"),
-      "line 3: sched rank block missing END terminator");
+      "line 2: sched: missing END terminator");
 }
 
 TEST(ScenarioFormat, BadRankProgramSurfacesCompilerError) {
@@ -452,29 +452,154 @@ TEST(ScenarioFormat, BadRankProgramSurfacesCompilerError) {
   // inside the scenario parser's error for the opening line.
   EXPECT_EQ(parse_error("panic_scenario 1\nsched pifo rank=<<END\n"
                         "rank = bogus\nEND\nend\n"),
-            "line 2: sched rank program: line 1: unknown variable 'bogus'");
+            "line 2: sched: rank program line 1: unknown variable 'bogus'");
   EXPECT_EQ(parse_error("panic_scenario 1\nsched pifo rank=<<END\n"
                         "flow.x = 1\nEND\nend\n"),
-            "line 2: sched rank program: line 1: program never assigns "
+            "line 2: sched: rank program line 1: program never assigns "
             "'rank'");
 }
 
 TEST(ScenarioFormat, BadWeightLinesFail) {
   EXPECT_EQ(parse_error("panic_scenario 1\nweight banana\nend\n"),
-            "line 2: expected 'weight <tenant> <weight>'");
+            "line 2: weight: expected '<tenant> <value>', got 'banana'");
   EXPECT_EQ(parse_error("panic_scenario 1\nweight 70000 2\nend\n"),
-            "line 2: expected 'weight <tenant> <weight>'");
+            "line 2: weight: expected 0..65535, got '70000'");
   EXPECT_EQ(parse_error("panic_scenario 1\nweight 1 0\nend\n"),
-            "line 2: weight must be positive");
+            "line 2: weight: expected 1..4294967295, got '0'");
   EXPECT_EQ(
       parse_error("panic_scenario 1\nweight 1 4\nweight 1 2\nend\n"),
-      "line 3: duplicate weight for tenant 1");
+      "line 3: weight: duplicate tenant 1");
 }
 
 TEST(ScenarioFormat, BadFaultLineSurfacesFaultPlanError) {
-  const std::string error =
-      parse_error("panic_scenario 1\nfault kill aux0\nend\n");
-  EXPECT_EQ(error.rfind("fault plan: ", 0), 0u) << error;
+  EXPECT_EQ(parse_error("panic_scenario 1\nfault kill aux0\nend\n"),
+            "line 2: fault: missing @<cycle>");
+}
+
+// --- Every value once coerced is rejected, naming its line and key. ---
+
+void expect_rejected(
+    std::initializer_list<std::pair<const char*, const char*>> cases) {
+  for (const auto& [line, error] : cases) {
+    EXPECT_EQ(parse_error("panic_scenario 1\n" + std::string(line) +
+                          "\nend\n"),
+              error);
+  }
+}
+
+TEST(ScenarioFormat, ScalarCoercionsAreRejected) {
+  expect_rejected({
+      {"mesh_k 4x", "line 2: mesh_k: expected an integer, got '4x'"},
+      {"seed 0x2A", "line 2: seed: expected an integer, got '0x2A'"},
+      {"seed -1", "line 2: seed: expected 0..2^64-1, got '-1'"},
+      {"budget -7000", "line 2: budget: expected 1..2^64-1, got '-7000'"},
+      {"default_slack 99999999999",
+       "line 2: default_slack: expected 0..4294967295, got '99999999999'"},
+      {"slack 1 -5", "line 2: slack: expected 0..4294967295, got '-5'"},
+      {"slack 3 7junk", "line 2: slack: expected an integer, got '7junk'"},
+      {"weight 2 -1", "line 2: weight: expected 1..4294967295, got '-1'"},
+      {"queue_capacity 0",
+       "line 2: queue_capacity: expected 1..65536, got '0'"},
+      {"dma_contention nan",
+       "line 2: dma_contention: expected a finite number, got 'nan'"},
+      {"fault_seed 0x10",
+       "line 2: fault_seed: expected an integer, got '0x10'"},
+  });
+}
+
+TEST(ScenarioFormat, LineCoercionsAreRejected) {
+  expect_rejected({
+      {"workload gap=nan",
+       "line 2: workload: gap: expected a finite number, got 'nan'"},
+      {"workload tenant=70000",
+       "line 2: workload: tenant: expected 0..65535, got '70000'"},
+      {"workload dport=65537",
+       "line 2: workload: dport: expected 0..65535, got '65537'"},
+      {"workload spi=0x10 flows=0",
+       "line 2: workload: flows: expected 1..1024, got '0'"},
+      {"inject kind=udp sport=-1",
+       "line 2: inject: sport: expected 0..65535, got '-1'"},
+      {"inject kind=esp tamper=2",
+       "line 2: inject: tamper: expected 0 | 1, got '2'"},
+      {"fault kill aux0 @-5",
+       "line 2: fault: bad @-5: expected 0..2^64-1, got '-5'"},
+      {"fault degrade dma @100 x=nan",
+       "line 2: fault: bad x=nan: expected a finite number, got 'nan'"},
+      {"fault corrupt dma @100 p=-2",
+       "line 2: fault: bad p=-2: expected 0..1, got '-2'"},
+  });
+}
+
+TEST(ScenarioFormat, AllocationSizesAreCapped) {
+  // Each of these used to end in std::bad_alloc under a 2 GB limit.
+  expect_rejected({
+      {"mesh_k 100000", "line 2: mesh_k: expected 2..32, got '100000'"},
+      {"pool_reserve 100000000000",
+       "line 2: pool_reserve: expected 0..262144, got '100000000000'"},
+      {"queue_capacity 100000000000",
+       "line 2: queue_capacity: expected 1..65536, got '100000000000'"},
+      {"rmt_input_queue 100000000000",
+       "line 2: rmt_input_queue: expected 1..65536, got '100000000000'"},
+  });
+  // A scenario built in code is held to the same declaration.
+  Scenario s;
+  s.pool_reserve = kMaxPoolReserve + 1;
+  std::string why;
+  EXPECT_FALSE(s.feasible(false, &why));
+  EXPECT_EQ(why, "pool_reserve: expected 0..262144, got '262145'");
+}
+
+TEST(ScenarioFormat, InfeasibleScenariosNameTheField) {
+  std::string why;
+  Scenario s;
+  s.eth_ports = 40;
+  EXPECT_FALSE(s.feasible(false, &why));
+  EXPECT_EQ(why,
+            "mesh_k: 16 tiles, but 11 fixed engines + eth_ports + "
+            "rmt_engines + aux_engines + spare_tiles need 53");
+
+  s = Scenario{};
+  WorkloadSpec w;
+  w.mean_gap_cycles = 0.0;
+  s.workloads.push_back(w);
+  EXPECT_FALSE(s.feasible(false, &why));
+  EXPECT_EQ(why, "workload 0: gap: expected > 0, got '0'");
+
+  s.workloads[0] = WorkloadSpec{};
+  s.workloads[0].port = 2;
+  EXPECT_FALSE(s.feasible(false, &why));
+  EXPECT_EQ(why, "workload 0: port: expected 0..eth_ports-1 = 1, got 2");
+
+  s.workloads[0] = WorkloadSpec{};
+  s.workloads[0].max_frames = 0;
+  EXPECT_TRUE(s.feasible(false, &why));
+  EXPECT_FALSE(s.feasible(/*strict_finite=*/true, &why));
+  EXPECT_EQ(why, "workload 0: frames: unlimited in a run that must end");
+
+  s = Scenario{};
+  s.sched_policy.set_weight(3, 0);
+  EXPECT_FALSE(s.feasible(false, &why));
+  EXPECT_EQ(why, "weight 3: expected 1..4294967295, got 0");
+}
+
+TEST(ScenarioFormat, DoublesPrintBackExactly) {
+  // Six significant digits printed these as 2.12346, 0.123457 and
+  // 1.23457, so a saved replay ran a different scenario.
+  const std::string text =
+      "panic_scenario 1\n"
+      "dma_contention 0.123456789\n"
+      "workload gap=2.123456789 frames=5\n"
+      "fault degrade dma @100 x=1.23456789\n"
+      "end\n";
+  std::string error;
+  const auto parsed = Scenario::parse(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  const std::string printed = parsed->to_string();
+  for (const char* exact :
+       {"dma_contention 0.123456789\n", " gap=2.123456789 ", " x=1.23456789"}) {
+    EXPECT_NE(printed.find(exact), std::string::npos) << printed;
+  }
+  EXPECT_EQ(Scenario::parse(printed), parsed);
 }
 
 }  // namespace

@@ -198,4 +198,13 @@ TEST(SchedSpecConversions, WeightTable) {
 }
 
 }  // namespace
+TEST(RankProgram, OutOfRangeLiteralIsACompileError) {
+  // Once wrapped to 1 by the lexer's digit loop.
+  EXPECT_EQ(compile_error("rank = 18446744073709551617\n"),
+            "line 1: bad number: expected 0..2^64-1, got "
+            "'18446744073709551617'");
+  EXPECT_EQ(compile_error("rank = 4x\n"),
+            "line 1: bad number: expected an integer or 0x-hex, got '4x'");
+}
+
 }  // namespace panic::engines

@@ -31,22 +31,21 @@
 // reproduces bit-identically — in every kernel mode — from the file alone.
 //
 // --selftest arms the planted SchedulerQueue off-by-one (see
-// PANIC_FUZZ_SELFTEST in engines/sched_queue.h) and verifies the harness
-// end to end: the bug must be detected, shrink to a <=10-packet scenario,
-// and the emitted replay must still reproduce it.  Exits 0 only if the
-// whole pipeline works.
+// SchedulerQueue::set_selftest_bug in engines/sched_queue.h) and verifies
+// the harness end to end: the bug must be detected, shrink to a
+// <=10-packet scenario, and the emitted replay must still reproduce it.
+// Exits 0 only if the whole pipeline works.
 //
 // --selftest-tie is the same drill against the second planted bug — a
-// tie-break off-by-one INSIDE the heap comparator (PANIC_FUZZ_TIE_SELFTEST
-// in engines/sched_queue.h): equal-rank messages dequeue newest-first.
-// Only an audit that re-derives the (rank, seq) order independently of the
+// tie-break off-by-one INSIDE the heap comparator
+// (SchedulerQueue::set_selftest_tiebug): equal-rank messages dequeue
+// newest-first.  Only an audit that re-derives the (rank, seq) order independently of the
 // comparator can see it, which is precisely what the dequeue audit does.
 // The hunt pins `sched prio` (constant rank per tenant, so ties are
 // guaranteed under any queue buildup).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "common/cli.h"
@@ -66,7 +65,6 @@ using panic::proptest::Violation;
 struct Options {
   int runs = 50;
   std::uint64_t seed = 1;
-  bool seed_given = false;
   panic::Cycles budget_cycles = 0;  // 0 = generator picks per scenario
   std::string out = "panic_fuzz_min.panic";
   bool out_given = false;
@@ -86,11 +84,10 @@ Options parse_args(int argc, char** argv) {
   panic::cli::ArgParser args(
       "panic_fuzz", "randomized differential fuzzing with oracle suite");
   Options opt;
-  std::int64_t runs = opt.runs;
-  std::uint64_t budget = 0;
-  args.option("runs", "scenarios to generate (seed S, S+1, ...)", &runs);
+  args.option("runs", "scenarios to generate (seed S, S+1, ...)", &opt.runs,
+              {0, std::numeric_limits<int>::max()});
   args.option("budget-cycles", "per-scenario cycle budget (0 = generator)",
-              &budget);
+              &opt.budget_cycles);
   args.option("out", "replay file for a minimized failure", &opt.out);
   args.option("replay", "re-run a saved replay file", &opt.replay);
   args.flag("selftest", "verify the harness against a planted bug",
@@ -103,15 +100,12 @@ Options parse_args(int argc, char** argv) {
   args.flag("sched", "random PIFO rank-program scenarios",
             &opt.sched);
   args.parse(argc, argv);
-  opt.runs = static_cast<int>(runs);
-  opt.budget_cycles = budget;
   opt.out_given = opt.out != "panic_fuzz_min.panic";
   if (opt.chaos && !opt.out_given) opt.out = "panic_chaos_min.panic";
   if (opt.sched && !opt.out_given) opt.out = "panic_sched_min.panic";
   if (opt.selftest_tie && !opt.out_given) opt.out = "panic_tie_min.panic";
   if (args.seed_given()) {
     opt.seed = args.seed();
-    opt.seed_given = true;
     panic::set_sim_seed(panic::kDefaultSimSeed);
   }
   return opt;
@@ -153,9 +147,9 @@ int run_replay(const Options& opt) {
                  error.c_str());
     return 2;
   }
-  if (!scenario->feasible(/*strict_finite=*/true)) {
-    std::fprintf(stderr, "%s: scenario is not feasible\n",
-                 opt.replay.c_str());
+  if (!scenario->feasible(/*strict_finite=*/true, &error)) {
+    std::fprintf(stderr, "%s: not feasible: %s\n", opt.replay.c_str(),
+                 error.c_str());
     return 2;
   }
   std::printf("replaying %s (%llu frames, budget %llu cycles)\n",
@@ -207,66 +201,29 @@ int run_fuzz(const Options& opt) {
   return 0;
 }
 
-int run_selftest(Options opt) {
-  // The planted off-by-one dequeues the second-best message; identical in
-  // both kernel modes, so only the ordering oracle can see it.
-  panic::engines::SchedulerQueue::set_selftest_bug(true);
-  std::printf("selftest: planted SchedulerQueue off-by-one armed\n");
-
-  // Hunt with the standard generator until a scenario trips an oracle.
-  Scenario failing;
-  bool found = false;
-  const int hunt_runs = opt.runs > 0 ? opt.runs : 50;
-  for (int i = 0; i < hunt_runs && !found; ++i) {
-    const Scenario s = panic::proptest::generate_scenario(
-        opt.seed + static_cast<std::uint64_t>(i), opt.budget_cycles);
-    if (!panic::proptest::check_scenario(s).empty()) {
-      failing = s;
-      found = true;
-      std::printf("selftest: detected by seed %llu (run %d)\n",
-                  static_cast<unsigned long long>(opt.seed + i), i + 1);
-    }
+/// Both planted-bug drills: arm the bug, hunt with the standard generator
+/// until an oracle fires, shrink to <= 10 frames, and require the replay
+/// file to reproduce from disk.
+///
+/// --selftest's off-by-one dequeues the second-best message; identical in
+/// both kernel modes, so only the ordering oracle can see it.
+///
+/// --selftest-tie's comparator bug dequeues equal-rank messages
+/// newest-first.  Its hunt pins `sched prio`: rank == tenant is constant
+/// per tenant, so any queue holding two messages of one tenant is a tie
+/// the bug inverts — caught by the audit's explicit (rank, seq)
+/// re-derivation (the comparator itself cannot be trusted to judge its own
+/// tie-break) and, at egress, by the per-tenant ordering oracle.
+int run_selftest(const Options& opt) {
+  const bool tie = !opt.selftest;
+  const char* name = tie ? "selftest-tie" : "selftest";
+  if (tie) {
+    panic::engines::SchedulerQueue::set_selftest_tiebug(true);
+    std::printf("%s: planted tie-break comparator bug armed\n", name);
+  } else {
+    panic::engines::SchedulerQueue::set_selftest_bug(true);
+    std::printf("%s: planted SchedulerQueue off-by-one armed\n", name);
   }
-  if (!found) {
-    std::fprintf(stderr,
-                 "selftest FAILED: planted bug not detected in %d runs\n",
-                 hunt_runs);
-    return 1;
-  }
-
-  const MinimizeResult min = shrink_and_save(failing, opt);
-  if (min.scenario.total_frames() > 10) {
-    std::fprintf(stderr,
-                 "selftest FAILED: minimized scenario still has %llu "
-                 "frames (want <= 10)\n",
-                 static_cast<unsigned long long>(
-                     min.scenario.total_frames()));
-    return 1;
-  }
-
-  // The replay file must reproduce from disk, bit-identically.
-  Options replay_opt = opt;
-  replay_opt.replay = opt.out;
-  if (run_replay(replay_opt) != 1) {
-    std::fprintf(stderr,
-                 "selftest FAILED: replay file did not reproduce\n");
-    return 1;
-  }
-  std::printf("selftest PASSED: detected, shrunk to %llu frame(s), "
-              "replay reproduces\n",
-              static_cast<unsigned long long>(min.scenario.total_frames()));
-  return 0;
-}
-
-int run_selftest_tie(Options opt) {
-  // The planted comparator bug dequeues equal-rank messages newest-first.
-  // Arm it and hunt under `sched prio`: rank == tenant is constant per
-  // tenant, so any queue holding two messages of one tenant is a tie the
-  // bug inverts — caught by the audit's explicit (rank, seq) re-derivation
-  // (the comparator itself cannot be trusted to judge its own tie-break)
-  // and, at egress, by the per-tenant ordering oracle.
-  panic::engines::SchedulerQueue::set_selftest_tiebug(true);
-  std::printf("selftest-tie: planted tie-break comparator bug armed\n");
 
   Scenario failing;
   bool found = false;
@@ -274,41 +231,41 @@ int run_selftest_tie(Options opt) {
   for (int i = 0; i < hunt_runs && !found; ++i) {
     Scenario s = panic::proptest::generate_scenario(
         opt.seed + static_cast<std::uint64_t>(i), opt.budget_cycles);
-    s.sched_policy = panic::engines::SchedKind::kPrio;
+    if (tie) s.sched_policy = panic::engines::SchedKind::kPrio;
     if (!panic::proptest::check_scenario(s).empty()) {
       failing = s;
       found = true;
-      std::printf("selftest-tie: detected by seed %llu (run %d)\n",
+      std::printf("%s: detected by seed %llu (run %d)\n", name,
                   static_cast<unsigned long long>(opt.seed + i), i + 1);
     }
   }
   if (!found) {
-    std::fprintf(stderr,
-                 "selftest-tie FAILED: planted bug not detected in %d runs\n",
-                 hunt_runs);
+    std::fprintf(stderr, "%s FAILED: planted bug not detected in %d runs\n",
+                 name, hunt_runs);
     return 1;
   }
 
   const MinimizeResult min = shrink_and_save(failing, opt);
-  if (min.scenario.total_frames() > 10) {
+  const auto frames =
+      static_cast<unsigned long long>(min.scenario.total_frames());
+  if (frames > 10) {
     std::fprintf(stderr,
-                 "selftest-tie FAILED: minimized scenario still has %llu "
-                 "frames (want <= 10)\n",
-                 static_cast<unsigned long long>(
-                     min.scenario.total_frames()));
+                 "%s FAILED: minimized scenario still has %llu frames "
+                 "(want <= 10)\n",
+                 name, frames);
     return 1;
   }
 
+  // The replay file must reproduce from disk, bit-identically.
   Options replay_opt = opt;
   replay_opt.replay = opt.out;
   if (run_replay(replay_opt) != 1) {
-    std::fprintf(stderr,
-                 "selftest-tie FAILED: replay file did not reproduce\n");
+    std::fprintf(stderr, "%s FAILED: replay file did not reproduce\n", name);
     return 1;
   }
-  std::printf("selftest-tie PASSED: detected, shrunk to %llu frame(s), "
-              "replay reproduces\n",
-              static_cast<unsigned long long>(min.scenario.total_frames()));
+  std::printf("%s PASSED: detected, shrunk to %llu frame(s), replay "
+              "reproduces\n",
+              name, frames);
   return 0;
 }
 
@@ -316,8 +273,7 @@ int run_selftest_tie(Options opt) {
 
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
-  if (opt.selftest) return run_selftest(opt);
-  if (opt.selftest_tie) return run_selftest_tie(opt);
+  if (opt.selftest || opt.selftest_tie) return run_selftest(opt);
   if (!opt.replay.empty()) return run_replay(opt);
   return run_fuzz(opt);
 }

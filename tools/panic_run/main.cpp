@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/cli.h"
+#include "common/codec.h"
 #include "common/rng.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -41,8 +42,9 @@ std::optional<Scenario> load_or_complain(const std::string& path) {
 int check_one(const std::string& path) {
   auto s = load_or_complain(path);
   if (!s.has_value()) return 1;
-  if (!s->feasible()) {
-    std::fprintf(stderr, "%s: scenario is not feasible\n", path.c_str());
+  std::string why;
+  if (!s->feasible(/*strict_finite=*/false, &why)) {
+    std::fprintf(stderr, "%s: not feasible: %s\n", path.c_str(), why.c_str());
     return 1;
   }
   try {
@@ -80,19 +82,6 @@ int cmd_print(const std::vector<std::string>& paths) {
   return 0;
 }
 
-int cmd_fields() {
-  std::string section;
-  for (const auto& f : panic::scenario::field_reference()) {
-    if (section != f.section) {
-      section = f.section;
-      std::printf("\n[%s]\n", section.c_str());
-    }
-    std::printf("  %-20s %-28s default %-10s %s\n", f.key, f.syntax,
-                f.fallback, f.doc);
-  }
-  return 0;
-}
-
 int cmd_run(const Scenario& loaded, const panic::cli::ArgParser& args,
             const std::string& trace_path, const std::string& out_path,
             const std::string& rmt_cache) {
@@ -100,14 +89,15 @@ int cmd_run(const Scenario& loaded, const panic::cli::ArgParser& args,
   // --seed was applied to the process-wide global by parse(); a
   // scenario's own `seed` line fills in only when --seed was absent.
   if (!args.seed_given() && s.seed != 0) panic::set_sim_seed(s.seed);
-  if (rmt_cache == "on") {
-    s.rmt_cache_enabled = true;
-  } else if (rmt_cache == "off") {
-    s.rmt_cache_enabled = false;
-  } else if (!rmt_cache.empty()) {
-    std::fprintf(stderr, "--rmt-cache takes on|off, got '%s'\n",
-                 rmt_cache.c_str());
-    return 2;
+  if (!rmt_cache.empty()) {
+    const auto on = panic::codec::value_of<bool>(panic::codec::kSwitchNames,
+                                                 rmt_cache);
+    if (!on) {
+      std::fprintf(stderr, "--rmt-cache takes on|off, got '%s'\n",
+                   rmt_cache.c_str());
+      return 2;
+    }
+    s.rmt_cache_enabled = *on;
   }
 
   panic::scenario::RunOptions opts;
@@ -158,7 +148,10 @@ int main(int argc, char** argv) {
     rest.erase(rest.begin());
   }
 
-  if (command == "fields") return cmd_fields();
+  if (command == "fields") {
+    std::fputs(panic::scenario::field_reference().c_str(), stdout);
+    return 0;
+  }
   if (command == "check") return cmd_check(rest);
   if (command == "print") return cmd_print(rest);
 
