@@ -61,8 +61,7 @@ bool DmaEngine::process(Message& msg, Cycle now) {
   switch (msg.kind) {
     case MessageKind::kPacket: {
       // Deliver to the host RX ring.
-      host_->write(next_ring_addr_, msg.data);
-      next_ring_addr_ += (msg.data.size() + 63) & ~63ull;
+      host_->write(host_->rx_slot(msg.data.size()), msg.data);
       ++packets_to_host_;
       if (now >= msg.nic_ingress_at) {
         const Cycles latency = now - msg.nic_ingress_at;

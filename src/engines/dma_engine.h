@@ -4,8 +4,9 @@
 // of as switch ports, including the on-NIC DMA and PCIe engines").
 //
 // Handled message kinds:
-//   kPacket        — host-bound packet: written to the host RX ring, then
-//                    an interrupt message is emitted toward the PCIe tile.
+//   kPacket        — host-bound packet: written to the host RX ring
+//                    (HostMemory::rx_slot), then an interrupt message is
+//                    emitted toward the PCIe tile.
 //   kDmaRead       — returns a kDmaCompletion carrying the bytes to
 //                    msg->reply_to.
 //   kDmaWrite      — writes msg->data at msg->dma_addr; a zero-length
@@ -67,7 +68,6 @@ class DmaEngine : public Engine {
   std::uint64_t packets_to_host_ = 0;
   std::uint64_t reads_served_ = 0;
   std::uint64_t writes_served_ = 0;
-  std::uint64_t next_ring_addr_ = 0x4000000;  // synthetic RX ring base
   Histogram delivery_hist_;
   std::unordered_map<std::uint16_t, Histogram> per_tenant_hist_;
 };

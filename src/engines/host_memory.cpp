@@ -1,6 +1,7 @@
 #include "engines/host_memory.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace panic::engines {
 
@@ -14,7 +15,21 @@ void HostMemory::write(std::uint64_t addr,
     const std::size_t off = a & (kPageSize - 1);
     const std::size_t n = std::min(data.size() - i, kPageSize - off);
     std::copy_n(data.data() + i, n, page->data.data() + off);
-    for (std::size_t j = 0; j < n; ++j) page->written.set(off + j);
+    // Mark [off, off + n) written: a mask for each end word, and every
+    // word between them set whole.
+    std::uint64_t* words = page->written.data();
+    const std::size_t first = off / kWordBytes;
+    const std::size_t last = (off + n - 1) / kWordBytes;
+    const std::uint64_t head = ~std::uint64_t{0} << (off % kWordBytes);
+    const std::uint64_t tail =
+        ~std::uint64_t{0} >> (kWordBytes - 1 - (off + n - 1) % kWordBytes);
+    if (first == last) {
+      words[first] |= head & tail;
+    } else {
+      words[first] |= head;
+      std::fill(words + first + 1, words + last, ~std::uint64_t{0});
+      words[last] |= tail;
+    }
     i += n;
   }
   bytes_written_ += data.size();
@@ -40,7 +55,8 @@ void HostMemory::read_into(std::uint64_t addr, std::uint32_t len,
   std::size_t i = 0;
   while (i < len) {
     const std::uint64_t a = addr + i;
-    const std::size_t off = a & (kPageSize - 1);
+    const std::uint64_t page_base = a & ~std::uint64_t{kPageSize - 1};
+    const std::size_t off = a - page_base;
     const std::size_t n =
         std::min<std::size_t>(len - i, kPageSize - off);
     const auto it = store_.find(a >> kPageShift);
@@ -48,9 +64,23 @@ void HostMemory::read_into(std::uint64_t addr, std::uint32_t len,
       for (std::size_t j = 0; j < n; ++j) out[i + j] = deterministic_byte(a + j);
     } else {
       const Page& p = *it->second;
-      for (std::size_t j = 0; j < n; ++j) {
-        out[i + j] =
-            p.written.test(off + j) ? p.data[off + j] : deterministic_byte(a + j);
+      // Word by word: a fully written word is one copy; only the bytes
+      // of a partly written one are tested against the bitmap.
+      for (std::size_t b = off; b < off + n;) {
+        const std::uint64_t word = p.written[b / kWordBytes];
+        const std::size_t end =
+            std::min(off + n, (b / kWordBytes + 1) * kWordBytes);
+        std::uint8_t* dst = out.data() + i + (b - off);
+        if (word == ~std::uint64_t{0}) {
+          std::copy(p.data.data() + b, p.data.data() + end, dst);
+        } else {
+          for (std::size_t k = b; k < end; ++k) {
+            *dst++ = (word >> (k % kWordBytes) & 1) != 0
+                         ? p.data[k]
+                         : deterministic_byte(page_base + k);
+          }
+        }
+        b = end;
       }
     }
     i += n;
@@ -60,6 +90,14 @@ void HostMemory::read_into(std::uint64_t addr, std::uint32_t len,
 std::uint64_t HostMemory::allocate(std::uint32_t len) {
   const std::uint64_t addr = next_alloc_;
   next_alloc_ += (len + 63) & ~63ull;  // cache-line align
+  assert(next_alloc_ <= kRxRingBase && "allocator ran into the RX ring");
+  return addr;
+}
+
+std::uint64_t HostMemory::rx_slot(std::size_t len) {
+  if (next_rx_ + len > kRxRingBase + kRxRingBytes) next_rx_ = kRxRingBase;
+  const std::uint64_t addr = next_rx_;
+  next_rx_ += (len + 63) & ~63ull;
   return addr;
 }
 

@@ -9,8 +9,6 @@
 namespace panic::engines {
 namespace {
 
-constexpr std::size_t kTagBytes = 8;
-
 std::array<std::uint8_t, ChaCha20::kNonceBytes> nonce_for(std::uint32_t spi,
                                                           std::uint32_t seq) {
   std::array<std::uint8_t, ChaCha20::kNonceBytes> nonce{};

@@ -18,6 +18,7 @@
 
 #include "engines/chacha20.h"
 #include "engines/engine.h"
+#include "net/headers.h"
 
 namespace panic::engines {
 
@@ -32,6 +33,12 @@ struct IpsecConfig {
 
 class IpsecEngine : public Engine {
  public:
+  static constexpr std::size_t kTagBytes = 8;
+  /// What encapsulate() adds to the inner packet's IPv4 total length: the
+  /// outer IPv4 and ESP headers and the tag.
+  static constexpr std::size_t kTunnelOverhead =
+      Ipv4Header::kSize + EspHeader::kSize + kTagBytes;
+
   IpsecEngine(std::string name, noc::NetworkInterface* ni,
               const EngineConfig& config, const IpsecConfig& ipsec);
 

@@ -167,6 +167,7 @@ void FrameBuilder::build_into(std::vector<std::uint8_t>& out,
   std::size_t l4_size = app_size;
   if (spec.has_udp) {
     l4_size += UdpHeader::kSize;
+    assert(l4_size <= 0xFFFF && "UDP length overflows 16 bits");
     spec.udp.length = static_cast<std::uint16_t>(l4_size);
   } else if (spec.has_tcp) {
     l4_size += TcpHeader::kSize;
@@ -175,6 +176,8 @@ void FrameBuilder::build_into(std::vector<std::uint8_t>& out,
   }
 
   if (spec.has_ipv4) {
+    assert(Ipv4Header::kSize + l4_size <= 0xFFFF &&
+           "IPv4 total length overflows 16 bits");
     spec.ipv4.total_length =
         static_cast<std::uint16_t>(Ipv4Header::kSize + l4_size);
     if (spec.has_udp) {

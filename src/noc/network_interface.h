@@ -73,9 +73,8 @@ class NetworkInterface : public Component {
   std::size_t inject_depth_;
   Component* client_ = nullptr;
 
-  /// Segmentation in progress.  can_inject() advertises `inject_depth_` as
-  /// the backpressure bound, but callers that pre-date the bound (tests,
-  /// drivers pushing bursts) may exceed it, so the storage grows.
+  /// Segmentation in progress, at most `inject_depth_` messages: inject()
+  /// asserts can_inject(), and every caller waits for it.
   Fifo<PendingMessage> pending_;
   /// Reassembled messages awaiting the engine.  Logically unbounded (the
   /// engine's scheduler queue does the dropping), so its high watermark is

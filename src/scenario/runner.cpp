@@ -21,8 +21,7 @@ Ipv4Addr addr_or(const std::string& text, Ipv4Addr fallback) {
 }
 
 workload::FrameFactory make_factory(const WorkloadSpec& w) {
-  const Ipv4Addr client = addr_or(
-      w.src, Ipv4Addr(10, static_cast<std::uint8_t>(w.tenant), 0, 2));
+  const Ipv4Addr client = addr_or(w.src, default_client_addr(w.tenant));
   const Ipv4Addr server = addr_or(w.dst, Ipv4Addr(10, 0, 0, 1));
   switch (w.kind) {
     case WorkloadSpec::Kind::kUdp:
@@ -57,8 +56,7 @@ workload::FrameFactory make_factory(const WorkloadSpec& w) {
 }
 
 workload::FrameFiller make_filler(const WorkloadSpec& w) {
-  const Ipv4Addr client = addr_or(
-      w.src, Ipv4Addr(10, static_cast<std::uint8_t>(w.tenant), 0, 2));
+  const Ipv4Addr client = addr_or(w.src, default_client_addr(w.tenant));
   const Ipv4Addr server = addr_or(w.dst, Ipv4Addr(10, 0, 0, 1));
   switch (w.kind) {
     case WorkloadSpec::Kind::kUdpFill:
@@ -117,6 +115,11 @@ void append_u64(std::string& out, std::uint64_t v) {
 }
 
 }  // namespace
+
+Ipv4Addr default_client_addr(std::uint16_t tenant) {
+  return Ipv4Addr(10, static_cast<std::uint8_t>(tenant & 0xFF),
+                  static_cast<std::uint8_t>(tenant >> 8), 2);
+}
 
 ScenarioRun::ScenarioRun(const Scenario& s, const RunOptions& opts)
     : scenario_(s),

@@ -16,12 +16,18 @@
 #include "common/sim_mode.h"
 #include "common/units.h"
 #include "core/panic_nic.h"
+#include "net/addr.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "telemetry/metrics.h"
 #include "workload/traffic_gen.h"
 
 namespace panic::scenario {
+
+/// The address a workload line without `src` sends from:
+/// 10.<tenant & 255>.<tenant >> 8>.2, one per tenant (10.<tenant>.0.2
+/// below 256).
+Ipv4Addr default_client_addr(std::uint16_t tenant);
 
 struct RunOptions {
   /// Kernel to execute under; pick scenario.mode (or a CLI override).

@@ -10,8 +10,10 @@
 
 #include "common/codec.h"
 #include "common/log.h"
+#include "engines/ipsec_engine.h"
 #include "engines/rank_program.h"
 #include "net/addr.h"
+#include "net/headers.h"
 #include "rmt/p4lite.h"
 
 namespace panic::scenario {
@@ -24,6 +26,16 @@ namespace {
 constexpr int kFixedEngineTiles = 11;
 /// No tile count can exceed the largest mesh.
 constexpr int kMaxTiles = kMaxMeshK * kMaxMeshK;
+/// Frame sizes whose IPv4 total length (16 bits) holds.  Host TX frames
+/// to a WAN destination, and KVS GET replies carrying a stored value back
+/// to a WAN client, leave through the IPsec TX engine, whose ESP tunnel
+/// grows the inner packet by kTunnelOverhead; their limits leave room.
+constexpr std::size_t kMaxIpv4Total = 0xFFFF;
+constexpr std::size_t kMaxFrameBytes = EthernetHeader::kSize + kMaxIpv4Total;
+constexpr std::size_t kMaxHostTxPayload =
+    kMaxIpv4Total - engines::IpsecEngine::kTunnelOverhead -
+    Ipv4Header::kSize - UdpHeader::kSize;
+constexpr std::size_t kMaxKvsValue = kMaxHostTxPayload - KvsHeader::kSize;
 /// RMT flow-cache geometry bounds.
 constexpr std::uint32_t kMaxCacheSets = 1u << 20;
 constexpr std::uint32_t kMaxCacheWays = 1024;
@@ -348,7 +360,8 @@ const std::vector<Field<WorkloadSpec>>& workload_fields() {
       number("off", &W::off_cycles, kAlways, "onoff idle duration"),
       number("frames", &W::max_frames, kAlways,
              "stop after this many frames (0 = unlimited)"),
-      number("bytes", &W::frame_bytes, kAlways, "udp/udp_fill frame size"),
+      number("bytes", &W::frame_bytes, kAlways, "udp/udp_fill frame size",
+             {0, kMaxFrameBytes}),
       // Source ports stay inside [40000, 41024): the range the default
       // program's LB hash was tuned against.
       number("flows", &W::flows, kIfChanged,
@@ -360,7 +373,9 @@ const std::vector<Field<WorkloadSpec>>& workload_fields() {
       number("wan", &W::wan_fraction, kAlways,
              "kvs: fraction arriving WAN-encrypted (0 or 1)", {0.0, 1.0}),
       number("seed", &W::seed, kAlways, "per-source random stream"),
-      text("src", &W::src, "client IPv4", "10.<tenant>.0.2", kIpv4),
+      text("src", &W::src,
+           "client IPv4; the default is 10.<tenant&255>.<tenant>>8>.2",
+           "per-tenant", kIpv4),
       text("dst", &W::dst, "server IPv4", "10.0.0.1", kIpv4),
       number("spi", &W::spi, only(false, WKind::kEsp),
              "esp: SPI (seq starts at 1)", {}, /*hex=*/true),
@@ -385,7 +400,7 @@ const std::vector<Field<InjectSpec>>& inject_fields() {
       number("key", &I::key, kKvs, "kvs: key"),
       number("req", &I::request_id, kKvs, "kvs: request id"),
       number("bytes", &I::value_bytes, only(false, IKind::kKvsSet),
-             "kvs_set: value size"),
+             "kvs_set: value size", {0, kMaxKvsValue}),
       number("spi", &I::spi, only(false, IKind::kEsp), "esp: SPI", {},
              /*hex=*/true),
       number("seq", &I::seq, only(false, IKind::kEsp),
@@ -407,7 +422,8 @@ const std::vector<Field<HostTxSpec>>& host_tx_fields() {
            "203.0.113.80", kIpv4),
       number("sport", &T::src_port, kAlways, "UDP source port"),
       number("dport", &T::dst_port, kAlways, "UDP destination port"),
-      number("bytes", &T::payload_bytes, kAlways, "payload size"),
+      number("bytes", &T::payload_bytes, kAlways, "payload size",
+             {0, kMaxHostTxPayload}),
   };
   return fields;
 }
@@ -659,6 +675,30 @@ Field<Scenario> program_key() {
       });
 }
 
+/// `budget`: warmup + budget must fit in a Cycle, or Simulator::run's end
+/// cycle wraps and the run measures nothing.  Checked as the line is read
+/// (against a `warmup` line above it) and again by feasible().
+Field<Scenario> budget_key() {
+  Field<Scenario> f =
+      number("budget", &Scenario::budget_cycles, kAlways,
+             "measured cycles; warmup + budget <= 2^64-1", Range<Cycles>{1});
+  const auto fits = [](const Scenario& s, std::string* why) {
+    const Cycles most = std::numeric_limits<Cycles>::max() - s.warmup_cycles;
+    return s.budget_cycles <= most ||
+           fail(why, "expected 1..2^64-1-warmup = " + codec::write(most) +
+                         ", got " + codec::write(s.budget_cycles));
+  };
+  f.read = [fits, read = f.read](Scenario& s, std::string_view v,
+                                 Lines* lines, std::string* why) {
+    return read(s, v, lines, why) && fits(s, why);
+  };
+  f.check = [fits](const Scenario& s, std::string* why) {
+    std::string reason;
+    return fits(s, &reason) || fail(why, "budget: " + reason);
+  };
+  return f;
+}
+
 /// The terminator: Scenario::parse stops at it before any read.
 Field<Scenario> end_key() {
   return structural("end", "", "", "mandatory terminator", nullptr,
@@ -719,7 +759,7 @@ const std::vector<Field<Scenario>>& scenario_fields() {
              {0, kMaxPoolReserve}),
       number("warmup", &S::warmup_cycles, kIfChanged,
              "cycles before the measured window"),
-      number("budget", &S::budget_cycles, kAlways, "measured cycles", {1}),
+      budget_key(),
       choice("mode", &S::mode, kSimModeNames, kIfChanged,
              "default kernel; panic_run --mode overrides"),
       tenant_entries(

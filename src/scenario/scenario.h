@@ -105,7 +105,8 @@ struct WorkloadSpec {
   /// plain and IPSec paths, blinding the ordering oracle).
   double wan_fraction = 0.0;
   std::uint64_t seed = 1;
-  /// Source / destination IPv4; empty = 10.<tenant>.0.2 / 10.0.0.1.
+  /// Source / destination IPv4; empty = 10.<tenant & 255>.<tenant >> 8>.2
+  /// (default_client_addr) / 10.0.0.1.
   std::string src;
   std::string dst;
   /// kEsp: security parameter index; sequence numbers start at 1.

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "net/message_pool.h"
@@ -132,7 +133,7 @@ void Simulator::drain_due_wakes() {
 Cycle Simulator::next_scheduled_cycle() const {
   Cycle t = Component::kNeverWake;
   if (!events_.empty() && events_.top().cycle < t) t = events_.top().cycle;
-  if (const Cycle w = ctx_.wake_queue.next_cycle(); w < t) t = w;
+  if (const Cycle w = ctx_.wake_queue.next_cycle(now_); w < t) t = w;
   return t;
 }
 
@@ -220,6 +221,8 @@ void Simulator::step() {
 }
 
 void Simulator::run(Cycles cycles) {
+  assert(cycles <= std::numeric_limits<Cycle>::max() - now_ &&
+         "now + cycles wraps Cycle");
   const Cycle end = now_ + cycles;
   while (now_ < end) {
     step();

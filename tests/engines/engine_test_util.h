@@ -21,8 +21,13 @@ struct MiniMesh {
 
   EngineId tile(int x, int y) { return mesh.tile_id(x, y); }
 
+  /// Injects at `from`, first stepping the simulator until its NI has
+  /// room (a burst beyond the inject depth drains as a real engine's
+  /// would).
   void send(MessagePtr msg, EngineId from, EngineId to) {
-    mesh.ni(from).inject(std::move(msg), to, sim.now());
+    noc::NetworkInterface& ni = mesh.ni(from);
+    while (!ni.can_inject()) sim.step();
+    ni.inject(std::move(msg), to, sim.now());
   }
 
   /// Runs until a message arrives at `at` (draining it), or max_cycles.

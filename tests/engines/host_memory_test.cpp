@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "engines/lookup_table.h"
 
 namespace panic::engines {
@@ -23,20 +27,88 @@ TEST(HostMemory, UntouchedReadsAreDeterministic) {
 
 TEST(HostMemory, PartialOverwrite) {
   HostMemory mem;
+  const HostMemory fresh;
   mem.write(0x100, std::vector<std::uint8_t>{1, 1, 1, 1});
   mem.write(0x102, std::vector<std::uint8_t>{9});
   const auto got = mem.read(0x100, 4);
   EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 1, 9, 1}));
+
+  // A fully written 64-byte word, then ten bytes of it overwritten.
+  const std::uint64_t word = 0x5040;
+  std::vector<std::uint8_t> expect(64, 0xAB);
+  mem.write(word, expect);
+  mem.write(word + 10, std::vector<std::uint8_t>(10, 0xCD));
+  std::fill(expect.begin() + 10, expect.begin() + 20, 0xCD);
+  EXPECT_EQ(mem.read(word, 64), expect);
+  EXPECT_EQ(mem.read(word + 15, 10),
+            std::vector<std::uint8_t>(expect.begin() + 15,
+                                      expect.begin() + 25));
+  // A word written in two separate runs keeps the fill in its holes.
+  const std::uint64_t holes = word + 64;
+  mem.write(holes + 3, std::vector<std::uint8_t>(5, 0x11));
+  mem.write(holes + 40, std::vector<std::uint8_t>(24, 0x22));
+  auto want = fresh.read(holes, 64);
+  std::fill(want.begin() + 3, want.begin() + 8, 0x11);
+  std::fill(want.begin() + 40, want.end(), 0x22);
+  EXPECT_EQ(mem.read(holes, 64), want);
 }
 
 TEST(HostMemory, AllocatorAlignsAndAdvances) {
   HostMemory mem;
   const auto a = mem.allocate(10);
   const auto b = mem.allocate(100);
-  EXPECT_EQ(a % 64, 0u);
-  EXPECT_EQ(b % 64, 0u);
-  EXPECT_GE(b, a + 10);
-  EXPECT_NE(a, b);
+  // The addresses are observable (TX descriptor addresses seed the host
+  // driver's retry backoff), so they are pinned, not just well-formed.
+  EXPECT_EQ(a, 0x100000u);
+  EXPECT_EQ(b, 0x100040u);
+  EXPECT_EQ(mem.allocate(1), 0x1000c0u);
+}
+
+TEST(HostMemory, WritesStraddlingWordsAndPagesReadBackExactly) {
+  HostMemory mem;
+  const HostMemory fresh;
+  // 300 bytes from 100 below a page boundary: a partial first word, whole
+  // words, the page break, and a partial last word.
+  const std::uint64_t addr = 0x23000 - 100;
+  std::vector<std::uint8_t> data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  mem.write(addr, data);
+  EXPECT_EQ(mem.read(addr, 300), data);
+  // Untouched neighbours on both sides still read the deterministic fill,
+  // in reads that cover written and unwritten bytes of one word.
+  EXPECT_EQ(mem.read(addr - 70, 70), fresh.read(addr - 70, 70));
+  EXPECT_EQ(mem.read(addr + 300, 70), fresh.read(addr + 300, 70));
+  auto around = fresh.read(addr - 70, 440);
+  std::copy(data.begin(), data.end(), around.begin() + 70);
+  EXPECT_EQ(mem.read(addr - 70, 440), around);
+  EXPECT_EQ(mem.pages_resident(), 2u);
+}
+
+TEST(HostMemory, RxRingWrapsIntoAFixedSetOfPages) {
+  HostMemory mem;
+  // Slots are 64-byte aligned and start at the ring base, far above
+  // anything the allocator hands out.
+  EXPECT_EQ(mem.rx_slot(1500), HostMemory::kRxRingBase);
+  EXPECT_EQ(mem.rx_slot(60), HostMemory::kRxRingBase + 1536);
+  EXPECT_EQ(mem.rx_slot(0), HostMemory::kRxRingBase + 1600);
+  // A packet that would cross the ring's end starts again at its base.
+  HostMemory wrap;
+  const std::uint64_t slots = HostMemory::kRxRingBytes / 1536;
+  for (std::uint64_t i = 0; i < slots; ++i) {
+    EXPECT_EQ(wrap.rx_slot(1500), HostMemory::kRxRingBase + i * 1536);
+  }
+  EXPECT_EQ(wrap.rx_slot(1500), HostMemory::kRxRingBase);
+
+  // Delivering ten ring-fulls touches the ring's pages and no others;
+  // every byte still counts as written.
+  const std::vector<std::uint8_t> packet(1500, 0x5A);
+  for (std::uint64_t i = 0; i < 10 * slots; ++i) {
+    mem.write(mem.rx_slot(packet.size()), packet);
+  }
+  EXPECT_EQ(mem.pages_resident(), HostMemory::kRxRingBytes / 4096);
+  EXPECT_EQ(mem.bytes_written(), 10 * slots * packet.size());
 }
 
 TEST(LocalLookupTable, ChainHopWinsOverEverything) {

@@ -252,6 +252,18 @@ TEST(ScenarioRunner, CheckedInFileIsACanonicalFixpoint) {
   EXPECT_EQ(reparsed->to_string(), s.to_string());
 }
 
+TEST(ScenarioRunner, DefaultClientAddressIsOnePerTenant) {
+  // Below 256 it is 10.<tenant>.0.2, as every checked-in scenario and
+  // both fuzz generators expect.
+  EXPECT_EQ(default_client_addr(0).to_string(), "10.0.0.2");
+  EXPECT_EQ(default_client_addr(44).to_string(), "10.44.0.2");
+  EXPECT_EQ(default_client_addr(255).to_string(), "10.255.0.2");
+  // Above, the high byte moves to the third octet: tenants 300 and 44
+  // used to share 10.44.0.2.
+  EXPECT_EQ(default_client_addr(300).to_string(), "10.44.1.2");
+  EXPECT_EQ(default_client_addr(65535).to_string(), "10.255.255.2");
+}
+
 TEST(ScenarioRunner, SourceLookupFindsNamedWorkloads) {
   Scenario s;
   s.budget_cycles = 100;

@@ -504,6 +504,11 @@ TEST(ScenarioFormat, ScalarCoercionsAreRejected) {
        "line 2: dma_contention: expected a finite number, got 'nan'"},
       {"fault_seed 0x10",
        "line 2: fault_seed: expected an integer, got '0x10'"},
+      // warmup + budget used to wrap Simulator::run's end cycle, so the
+      // run measured nothing.
+      {"warmup 20000\nbudget 18446744073709551615",
+       "line 3: budget: expected 1..2^64-1-warmup = 18446744073709531615, "
+       "got 18446744073709551615"},
   });
 }
 
@@ -527,6 +532,15 @@ TEST(ScenarioFormat, LineCoercionsAreRejected) {
        "line 2: fault: bad x=nan: expected a finite number, got 'nan'"},
       {"fault corrupt dma @100 p=-2",
        "line 2: fault: bad p=-2: expected 0..1, got '-2'"},
+      // Frame sizes whose 16-bit IPv4 total length would wrap: 14 + 65535
+      // bytes of frame; host TX and KVS SET sizes leave room for the
+      // 28 B of IPv4 + UDP, the 24 B KVS header and the 36 B ESP tunnel.
+      {"workload kind=udp_fill bytes=70000",
+       "line 2: workload: bytes: expected 0..65549, got '70000'"},
+      {"host_tx bytes=65472",
+       "line 2: host_tx: bytes: expected 0..65471, got '65472'"},
+      {"inject kind=kvs_set bytes=65448",
+       "line 2: inject: bytes: expected 0..65447, got '65448'"},
   });
 }
 
@@ -575,6 +589,17 @@ TEST(ScenarioFormat, InfeasibleScenariosNameTheField) {
   EXPECT_TRUE(s.feasible(false, &why));
   EXPECT_FALSE(s.feasible(/*strict_finite=*/true, &why));
   EXPECT_EQ(why, "workload 0: frames: unlimited in a run that must end");
+
+  // warmup + budget must fit in a Cycle, whichever line came first.
+  s = Scenario{};
+  s.warmup_cycles = 10;
+  s.budget_cycles = ~Cycles{0} - 9;
+  EXPECT_FALSE(s.feasible(false, &why));
+  EXPECT_EQ(why,
+            "budget: expected 1..2^64-1-warmup = 18446744073709551605, got "
+            "18446744073709551606");
+  s.budget_cycles = ~Cycles{0} - 10;
+  EXPECT_TRUE(s.feasible(false, &why));
 
   s = Scenario{};
   s.sched_policy.set_weight(3, 0);

@@ -11,6 +11,9 @@
 // cache hits at least 90% of its lookups.  The pool is process-wide, so a
 // leg only proves allocation-freedom in a fresh process; ctest runs every
 // case in its own.  Host speed is perfbench's job (perfbench/README.md).
+//
+// HostPagesStayFlat checks the saturated leg's host memory stops growing
+// once the DMA RX ring has wrapped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,6 +49,27 @@ void check_leg(const char* file, SimMode mode) {
   const double misses = snap.sum("rmt.cache.", ".misses");
   ASSERT_GT(hits + misses, 0.0) << "the flow cache saw no lookups";
   EXPECT_GE(hits / (hits + misses), kMinHitRate);
+}
+
+TEST(HotpathGate, HostPagesStayFlat) {
+  // Every delivered packet lands in the fixed RX ring, so once the ring
+  // has wrapped the host holds the same pages from L cycles to 16L: the
+  // ring's 256 and nothing else, since this scenario has no KVS log and
+  // no host TX.  A scenario whose KVS SETs append values to the host-side
+  // log keeps growing, as the paper's KVS design says it should:
+  // offload_mix goes from 260 pages at 1M cycles to 319 at 16M.
+  constexpr Cycles kL = 250'000;
+  std::string error;
+  const auto s = scenario::Scenario::load(
+      PANIC_BENCH_DIR "/bench_hotpath_saturated.scenario", &error);
+  ASSERT_TRUE(s.has_value()) << error;
+  scenario::ScenarioRun run(*s);
+  const engines::HostMemory& host = run.nic().host_memory();
+  run.sim().run(kL);
+  const std::size_t at_l = host.pages_resident();
+  run.sim().run(15 * kL);
+  EXPECT_EQ(host.pages_resident(), at_l);
+  EXPECT_EQ(at_l, engines::HostMemory::kRxRingBytes / 4096);
 }
 
 TEST(HotpathGate, SaturatedDense) {

@@ -5,12 +5,14 @@
 // executes far fewer component ticks.  The same holds under an active
 // FaultPlan.  Plus targeted tests for the wake protocol itself:
 // wake-on-enqueue, sleep-with-deadline, empty-active-set fast-forward,
-// late-event determinism, wake coalescing, and the slot-ordering rule,
-// including mid-scan wakes across the active bitmap's words.
+// late-event determinism, wake coalescing, fast-forward across the wake
+// wheel's wrap, and the slot-ordering rule, including mid-scan wakes
+// across the active bitmap's words.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -418,6 +420,63 @@ TEST(KernelWake, StrictTickModeNeverSleeps) {
   sim.run(100);
   EXPECT_EQ(sim.component_ticks(), 100u);
   EXPECT_EQ(sim.fast_forwarded_cycles(), 0u);
+}
+
+/// Acts at each cycle of a fixed schedule and sleeps until the next one;
+/// the dense kernel ticks it every cycle, and it acts only when due.
+class Scheduled : public Component {
+ public:
+  explicit Scheduled(std::vector<Cycle> due)
+      : Component("scheduled"), due_(std::move(due)) {}
+  void tick(Cycle now) override {
+    if (next_ < due_.size() && due_[next_] == now) {
+      acted.push_back(now);
+      ++next_;
+    }
+  }
+  Cycle next_wake(Cycle) const override {
+    return next_ < due_.size() ? due_[next_] : kNeverWake;
+  }
+  std::vector<Cycle> acted;
+
+ private:
+  std::vector<Cycle> due_;
+  std::size_t next_ = 0;
+};
+
+TEST(KernelWake, FastForwardAcrossWheelWrap) {
+  // From cycle 61, three short of a wheel wrap, the sleeper sleeps 40 and
+  // 63 cycles (wheel wakes; the second lands in a bucket behind the
+  // current one, so the next-wake search must wrap around the wheel),
+  // then 64, 65 and 200 (far-heap wakes).  A 37-cycle beat keeps wheel
+  // and heap wakes pending at the same time.
+  std::vector<Cycle> sleeper{61};
+  for (const Cycles sleep : {40, 63, 64, 65, 200}) {
+    sleeper.push_back(sleeper.back() + sleep);
+  }
+  std::vector<Cycle> beat;
+  for (Cycle c = 37; c < 600; c += 37) beat.push_back(c);
+  constexpr Cycles kRun = 600;
+
+  // The event kernel executes cycle 0 (every component's first tick) and
+  // the due cycles; it skips every other one.
+  std::set<Cycle> executed{0};
+  executed.insert(sleeper.begin(), sleeper.end());
+  executed.insert(beat.begin(), beat.end());
+
+  for (const SimMode mode : {SimMode::kEventDriven, SimMode::kStrictTick}) {
+    Simulator sim(Frequency::megahertz(500), mode);
+    Scheduled a(sleeper);
+    Scheduled b(beat);
+    sim.add(&a);
+    sim.add(&b);
+    sim.run(kRun);
+    EXPECT_EQ(a.acted, sleeper);
+    EXPECT_EQ(b.acted, beat);
+    EXPECT_EQ(sim.now(), kRun);
+    EXPECT_EQ(sim.fast_forwarded_cycles(),
+              mode == SimMode::kStrictTick ? 0 : kRun - executed.size());
+  }
 }
 
 TEST(KernelWake, WakeCoalescingKeepsActiveComponentsCheap) {
