@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     {
       Simulator sim(Frequency::megahertz(500), requested_sim_mode());
       baselines::PipelineNicConfig pcfg;
-      pcfg.dma_base = 20;  // match PANIC's host path
+      pcfg.dma.base_latency = 20;  // match PANIC's host path
       baselines::PipelineNic nic(
           "pipe", {baselines::slow_offload_spec(kSlowCycles, kSlowPort)},
           pcfg, sim);

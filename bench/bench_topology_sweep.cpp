@@ -10,11 +10,12 @@
 // scenario text format before running, so the sweep doubles as a
 // serialization check and any point can be dumped and re-run standalone.
 // The chain of pass-through aux engines scales with the mesh
-// (min(k^2 - 14, 2k) hops), mirroring the analytic "chain length"
-// column: a k x k mesh earns its area only if it sustains a
-// proportionally longer chain.  k=3 is out of the sweep: the 11 fixed
-// engines plus ports/RMT don't fit 9 tiles, so it is not a buildable
-// NIC design point (the raw-mesh capacity model still covers it).
+// (min(k^2 - 14, 2k) hops: 14 tiles go to the fixed engines, 2 ports and
+// 1 RMT engine), mirroring the analytic "chain length" column: a k x k
+// mesh earns its area only if it sustains a proportionally longer chain.
+// k=3 is out of the sweep: the fixed engines plus ports/RMT don't fit 9
+// tiles, so it is not a buildable NIC design point (the raw-mesh capacity
+// model still covers it).
 //
 // The routing ablation reruns the k=6 point with `routing westfirst`
 // — the scenario language's routing axis — against deterministic XY.
@@ -25,6 +26,7 @@
 
 #include "analysis/report.h"
 #include "common/cli.h"
+#include "core/panic_config.h"
 #include "noc/mesh_model.h"
 #include "scenario/runner.h"
 
@@ -38,10 +40,17 @@ struct SweepResult {
   double unloaded_latency;   // single-frame ingress->host, cycles
 };
 
-/// Chain depth for a k x k mesh: every spare tile up to 2k hops, so the
+constexpr int kEthPorts = 2;
+constexpr int kRmtEngines = 1;
+
+/// Chain depth for a k x k mesh: every free tile up to 2k hops, so the
 /// offered chain grows with the mesh the way the analytic chain-length
 /// column says it should.
-int chain_for(int k) { return std::min(k * k - 14, 2 * k); }
+int chain_for(int k) {
+  const int taken =
+      static_cast<int>(core::kFixedEngines.size()) + kEthPorts + kRmtEngines;
+  return std::min(k * k - taken, 2 * k);
+}
 
 /// One design point of the sweep as a self-contained scenario.
 scenario::Scenario make_point(int k, noc::RoutingAlgo routing, double gap,
@@ -52,8 +61,8 @@ scenario::Scenario make_point(int k, noc::RoutingAlgo routing, double gap,
                 routing == noc::RoutingAlgo::kWestFirst ? "_wf" : "");
   s.mesh_k = k;
   s.routing = routing;
-  s.eth_ports = 2;
-  s.rmt_engines = 1;
+  s.eth_ports = kEthPorts;
+  s.rmt_engines = kRmtEngines;
   s.aux_engines = chain;
   s.aux_fixed_cycles = 1;  // pass-through: the NoC is the resource
   s.dma_base_latency = 2;  // fast host path so DMA never dominates

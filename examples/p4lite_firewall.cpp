@@ -24,10 +24,6 @@ int main(int argc, char** argv) {
   // topology.
   config.customize_program = [](rmt::RmtProgram& program,
                                 const core::PanicTopology& topo) {
-    const rmt::SymbolTable symbols = {
-        {"dma", topo.dma.value},
-        {"regex", topo.regex.value},
-    };
     const char* policy = R"(
       stage acl {
         table deny exact(l4.dport) {
@@ -41,7 +37,8 @@ int main(int argc, char** argv) {
       }
     )";
     std::string error;
-    if (!rmt::append_p4lite_stages(program, policy, symbols, &error)) {
+    if (!rmt::append_p4lite_stages(program, policy, topo.tile_names(),
+                                   &error)) {
       std::fprintf(stderr, "policy compile failed: %s\n", error.c_str());
       std::exit(1);
     }

@@ -1,7 +1,5 @@
 #include "baselines/manycore_nic.h"
 
-#include <cmath>
-
 #include "telemetry/telemetry.h"
 
 namespace panic::baselines {
@@ -17,13 +15,7 @@ ManycoreNic::ManycoreNic(std::string name, std::vector<OffloadSpec> offloads,
 
 void ManycoreNic::inject_rx(std::vector<std::uint8_t> frame, Cycle now,
                             TenantId tenant) {
-  auto msg = make_message(MessageKind::kPacket);
-  msg->data = std::move(frame);
-  msg->tenant = tenant;
-  msg->created_at = now;
-  msg->nic_ingress_at = now;
-  annotate_message(*msg);
-
+  MessagePtr msg = admit(std::move(frame), now, tenant);
   std::size_t core;
   if (config_.dispatch == ManycoreNicConfig::Dispatch::kFlowHash) {
     const std::uint64_t h =
@@ -32,78 +24,43 @@ void ManycoreNic::inject_rx(std::vector<std::uint8_t> frame, Cycle now,
   } else {
     core = static_cast<std::size_t>(next_core_++ % static_cast<int>(cores_.size()));
   }
-  if (cores_[core].queue.size() >= config_.core_queue_depth) {
-    msg->set_fate(MessageFate::kDropped);
-    ++dropped_;
+  if (cores_[core].queued() >= config_.core_queue_depth) {
+    drop(std::move(msg));
     return;
   }
-  cores_[core].queue.push(std::move(msg));
+  cores_[core].push(std::move(msg));
   request_wake(now);
 }
 
 void ManycoreNic::tick(Cycle now) {
-  // DMA completion.
-  if (dma_in_service_ != nullptr && now >= dma_done_at_) {
-    ++delivered_;
-    if (now >= dma_in_service_->nic_ingress_at) {
-      latency_.record(now - dma_in_service_->nic_ingress_at);
-    }
-    dma_in_service_->set_fate(MessageFate::kDelivered);
-    dma_in_service_ = nullptr;
-  }
-  if (dma_in_service_ == nullptr && !dma_queue_.empty()) {
-    dma_in_service_ = dma_queue_.pop();
-    const Cycles t = config_.dma_base +
-                     static_cast<Cycles>(std::ceil(
-                         static_cast<double>(dma_in_service_->data.size()) /
-                         config_.dma_bytes_per_cycle));
-    dma_done_at_ = now + t;
-  }
+  if (MessagePtr* done = dma_.finished(now)) deliver(std::move(*done), now);
+  dma_.start_next(now, [&](const Message& msg) {
+    return dma_cycles(config_.dma, msg.size());
+  });
 
-  // Cores.
-  for (Core& core : cores_) {
-    if (core.in_service != nullptr && now >= core.done_at) {
-      dma_queue_.push(std::move(core.in_service));
-      core.in_service = nullptr;
-    }
-    if (core.in_service == nullptr && !core.queue.empty()) {
-      core.in_service = core.queue.pop();
+  for (FifoServer& core : cores_) {
+    if (MessagePtr* done = core.finished(now)) dma_.push(std::move(*done));
+    core.start_next(now, [&](const Message& msg) {
       Cycles t = config_.orchestration_cycles;
       for (const OffloadSpec& spec : offloads_) {
-        if (spec.applies(*core.in_service)) {
-          t += spec.service_cycles(*core.in_service);
-        }
+        if (spec.applies(msg)) t += spec.service_cycles(msg);
       }
-      core.done_at = now + (t == 0 ? 1 : t);
-    }
+      return t;
+    });
   }
 }
 
 Cycle ManycoreNic::next_wake(Cycle now) const {
-  Cycle next = kNeverWake;
-  const auto server = [&](const MessagePtr& busy, Cycle done_at,
-                          bool queued) {
-    if (busy != nullptr) {
-      const Cycle c = done_at > now + 1 ? done_at : now + 1;
-      if (c < next) next = c;
-    } else if (queued) {
-      next = now + 1;  // issues at the next tick
-    }
-  };
-  server(dma_in_service_, dma_done_at_, !dma_queue_.empty());
-  for (const Core& core : cores_) {
-    server(core.in_service, core.done_at, !core.queue.empty());
+  Cycle next = dma_.next_wake(now);
+  for (const FifoServer& core : cores_) {
+    next = std::min(next, core.next_wake(now));
   }
   return next;
 }
 
 void ManycoreNic::register_telemetry(telemetry::Telemetry& t) {
   Component::register_telemetry(t);
-  auto& m = t.metrics();
-  const std::string prefix = "baseline." + name() + ".";
-  m.expose_counter(prefix + "delivered", &delivered_);
-  m.expose_counter(prefix + "dropped", &dropped_);
-  m.expose_histogram(prefix + "host_latency", &latency_);
+  expose_metrics(t.metrics(), name());
 }
 
 }  // namespace panic::baselines

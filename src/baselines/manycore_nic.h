@@ -9,8 +9,6 @@
 // switch removes.
 #pragma once
 
-#include "common/fifo.h"
-
 #include "baselines/nic_model.h"
 #include "sim/component.h"
 #include "sim/simulator.h"
@@ -22,8 +20,7 @@ struct ManycoreNicConfig {
   /// Per-packet CPU orchestration overhead (10 µs @ 500 MHz by default).
   Cycles orchestration_cycles = 5000;
   std::size_t core_queue_depth = 256;
-  Cycles dma_base = 75;
-  double dma_bytes_per_cycle = 32.0;
+  engines::DmaConfig dma;  ///< the shared DMA engine (contention unused)
   /// kFlowHash pins a flow to a core (preserves order); kRoundRobin
   /// maximizes balance.
   enum class Dispatch { kRoundRobin, kFlowHash } dispatch = Dispatch::kRoundRobin;
@@ -34,12 +31,9 @@ class ManycoreNic : public Component, public NicModel {
   ManycoreNic(std::string name, std::vector<OffloadSpec> offloads,
               const ManycoreNicConfig& config, Simulator& sim);
 
+  /// Refused (fate kDropped) when the chosen core's queue is full.
   void inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                 TenantId tenant) override;
-
-  const Histogram& host_latency() const override { return latency_; }
-  std::uint64_t packets_to_host() const override { return delivered_; }
-  std::uint64_t packets_dropped() const override { return dropped_; }
+                 TenantId tenant);
 
   /// Publishes `baseline.<name>.*` metrics.
   void register_telemetry(telemetry::Telemetry& t) override;
@@ -51,25 +45,11 @@ class ManycoreNic : public Component, public NicModel {
   Cycle next_wake(Cycle now) const override;
 
  private:
-  struct Core {
-    Fifo<MessagePtr> queue;
-    MessagePtr in_service;
-    Cycle done_at = 0;
-  };
-
   ManycoreNicConfig config_;
   std::vector<OffloadSpec> offloads_;
-  std::vector<Core> cores_;
+  std::vector<FifoServer> cores_;
   int next_core_ = 0;
-
-  // Shared DMA engine behind the cores.
-  Fifo<MessagePtr> dma_queue_;
-  MessagePtr dma_in_service_;
-  Cycle dma_done_at_ = 0;
-
-  Histogram latency_;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
+  FifoServer dma_;  ///< shared DMA engine behind the cores
 };
 
 }  // namespace panic::baselines

@@ -1,6 +1,12 @@
 #include "baselines/nic_model.h"
 
+#include <cmath>
+
+#include "engines/checksum_engine.h"
+#include "engines/compression_engine.h"
+#include "engines/ipsec_engine.h"
 #include "net/headers.h"
+#include "net/packet.h"
 
 namespace panic::baselines {
 
@@ -26,19 +32,21 @@ void annotate_message(Message& msg) {
 }
 
 OffloadSpec ipsec_offload_spec() {
+  const engines::IpsecConfig cost;
   OffloadSpec spec;
   spec.name = "ipsec";
-  spec.fixed_cycles = 24;      // matches engines::IpsecConfig
-  spec.cycles_per_byte = 0.25;
+  spec.fixed_cycles = cost.setup_cycles;
+  spec.cycles_per_byte = cost.cycles_per_byte;
   spec.applies = [](const Message& msg) { return msg.meta.is_esp; };
   return spec;
 }
 
 OffloadSpec compression_offload_spec() {
+  const engines::CompressionConfig cost;
   OffloadSpec spec;
   spec.name = "compression";
-  spec.fixed_cycles = 16;      // matches engines::CompressionConfig
-  spec.cycles_per_byte = 0.5;
+  spec.fixed_cycles = cost.setup_cycles;
+  spec.cycles_per_byte = cost.cycles_per_byte;
   spec.applies = [](const Message& msg) {
     return msg.meta.is_kvs;  // KVS values get compressed
   };
@@ -46,10 +54,11 @@ OffloadSpec compression_offload_spec() {
 }
 
 OffloadSpec checksum_offload_spec() {
+  const engines::ChecksumConfig cost;
   OffloadSpec spec;
   spec.name = "checksum";
-  spec.fixed_cycles = 2;       // matches engines::ChecksumConfig
-  spec.cycles_per_byte = 0.0625;
+  spec.fixed_cycles = cost.setup_cycles;
+  spec.cycles_per_byte = cost.cycles_per_byte;
   spec.applies = [](const Message& msg) {
     return msg.meta.has_udp || msg.meta.has_tcp;
   };
@@ -65,6 +74,46 @@ OffloadSpec slow_offload_spec(Cycles fixed_cycles, std::uint16_t udp_port) {
     return msg.meta.udp_dst_port == udp_port;
   };
   return spec;
+}
+
+Cycles dma_cycles(const engines::DmaConfig& dma, std::size_t bytes) {
+  return dma.base_latency +
+         static_cast<Cycles>(
+             std::ceil(static_cast<double>(bytes) / dma.bytes_per_cycle));
+}
+
+MessagePtr NicModel::admit(std::vector<std::uint8_t> frame, Cycle now,
+                           TenantId tenant) {
+  auto msg = make_message(MessageKind::kPacket);
+  msg->data = std::move(frame);
+  msg->tenant = tenant;
+  msg->created_at = now;
+  msg->nic_ingress_at = now;
+  annotate_message(*msg);
+  return msg;
+}
+
+void NicModel::drop(MessagePtr msg) {
+  if (msg != nullptr) msg->set_fate(MessageFate::kDropped);
+  ++dropped_;
+}
+
+void NicModel::deliver(MessagePtr msg, Cycle now) {
+  ++delivered_;
+  if (now >= msg->nic_ingress_at) latency_.record(now - msg->nic_ingress_at);
+  msg->set_fate(MessageFate::kDelivered);
+}
+
+void NicModel::expose_metrics(
+    telemetry::MetricsRegistry& m, const std::string& nic,
+    std::initializer_list<std::pair<const char*, std::uint64_t*>> extra) {
+  const std::string prefix = "baseline." + nic + ".";
+  m.expose_counter(prefix + "delivered", &delivered_);
+  m.expose_counter(prefix + "dropped", &dropped_);
+  for (const auto& [suffix, cell] : extra) {
+    m.expose_counter(prefix + suffix, cell);
+  }
+  m.expose_histogram(prefix + "host_latency", &latency_);
 }
 
 }  // namespace panic::baselines

@@ -1,7 +1,5 @@
 #include "baselines/pipeline_nic.h"
 
-#include <cmath>
-
 #include "telemetry/telemetry.h"
 
 namespace panic::baselines {
@@ -10,39 +8,30 @@ PipelineNic::PipelineNic(std::string name, std::vector<OffloadSpec> offloads,
                          const PipelineNicConfig& config, Simulator& sim)
     : Component(std::move(name)), config_(config) {
   for (auto& spec : offloads) {
-    stages_.push_back(StageState{std::move(spec), {}, nullptr, 0});
+    stages_.push_back(Stage{std::move(spec), {}, false});
   }
   // Final stage: the DMA engine moving the packet to host memory.
   OffloadSpec dma;
   dma.name = "dma";
-  dma.fixed_cycles = config_.dma_base;
-  dma.cycles_per_byte = 1.0 / config_.dma_bytes_per_cycle;
-  dma.applies = [](const Message&) { return true; };
-  stages_.push_back(StageState{std::move(dma), {}, nullptr, 0});
+  stages_.push_back(Stage{std::move(dma), {}, false});
   sim.add(this);
 }
 
 bool PipelineNic::stage_push(std::size_t stage, MessagePtr& msg) {
-  auto& st = stages_[stage];
-  if (st.queue.size() >= config_.stage_queue_depth) return false;
-  st.queue.push(std::move(msg));  // nulls `msg`; on failure the caller keeps it
+  FifoServer& server = stages_[stage].server;
+  if (server.queued() >= config_.stage_queue_depth) return false;
+  server.push(std::move(msg));  // nulls `msg`; on failure the caller keeps it
   return true;
 }
 
 void PipelineNic::inject_rx(std::vector<std::uint8_t> frame, Cycle now,
                             TenantId tenant) {
-  auto msg = make_message(MessageKind::kPacket);
-  msg->data = std::move(frame);
-  msg->tenant = tenant;
-  msg->created_at = now;
-  msg->nic_ingress_at = now;
-  annotate_message(*msg);
+  MessagePtr msg = admit(std::move(frame), now, tenant);
   if (stage_push(0, msg)) {
     request_wake(now);
     return;
   }
-  msg->set_fate(MessageFate::kDropped);
-  ++dropped_;
+  drop(std::move(msg));
 }
 
 void PipelineNic::tick(Cycle now) {
@@ -50,7 +39,8 @@ void PipelineNic::tick(Cycle now) {
   // stage i+1 the same cycle only if i+1 just freed — conservative and
   // stable.
   for (std::size_t i = stages_.size(); i-- > 0;) {
-    auto& st = stages_[i];
+    Stage& st = stages_[i];
+    const bool dma = i + 1 == stages_.size();
 
     // A wedged stage neither completes nor issues: work piles up behind
     // it and back-pressure propagates to the wire (no legal drop point —
@@ -59,48 +49,33 @@ void PipelineNic::tick(Cycle now) {
 
     // Completion: hand to the next stage (blocking if it is full — this
     // back-pressure is what propagates HOL blocking upstream).
-    if (st.in_service != nullptr && now >= st.done_at) {
-      if (i + 1 == stages_.size()) {
-        ++delivered_;
-        if (now >= st.in_service->nic_ingress_at) {
-          latency_.record(now - st.in_service->nic_ingress_at);
-        }
-        st.in_service->set_fate(MessageFate::kDelivered);
-        st.in_service = nullptr;
+    if (MessagePtr* done = st.server.finished(now)) {
+      if (dma) {
+        deliver(std::move(*done), now);
       } else {
-        stage_push(i + 1, st.in_service);  // on failure: stalled, retry
+        stage_push(i + 1, *done);  // on failure: stalled, retry
       }
     }
 
-    // Issue.
-    if (st.in_service == nullptr && !st.queue.empty()) {
-      st.in_service = st.queue.pop();
-      const bool needed = st.spec.applies(*st.in_service);
-      const Cycles t = needed ? st.spec.service_cycles(*st.in_service)
-                              : config_.passthrough_cycles;
-      st.done_at = now + (t == 0 ? 1 : t);
-    }
+    st.server.start_next(now, [&](const Message& msg) {
+      if (dma) return dma_cycles(config_.dma, msg.size());
+      return st.spec.applies(msg) ? st.spec.service_cycles(msg)
+                                  : config_.passthrough_cycles;
+    });
   }
 }
 
 Cycle PipelineNic::next_wake(Cycle now) const {
   Cycle next = kNeverWake;
-  for (const StageState& st : stages_) {
-    if (st.wedged) continue;  // never progresses; upstream stalls keep waking
-    if (st.in_service != nullptr) {
-      // A completed-but-blocked packet (done_at <= now) retries every
-      // cycle, matching the dense kernel's back-pressure propagation.
-      const Cycle c = st.done_at > now + 1 ? st.done_at : now + 1;
-      if (c < next) next = c;
-    } else if (!st.queue.empty()) {
-      next = now + 1;
-    }
+  for (const Stage& st : stages_) {
+    // A wedged stage never progresses; upstream stalls keep waking.
+    if (!st.wedged) next = std::min(next, st.server.next_wake(now));
   }
   return next;
 }
 
 bool PipelineNic::wedge_stage(const std::string& stage_name) {
-  for (StageState& st : stages_) {
+  for (Stage& st : stages_) {
     if (st.spec.name == stage_name) {
       st.wedged = true;
       return true;
@@ -111,11 +86,7 @@ bool PipelineNic::wedge_stage(const std::string& stage_name) {
 
 void PipelineNic::register_telemetry(telemetry::Telemetry& t) {
   Component::register_telemetry(t);
-  auto& m = t.metrics();
-  const std::string prefix = "baseline." + name() + ".";
-  m.expose_counter(prefix + "delivered", &delivered_);
-  m.expose_counter(prefix + "dropped", &dropped_);
-  m.expose_histogram(prefix + "host_latency", &latency_);
+  expose_metrics(t.metrics(), name());
 }
 
 }  // namespace panic::baselines

@@ -8,8 +8,6 @@
 // behind it — the §2.3.1 limitation measured by bench_hol_blocking.
 #pragma once
 
-#include "common/fifo.h"
-
 #include "baselines/nic_model.h"
 #include "sim/component.h"
 #include "sim/simulator.h"
@@ -20,9 +18,7 @@ struct PipelineNicConfig {
   std::size_t stage_queue_depth = 64;
   /// Service cycles for packets that don't need the stage's offload.
   Cycles passthrough_cycles = 1;
-  /// DMA stage parameters (same scale as engines::DmaConfig).
-  Cycles dma_base = 75;
-  double dma_bytes_per_cycle = 32.0;
+  engines::DmaConfig dma;  ///< the final DMA stage (contention unused)
 };
 
 class PipelineNic : public Component, public NicModel {
@@ -30,12 +26,9 @@ class PipelineNic : public Component, public NicModel {
   PipelineNic(std::string name, std::vector<OffloadSpec> offloads,
               const PipelineNicConfig& config, Simulator& sim);
 
+  /// Refused (fate kDropped) when the first stage's queue is full.
   void inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                 TenantId tenant) override;
-
-  const Histogram& host_latency() const override { return latency_; }
-  std::uint64_t packets_to_host() const override { return delivered_; }
-  std::uint64_t packets_dropped() const override { return dropped_; }
+                 TenantId tenant);
 
   /// Publishes `baseline.<name>.*` metrics.
   void register_telemetry(telemetry::Telemetry& t) override;
@@ -54,11 +47,9 @@ class PipelineNic : public Component, public NicModel {
   bool wedge_stage(const std::string& stage_name);
 
  private:
-  struct StageState {
-    OffloadSpec spec;
-    Fifo<MessagePtr> queue;
-    MessagePtr in_service;
-    Cycle done_at = 0;
+  struct Stage {
+    OffloadSpec spec;  ///< the DMA stage's spec only names it
+    FifoServer server;
     bool wedged = false;
   };
 
@@ -67,11 +58,7 @@ class PipelineNic : public Component, public NicModel {
   bool stage_push(std::size_t stage, MessagePtr& msg);
 
   PipelineNicConfig config_;
-  std::vector<StageState> stages_;  // last stage is the DMA engine
-
-  Histogram latency_;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
+  std::vector<Stage> stages_;  // last stage is the DMA engine
 };
 
 }  // namespace panic::baselines

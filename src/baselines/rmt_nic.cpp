@@ -1,6 +1,6 @@
 #include "baselines/rmt_nic.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "telemetry/telemetry.h"
 
@@ -16,98 +16,54 @@ RmtNic::RmtNic(std::string name, std::vector<OffloadSpec> heavy_offloads,
 
 void RmtNic::inject_rx(std::vector<std::uint8_t> frame, Cycle now,
                        TenantId tenant) {
-  if (in_pipeline_.size() + dma_queue_.size() >= config_.queue_depth) {
-    ++dropped_;
+  if (in_pipeline_.size() + dma_.queued() >= config_.queue_depth) {
+    drop();
     return;
   }
-  auto msg = make_message(MessageKind::kPacket);
-  msg->data = std::move(frame);
-  msg->tenant = tenant;
-  msg->created_at = now;
-  msg->nic_ingress_at = now;
-  annotate_message(*msg);
-  in_pipeline_.push({std::move(msg), now + config_.pipeline_latency});
+  in_pipeline_.push({admit(std::move(frame), now, tenant),
+                     now + config_.pipeline_latency});
   request_wake(now);
 }
 
 void RmtNic::tick(Cycle now) {
   // Pipeline exits (full rate, latency only).
   while (!in_pipeline_.empty() && now >= in_pipeline_.front().second) {
-    dma_queue_.push(in_pipeline_.pop().first);
+    dma_.push(in_pipeline_.pop().first);
   }
 
-  // DMA engine.
-  if (dma_in_service_ != nullptr && now >= dma_done_at_) {
-    MessagePtr msg = std::move(dma_in_service_);
-    bool needs_host_work = false;
-    for (const OffloadSpec& spec : heavy_) {
-      if (spec.applies(*msg)) {
-        needs_host_work = true;
-        break;
-      }
-    }
-    if (needs_host_work) {
+  // DMA engine: punted packets continue to host software.
+  if (MessagePtr* done = dma_.finished(now)) {
+    const bool punt =
+        std::any_of(heavy_.begin(), heavy_.end(),
+                    [&](const OffloadSpec& s) { return s.applies(**done); });
+    if (punt) {
       ++punted_;
-      host_queue_.push(std::move(msg));
+      host_.push(std::move(*done));
     } else {
-      ++delivered_;
-      if (now >= msg->nic_ingress_at) {
-        latency_.record(now - msg->nic_ingress_at);
-      }
-      msg->set_fate(MessageFate::kDelivered);
+      deliver(std::move(*done), now);
     }
   }
-  if (dma_in_service_ == nullptr && !dma_queue_.empty()) {
-    dma_in_service_ = dma_queue_.pop();
-    dma_done_at_ = now + config_.dma_base +
-                   static_cast<Cycles>(std::ceil(
-                       static_cast<double>(dma_in_service_->data.size()) /
-                       config_.dma_bytes_per_cycle));
-  }
+  dma_.start_next(now, [&](const Message& msg) {
+    return dma_cycles(config_.dma, msg.size());
+  });
 
   // Host software processing of punted packets.
-  if (host_in_service_ != nullptr && now >= host_done_at_) {
-    ++delivered_;
-    if (now >= host_in_service_->nic_ingress_at) {
-      latency_.record(now - host_in_service_->nic_ingress_at);
-    }
-    host_in_service_->set_fate(MessageFate::kDelivered);
-    host_in_service_ = nullptr;
-  }
-  if (host_in_service_ == nullptr && !host_queue_.empty()) {
-    host_in_service_ = host_queue_.pop();
-    host_done_at_ = now + config_.host_software_cycles;
-  }
+  if (MessagePtr* done = host_.finished(now)) deliver(std::move(*done), now);
+  host_.start_next(now,
+              [&](const Message&) { return config_.host_software_cycles; });
 }
 
 Cycle RmtNic::next_wake(Cycle now) const {
-  Cycle next = kNeverWake;
-  const auto at = [&](Cycle c) {
-    const Cycle eff = c > now + 1 ? c : now + 1;
-    if (eff < next) next = eff;
-  };
-  if (!in_pipeline_.empty()) at(in_pipeline_.front().second);
-  if (dma_in_service_ != nullptr) {
-    at(dma_done_at_);
-  } else if (!dma_queue_.empty()) {
-    at(now + 1);
-  }
-  if (host_in_service_ != nullptr) {
-    at(host_done_at_);
-  } else if (!host_queue_.empty()) {
-    at(now + 1);
+  Cycle next = std::min(dma_.next_wake(now), host_.next_wake(now));
+  if (!in_pipeline_.empty()) {
+    next = std::min(next, std::max(in_pipeline_.front().second, now + 1));
   }
   return next;
 }
 
 void RmtNic::register_telemetry(telemetry::Telemetry& t) {
   Component::register_telemetry(t);
-  auto& m = t.metrics();
-  const std::string prefix = "baseline." + name() + ".";
-  m.expose_counter(prefix + "delivered", &delivered_);
-  m.expose_counter(prefix + "dropped", &dropped_);
-  m.expose_counter(prefix + "punted", &punted_);
-  m.expose_histogram(prefix + "host_latency", &latency_);
+  expose_metrics(t.metrics(), name(), {{"punted", &punted_}});
 }
 
 }  // namespace panic::baselines

@@ -10,9 +10,8 @@
 
 #include <utility>
 
-#include "common/fifo.h"
-
 #include "baselines/nic_model.h"
+#include "common/fifo.h"
 #include "sim/component.h"
 #include "sim/simulator.h"
 
@@ -24,8 +23,7 @@ struct RmtNicConfig {
   /// ~20 µs @ 500 MHz for a software IPSec stack.
   Cycles host_software_cycles = 10000;
   std::size_t queue_depth = 4096;
-  Cycles dma_base = 75;
-  double dma_bytes_per_cycle = 32.0;
+  engines::DmaConfig dma;  ///< the DMA engine (contention unused)
 };
 
 class RmtNic : public Component, public NicModel {
@@ -35,14 +33,13 @@ class RmtNic : public Component, public NicModel {
   RmtNic(std::string name, std::vector<OffloadSpec> heavy_offloads,
          const RmtNicConfig& config, Simulator& sim);
 
+  /// Refused before a message is made when the pipeline and the DMA queue
+  /// together hold `queue_depth` packets.  host_latency() is the latency
+  /// to *usable* delivery: DMA completion plus, for punted packets, the
+  /// host software processing time.
   void inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                 TenantId tenant) override;
+                 TenantId tenant);
 
-  /// Latency to *usable* delivery: DMA completion plus, for punted
-  /// packets, the host software processing time.
-  const Histogram& host_latency() const override { return latency_; }
-  std::uint64_t packets_to_host() const override { return delivered_; }
-  std::uint64_t packets_dropped() const override { return dropped_; }
   std::uint64_t packets_punted() const { return punted_; }
 
   /// Publishes `baseline.<name>.*` metrics.
@@ -60,17 +57,9 @@ class RmtNic : public Component, public NicModel {
 
   /// Pipeline is full-rate: modelled as a pure latency element.
   Fifo<std::pair<MessagePtr, Cycle>> in_pipeline_;
-  Fifo<MessagePtr> dma_queue_;
-  MessagePtr dma_in_service_;
-  Cycle dma_done_at_ = 0;
+  FifoServer dma_;
   /// Punted packets being processed by host software (one CPU core).
-  Fifo<MessagePtr> host_queue_;
-  MessagePtr host_in_service_;
-  Cycle host_done_at_ = 0;
-
-  Histogram latency_;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
+  FifoServer host_;
   std::uint64_t punted_ = 0;
 };
 

@@ -69,22 +69,6 @@ std::uint64_t Histogram::quantile(double q) const {
   return max_;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.total_ == 0) return;
-  if (total_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  total_ += other.total_;
-  sum_ += other.sum_;
-}
-
 void Histogram::reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   total_ = 0;
@@ -102,18 +86,6 @@ std::string Histogram::summary() const {
                 static_cast<unsigned long long>(p999()),
                 static_cast<unsigned long long>(max()));
   return buf;
-}
-
-double RateMeter::pps(std::uint64_t elapsed_cycles, double hz) const {
-  if (elapsed_cycles == 0) return 0.0;
-  return static_cast<double>(packets_) * hz /
-         static_cast<double>(elapsed_cycles);
-}
-
-double RateMeter::gbps(std::uint64_t elapsed_cycles, double hz) const {
-  if (elapsed_cycles == 0) return 0.0;
-  return static_cast<double>(bytes_) * 8.0 * hz /
-         static_cast<double>(elapsed_cycles) / 1e9;
 }
 
 }  // namespace panic

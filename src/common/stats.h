@@ -1,6 +1,6 @@
 // Measurement utilities used by every benchmark: log-bucketed latency
-// histograms with percentile queries and windowed rate meters.  Both are
-// allocation-free on the hot path.
+// histograms with percentile queries and packet/byte rate meters.  Both
+// are allocation-free on the hot path.
 #pragma once
 
 #include <array>
@@ -39,7 +39,6 @@ class Histogram {
   std::uint64_t p99() const { return quantile(0.99); }
   std::uint64_t p999() const { return quantile(0.999); }
 
-  void merge(const Histogram& other);
   void reset();
 
   /// One-line summary: "n=... mean=... p50=... p99=... max=...".
@@ -57,8 +56,7 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// Counts events/bytes over the simulation run and converts to rates given
-/// the elapsed cycles and clock frequency.
+/// Counts packets and bytes over the simulation run.
 class RateMeter {
  public:
   void add_packet(std::uint64_t bytes) {
@@ -68,14 +66,6 @@ class RateMeter {
 
   std::uint64_t packets() const { return packets_; }
   std::uint64_t bytes() const { return bytes_; }
-
-  /// Packets per second over `elapsed` cycles at frequency hz.
-  double pps(std::uint64_t elapsed_cycles, double hz) const;
-
-  /// Goodput in Gbps over `elapsed` cycles at frequency hz.
-  double gbps(std::uint64_t elapsed_cycles, double hz) const;
-
-  void reset() { packets_ = bytes_ = 0; }
 
  private:
   std::uint64_t packets_ = 0;

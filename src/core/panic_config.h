@@ -1,6 +1,7 @@
 // Configuration and tile placement for a PANIC NIC instance.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "fault/watchdog.h"
 #include "noc/mesh.h"
 #include "rmt/flow_cache.h"
+#include "rmt/p4lite.h"
 #include "rmt/pipeline.h"
 
 namespace panic::core {
@@ -44,7 +46,37 @@ struct PanicTopology {
   std::vector<EngineId> spare;  ///< reserved tiles with no engine attached
                                 ///< (callers attach their own, see
                                 ///< examples/custom_offload.cpp)
+
+  /// Name -> tile of every named engine: the fixed engines (kFixedEngines),
+  /// eth<N> and aux<N>.  This is the engine namespace p4lite programs
+  /// compile against.
+  rmt::SymbolTable tile_names() const;
 };
+
+/// One engine every PANIC NIC has: its name (fault targets, p4lite
+/// symbols) and the PanicTopology member holding its tile.
+struct FixedEngine {
+  const char* name;
+  EngineId PanicTopology::*tile;
+};
+
+/// The fixed engines in placement order: PanicNic::plan_topology puts them
+/// after the interleaved Ethernet ports and RMT engines and before the aux
+/// and spare tiles.  Their count is the fixed part of every NIC's tile
+/// budget (Scenario::feasible, the fuzz generators' smallest mesh).
+inline constexpr std::array<FixedEngine, 11> kFixedEngines = {{
+    {"dma", &PanicTopology::dma},
+    {"pcie", &PanicTopology::pcie},
+    {"ipsec_rx", &PanicTopology::ipsec_rx},
+    {"ipsec_tx", &PanicTopology::ipsec_tx},
+    {"kvs", &PanicTopology::kvs},
+    {"rdma", &PanicTopology::rdma},
+    {"compression", &PanicTopology::compression},
+    {"checksum", &PanicTopology::checksum},
+    {"regex", &PanicTopology::regex},
+    {"tso", &PanicTopology::tso},
+    {"rate_limiter", &PanicTopology::rate_limiter},
+}};
 
 struct PanicConfig {
   noc::MeshConfig mesh{.k = 4, .channel_bits = 128};

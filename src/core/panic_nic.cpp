@@ -7,6 +7,20 @@
 
 namespace panic::core {
 
+rmt::SymbolTable PanicTopology::tile_names() const {
+  rmt::SymbolTable names;
+  for (const FixedEngine& e : kFixedEngines) {
+    names[e.name] = (this->*e.tile).value;
+  }
+  for (std::size_t i = 0; i < eth_ports.size(); ++i) {
+    names["eth" + std::to_string(i)] = eth_ports[i].value;
+  }
+  for (std::size_t i = 0; i < aux.size(); ++i) {
+    names["aux" + std::to_string(i)] = aux[i].value;
+  }
+  return names;
+}
+
 PanicTopology PanicNic::plan_topology(const PanicConfig& config) {
   PanicTopology topo;
   const int tiles = config.mesh.k * config.mesh.k;
@@ -27,17 +41,7 @@ PanicTopology PanicNic::plan_topology(const PanicConfig& config) {
     if (i < config.eth_ports) topo.eth_ports.push_back(take());
     if (i < config.rmt_engines) topo.rmt_engines.push_back(take());
   }
-  topo.dma = take();
-  topo.pcie = take();
-  topo.ipsec_rx = take();
-  topo.ipsec_tx = take();
-  topo.kvs = take();
-  topo.rdma = take();
-  topo.compression = take();
-  topo.checksum = take();
-  topo.regex = take();
-  topo.tso = take();
-  topo.rate_limiter = take();
+  for (const FixedEngine& e : kFixedEngines) topo.*e.tile = take();
   for (int i = 0; i < config.aux_engines; ++i) topo.aux.push_back(take());
   for (int i = 0; i < config.spare_tiles; ++i) topo.spare.push_back(take());
   return topo;
@@ -51,12 +55,14 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
   mesh_ = std::make_unique<noc::Mesh>(config_.mesh, sim);
   const auto program = build_default_program(config_, topo_);
 
+  // Every tile, offload or RMT, applies the same degraded-mode admission.
+  const engines::NoRouteConfig no_route{config_.on_no_route,
+                                        config_.no_route_depth};
   engines::EngineConfig ecfg;
   ecfg.sched_policy = config_.sched_policy;
   ecfg.drop_policy = config_.drop_policy;
   ecfg.queue_capacity = config_.engine_queue_capacity;
-  ecfg.no_route = config_.on_no_route;
-  ecfg.no_route_depth = config_.no_route_depth;
+  ecfg.no_route = no_route;
 
   // Round-robin assignment of a "home" RMT engine, spreading load across
   // the parallel pipelines.
@@ -89,8 +95,7 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
   rcfg.input_queue = config_.rmt_input_queue;
   rcfg.sched_policy = config_.sched_policy;
   rcfg.cache = config_.rmt_cache;
-  rcfg.no_route = config_.on_no_route;
-  rcfg.no_route_depth = config_.no_route_depth;
+  rcfg.no_route = no_route;
   for (int i = 0; i < config_.rmt_engines; ++i) {
     auto* engine = adopt(new RmtEngine(
         "rmt" + std::to_string(i),

@@ -14,7 +14,7 @@ RmtEngine::RmtEngine(std::string name, noc::NetworkInterface* ni,
       ni_(ni),
       pipeline_(std::move(program)),
       queue_(config.sched_policy, config.input_queue),
-      config_(config) {
+      egress_(config.no_route) {
   assert(ni_ != nullptr);
   ni_->set_client(this);
   if (config.cache.enabled) {
@@ -30,49 +30,11 @@ void RmtEngine::route_completion(MessagePtr msg, Cycle now) {
   } else {
     next = lookup_.route(*msg);
   }
-  if (next.has_value() && steering_ != nullptr && !steering_->empty() &&
-      steering_->is_dead(*next)) {
-    const auto fallback = steering_->resolve(*next);
-    if (fallback.has_value()) {
-      // Rewrite the chain hop naming the dead engine (when the route
-      // came from the chain) so the fallback consumes it and the tail
-      // of the chain stays reachable.
-      if (const auto hop = msg->chain.current();
-          hop.has_value() && hop->engine == *next) {
-        msg->chain.reroute_current(*fallback);
-      }
-      trace(telemetry::TraceEventKind::kFault, now, msg->id,
-            fallback->value);
-      ++resteered_;
-      next = fallback;
-    } else if (config_.no_route == fault::NoRoutePolicy::kBackpressure) {
-      // Degraded-mode admission: hold the completion (bounded) until a
-      // revive/spare re-opens a route; shed when the buffer is full.
-      if (parked_.size() < config_.no_route_depth) {
-        parked_gen_ = steering_->generation();
-        parked_.push_back(std::move(msg));
-        ++no_route_parked_;
-        if (parked_.size() > parked_watermark_) {
-          parked_watermark_ = parked_.size();
-        }
-        return;
-      }
-      trace(telemetry::TraceEventKind::kFault, now, msg->id, next->value);
-      msg->set_fate(MessageFate::kShed);
-      ++no_route_shed_;
-      return;
-    } else {
-      // No live equivalent: attributed fault drop.
-      trace(telemetry::TraceEventKind::kFault, now, msg->id, next->value);
-      msg->set_fate(MessageFate::kFaulted);
-      ++faulted_drops_;
-      return;
-    }
-  }
+  if (next.has_value() && !egress_.steer(msg, *next, now)) return;
   trace(telemetry::TraceEventKind::kRmtClassify, now, msg->id,
         next.has_value() ? next->value : 0);
   if (next.has_value() && *next != id()) {
-    out_.try_push(Outbound{std::move(msg), *next}, now);
+    egress_.stage(std::move(msg), *next, now);
   } else {
     // No route: the program terminated the message here (counted as
     // processed; visible in tests via processed - forwarded).
@@ -80,17 +42,9 @@ void RmtEngine::route_completion(MessagePtr msg, Cycle now) {
   }
 }
 
-void RmtEngine::retry_parked(Cycle now) {
-  if (parked_.empty() || steering_ == nullptr) return;
-  if (steering_->generation() == parked_gen_) return;
-  parked_gen_ = steering_->generation();
-  std::deque<MessagePtr> retry;
-  retry.swap(parked_);
-  for (MessagePtr& msg : retry) route_completion(std::move(msg), now);
-}
-
 void RmtEngine::tick(Cycle now) {
-  retry_parked(now);
+  egress_.retry_parked(
+      [&](MessagePtr msg) { route_completion(std::move(msg), now); });
   // Arrivals into the scheduler queue.
   while (MessagePtr msg = ni_->try_receive(now)) {
     if (const auto hop = msg->chain.current();
@@ -127,29 +81,25 @@ void RmtEngine::tick(Cycle now) {
     route_completion(std::move(msg), now);
   }
 
-  // Drain toward the NI.
-  while (ni_->can_inject()) {
-    auto ob = out_.try_pop(now);
-    if (!ob.has_value()) break;
-    ni_->inject(std::move(ob->msg), ob->dst, now);
-  }
+  egress_.drain(*ni_, now);
 }
 
 void RmtEngine::register_telemetry(telemetry::Telemetry& t) {
   Component::register_telemetry(t);
   auto& m = t.metrics();
   const std::string prefix = "rmt." + name() + ".";
+  engines::TileEgress::Counters& e = egress_.counters();
   m.expose_counter(prefix + "processed", &processed_);
   m.expose_counter(prefix + "dropped", &dropped_);
-  m.expose_counter(prefix + "resteered", &resteered_);
-  m.expose_counter(prefix + "faulted_drops", &faulted_drops_);
-  m.expose_counter(prefix + "no_route_parked", &no_route_parked_);
-  m.expose_counter(prefix + "no_route_shed", &no_route_shed_);
+  m.expose_counter(prefix + "resteered", &e.resteered);
+  m.expose_counter(prefix + "faulted_drops", &e.faulted);
+  m.expose_counter(prefix + "no_route_parked", &e.parked);
+  m.expose_counter(prefix + "no_route_shed", &e.shed);
   m.expose_gauge(prefix + "no_route_watermark", [this] {
-    return static_cast<double>(parked_watermark_);
+    return static_cast<double>(egress_.parked_watermark());
   });
   m.expose_gauge(prefix + "staging_high_watermark", [this] {
-    return static_cast<double>(out_.high_watermark());
+    return static_cast<double>(egress_.staging_high_watermark());
   });
   // Flow-cache telemetry lives under its own `rmt.cache.` prefix: the only
   // metrics allowed to differ between cache-on and cache-off runs, so one
@@ -168,13 +118,14 @@ void RmtEngine::register_telemetry(telemetry::Telemetry& t) {
   }
   queue_.register_metrics(m, prefix + "queue");
   queue_.bind_tracer(tracer(), trace_tag());
+  egress_.bind_tracer(tracer(), trace_tag());
 }
 
 Cycle RmtEngine::next_wake(Cycle now) const {
   // Output staging retries every cycle (the NI can free a slot any time);
   // a non-empty input queue issues one message per cycle.  Parked
   // no-route completions poll for a steering-generation change.
-  if (!out_.empty() || !queue_.empty() || !parked_.empty()) return now + 1;
+  if (!egress_.empty() || !queue_.empty()) return now + 1;
   if (!in_flight_.empty()) {
     const Cycle ready = in_flight_.next_ready();
     return ready > now + 1 ? ready : now + 1;

@@ -10,12 +10,12 @@
 // across the parallel pipelines.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <utility>
 
 #include "engines/lookup_table.h"
 #include "engines/sched_queue.h"
+#include "engines/tile_egress.h"
 #include "fault/steering.h"
 #include "noc/network_interface.h"
 #include "rmt/flow_cache.h"
@@ -32,12 +32,7 @@ struct RmtEngineConfig {
   /// optimization only — simulated behaviour is bit-identical with the
   /// cache off.  Default on.
   rmt::FlowCacheConfig cache;
-
-  /// Degraded-mode admission when a kill empties an equivalence group:
-  /// drop completions with no live route, or park up to `no_route_depth`
-  /// of them until a revive/spare re-opens the route (overflow sheds).
-  fault::NoRoutePolicy no_route = fault::NoRoutePolicy::kDrop;
-  std::size_t no_route_depth = 64;
+  engines::NoRouteConfig no_route;  ///< degraded-mode admission
 };
 
 class RmtEngine : public Component {
@@ -62,67 +57,46 @@ class RmtEngine : public Component {
   std::uint64_t queue_drops() const { return queue_.dropped(); }
 
   /// Completion routing consults `steering` (when set): chains headed to a
-  /// dead engine are rewritten toward a live equivalent, or the message
-  /// dies with fate kFaulted when none exists — recovery happens here, at
-  /// the pipeline that computes chains (§3.1.2).
+  /// dead engine are rewritten toward a live equivalent, or take the
+  /// no-route policy when none exists — recovery happens here, at the
+  /// pipeline that computes chains (§3.1.2).
   void set_steering(const fault::SteeringDirectory* steering) {
-    steering_ = steering;
+    egress_.set_steering(steering);
     // The cache gates cached chains on the directory's generation: any
     // later re-steer flushes memoized resolutions.
     if (rmt::FlowCache* cache = pipeline_.flow_cache()) {
       cache->set_steering(steering);
     }
   }
-  std::uint64_t resteered() const { return resteered_; }
+  std::uint64_t resteered() const { return egress_.counters().resteered; }
 
   // --- Watchdog probes (fault/watchdog.h). ---
   std::uint64_t progress() const { return processed_ + dropped_; }
   bool has_pending_work() const {
-    return !queue_.empty() || !in_flight_.empty() || !out_.empty() ||
-           !parked_.empty();
+    return !queue_.empty() || !in_flight_.empty() || !egress_.empty();
   }
 
   /// Publishes `rmt.<name>.*` metrics and attaches the message tracer.
   void register_telemetry(telemetry::Telemetry& t) override;
 
  private:
-  /// Routes a pipeline completion onward: chain hop / lookup route with
-  /// steering resolution, degraded-mode parking, and fault accounting.
+  /// Routes a pipeline completion onward: chain hop / lookup route, then
+  /// the egress (steering, degraded-mode admission, staging).
   void route_completion(MessagePtr msg, Cycle now);
-  /// Re-routes parked completions when the steering generation has moved.
-  void retry_parked(Cycle now);
 
   noc::NetworkInterface* ni_;
   rmt::Pipeline pipeline_;
   engines::SchedulerQueue queue_;
   engines::LocalLookupTable lookup_;
-  struct Outbound {
-    MessagePtr msg;
-    EngineId dst;
-  };
 
   /// Messages inside the pipeline; ready = issue cycle + latency.
   TimedQueue<MessagePtr> in_flight_;
-  /// Output staging toward the NI.  Unbounded (the pipeline never drops on
-  /// egress), so its high watermark is published as growth telemetry.
-  TimedQueue<Outbound> out_;
+  /// Steering, degraded-mode admission and output staging toward the NI
+  /// (unbounded: the pipeline never drops on egress).
+  engines::TileEgress egress_;
 
   std::uint64_t processed_ = 0;
   std::uint64_t dropped_ = 0;
-
-  const fault::SteeringDirectory* steering_ = nullptr;
-  std::uint64_t resteered_ = 0;
-  std::uint64_t faulted_drops_ = 0;
-
-  /// Degraded-mode admission (no_route = kBackpressure): completions with
-  /// no live route wait here, bounded by `config_.no_route_depth`, and are
-  /// re-routed when the steering generation moves.
-  RmtEngineConfig config_;
-  std::deque<MessagePtr> parked_;
-  std::uint64_t parked_gen_ = 0;
-  std::size_t parked_watermark_ = 0;
-  std::uint64_t no_route_parked_ = 0;
-  std::uint64_t no_route_shed_ = 0;
 };
 
 }  // namespace panic::core

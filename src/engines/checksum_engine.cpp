@@ -1,7 +1,5 @@
 #include "engines/checksum_engine.h"
 
-#include <cmath>
-
 #include "net/checksum.h"
 #include "net/packet.h"
 #include "telemetry/telemetry.h"
@@ -87,9 +85,8 @@ bool ChecksumEngine::verify_l4_checksum(
 }
 
 Cycles ChecksumEngine::service_time(const Message& msg) const {
-  return checksum_.setup_cycles +
-         static_cast<Cycles>(std::ceil(static_cast<double>(msg.data.size()) *
-                                       checksum_.cycles_per_byte));
+  return offload_cycles(checksum_.setup_cycles, checksum_.cycles_per_byte,
+                        msg.data.size());
 }
 
 bool ChecksumEngine::process(Message& msg, Cycle now) {

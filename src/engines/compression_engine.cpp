@@ -1,7 +1,5 @@
 #include "engines/compression_engine.h"
 
-#include <cmath>
-
 #include "net/packet.h"
 #include "telemetry/telemetry.h"
 
@@ -17,9 +15,8 @@ CompressionEngine::CompressionEngine(std::string name,
     : Engine(std::move(name), ni, config), compression_(compression) {}
 
 Cycles CompressionEngine::service_time(const Message& msg) const {
-  return compression_.setup_cycles +
-         static_cast<Cycles>(std::ceil(static_cast<double>(msg.data.size()) *
-                                       compression_.cycles_per_byte));
+  return offload_cycles(compression_.setup_cycles, compression_.cycles_per_byte,
+                        msg.data.size());
 }
 
 bool CompressionEngine::transform_payload(Message& msg) {

@@ -4,8 +4,6 @@
 // and doubles as the simplest example of implementing a custom engine.
 #pragma once
 
-#include <cmath>
-
 #include "engines/engine.h"
 
 namespace panic::engines {
@@ -21,8 +19,7 @@ class DelayEngine : public Engine {
 
  protected:
   Cycles service_time(const Message& msg) const override {
-    return fixed_ + static_cast<Cycles>(std::ceil(
-                        static_cast<double>(msg.data.size()) * per_byte_));
+    return offload_cycles(fixed_, per_byte_, msg.data.size());
   }
 
   bool process(Message& msg, Cycle now) override {

@@ -14,18 +14,20 @@ void Engine::register_telemetry(telemetry::Telemetry& t) {
   m.expose_counter(p + "busy_cycles", &busy_cycles_);
   m.expose_histogram(p + "service_cycles", &service_hist_);
   m.expose_gauge(p + "staging_high_watermark", [this] {
-    return static_cast<double>(out_.high_watermark());
+    return static_cast<double>(egress_.staging_high_watermark());
   });
-  m.expose_counter(p + "faulted_discards", &faulted_discards_);
+  TileEgress::Counters& e = egress_.counters();
+  m.expose_counter(p + "faulted_discards", &e.faulted);
   m.expose_counter(p + "corrupted", &corrupted_);
-  m.expose_counter(p + "resteered", &resteered_);
-  m.expose_counter(p + "no_route_parked", &no_route_parked_);
-  m.expose_counter(p + "no_route_shed", &no_route_shed_);
+  m.expose_counter(p + "resteered", &e.resteered);
+  m.expose_counter(p + "no_route_parked", &e.parked);
+  m.expose_counter(p + "no_route_shed", &e.shed);
   m.expose_gauge(p + "no_route_watermark", [this] {
-    return static_cast<double>(parked_watermark_);
+    return static_cast<double>(egress_.parked_watermark());
   });
   queue_.register_metrics(m, "engine." + name() + ".queue");
   queue_.bind_tracer(tracer(), trace_tag());
+  egress_.bind_tracer(tracer(), trace_tag());
 }
 
 Engine::Engine(std::string name, noc::NetworkInterface* ni,
@@ -34,7 +36,8 @@ Engine::Engine(std::string name, noc::NetworkInterface* ni,
       ni_(ni),
       config_(config),
       queue_(config.sched_policy, config.queue_capacity,
-             config.drop_policy) {
+             config.drop_policy),
+      egress_(config.no_route) {
   assert(ni_ != nullptr);
   ni_->set_client(this);
 }
@@ -67,7 +70,7 @@ void Engine::maybe_corrupt(Message& msg, Cycle now) {
 void Engine::emit(MessagePtr msg, EngineId dst, Cycle now) {
   assert(msg != nullptr);
   trace(telemetry::TraceEventKind::kEmit, now, msg->id, dst.value);
-  out_.try_push(Outbound{std::move(msg), dst}, now);
+  egress_.stage(std::move(msg), dst, now);
   // emit() is also an external entry point (e.g. a MAC's deliver_rx), so
   // a quiescent engine must wake to drain its staging buffer.
   request_wake(now);
@@ -84,53 +87,7 @@ void Engine::forward_along_chain(MessagePtr msg, Cycle now) {
     msg->set_fate(MessageFate::kConsumed);
     return;  // terminates here
   }
-  if (steering_ != nullptr && !steering_->empty() &&
-      steering_->is_dead(*next)) {
-    const auto fallback = steering_->resolve(*next);
-    if (!fallback.has_value()) {
-      if (config_.no_route == fault::NoRoutePolicy::kBackpressure) {
-        // Degraded-mode admission: hold the message (bounded) until a
-        // revive/spare re-opens a route; shed when the buffer is full.
-        if (parked_.size() < config_.no_route_depth) {
-          parked_gen_ = steering_->generation();
-          parked_.push_back(std::move(msg));
-          ++no_route_parked_;
-          if (parked_.size() > parked_watermark_) {
-            parked_watermark_ = parked_.size();
-          }
-          return;
-        }
-        msg->set_fate(MessageFate::kShed);
-        trace(telemetry::TraceEventKind::kFault, now, msg->id, next->value);
-        ++no_route_shed_;
-        return;
-      }
-      // No live equivalent exists: the message dies here, attributed to
-      // the injected fault (not lost).
-      msg->set_fate(MessageFate::kFaulted);
-      trace(telemetry::TraceEventKind::kFault, now, msg->id, next->value);
-      ++faulted_discards_;
-      return;
-    }
-    // Rewrite the chain hop naming the dead engine so the fallback
-    // consumes it (keeping the slack) and the chain tail stays reachable.
-    if (const auto hop = msg->chain.current();
-        hop.has_value() && hop->engine == *next) {
-      msg->chain.reroute_current(*fallback);
-    }
-    trace(telemetry::TraceEventKind::kFault, now, msg->id, fallback->value);
-    ++resteered_;
-    next = fallback;
-  }
-  emit(std::move(msg), *next, now);
-}
-
-void Engine::drain_output(Cycle now) {
-  while (ni_->can_inject()) {
-    auto ob = out_.try_pop(now);
-    if (!ob.has_value()) break;
-    ni_->inject(std::move(ob->msg), ob->dst, now);
-  }
+  if (egress_.steer(msg, *next, now)) emit(std::move(msg), *next, now);
 }
 
 void Engine::tick(Cycle now) {
@@ -142,7 +99,8 @@ void Engine::tick(Cycle now) {
   }
   if (now < stalled_until_) return;  // frozen: observable no-op
 
-  retry_parked(now);
+  egress_.retry_parked(
+      [&](MessagePtr msg) { forward_along_chain(std::move(msg), now); });
   drain_arrivals(now);
 
   // Complete the in-service message.
@@ -178,26 +136,20 @@ void Engine::tick(Cycle now) {
           static_cast<std::uint32_t>(t));
   }
 
-  drain_output(now);
+  egress_.drain(*ni_, now);
 }
 
 void Engine::discard_all(Cycle now) {
-  const auto discard = [&](MessagePtr msg) {
-    if (msg == nullptr) return;
-    msg->set_fate(MessageFate::kFaulted);
-    trace(telemetry::TraceEventKind::kFault, now, msg->id, 0);
-    ++faulted_discards_;
-  };
-  while (MessagePtr msg = ni_->try_receive(now)) discard(std::move(msg));
-  for (MessagePtr& msg : queue_.evict_all()) discard(std::move(msg));
-  discard(std::move(in_service_));
-  while (!parked_.empty()) {
-    discard(std::move(parked_.front()));
-    parked_.pop_front();
+  while (MessagePtr msg = ni_->try_receive(now)) {
+    egress_.fault_drop(std::move(msg), now, 0);
   }
-  // Staged outbounds were pushed with ready cycles <= now, so this drains
-  // the staging buffer completely.
-  while (auto ob = out_.try_pop(now)) discard(std::move(ob->msg));
+  for (MessagePtr& msg : queue_.evict_all()) {
+    egress_.fault_drop(std::move(msg), now, 0);
+  }
+  if (in_service_ != nullptr) {
+    egress_.fault_drop(std::move(in_service_), now, 0);
+  }
+  egress_.discard_all(now);
 }
 
 void Engine::fault_kill(Cycle now) {
@@ -213,17 +165,6 @@ void Engine::fault_revive(Cycle now) {
   corrupt_p_ = 0.0;
   corrupt_until_ = 0;
   request_wake(now);
-}
-
-void Engine::retry_parked(Cycle now) {
-  if (parked_.empty() || steering_ == nullptr) return;
-  if (steering_->generation() == parked_gen_) return;
-  parked_gen_ = steering_->generation();
-  // Re-forward in arrival order; unresolved messages re-park (the swap
-  // keeps the loop finite when the route is still closed).
-  std::deque<MessagePtr> retry;
-  retry.swap(parked_);
-  for (MessagePtr& msg : retry) forward_along_chain(std::move(msg), now);
 }
 
 void Engine::fault_stall(Cycle now, Cycles duration) {
@@ -246,11 +187,10 @@ Cycle Engine::next_wake(Cycle now) const {
   if (dead_) return kNeverWake;  // arrivals wake us through the NI
   if (now < stalled_until_) return stalled_until_;
   // Parked no-route messages poll for a steering-generation change (the
-  // retry itself is a cheap stamp compare while the route stays closed).
-  if (!parked_.empty()) return now + 1;
-  // Staging buffer drains one message per tick while the NI has room, and
-  // the NI can free a slot any cycle — retry every cycle until empty.
-  if (!out_.empty()) return now + 1;
+  // retry itself is a cheap stamp compare while the route stays closed);
+  // the staging buffer drains while the NI has room, and the NI can free
+  // a slot any cycle — retry every cycle until both are empty.
+  if (!egress_.empty()) return now + 1;
   // Nothing to do before the in-service message completes; arrivals in
   // between wake us through the NI and are absorbed by drain_arrivals.
   if (in_service_ != nullptr) return service_done_;

@@ -17,8 +17,8 @@
 //      — drops only happen at the scheduler queue).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -26,25 +26,28 @@
 #include "common/stats.h"
 #include "common/units.h"
 #include "engines/lookup_table.h"
-#include "fault/steering.h"
 #include "engines/sched_queue.h"
+#include "engines/tile_egress.h"
 #include "noc/network_interface.h"
 #include "sim/component.h"
-#include "sim/timed_queue.h"
 
 namespace panic::engines {
+
+/// The offload engines' cost model: a fixed per-message setup plus a
+/// per-byte cost, rounded up to whole cycles.  The §2.3 baselines charge
+/// it too (baselines/nic_model.h).
+inline Cycles offload_cycles(Cycles setup, double cycles_per_byte,
+                             std::size_t bytes) {
+  return setup + static_cast<Cycles>(std::ceil(static_cast<double>(bytes) *
+                                               cycles_per_byte));
+}
 
 struct EngineConfig {
   SchedSpec sched_policy = SchedKind::kSlack;
   DropPolicy drop_policy = DropPolicy::kDropArrival;
   std::size_t queue_capacity = 64;   ///< scheduler queue depth (messages)
   std::size_t output_staging = 16;   ///< completed messages awaiting inject
-
-  /// Degraded-mode admission when steering resolution fails (a kill left
-  /// the equivalence group empty): drop immediately, or park up to
-  /// `no_route_depth` messages until a revive/spare re-opens a route.
-  fault::NoRoutePolicy no_route = fault::NoRoutePolicy::kDrop;
-  std::size_t no_route_depth = 64;
+  NoRouteConfig no_route;            ///< degraded-mode admission
 };
 
 class Engine : public Component {
@@ -97,9 +100,9 @@ class Engine : public Component {
   bool faulted_dead() const { return dead_; }
 
   /// Outbound routing consults `steering` (when set) to re-steer messages
-  /// headed to a dead engine; unresolvable hops die with fate kFaulted.
+  /// headed to a dead engine; unresolvable hops take the no-route policy.
   void set_steering(const fault::SteeringDirectory* steering) {
-    steering_ = steering;
+    egress_.set_steering(steering);
   }
 
   // --- Watchdog probes (fault/watchdog.h). ---
@@ -111,8 +114,7 @@ class Engine : public Component {
   /// True when the engine holds undone work (a busy probe; an idle engine
   /// making no progress is healthy).
   bool has_pending_work() const {
-    return in_service_ != nullptr || !queue_.empty() || !out_.empty() ||
-           !parked_.empty();
+    return in_service_ != nullptr || !queue_.empty() || !egress_.empty();
   }
 
  protected:
@@ -140,7 +142,7 @@ class Engine : public Component {
   /// engines that emit multiple messages per input should check before
   /// starting service.
   bool can_stage(std::size_t n = 1) const {
-    return out_.size() + n <= config_.output_staging;
+    return egress_.staged() + n <= config_.output_staging;
   }
 
   /// Root of this engine's metric names: "engine.<name>.".
@@ -148,12 +150,8 @@ class Engine : public Component {
 
  private:
   void drain_arrivals(Cycle now);
-  void drain_output(Cycle now);
-  /// Re-forwards parked (no-live-route) messages when the steering
-  /// generation has moved since they were parked.
-  void retry_parked(Cycle now);
   /// Dead-engine behaviour: destroy all held work + arrivals (fate
-  /// kFaulted, counted in faulted_discards_).
+  /// kFaulted, counted in the egress's `faulted`).
   void discard_all(Cycle now);
   void maybe_corrupt(Message& msg, Cycle now);
 
@@ -167,15 +165,11 @@ class Engine : public Component {
   Cycle service_done_ = 0;
   Cycles service_cycles_ = 0;  ///< duration of the current service window
 
-  struct Outbound {
-    MessagePtr msg;
-    EngineId dst;
-  };
-  /// Output staging.  Logically bounded by `config_.output_staging` via
-  /// can_stage(), but emit() is also an external entry point (a MAC's
-  /// deliver_rx), so the queue itself is unbounded and its high watermark
-  /// is published as growth telemetry.
-  TimedQueue<Outbound> out_;
+  /// Steering, degraded-mode admission and output staging.  Staging is
+  /// logically bounded by `config_.output_staging` via can_stage(), but
+  /// emit() is also an external entry point (a MAC's deliver_rx), so the
+  /// queue itself is unbounded.
+  TileEgress egress_;
 
   std::uint64_t processed_ = 0;
   std::uint64_t busy_cycles_ = 0;
@@ -189,21 +183,7 @@ class Engine : public Component {
   double corrupt_p_ = 0.0;
   Cycle corrupt_until_ = 0;
   Rng corrupt_rng_;
-  const fault::SteeringDirectory* steering_ = nullptr;
-
-  std::uint64_t faulted_discards_ = 0;  ///< messages destroyed by faults here
-  std::uint64_t corrupted_ = 0;         ///< payloads flipped on arrival
-  std::uint64_t resteered_ = 0;         ///< sends redirected around dead tiles
-
-  /// Degraded-mode admission (no_route = kBackpressure): messages whose
-  /// next hop has no live equivalent wait here, bounded by
-  /// `config_.no_route_depth`, and are re-forwarded when the steering
-  /// generation moves (a revive/spare re-opened a route).
-  std::deque<MessagePtr> parked_;
-  std::uint64_t parked_gen_ = 0;        ///< steering generation at last park
-  std::size_t parked_watermark_ = 0;
-  std::uint64_t no_route_parked_ = 0;   ///< park events (incl. re-parks)
-  std::uint64_t no_route_shed_ = 0;     ///< overflow sheds (fate kShed)
+  std::uint64_t corrupted_ = 0;  ///< payloads flipped on arrival
 };
 
 }  // namespace panic::engines

@@ -1,7 +1,5 @@
 #include "engines/ipsec_engine.h"
 
-#include <cmath>
-
 #include "common/log.h"
 #include "net/packet.h"
 #include "telemetry/telemetry.h"
@@ -108,9 +106,8 @@ std::optional<std::vector<std::uint8_t>> IpsecEngine::decapsulate(
 }
 
 Cycles IpsecEngine::service_time(const Message& msg) const {
-  return ipsec_.setup_cycles +
-         static_cast<Cycles>(std::ceil(static_cast<double>(msg.data.size()) *
-                                       ipsec_.cycles_per_byte));
+  return offload_cycles(ipsec_.setup_cycles, ipsec_.cycles_per_byte,
+                        msg.data.size());
 }
 
 bool IpsecEngine::process(Message& msg, Cycle now) {

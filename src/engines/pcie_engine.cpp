@@ -21,18 +21,22 @@ void PcieEngine::ring_tx_doorbell(std::uint64_t descriptor_addr, Cycle now) {
   request_wake(now);
 }
 
+void PcieEngine::route_or_consume(MessagePtr msg, Cycle now) {
+  const auto route = lookup_table().route(*msg);
+  if (route.has_value() && *route != id()) {
+    emit(std::move(msg), *route, now);
+  } else {
+    msg->set_fate(MessageFate::kConsumed);
+  }
+}
+
 void PcieEngine::handle_doorbell(Message& msg, Cycle now) {
   auto fetch = make_message(MessageKind::kDescriptorFetch);
   fetch->dma_addr = msg.dma_addr;
   fetch->reply_to = id();
   fetch->meta.cache_hint = kFetchDescriptor;
   fetch->meta_valid = true;
-  const auto route = lookup_table().route(*fetch);
-  if (route.has_value() && *route != id()) {
-    emit(std::move(fetch), *route, now);
-  } else {
-    fetch->set_fate(MessageFate::kConsumed);
-  }
+  route_or_consume(std::move(fetch), now);
 }
 
 void PcieEngine::handle_completion(Message& msg, Cycle now) {
@@ -53,12 +57,7 @@ void PcieEngine::handle_completion(Message& msg, Cycle now) {
     fetch->tenant = TenantId{desc->tenant};
     fetch->meta.cache_hint = kFetchFrame;
     fetch->meta_valid = true;
-    const auto route = lookup_table().route(*fetch);
-    if (route.has_value() && *route != id()) {
-      emit(std::move(fetch), *route, now);
-    } else {
-      fetch->set_fate(MessageFate::kConsumed);
-    }
+    route_or_consume(std::move(fetch), now);
     return;
   }
 
@@ -82,12 +81,7 @@ void PcieEngine::handle_completion(Message& msg, Cycle now) {
     if (tx_launched_cb_) tx_launched_cb_(pending.desc_addr, now);
     // Toward the RMT pipeline, which classifies TX traffic (checksum,
     // optional encryption) and routes it to its egress port.
-    const auto route = lookup_table().route(*packet);
-    if (route.has_value() && *route != id()) {
-      emit(std::move(packet), *route, now);
-    } else {
-      packet->set_fate(MessageFate::kConsumed);
-    }
+    route_or_consume(std::move(packet), now);
     return;
   }
   // Unmarked completion: not ours; drop.

@@ -62,6 +62,10 @@ class PcieEngine : public Engine {
 
   void handle_doorbell(Message& msg, Cycle now);
   void handle_completion(Message& msg, Cycle now);
+  /// Emits a message this engine made toward its lookup route, or marks it
+  /// consumed when the route is absent or names this tile.  No steering:
+  /// a message sent to a dead engine is discarded when it arrives there.
+  void route_or_consume(MessagePtr msg, Cycle now);
 
   PcieConfig pcie_;
   Cycle window_expires_ = 0;

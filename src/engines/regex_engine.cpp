@@ -1,7 +1,5 @@
 #include "engines/regex_engine.h"
 
-#include <cmath>
-
 #include "net/packet.h"
 #include "telemetry/telemetry.h"
 
@@ -19,9 +17,8 @@ bool RegexEngine::add_pattern(std::string_view pattern) {
 }
 
 Cycles RegexEngine::service_time(const Message& msg) const {
-  return regex_.setup_cycles +
-         static_cast<Cycles>(std::ceil(static_cast<double>(msg.data.size()) *
-                                       regex_.cycles_per_byte));
+  return offload_cycles(regex_.setup_cycles, regex_.cycles_per_byte,
+                        msg.data.size());
 }
 
 bool RegexEngine::process(Message& msg, Cycle now) {

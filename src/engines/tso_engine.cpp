@@ -1,7 +1,5 @@
 #include "engines/tso_engine.h"
 
-#include <cmath>
-
 #include "net/packet.h"
 #include "telemetry/telemetry.h"
 
@@ -59,9 +57,8 @@ std::vector<std::vector<std::uint8_t>> TsoEngine::segment_frame(
 }
 
 Cycles TsoEngine::service_time(const Message& msg) const {
-  return tso_.setup_cycles +
-         static_cast<Cycles>(std::ceil(static_cast<double>(msg.data.size()) *
-                                       tso_.cycles_per_byte));
+  return offload_cycles(tso_.setup_cycles, tso_.cycles_per_byte,
+                        msg.data.size());
 }
 
 bool TsoEngine::process(Message& msg, Cycle now) {

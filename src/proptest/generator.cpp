@@ -9,12 +9,22 @@ namespace panic::proptest {
 
 namespace {
 
-constexpr int kFixedEngineTiles = 11;  // must match scenario.cpp
+/// An engine present in every topology (a safe stall/degrade/corrupt
+/// target).
+const char* fixed_engine(Rng& rng) {
+  const auto i = rng.uniform_int(0, core::kFixedEngines.size() - 1);
+  return core::kFixedEngines[i].name;
+}
 
-/// Engines present in every topology (safe stall/degrade/corrupt targets).
-const char* const kFixedEngines[] = {
-    "dma",      "pcie", "ipsec_rx", "ipsec_tx",     "kvs",  "rdma",
-    "compression", "checksum", "regex", "tso", "rate_limiter"};
+/// The smallest mesh side that fits the fixed engines and `s`'s ports,
+/// RMT and aux engines.
+int min_mesh_k(const Scenario& s) {
+  const int need = static_cast<int>(core::kFixedEngines.size()) +
+                   s.eth_ports + s.rmt_engines + s.aux_engines;
+  int k = 2;
+  while (k * k < need) ++k;
+  return k;
+}
 
 std::uint64_t pick(Rng& rng, std::initializer_list<std::uint64_t> choices) {
   const auto i = rng.uniform_int(0, choices.size() - 1);
@@ -79,17 +89,17 @@ void generate_faults(Rng& rng, Scenario& s) {
         }
         [[fallthrough]];
       case 1:
-        plan.stall(kFixedEngines[rng.uniform_int(0, 10)], at,
+        plan.stall(fixed_engine(rng), at,
                    rng.uniform_int(200, budget / 8 + 200));
         break;
       case 2:
-        plan.degrade(kFixedEngines[rng.uniform_int(0, 10)], at,
+        plan.degrade(fixed_engine(rng), at,
                      1.5 + rng.uniform01() * 6.5,
                      rng.bernoulli(0.5) ? rng.uniform_int(500, budget / 4)
                                         : 0);
         break;
       case 3:
-        plan.corrupt(kFixedEngines[rng.uniform_int(0, 10)], at,
+        plan.corrupt(fixed_engine(rng), at,
                      0.01 + rng.uniform01() * 0.19,
                      rng.bernoulli(0.5) ? rng.uniform_int(500, budget / 4)
                                         : 0);
@@ -130,11 +140,7 @@ Scenario generate_scenario(std::uint64_t seed, Cycles budget_cycles) {
   s.eth_ports = static_cast<int>(rng.uniform_int(1, 2));
   s.rmt_engines = static_cast<int>(rng.uniform_int(1, 2));
   s.aux_engines = static_cast<int>(rng.uniform_int(0, 2));
-  const int need =
-      kFixedEngineTiles + s.eth_ports + s.rmt_engines + s.aux_engines;
-  int min_k = 2;
-  while (min_k * min_k < need) ++min_k;
-  s.mesh_k = static_cast<int>(rng.uniform_int(min_k, 6));
+  s.mesh_k = static_cast<int>(rng.uniform_int(min_mesh_k(s), 6));
 
   // Rank policy: the slack/fifo kinds keep most of the weight
   // (they carry the regression goldens), the programmable built-ins share
@@ -294,11 +300,7 @@ Scenario generate_chaos_scenario(std::uint64_t seed) {
   s.eth_ports = static_cast<int>(rng.uniform_int(1, 2));
   s.rmt_engines = static_cast<int>(rng.uniform_int(1, 2));
   s.aux_engines = static_cast<int>(rng.uniform_int(2, 4));
-  const int need =
-      kFixedEngineTiles + s.eth_ports + s.rmt_engines + s.aux_engines;
-  int min_k = 2;
-  while (min_k * min_k < need) ++min_k;
-  s.mesh_k = static_cast<int>(rng.uniform_int(min_k, 6));
+  s.mesh_k = static_cast<int>(rng.uniform_int(min_mesh_k(s), 6));
 
   // Half the storms run degraded-mode parking instead of fail-fast drops,
   // with a small enough depth that overflow shedding (fate kShed) happens
@@ -378,15 +380,14 @@ Scenario generate_chaos_scenario(std::uint64_t seed) {
     const Cycle at = rng.uniform_int(window_lo, window_hi);
     switch (rng.uniform_int(0, 3)) {
       case 0:
-        plan.stall(kFixedEngines[rng.uniform_int(0, 10)], at,
-                   rng.uniform_int(200, 2000));
+        plan.stall(fixed_engine(rng), at, rng.uniform_int(200, 2000));
         break;
       case 1:
-        plan.degrade(kFixedEngines[rng.uniform_int(0, 10)], at,
+        plan.degrade(fixed_engine(rng), at,
                      1.5 + rng.uniform01() * 2.5, rng.uniform_int(500, 5000));
         break;
       case 2:
-        plan.corrupt(kFixedEngines[rng.uniform_int(0, 10)], at,
+        plan.corrupt(fixed_engine(rng), at,
                      0.01 + rng.uniform01() * 0.1,
                      rng.uniform_int(500, 5000));
         break;

@@ -20,10 +20,6 @@ namespace panic::scenario {
 
 namespace {
 
-/// Tiles consumed by the fixed engine set (dma, pcie, ipsec x2, kvs, rdma,
-/// compression, checksum, regex, tso, rate_limiter) — must match
-/// PanicNic::plan_topology.
-constexpr int kFixedEngineTiles = 11;
 /// No tile count can exceed the largest mesh.
 constexpr int kMaxTiles = kMaxMeshK * kMaxMeshK;
 /// Frame sizes whose IPv4 total length (16 bits) holds.  Host TX frames
@@ -801,11 +797,12 @@ std::string field_reference() {
 bool Scenario::feasible(bool strict_finite, std::string* why) const {
   if (!check_all(scenario_fields(), *this, why)) return false;
   const int tiles = mesh_k * mesh_k;
+  const int fixed = static_cast<int>(core::kFixedEngines.size());
   const int needed =
-      kFixedEngineTiles + eth_ports + rmt_engines + aux_engines + spare_tiles;
+      fixed + eth_ports + rmt_engines + aux_engines + spare_tiles;
   if (needed > tiles) {
     return fail(why, "mesh_k: " + std::to_string(tiles) + " tiles, but " +
-                         std::to_string(kFixedEngineTiles) +
+                         std::to_string(fixed) +
                          " fixed engines + eth_ports + rmt_engines + "
                          "aux_engines + spare_tiles need " +
                          std::to_string(needed));
@@ -865,27 +862,9 @@ core::PanicConfig Scenario::to_config() const {
     const std::string source = program;
     cfg.customize_program = [source](rmt::RmtProgram& prog,
                                      const core::PanicTopology& topo) {
-      rmt::SymbolTable symbols = {
-          {"dma", topo.dma.value},
-          {"pcie", topo.pcie.value},
-          {"ipsec_rx", topo.ipsec_rx.value},
-          {"ipsec_tx", topo.ipsec_tx.value},
-          {"kvs", topo.kvs.value},
-          {"rdma", topo.rdma.value},
-          {"compression", topo.compression.value},
-          {"checksum", topo.checksum.value},
-          {"regex", topo.regex.value},
-          {"tso", topo.tso.value},
-          {"rate_limiter", topo.rate_limiter.value},
-      };
-      for (std::size_t i = 0; i < topo.eth_ports.size(); ++i) {
-        symbols["eth" + std::to_string(i)] = topo.eth_ports[i].value;
-      }
-      for (std::size_t i = 0; i < topo.aux.size(); ++i) {
-        symbols["aux" + std::to_string(i)] = topo.aux[i].value;
-      }
       std::string error;
-      if (!rmt::append_p4lite_stages(prog, source, symbols, &error)) {
+      if (!rmt::append_p4lite_stages(prog, source, topo.tile_names(),
+                                     &error)) {
         throw std::runtime_error("scenario program: " + error);
       }
     };

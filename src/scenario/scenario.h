@@ -235,14 +235,14 @@ struct Scenario {
 
   /// p4lite source compiled into extra RMT stages after the default
   /// program (the `program <<END ... END` block); empty = stock program.
-  /// Engine names resolve through the full topology symbol table (dma,
-  /// pcie, ipsec_rx, ipsec_tx, kvs, rdma, compression, checksum, regex,
-  /// tso, rate_limiter, eth<N>, aux<N>).
+  /// Engine names resolve through core::PanicTopology::tile_names() (the
+  /// fixed engines, eth<N>, aux<N>).
   std::string program;
 
   /// Whether this scenario can be built at all: every field inside its
-  /// declared range, the 11 fixed engines plus ports/RMT/aux inside the
-  /// k*k mesh (PanicNic::plan_topology throws otherwise), and every
+  /// declared range, the fixed engines (core::kFixedEngines) plus
+  /// ports/RMT/aux/spare tiles inside the k*k mesh
+  /// (PanicNic::plan_topology throws otherwise), and every
   /// workload/inject/host_tx on an existing port.  `strict_finite`
   /// additionally requires every trace to be finite (the fuzz harness's
   /// termination precondition; hand-written scenarios may run unlimited

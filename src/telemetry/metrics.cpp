@@ -161,57 +161,6 @@ std::vector<std::string> MetricsSnapshot::diff_names(
   return diff;
 }
 
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  std::vector<MetricValue> merged = entries();
-  for (std::size_t j = 0; j < other.cells_.size(); ++j) {
-    const MetricValue o = other.unnamed(j);
-    const std::size_t i = lookup(other.name(j));
-    if (i == kAbsent) {  // only in `other`: appended
-      merged.push_back(o);
-      merged.back().name = other.name(j);
-      continue;
-    }
-    MetricValue& v = merged[i];
-    if (v.count == 0 && v.value == 0.0) {  // fresh entry: copy wholesale
-      std::string kept = std::move(v.name);
-      v = o;
-      v.name = std::move(kept);
-      continue;
-    }
-    switch (o.kind) {
-      case MetricKind::kCounter:
-        v.value += o.value;
-        break;
-      case MetricKind::kGauge:
-        v.value = o.value;  // latest sample wins
-        break;
-      case MetricKind::kHistogram: {
-        const std::uint64_t n = v.count + o.count;
-        if (n > 0) {
-          v.mean = (v.mean * static_cast<double>(v.count) +
-                    o.mean * static_cast<double>(o.count)) /
-                   static_cast<double>(n);
-        }
-        v.min = v.count == 0 ? o.min
-                             : (o.count == 0 ? v.min : std::min(v.min, o.min));
-        v.max = std::max(v.max, o.max);
-        // Quantiles of merged data are not recoverable from summaries;
-        // keep the pessimistic (larger) of the two as an upper bound.
-        v.p50 = std::max(v.p50, o.p50);
-        v.p90 = std::max(v.p90, o.p90);
-        v.p99 = std::max(v.p99, o.p99);
-        v.p999 = std::max(v.p999, o.p999);
-        v.count = n;
-        v.value = static_cast<double>(n);
-        break;
-      }
-    }
-  }
-  MetricsSnapshot out;
-  for (const MetricValue& v : merged) out.add(v.name, v);
-  *this = std::move(out);
-}
-
 std::string MetricsSnapshot::to_csv() const {
   std::string out = "name,kind,value,count,mean,min,max,p50,p90,p99,p999\n";
   char buf[256];

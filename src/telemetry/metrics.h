@@ -113,12 +113,6 @@ class MetricsSnapshot {
       const MetricsSnapshot& other,
       const std::function<bool(const std::string&)>& exclude = {}) const;
 
-  /// Merges `other` into this snapshot (parallel/windowed reduction):
-  /// counters add, histogram summaries combine (count/min/max exact, mean
-  /// weighted, quantiles upper-bounded by max of the two), and gauges take
-  /// `other`'s sample (latest wins).  Entries only in `other` are appended.
-  void merge(const MetricsSnapshot& other);
-
   /// CSV rendering: header + one row per metric,
   /// "name,kind,value,count,mean,min,max,p50,p90,p99,p999".
   std::string to_csv() const;

@@ -3,8 +3,11 @@
 #include "baselines/manycore_nic.h"
 #include "baselines/pipeline_nic.h"
 #include "baselines/rmt_nic.h"
+#include "engines/checksum_engine.h"
+#include "engines/compression_engine.h"
 #include "engines/ipsec_engine.h"
 #include "net/packet.h"
+#include "noc/mesh.h"
 
 namespace panic::baselines {
 namespace {
@@ -38,6 +41,65 @@ TEST(OffloadSpec, AppliesPredicates) {
   annotate_message(msg);
   EXPECT_FALSE(ipsec_offload_spec().applies(msg));
   EXPECT_TRUE(checksum_offload_spec().applies(msg));
+}
+
+// The engines' cost models are protected; a probe subclass exposes them.
+template <typename EngineT>
+struct CostProbe : EngineT {
+  using EngineT::EngineT;
+  using EngineT::service_time;
+};
+
+Message sized(std::size_t bytes) {
+  Message msg;
+  msg.kind = MessageKind::kPacket;
+  msg.data.resize(bytes);
+  return msg;
+}
+
+TEST(BaselineCosts, OffloadSpecsChargeWhatTheEnginesCharge) {
+  Simulator sim;
+  noc::MeshConfig mesh_cfg;
+  mesh_cfg.k = 2;
+  noc::Mesh mesh(mesh_cfg, sim);
+  const engines::EngineConfig ecfg;
+  const CostProbe<engines::IpsecEngine> ipsec(
+      "ipsec", &mesh.ni(EngineId{0}), ecfg, engines::IpsecConfig{});
+  const CostProbe<engines::CompressionEngine> compression(
+      "compression", &mesh.ni(EngineId{1}), ecfg,
+      engines::CompressionConfig{});
+  const CostProbe<engines::ChecksumEngine> checksum(
+      "checksum", &mesh.ni(EngineId{2}), ecfg, engines::ChecksumConfig{});
+  for (const std::size_t bytes : {64u, 1500u}) {
+    const Message msg = sized(bytes);
+    EXPECT_EQ(ipsec_offload_spec().service_cycles(msg),
+              ipsec.service_time(msg))
+        << bytes;
+    EXPECT_EQ(compression_offload_spec().service_cycles(msg),
+              compression.service_time(msg))
+        << bytes;
+    EXPECT_EQ(checksum_offload_spec().service_cycles(msg),
+              checksum.service_time(msg))
+        << bytes;
+  }
+}
+
+TEST(BaselineCosts, DmaTimeIsTheDmaEnginesWithContentionOff) {
+  Simulator sim;
+  noc::MeshConfig mesh_cfg;
+  mesh_cfg.k = 2;
+  noc::Mesh mesh(mesh_cfg, sim);
+  engines::HostMemory host;
+  engines::DmaConfig fast;  // bench_hol_blocking's host path
+  fast.base_latency = 20;
+  for (const engines::DmaConfig& cfg : {engines::DmaConfig{}, fast}) {
+    const CostProbe<engines::DmaEngine> dma(
+        "dma", &mesh.ni(EngineId{0}), engines::EngineConfig{}, cfg, &host);
+    for (const std::size_t bytes : {64u, 1500u}) {
+      EXPECT_EQ(dma_cycles(cfg, bytes), dma.service_time(sized(bytes)))
+          << cfg.base_latency << " " << bytes;
+    }
+  }
 }
 
 TEST(PipelineNicTest, DeliversAndRecordsLatency) {

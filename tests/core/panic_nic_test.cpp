@@ -8,6 +8,7 @@
 
 #include "engines/ipsec_engine.h"
 #include "net/packet.h"
+#include "scenario/scenario.h"
 
 namespace panic::core {
 namespace {
@@ -43,6 +44,84 @@ TEST(PanicTopology, ThrowsWhenMeshTooSmall) {
   PanicConfig cfg = small_config();
   cfg.mesh.k = 3;  // 9 tiles < 2 + 2 + 9 engines
   EXPECT_THROW(PanicNic::plan_topology(cfg), std::runtime_error);
+}
+
+TEST(PanicTopology, FeasibilityAgreesWithPlacement) {
+  // Scenario::feasible() budgets tiles from the fixed-engine roster;
+  // plan_topology() places them.  Over a sweep of every tile-consuming
+  // knob, the two accept exactly the same configs.
+  int placed = 0;
+  int refused = 0;
+  for (int k = 2; k <= 6; ++k) {
+    for (int eth = 1; eth <= 3; ++eth) {
+      for (int rmt = 1; rmt <= 3; ++rmt) {
+        for (int aux = 0; aux <= 3; ++aux) {
+          for (int spare = 0; spare <= 3; ++spare) {
+            scenario::Scenario s;
+            s.mesh_k = k;
+            s.eth_ports = eth;
+            s.rmt_engines = rmt;
+            s.aux_engines = aux;
+            s.spare_tiles = spare;
+            bool fits = true;
+            try {
+              PanicNic::plan_topology(s.to_config());
+            } catch (const std::runtime_error&) {
+              fits = false;
+            }
+            EXPECT_EQ(s.feasible(), fits)
+                << "k=" << k << " eth=" << eth << " rmt=" << rmt
+                << " aux=" << aux << " spare=" << spare;
+            ++(fits ? placed : refused);
+          }
+        }
+      }
+    }
+  }
+  // The sweep straddles the boundary.
+  EXPECT_GT(placed, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(PanicTopology, TileNamesNameEveryEngineTileOnce) {
+  PanicConfig cfg = small_config();
+  cfg.mesh.k = 5;
+  cfg.aux_engines = 3;
+  cfg.spare_tiles = 2;
+  const PanicTopology topo = PanicNic::plan_topology(cfg);
+  const rmt::SymbolTable names = topo.tile_names();
+
+  // The fixed engines follow the interleaved ports and RMT engines in
+  // roster order, under their roster names.
+  const std::size_t head = topo.eth_ports.size() + topo.rmt_engines.size();
+  for (std::size_t i = 0; i < kFixedEngines.size(); ++i) {
+    const FixedEngine& e = kFixedEngines[i];
+    EXPECT_EQ((topo.*e.tile).value, head + i) << e.name;
+    EXPECT_EQ(names.at(e.name), (topo.*e.tile).value) << e.name;
+  }
+  EXPECT_EQ(names.at("eth1"), topo.eth_ports[1].value);
+  EXPECT_EQ(names.at("aux2"), topo.aux[2].value);
+  EXPECT_EQ(names.size(), kFixedEngines.size() + 2 + 3);
+
+  // Named tiles, RMT engines and spares together own every placed tile
+  // exactly once, and nothing past them.
+  std::vector<int> owners(25, 0);
+  for (const auto& [name, tile] : names) ++owners[tile];
+  for (EngineId id : topo.rmt_engines) ++owners[id.value];
+  for (EngineId id : topo.spare) ++owners[id.value];
+  const std::size_t placed = names.size() + 2 + 2;
+  for (std::size_t t = 0; t < owners.size(); ++t) {
+    EXPECT_EQ(owners[t], t < placed ? 1 : 0) << "tile " << t;
+  }
+
+  // Every roster name is a built engine (and so a fault target).
+  Simulator sim;
+  PanicNic nic(cfg, sim);
+  const auto snap = sim.snapshot();
+  for (const FixedEngine& e : kFixedEngines) {
+    EXPECT_TRUE(snap.has("engine." + std::string(e.name) + ".processed"))
+        << e.name;
+  }
 }
 
 TEST(PanicNic, PlainPacketDeliveredToHost) {

@@ -281,7 +281,7 @@ TEST(Recovery, BackpressureShedsAtTheDepthBound) {
   const auto snap = sim.snapshot();
   EXPECT_GT(snap.sum("", ".no_route_parked"), 0.0);
   EXPECT_GT(snap.sum("", ".no_route_shed"), 0.0);
-  EXPECT_LE(snap.value("rmt.rmt0.no_route_parked_watermark"), 4.0);
+  EXPECT_LE(snap.at("rmt.rmt0.no_route_watermark").value, 4.0);
 
   EXPECT_TRUE(conservation.verify_or_log())
       << conservation.delta().to_string();

@@ -102,37 +102,6 @@ TEST(MetricsSnapshot, SnapshotIsDetached) {
   EXPECT_EQ(m.snapshot().counter("x"), 100u);
 }
 
-TEST(MetricsSnapshot, MergeAddsCountersAndCombinesHistograms) {
-  MetricsRegistry a, b;
-  a.counter("pkts") = 10;
-  b.counter("pkts") = 32;
-  b.counter("only_b") = 5;
-
-  Histogram ha, hb;
-  ha.record(10);
-  ha.record(20);  // count 2, mean 15, max 20
-  hb.record(100);
-  hb.record(200);  // count 2, mean 150, max 200
-  a.expose_histogram("lat", &ha);
-  b.expose_histogram("lat", &hb);
-
-  a.expose_gauge("depth", [] { return 1.0; });
-  b.expose_gauge("depth", [] { return 9.0; });
-
-  auto merged = a.snapshot();
-  merged.merge(b.snapshot());
-
-  EXPECT_EQ(merged.counter("pkts"), 42u);
-  EXPECT_EQ(merged.counter("only_b"), 5u);  // appended from other
-  const auto& lat = merged.at("lat");
-  EXPECT_EQ(lat.count, 4u);
-  EXPECT_DOUBLE_EQ(lat.mean, (15.0 * 2 + 150.0 * 2) / 4.0);
-  EXPECT_EQ(lat.min, 10u);
-  EXPECT_EQ(lat.max, 200u);
-  EXPECT_GE(lat.p99, std::max(ha.p99(), hb.p99()));  // pessimistic bound
-  EXPECT_DOUBLE_EQ(merged.value("depth"), 9.0);  // latest gauge sample wins
-}
-
 TEST(MetricsRegistry, DuplicateCellPublicationIsRejected) {
   // A cell published under two metrics would be counted twice;
   // claim_cell refuses the second registration (and asserts in debug
@@ -157,34 +126,6 @@ TEST(MetricsSnapshot, CsvHasHeaderAndOneRowPerMetric) {
             std::string::npos);
   EXPECT_NE(csv.find("a,counter,1"), std::string::npos);
   EXPECT_NE(csv.find("b,counter,2"), std::string::npos);
-}
-
-TEST(MetricsSnapshot, MergeKeepsNamesAndLookupsInStep) {
-  // A snapshot stores names in one buffer and values in compact cells; it
-  // builds its lookup index and its named entries on first use.  Merges
-  // after either cache is filled must leave names, values and lookups
-  // agreeing.
-  MetricsRegistry a, b, c;
-  a.counter("a.first") = 1;
-  for (int i = 0; i < 100; ++i) b.counter("b." + std::to_string(i)) = i;
-  c.counter("c.late") = 3;
-
-  auto merged = a.snapshot();
-  EXPECT_TRUE(merged.has("a.first"));  // index built over one entry
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.counter("b.99"), 99u);
-  EXPECT_EQ(merged.at("b.57").value, 57.0);
-  EXPECT_FALSE(merged.has("b.100"));
-
-  ASSERT_EQ(merged.entries().size(), 101u);
-  EXPECT_EQ(merged.entries().front().name, "a.first");
-  EXPECT_EQ(merged.entries()[58].name, "b.57");
-  merged.merge(c.snapshot());  // appended after the names were built
-  merged.merge(b.snapshot());  // adds into existing entries
-  EXPECT_EQ(merged.entries().back().name, "c.late");
-  EXPECT_EQ(merged.counter("b.99"), 198u);
-  EXPECT_EQ(merged.sum("b."), 2.0 * (99 * 100 / 2));
-  EXPECT_TRUE(merged.diff_names(merged).empty());
 }
 
 }  // namespace
