@@ -43,8 +43,8 @@ Result run(engines::DropPolicy policy) {
   flood_cfg.max_frames = 20000;
   workload::TrafficSource flood(
       "flood", &nic2.eth_port(1),
-      workload::make_udp_factory(Ipv4Addr(10, 9, 9, 9), Ipv4Addr(10, 0, 0, 1),
-                                 64),
+      workload::make_udp_filler(Ipv4Addr(10, 9, 9, 9), Ipv4Addr(10, 0, 0, 1),
+                                64),
       flood_cfg);
   sim2.add(&flood);
 
@@ -56,8 +56,8 @@ Result run(engines::DropPolicy policy) {
   mouse_cfg.max_frames = 150;
   workload::TrafficSource mouse(
       "mouse", &nic2.eth_port(0),
-      workload::make_min_frame_factory(Ipv4Addr(10, 1, 0, 2),
-                                       Ipv4Addr(10, 0, 0, 1)),
+      workload::make_min_frame_filler(Ipv4Addr(10, 1, 0, 2),
+                                      Ipv4Addr(10, 0, 0, 1)),
       mouse_cfg);
   sim2.add(&mouse);
 

@@ -11,10 +11,8 @@
 //
 // Acceptance gate (exit status): PANIC with one of its two parallel
 // engines killed 30% into the run must deliver >= 80% of its fault-free
-// count, and the run must conserve messages.  Results go to stdout and,
-// machine-readable, to BENCH_fault_resilience.json (including the sim
-// seed for reproduction).  `--seed N` varies the run;
-// `--smoke` shrinks it for CI.
+// count, and the run must conserve messages.  Results, with the sim seed
+// for reproduction, go to stdout; `--seed N` varies the run.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -42,8 +40,6 @@ constexpr double kGap = 120.0;        // offered load: ~83% of the
 constexpr double kKillFraction = 0.3; // fault lands 30% into the run
 const Ipv4Addr kClient(10, 1, 0, 2);
 const Ipv4Addr kServer(10, 0, 0, 1);
-
-bool g_smoke = false;
 
 struct Result {
   std::uint64_t delivered = 0;
@@ -80,7 +76,7 @@ Result run_panic(std::uint64_t frames, bool kill_one_engine) {
   tcfg.max_frames = frames;
   workload::TrafficSource src(
       "gen", &nic.eth_port(0),
-      workload::make_udp_factory(kClient, kServer, 256, kOffloadPort), tcfg);
+      workload::make_udp_filler(kClient, kServer, 256, kOffloadPort), tcfg);
   sim.add(&src);
 
   auto& m = sim.telemetry().metrics();
@@ -146,10 +142,9 @@ Result run_pipeline(std::uint64_t frames, bool wedge_offload) {
 int main(int argc, char** argv) {
   cli::ArgParser args("bench_fault_resilience",
                       "PANIC vs pipeline NIC with one dead engine");
-  args.flag("smoke", "reduced frame count for CI", &g_smoke);
   args.parse(argc, argv);
   const std::uint64_t seed = args.seed();
-  const std::uint64_t frames = g_smoke ? 400 : 2000;
+  const std::uint64_t frames = 2000;
 
   std::printf("PANIC reproduction — fault resilience (one dead engine)\n");
   std::printf("All traffic needs a %llu-cycle offload; the engine serving\n"
@@ -206,33 +201,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(
                      frames - panic_faulty.delivered - panic_faulty.faulted));
     ok = false;
-  }
-
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n  \"bench\": \"fault_resilience\",\n  \"seed\": %llu,\n"
-      "  \"frames\": %llu,\n  \"offload_cycles\": %llu,\n"
-      "  \"kill_fraction\": %.2f,\n"
-      "  \"panic\": {\"clean\": %llu, \"faulty\": %llu, \"faulted\": %llu,"
-      " \"ratio\": %.4f, \"conserved\": %s},\n"
-      "  \"pipeline\": {\"clean\": %llu, \"faulty\": %llu, \"ratio\": %.4f,"
-      " \"conserved\": %s},\n  \"pass\": %s\n}\n",
-      static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(frames),
-      static_cast<unsigned long long>(kOffloadCycles), kKillFraction,
-      static_cast<unsigned long long>(panic_clean.delivered),
-      static_cast<unsigned long long>(panic_faulty.delivered),
-      static_cast<unsigned long long>(panic_faulty.faulted), panic_ratio,
-      panic_clean.conserved && panic_faulty.conserved ? "true" : "false",
-      static_cast<unsigned long long>(pipe_clean.delivered),
-      static_cast<unsigned long long>(pipe_faulty.delivered), pipe_ratio,
-      pipe_clean.conserved && pipe_faulty.conserved ? "true" : "false",
-      ok ? "true" : "false");
-  if (std::FILE* f = std::fopen("BENCH_fault_resilience.json", "w")) {
-    std::fputs(json, f);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_fault_resilience.json\n");
   }
 
   std::printf("\nShape check: PANIC keeps >= 80%% of its fault-free "

@@ -28,13 +28,12 @@ constexpr double kSlowFraction = 0.10;
 const Ipv4Addr kClient(10, 1, 0, 2);
 const Ipv4Addr kServer(10, 0, 0, 1);
 
-workload::FrameFactory mixed_factory() {
-  return [](Rng& rng, std::uint64_t seq) {
-    const bool slow = rng.bernoulli(kSlowFraction);
-    return frames::min_udp(kClient, kServer,
-                           static_cast<std::uint16_t>(40000 + seq % 512),
-                           slow ? kSlowPort : 80);
-  };
+/// The `seq`-th frame of the mix: a tenth go to the slow offload's port.
+std::vector<std::uint8_t> mixed_frame(Rng& rng, std::uint64_t seq) {
+  const bool slow = rng.bernoulli(kSlowFraction);
+  return frames::min_udp(kClient, kServer,
+                         static_cast<std::uint16_t>(40000 + seq % 512),
+                         slow ? kSlowPort : 80);
 }
 
 struct Result {
@@ -72,7 +71,12 @@ Result run_panic(double gap, std::uint64_t frames) {
   workload::TrafficConfig tcfg;
   tcfg.mean_gap_cycles = gap;
   tcfg.max_frames = frames;
-  workload::TrafficSource src("gen", &nic.eth_port(0), mixed_factory(), tcfg);
+  workload::TrafficSource src(
+      "gen", &nic.eth_port(0),
+      [](Rng& rng, std::uint64_t seq, std::vector<std::uint8_t>& out) {
+        out = mixed_frame(rng, seq);
+      },
+      tcfg);
   sim.add(&src);
 
   // Live counter handles: cheap to poll from the run_until predicate
@@ -128,7 +132,6 @@ int main(int argc, char** argv) {
       tcfg.mean_gap_cycles = gap;
       tcfg.max_frames = frames;
       Rng rng(tcfg.seed);
-      auto factory = mixed_factory();
       auto& m = sim.telemetry().metrics();
       const auto& delivered = m.counter("baseline.pipe.delivered");
       const auto& dropped = m.counter("baseline.pipe.dropped");
@@ -138,7 +141,9 @@ int main(int argc, char** argv) {
       for (std::uint64_t i = 0; i < frames; ++i) {
         sim.schedule_at(
             static_cast<Cycle>(std::ceil(static_cast<double>(i) * gap)),
-            [&, i] { nic.inject_rx(factory(rng, i), sim.now(), TenantId{0}); });
+            [&, i] {
+              nic.inject_rx(mixed_frame(rng, i), sim.now(), TenantId{0});
+            });
       }
       sim.run_until([&] { return delivered + dropped >= frames; },
                     static_cast<Cycles>(gap * static_cast<double>(frames)) +

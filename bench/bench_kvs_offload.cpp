@@ -87,7 +87,7 @@ KvsResult run(engines::KvsCacheMode mode, std::size_t cache_entries,
   tcfg.mean_gap_cycles = 300.0;
   tcfg.max_frames = 2000;
   workload::TrafficSource src("gets", &nic.eth_port(0),
-                              workload::make_kvs_factory(wcfg), tcfg);
+                              workload::make_kvs_filler(wcfg), tcfg);
   sim.add(&src);
   sim.run_until(
       [&] {

@@ -11,17 +11,11 @@
 //   * RTO: delivered rate back within kSteadyFraction of the pre-fault
 //     steady rate inside kRtoWindow cycles of the steering rejoin;
 //   * conservation: the ledger closes and nothing is left live at the
-//     end (every parked message drained or was attributed);
-//   * determinism: the scenario's result JSON is identical under the
-//     dense and event-driven kernels (modulo the "runner" line),
-//     fault.recovery.* metrics included.
-//
-// Results go to stdout and, machine-readable, to BENCH_recovery.json.
-// `--smoke` is accepted for CI symmetry (the scenario is already
-// CI-sized).
+//     end (every parked message drained or was attributed).
+// That the scenario's result JSON, fault.recovery.* metrics included, is
+// the same under both kernels is checked by the KernelDiff.* ctests.
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 
 #include "analysis/report.h"
@@ -37,20 +31,6 @@ namespace {
 constexpr double kSteadyFraction = 0.95;  // post-revival rate vs pre-fault
 constexpr Cycles kRtoWindow = 20000;      // cycles after the steering rejoin
 constexpr Cycles kSampleWindow = 2000;
-
-bool g_smoke = false;
-
-/// Result JSON minus the one line that legitimately differs per kernel.
-std::string strip_runner(const std::string& json) {
-  std::istringstream in(json);
-  std::string out, line;
-  while (std::getline(in, line)) {
-    if (line.find("\"runner\"") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
 
 struct RtoResult {
   double steady_rate = 0.0;      // delivered/cycle before the first kill
@@ -133,8 +113,6 @@ RtoResult measure(const scenario::Scenario& s, SimMode mode) {
 int main(int argc, char** argv) {
   cli::ArgParser args("bench_recovery",
                       "kill -> revive recovery-time objective gate");
-  args.flag("smoke", "accepted for CI symmetry (scenario is CI-sized)",
-            &g_smoke);
   args.parse(argc, argv);
 
   std::string error;
@@ -161,19 +139,6 @@ int main(int argc, char** argv) {
               kSteadyFraction * 100,
               static_cast<unsigned long long>(kRtoWindow));
 
-  // --- Determinism leg: result JSON identical across both kernels.
-  std::string json_by_mode[2];
-  const SimMode modes[2] = {SimMode::kStrictTick, SimMode::kEventDriven};
-  for (int i = 0; i < 2; ++i) {
-    scenario::RunOptions opts;
-    opts.mode = modes[i];
-    scenario::ScenarioRun run(s, opts);
-    run.run_all();
-    json_by_mode[i] = strip_runner(run.result_json());
-  }
-  const bool identical = json_by_mode[0] == json_by_mode[1];
-
-  // --- RTO measurement run under the requested kernel.
   const RtoResult r = measure(s, args.sim_mode());
   const auto& snap = r.snapshot;
 
@@ -214,40 +179,6 @@ int main(int argc, char** argv) {
                  "(conserved=%d drained=%d)\n",
                  r.conserved, r.drained);
     ok = false;
-  }
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: result JSON differs between kernels on the "
-                 "kill->revive run\n");
-    ok = false;
-  }
-
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n  \"bench\": \"recovery\",\n"
-      "  \"steady_rate\": %.6f,\n  \"recovered_rate\": %.6f,\n"
-      "  \"rejoin_to_steady_cycles\": %llu,\n  \"rto_window\": %llu,\n"
-      "  \"rto_met\": %s,\n  \"conserved\": %s,\n  \"drained\": %s,\n"
-      "  \"kernels_identical\": %s,\n  \"incidents\": %llu,\n"
-      "  \"restored\": %llu,\n  \"degraded_served\": %llu,\n"
-      "  \"pass\": %s\n}\n",
-      r.steady_rate, r.recovered_rate,
-      static_cast<unsigned long long>(r.recovered_after),
-      static_cast<unsigned long long>(kRtoWindow),
-      r.rto_met ? "true" : "false", r.conserved ? "true" : "false",
-      r.drained ? "true" : "false", identical ? "true" : "false",
-      static_cast<unsigned long long>(
-          snap.counter("fault.recovery.incidents")),
-      static_cast<unsigned long long>(
-          snap.counter("fault.recovery.restored")),
-      static_cast<unsigned long long>(
-          snap.counter("fault.recovery.degraded_served")),
-      ok ? "true" : "false");
-  if (std::FILE* f = std::fopen("BENCH_recovery.json", "w")) {
-    std::fputs(json, f);
-    std::fclose(f);
-    std::printf("\nwrote BENCH_recovery.json\n");
   }
 
   std::printf("\nShape check: the empty-group window parks (not drops) "

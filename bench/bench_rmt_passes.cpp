@@ -102,7 +102,7 @@ ModeResult run(bool per_hop, int chain_len) {
   tcfg.max_frames = 1000;
   workload::TrafficSource src(
       "gen", &nic.eth_port(0),
-      workload::make_min_frame_factory(kClient, kServer), tcfg);
+      workload::make_min_frame_filler(kClient, kServer), tcfg);
   sim.add(&src);
 
   const auto& to_host =

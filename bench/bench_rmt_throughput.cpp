@@ -38,8 +38,8 @@ double measure_rmt_rate(int rmt_engines, int ports) {
     tcfg.seed = static_cast<std::uint64_t>(p) + 1;
     sources.push_back(std::make_unique<workload::TrafficSource>(
         "gen" + std::to_string(p), &nic.eth_port(p),
-        workload::make_min_frame_factory(Ipv4Addr(10, 1, 0, 2),
-                                         Ipv4Addr(10, 0, 0, 1)),
+        workload::make_min_frame_filler(Ipv4Addr(10, 1, 0, 2),
+                                        Ipv4Addr(10, 0, 0, 1)),
         tcfg));
     sim.add(sources.back().get());
   }

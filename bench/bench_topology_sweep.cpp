@@ -155,7 +155,9 @@ int main(int argc, char** argv) {
   std::printf(
       "Min-size frames, 128-bit channels, 2 ports, pass-through chain of\n"
       "min(k^2-14, 2k) aux engines; every design point is a round-tripped\n"
-      "scenario.  (k=3 omitted: 14 fixed engines don't fit 9 tiles.)\n");
+      "scenario.  (k=3 omitted: %zu fixed engines, %d ports and %d RMT\n"
+      "engine don't fit 9 tiles.)\n",
+      core::kFixedEngines.size(), kEthPorts, kRmtEngines);
 
   const double gap = 12.0;     // per port: ~83 Mpps aggregate at 500 MHz
   const std::uint64_t frames = 2000;

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     tcfg.seed = static_cast<std::uint64_t>(octet);
     sources.push_back(std::make_unique<workload::TrafficSource>(
         "flow" + std::to_string(flow++), &nic.eth_port(0),
-        workload::make_udp_factory(
+        workload::make_udp_filler(
             Ipv4Addr(10, 1, 0, static_cast<std::uint8_t>(octet)), server,
             256, static_cast<std::uint16_t>(7000 + octet)),
         tcfg));

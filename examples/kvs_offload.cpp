@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   lan_traffic.mean_gap_cycles = 400.0;
   lan_traffic.max_frames = 3000;
   workload::TrafficSource lan_src("lan", &nic.eth_port(0),
-                                  workload::make_kvs_factory(lan),
-                                  lan_traffic);
+                                  workload::make_kvs_filler(lan), lan_traffic);
   sim.add(&lan_src);
 
   // Tenant 2: WAN clients on port 1 — same store, replies must encrypt.
@@ -82,8 +81,7 @@ int main(int argc, char** argv) {
   wan_traffic.max_frames = 1500;
   wan_traffic.seed = 2;
   workload::TrafficSource wan_src("wan", &nic.eth_port(1),
-                                  workload::make_kvs_factory(wan),
-                                  wan_traffic);
+                                  workload::make_kvs_filler(wan), wan_traffic);
   sim.add(&wan_src);
 
   const auto host_before =

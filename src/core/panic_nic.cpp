@@ -110,14 +110,22 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
     rmt_engines_.push_back(engine);
   }
 
-  dma_ = adopt(new engines::DmaEngine("dma", &mesh_->ni(topo_.dma), ecfg,
-                                      config_.dma, &host_));
+  // Builds the fixed engine on `tile` into `slot`, named by its roster
+  // entry.
+  auto fixed = [&]<typename E>(E*& slot, EngineId PanicTopology::*tile,
+                               const auto&... args) {
+    for (const FixedEngine& e : kFixedEngines) {
+      if (e.tile != tile) continue;
+      slot = adopt(new E(e.name, &mesh_->ni(topo_.*tile), ecfg, args...));
+    }
+  };
+
+  fixed(dma_, &PanicTopology::dma, config_.dma, &host_);
   dma_->lookup_table().set_kind_route(MessageKind::kInterrupt, topo_.pcie);
 
   engines::PcieConfig pcie_cfg = config_.pcie;
   pcie_cfg.eth_ports = topo_.eth_ports;
-  pcie_ = adopt(new engines::PcieEngine("pcie", &mesh_->ni(topo_.pcie), ecfg,
-                                        pcie_cfg));
+  fixed(pcie_, &PanicTopology::pcie, pcie_cfg);
   pcie_->lookup_table().set_kind_route(MessageKind::kDescriptorFetch,
                                        topo_.dma);
   pcie_->lookup_table().set_kind_route(MessageKind::kDmaRead, topo_.dma);
@@ -128,22 +136,19 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
 
   engines::IpsecConfig rx_cfg;
   rx_cfg.mode = engines::IpsecMode::kDecrypt;
-  ipsec_rx_ = adopt(new engines::IpsecEngine(
-      "ipsec_rx", &mesh_->ni(topo_.ipsec_rx), ecfg, rx_cfg));
+  fixed(ipsec_rx_, &PanicTopology::ipsec_rx, rx_cfg);
   ipsec_rx_->lookup_table().set_default(home_rmt());
 
   engines::IpsecConfig tx_cfg;
   tx_cfg.mode = engines::IpsecMode::kEncrypt;
-  ipsec_tx_ = adopt(new engines::IpsecEngine(
-      "ipsec_tx", &mesh_->ni(topo_.ipsec_tx), ecfg, tx_cfg));
+  fixed(ipsec_tx_, &PanicTopology::ipsec_tx, tx_cfg);
 
   engines::KvsCacheConfig kvs_cfg;
   kvs_cfg.mode = config_.kvs_mode;
   kvs_cfg.capacity_entries = config_.kvs_capacity;
   kvs_cfg.rdma_engine = topo_.rdma;
   kvs_cfg.reply_route = home_rmt();
-  kvs_ = adopt(new engines::KvsCacheEngine("kvs", &mesh_->ni(topo_.kvs), ecfg,
-                                           kvs_cfg, &host_));
+  fixed(kvs_, &PanicTopology::kvs, kvs_cfg, &host_);
   // Misses fall off the chain's end toward the host; replies generated in
   // kValue mode go back through the pipeline for egress routing.
   kvs_->lookup_table().set_kind_route(MessageKind::kPacket, topo_.dma);
@@ -151,31 +156,24 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
 
   engines::RdmaConfig rdma_cfg;
   rdma_cfg.dma_engine = topo_.dma;
-  rdma_ = adopt(new engines::RdmaEngine("rdma", &mesh_->ni(topo_.rdma), ecfg,
-                                        rdma_cfg));
+  fixed(rdma_, &PanicTopology::rdma, rdma_cfg);
   rdma_->lookup_table().set_default(home_rmt());
 
-  compression_ = adopt(new engines::CompressionEngine(
-      "compression", &mesh_->ni(topo_.compression), ecfg,
-      engines::CompressionConfig{}));
+  fixed(compression_, &PanicTopology::compression,
+        engines::CompressionConfig{});
   compression_->lookup_table().set_default(home_rmt());
 
-  checksum_ = adopt(new engines::ChecksumEngine(
-      "checksum", &mesh_->ni(topo_.checksum), ecfg,
-      engines::ChecksumConfig{}));
+  fixed(checksum_, &PanicTopology::checksum, engines::ChecksumConfig{});
   checksum_->lookup_table().set_default(home_rmt());
 
-  regex_ = adopt(new engines::RegexEngine("regex", &mesh_->ni(topo_.regex),
-                                          ecfg, engines::RegexConfig{}));
+  fixed(regex_, &PanicTopology::regex, engines::RegexConfig{});
   regex_->lookup_table().set_default(home_rmt());
 
-  tso_ = adopt(new engines::TsoEngine("tso", &mesh_->ni(topo_.tso), ecfg,
-                                      engines::TsoConfig{.mss = config_.tso_mss}));
+  fixed(tso_, &PanicTopology::tso, engines::TsoConfig{.mss = config_.tso_mss});
   tso_->lookup_table().set_default(home_rmt());
 
-  rate_limiter_ = adopt(new engines::RateLimiterEngine(
-      "rate_limiter", &mesh_->ni(topo_.rate_limiter), ecfg,
-      engines::RateLimiterConfig{}));
+  fixed(rate_limiter_, &PanicTopology::rate_limiter,
+        engines::RateLimiterConfig{});
   rate_limiter_->lookup_table().set_default(home_rmt());
   rate_limiter_->lookup_table().set_kind_route(MessageKind::kPacket,
                                                topo_.dma);
@@ -272,8 +270,10 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
 
 void PanicNic::inject_rx(int port, std::vector<std::uint8_t> frame,
                          Cycle now, TenantId tenant) {
-  eth_ports_[static_cast<std::size_t>(port)]->deliver_rx(std::move(frame),
-                                                         now, now, tenant);
+  auto msg = make_message(MessageKind::kPacket);
+  msg->data = std::move(frame);
+  eth_ports_[static_cast<std::size_t>(port)]->deliver_rx(std::move(msg), now,
+                                                         now, tenant);
 }
 
 std::uint64_t PanicNic::total_rmt_passes() const {

@@ -30,14 +30,6 @@ EthernetPortEngine::EthernetPortEngine(std::string name,
       line_rate_(line_rate),
       clock_(clock) {}
 
-void EthernetPortEngine::deliver_rx(std::vector<std::uint8_t> frame_bytes,
-                                    Cycle now, Cycle created_at,
-                                    TenantId tenant) {
-  auto msg = make_message(MessageKind::kPacket);
-  msg->data = std::move(frame_bytes);
-  deliver_rx(std::move(msg), now, created_at, tenant);
-}
-
 void EthernetPortEngine::deliver_rx(MessagePtr msg, Cycle now,
                                     Cycle created_at, TenantId tenant) {
   rx_meter_.add_packet(msg->data.size());

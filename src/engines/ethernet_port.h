@@ -1,8 +1,8 @@
 // Ethernet MAC port engine.  In PANIC even the MACs are tiles on the mesh
 // (Figure 3c shows "Eth 1" / "Eth 2" tiles).
 //
-// RX: the workload delivers frames via `deliver_rx`; the port wraps them
-// in messages and sends them to its configured first hop (normally the
+// RX: the workload delivers frames via `deliver_rx` in pooled messages;
+// the port sends them to its configured first hop (normally the
 // heavyweight RMT pipeline).  RX pacing is the responsibility of the
 // traffic generator (an open-loop source models the wire).
 //
@@ -26,14 +26,10 @@ class EthernetPortEngine : public Engine {
                      const EngineConfig& config, DataRate line_rate,
                      Frequency clock);
 
-  /// Delivers one received frame into the NIC.  `created_at` stamps the
-  /// workload's generation time for end-to-end latency accounting.
-  void deliver_rx(std::vector<std::uint8_t> frame_bytes, Cycle now,
-                  Cycle created_at = 0, TenantId tenant = TenantId{0});
-
-  /// Zero-allocation variant: the caller obtained `msg` from make_message
-  /// and wrote the frame bytes into `msg->data` in place (a recycled
-  /// buffer); the port only stamps and routes it.
+  /// Delivers one received frame into the NIC: the caller obtained `msg`
+  /// from make_message and wrote the frame bytes into `msg->data`; the
+  /// port stamps and routes it.  `created_at` stamps the workload's
+  /// generation time for end-to-end latency accounting.
   void deliver_rx(MessagePtr msg, Cycle now, Cycle created_at = 0,
                   TenantId tenant = TenantId{0});
 

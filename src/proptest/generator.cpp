@@ -7,6 +7,9 @@
 
 namespace panic::proptest {
 
+using scenario::Scenario;
+using scenario::WorkloadSpec;
+
 namespace {
 
 /// An engine present in every topology (a safe stall/degrade/corrupt

@@ -26,13 +26,14 @@
 #include <cstdint>
 
 #include "common/units.h"
-#include "proptest/scenario.h"
+#include "scenario/scenario.h"
 
 namespace panic::proptest {
 
 /// Draws the scenario for `seed`.  `budget_cycles` = 0 lets the generator
 /// pick (20k-100k); non-zero pins it (the CLI's --budget-cycles).
-Scenario generate_scenario(std::uint64_t seed, Cycles budget_cycles = 0);
+scenario::Scenario generate_scenario(std::uint64_t seed,
+                                     Cycles budget_cycles = 0);
 
 /// Draws a scenario whose scheduler runs a RANDOM custom rank program
 /// (`sched pifo rank=<<END`), built from per-tenant-monotone families —
@@ -41,7 +42,8 @@ Scenario generate_scenario(std::uint64_t seed, Cycles budget_cycles = 0);
 /// sound while the PIFO program path (compiler, interpreter, state
 /// commit, shadow audit) gets arbitrary-program coverage.  The base
 /// scenario is generate_scenario(seed); only the sched spec is replaced.
-Scenario generate_rank_scenario(std::uint64_t seed, Cycles budget_cycles = 0);
+scenario::Scenario generate_rank_scenario(std::uint64_t seed,
+                                          Cycles budget_cycles = 0);
 
 /// Draws a chaos-mode scenario: an overlapping fault storm (aux-engine
 /// kills with revive/spare recoveries, plus stall/degrade/corrupt/flaky
@@ -53,6 +55,6 @@ Scenario generate_rank_scenario(std::uint64_t seed, Cycles budget_cycles = 0);
 /// terminal fate and the ledger closes, in both kernels.  Half the
 /// storms run `on_no_route backpressure` to exercise degraded-mode
 /// parking and shedding.
-Scenario generate_chaos_scenario(std::uint64_t seed);
+scenario::Scenario generate_chaos_scenario(std::uint64_t seed);
 
 }  // namespace panic::proptest

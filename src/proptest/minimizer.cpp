@@ -5,6 +5,9 @@
 
 namespace panic::proptest {
 
+using scenario::Scenario;
+using scenario::WorkloadSpec;
+
 namespace {
 
 /// Drops tenant_slacks entries whose tenant no longer has a workload.

@@ -8,12 +8,12 @@
 #pragma once
 
 #include "proptest/oracles.h"
-#include "proptest/scenario.h"
+#include "scenario/scenario.h"
 
 namespace panic::proptest {
 
 struct MinimizeResult {
-  Scenario scenario;                  ///< the shrunk, still-failing scenario
+  scenario::Scenario scenario;        ///< the shrunk, still-failing scenario
   std::vector<Violation> violations;  ///< its violations (never empty)
   int tested = 0;                     ///< candidates evaluated
   int accepted = 0;                   ///< reductions that kept the failure
@@ -21,6 +21,7 @@ struct MinimizeResult {
 
 /// Precondition: check_scenario(failing) is non-empty.  `max_tests` bounds
 /// the number of candidate evaluations (2 runs each).
-MinimizeResult minimize(const Scenario& failing, int max_tests = 300);
+MinimizeResult minimize(const scenario::Scenario& failing,
+                        int max_tests = 300);
 
 }  // namespace panic::proptest

@@ -4,6 +4,8 @@
 
 namespace panic::proptest {
 
+using scenario::Scenario;
+
 namespace {
 
 void add(std::vector<Violation>* out, const std::string& oracle,
@@ -35,7 +37,7 @@ bool excluded_from_cache_diff(const std::string& name) {
   return excluded_from_diff(name) || name.rfind("rmt.cache.", 0) == 0;
 }
 
-void check_differential(const RunResult& a, const RunResult& b,
+void check_differential(const scenario::Outcome& a, const scenario::Outcome& b,
                         const char* oracle, const char* na, const char* nb,
                         bool (*excluded)(const std::string&),
                         std::vector<Violation>* out) {
@@ -63,7 +65,7 @@ void check_differential(const RunResult& a, const RunResult& b,
 
 void check_differential(const RunResult& a, const RunResult& b,
                         std::vector<Violation>* out) {
-  check_differential(a, b, "differential", to_string(a.mode),
+  check_differential(a.outcome, b.outcome, "differential", to_string(a.mode),
                      to_string(b.mode), excluded_from_diff, out);
 }
 
@@ -136,7 +138,7 @@ void check_single_run(const Scenario& s, const RunResult& r,
   // delivered at the DMA host hand-off or an Ethernet TX, dropped at a
   // SchedulerQueue or the RMT pipeline's policy drop, faulted at an
   // engine discard or an RMT dead-route drop.
-  const auto& snap = r.snapshot;
+  const auto& snap = r.outcome.snapshot;
   const auto delivered_tel = static_cast<std::int64_t>(
       snap.counter("engine.dma.packets_to_host") +
       static_cast<std::uint64_t>(snap.sum("engine.eth", ".tx_packets")));
@@ -212,8 +214,9 @@ std::vector<Violation> check_scenario(const Scenario& s, RunResult* dense_out,
     Scenario off = s;
     off.rmt_cache_enabled = false;
     RunResult event_off = run_scenario(off, SimMode::kEventDriven);
-    check_differential(event, event_off, "cache_differential", "cache-on",
-                       "cache-off", excluded_from_cache_diff, &violations);
+    check_differential(event.outcome, event_off.outcome, "cache_differential",
+                       "cache-on", "cache-off", excluded_from_cache_diff,
+                       &violations);
   }
   if (dense_out != nullptr) *dense_out = std::move(dense);
   if (event_out != nullptr) *event_out = std::move(event);

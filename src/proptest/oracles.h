@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "proptest/runner.h"
-#include "proptest/scenario.h"
+#include "scenario/scenario.h"
 
 namespace panic::proptest {
 
@@ -55,14 +55,14 @@ std::string to_string(const std::vector<Violation>& violations);
 /// Runs `s` under both kernel modes and applies every oracle.  Empty
 /// result == the scenario passes.  When non-null, `dense_out`/`event_out`
 /// receive the runs (the CLI prints them on failure).
-std::vector<Violation> check_scenario(const Scenario& s,
+std::vector<Violation> check_scenario(const scenario::Scenario& s,
                                       RunResult* dense_out = nullptr,
                                       RunResult* event_out = nullptr);
 
 /// The oracles that apply to a single run (conservation, lossless NoC,
 /// ordering, ledger-vs-telemetry, convergence) — check_scenario applies
 /// these to both modes and adds the differential comparison.
-void check_single_run(const Scenario& s, const RunResult& r,
+void check_single_run(const scenario::Scenario& s, const RunResult& r,
                       std::vector<Violation>* out);
 
 /// True when the fault plan's capacity losses are all later undone —
@@ -70,6 +70,6 @@ void check_single_run(const Scenario& s, const RunResult& r,
 /// activation covering it, stalls are finite, there are no credit leaks —
 /// and the workloads are finite, so the run is required to converge (the
 /// convergence oracle applies).
-bool plan_recoverable(const Scenario& s);
+bool plan_recoverable(const scenario::Scenario& s);
 
 }  // namespace panic::proptest

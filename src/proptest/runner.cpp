@@ -8,6 +8,8 @@
 
 namespace panic::proptest {
 
+using scenario::Scenario;
+
 namespace {
 
 /// Arms the SchedulerQueue dequeue audit for one scope, restoring the
@@ -59,20 +61,12 @@ RunResult run_scenario(const Scenario& s, SimMode mode) {
   run.run_all();
 
   for (const PortOrder& po : port_order) r.order_violations += po.violations;
-  const scenario::Outcome o = run.outcome();
-  r.final_cycle = o.final_cycle;
-  r.events = o.events;
-  r.ticks = o.ticks;
-  r.generated = o.generated;
-  r.delivered = run.nic().dma().packets_to_host();
-  r.flits_routed = run.nic().mesh().total_flits_routed();
-  r.rmt_passes = o.rmt_passes;
-  r.snapshot = o.snapshot;
-  r.tx_packets = o.tx_packets;
+  r.outcome = run.outcome();
+  const telemetry::MetricsSnapshot& snap = r.outcome.snapshot;
   r.credit_violations = static_cast<std::uint64_t>(
-      r.snapshot.sum("noc.router.", ".credit_violations"));
+      snap.sum("noc.router.", ".credit_violations"));
   r.audit_violations =
-      static_cast<std::uint64_t>(r.snapshot.sum("", ".audit_violations"));
+      static_cast<std::uint64_t>(snap.sum("", ".audit_violations"));
   r.conservation = conservation.delta();
   r.conserved = r.conservation.conserved();
   return r;

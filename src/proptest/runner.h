@@ -8,29 +8,17 @@
 
 #include <cstdint>
 
-#include "common/units.h"
 #include "fault/invariants.h"
-#include "proptest/scenario.h"
-#include "sim/simulator.h"
-#include "telemetry/metrics.h"
+#include "scenario/runner.h"
 
 namespace panic::proptest {
 
 struct RunResult {
   SimMode mode = SimMode::kEventDriven;
 
-  // --- Scalar stats compared cycle-exactly between modes. ---
-  Cycle final_cycle = 0;
-  std::uint64_t events = 0;
-  std::uint64_t ticks = 0;  ///< differs between modes by design
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;  ///< DMA packets to host
-  std::uint64_t tx_packets = 0;  ///< frames out of Ethernet ports
-  std::uint64_t flits_routed = 0;
-  std::uint64_t rmt_passes = 0;
-
-  /// Every registered metric at end of run.
-  telemetry::MetricsSnapshot snapshot;
+  /// The run's statistics and full snapshot, compared cycle-exactly
+  /// between modes (apart from `ticks`, which differs by design).
+  scenario::Outcome outcome;
 
   // --- Invariant probes. ---
   fault::ConservationChecker::Delta conservation;
@@ -46,6 +34,6 @@ struct RunResult {
 };
 
 /// Runs `s` under `mode`.  Precondition: s.feasible().
-RunResult run_scenario(const Scenario& s, SimMode mode);
+RunResult run_scenario(const scenario::Scenario& s, SimMode mode);
 
 }  // namespace panic::proptest

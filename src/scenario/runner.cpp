@@ -20,53 +20,42 @@ Ipv4Addr addr_or(const std::string& text, Ipv4Addr fallback) {
   return parsed.value_or(fallback);  // parse() validated the grammar already
 }
 
-workload::FrameFactory make_factory(const WorkloadSpec& w) {
+/// The one frame path of every workload kind.  `udp_fill` and `min_fill`
+/// spell `udp` and `min`; kvs and esp assign each frame they build into
+/// the recycled message buffer.
+workload::FrameFiller make_filler(const WorkloadSpec& w) {
   const Ipv4Addr client = addr_or(w.src, default_client_addr(w.tenant));
   const Ipv4Addr server = addr_or(w.dst, Ipv4Addr(10, 0, 0, 1));
   switch (w.kind) {
     case WorkloadSpec::Kind::kUdp:
-      return workload::make_udp_factory(client, server, w.frame_bytes,
-                                        w.dst_port, w.flows);
+    case WorkloadSpec::Kind::kUdpFill:
+      return workload::make_udp_filler(client, server, w.frame_bytes,
+                                       w.dst_port, w.flows);
     case WorkloadSpec::Kind::kMinFrame:
-      return workload::make_min_frame_factory(client, server, w.flows);
+    case WorkloadSpec::Kind::kMinFill:
+      return workload::make_min_frame_filler(client, server, w.flows);
     case WorkloadSpec::Kind::kKvs: {
       workload::KvsWorkloadConfig kvs;
       kvs.client = client;
       kvs.server = server;
       kvs.tenant = w.tenant;
       kvs.wan_fraction = w.wan_fraction;
-      return workload::make_kvs_factory(kvs);
+      return workload::make_kvs_filler(kvs);
     }
     case WorkloadSpec::Kind::kEsp: {
       // ESP sequence numbers start at 1 (frame seq is 0-based).
       const std::uint16_t sport = w.src_port;
       const std::uint16_t dport = w.dst_port;
       const std::uint32_t spi = w.spi;
-      return [client, server, sport, dport, spi](Rng&, std::uint64_t seq) {
-        const auto inner = frames::min_udp(client, server, sport, dport);
-        return engines::IpsecEngine::encapsulate(
-            inner, spi, static_cast<std::uint32_t>(seq + 1));
+      return [client, server, sport, dport, spi](
+                 Rng&, std::uint64_t seq, std::vector<std::uint8_t>& out) {
+        out = engines::IpsecEngine::encapsulate(
+            frames::min_udp(client, server, sport, dport), spi,
+            static_cast<std::uint32_t>(seq + 1));
       };
     }
-    case WorkloadSpec::Kind::kUdpFill:
-    case WorkloadSpec::Kind::kMinFill:
-      return nullptr;  // filler kinds handled by make_filler
   }
   return nullptr;
-}
-
-workload::FrameFiller make_filler(const WorkloadSpec& w) {
-  const Ipv4Addr client = addr_or(w.src, default_client_addr(w.tenant));
-  const Ipv4Addr server = addr_or(w.dst, Ipv4Addr(10, 0, 0, 1));
-  switch (w.kind) {
-    case WorkloadSpec::Kind::kUdpFill:
-      return workload::make_udp_filler(client, server, w.frame_bytes,
-                                       w.dst_port, w.flows);
-    case WorkloadSpec::Kind::kMinFill:
-      return workload::make_min_frame_filler(client, server, w.flows);
-    default:
-      return nullptr;
-  }
 }
 
 std::vector<std::uint8_t> build_inject_frame(const InjectSpec& i) {
@@ -151,13 +140,8 @@ void ScenarioRun::build_sources() {
     tc.tenant = TenantId{w.tenant};
     tc.seed = w.seed;
     const std::string name = w.name.empty() ? "w" + std::to_string(i) : w.name;
-    if (auto filler = make_filler(w)) {
-      sources_.push_back(std::make_unique<workload::TrafficSource>(
-          name, &nic_->eth_port(w.port), std::move(filler), tc));
-    } else {
-      sources_.push_back(std::make_unique<workload::TrafficSource>(
-          name, &nic_->eth_port(w.port), make_factory(w), tc));
-    }
+    sources_.push_back(std::make_unique<workload::TrafficSource>(
+        name, &nic_->eth_port(w.port), make_filler(w), tc));
     sim_.add(sources_.back().get());
   }
 }

@@ -346,7 +346,8 @@ const std::vector<Field<WorkloadSpec>>& workload_fields() {
            "w<index>"),
       number("port", &W::port, kAlways, "Ethernet port fed by this source",
              {0, kMaxTiles - 1}),
-      choice("kind", &W::kind, kWorkloadKinds, kAlways, "frame factory"),
+      choice("kind", &W::kind, kWorkloadKinds, kAlways,
+             "frame filler; udp_fill and min_fill alias udp and min"),
       number("tenant", &W::tenant, kAlways, "tenant id stamped on frames"),
       choice("pattern", &W::pattern, workload::kArrivalPatternNames, kAlways,
              "arrival process"),

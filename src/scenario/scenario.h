@@ -72,12 +72,12 @@ inline constexpr std::uint64_t kMaxPoolReserve = std::uint64_t{1} << 18;
 /// One open-loop traffic source feeding one Ethernet port.
 struct WorkloadSpec {
   enum class Kind : std::uint8_t {
-    kUdp,       ///< fixed-size UDP frames (make_udp_factory)
-    kMinFrame,  ///< minimum-size frames (make_min_frame_factory)
-    kKvs,       ///< GET/SET mix with Zipf keys (make_kvs_factory)
+    kUdp,       ///< fixed-size UDP frames (make_udp_filler)
+    kMinFrame,  ///< minimum-size frames (make_min_frame_filler)
+    kKvs,       ///< GET/SET mix with Zipf keys (make_kvs_filler)
     kEsp,       ///< ESP-encapsulated min UDP frames (WAN ingress)
-    kUdpFill,   ///< zero-allocation UDP frames (make_udp_filler)
-    kMinFill,   ///< zero-allocation min frames (make_min_frame_filler)
+    kUdpFill,   ///< `udp_fill`: another spelling of kUdp
+    kMinFill,   ///< `min_fill`: another spelling of kMinFrame
   };
 
   /// Telemetry name (`workload.<name>.generated`); empty = "w<index>".

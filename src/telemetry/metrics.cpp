@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -159,41 +158,6 @@ std::vector<std::string> MetricsSnapshot::diff_names(
     if (!metric_value_is_zero(other.unnamed(j))) diff.push_back(n);
   }
   return diff;
-}
-
-std::string MetricsSnapshot::to_csv() const {
-  std::string out = "name,kind,value,count,mean,min,max,p50,p90,p99,p999\n";
-  char buf[256];
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const MetricValue v = unnamed(i);
-    out += name(i);
-    std::snprintf(buf, sizeof(buf),
-                  ",%s,%.17g,%llu,%.17g,%llu,%llu,%llu,%llu,%llu,%llu\n",
-                  to_string(v.kind), v.value,
-                  static_cast<unsigned long long>(v.count), v.mean,
-                  static_cast<unsigned long long>(v.min),
-                  static_cast<unsigned long long>(v.max),
-                  static_cast<unsigned long long>(v.p50),
-                  static_cast<unsigned long long>(v.p90),
-                  static_cast<unsigned long long>(v.p99),
-                  static_cast<unsigned long long>(v.p999));
-    out += buf;
-  }
-  return out;
-}
-
-bool MetricsSnapshot::write_csv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    PANIC_WARN("telemetry", "cannot open %s for metrics snapshot",
-               path.c_str());
-    return false;
-  }
-  const std::string csv = to_csv();
-  const bool ok = std::fwrite(csv.data(), 1, csv.size(), f) == csv.size();
-  std::fclose(f);
-  if (!ok) PANIC_WARN("telemetry", "short write to %s", path.c_str());
-  return ok;
 }
 
 // --- MetricsRegistry ---

@@ -113,13 +113,6 @@ class MetricsSnapshot {
       const MetricsSnapshot& other,
       const std::function<bool(const std::string&)>& exclude = {}) const;
 
-  /// CSV rendering: header + one row per metric,
-  /// "name,kind,value,count,mean,min,max,p50,p90,p99,p999".
-  std::string to_csv() const;
-
-  /// Writes to_csv() to `path`; false (and a kWarn log) on I/O failure.
-  bool write_csv(const std::string& path) const;
-
  private:
   friend class MetricsRegistry;
 

@@ -11,7 +11,6 @@
 //   sim.run(cycles);
 //   auto snap = sim.snapshot();
 //   double pkts = snap.counter("engine.dma.packets_to_host");
-//   snap.write_csv("run.snapshot.csv");
 //   sim.telemetry().tracer().write_chrome_json("run.trace.json",
 //                                              sim.clock());
 #pragma once

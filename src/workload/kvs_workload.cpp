@@ -31,6 +31,13 @@ FrameFactory make_kvs_factory(const KvsWorkloadConfig& config) {
   };
 }
 
+FrameFiller make_kvs_filler(const KvsWorkloadConfig& config) {
+  return [factory = make_kvs_factory(config)](
+             Rng& rng, std::uint64_t seq, std::vector<std::uint8_t>& out) {
+    out = factory(rng, seq);
+  };
+}
+
 FrameFactory make_udp_factory(Ipv4Addr src, Ipv4Addr dst,
                               std::size_t frame_bytes,
                               std::uint16_t dst_port, std::uint32_t flows) {

@@ -28,6 +28,10 @@ struct KvsWorkloadConfig {
 /// are the sequence numbers, so replies can be correlated.
 FrameFactory make_kvs_factory(const KvsWorkloadConfig& config);
 
+/// The same mix as a filler: each frame make_kvs_factory builds is
+/// assigned into the recycled message buffer.
+FrameFiller make_kvs_filler(const KvsWorkloadConfig& config);
+
 /// Frame factory producing plain UDP frames of `frame_bytes` (background /
 /// bulk traffic).  `flows` is the number of distinct 5-tuples the source
 /// cycles through (UDP source port `40000 + seq % flows`) — the knob that

@@ -10,20 +10,6 @@ namespace panic::workload {
 
 TrafficSource::TrafficSource(std::string name,
                              engines::EthernetPortEngine* port,
-                             FrameFactory factory,
-                             const TrafficConfig& config)
-    : Component(std::move(name)),
-      port_(port),
-      factory_(std::move(factory)),
-      config_(config),
-      rng_(derive_seed(config.seed)) {
-  assert(port_ != nullptr);
-  assert(config_.mean_gap_cycles > 0.0);
-  phase_end_ = config_.on_cycles;
-}
-
-TrafficSource::TrafficSource(std::string name,
-                             engines::EthernetPortEngine* port,
                              FrameFiller filler,
                              const TrafficConfig& config)
     : Component(std::move(name)),
@@ -32,6 +18,7 @@ TrafficSource::TrafficSource(std::string name,
       config_(config),
       rng_(derive_seed(config.seed)) {
   assert(port_ != nullptr);
+  assert(filler_);
   assert(config_.mean_gap_cycles > 0.0);
   phase_end_ = config_.on_cycles;
 }
@@ -73,13 +60,9 @@ void TrafficSource::tick(Cycle now) {
   // Emit every frame whose (fractional) time has come; multiple frames per
   // cycle are possible when the gap is < 1 cycle (rates above the clock).
   while (!done() && next_emit_ <= static_cast<double>(now)) {
-    if (filler_) {
-      auto msg = make_message(MessageKind::kPacket);
-      filler_(rng_, generated_, msg->data);
-      port_->deliver_rx(std::move(msg), now, now, config_.tenant);
-    } else {
-      port_->deliver_rx(factory_(rng_, generated_), now, now, config_.tenant);
-    }
+    auto msg = make_message(MessageKind::kPacket);
+    filler_(rng_, generated_, msg->data);
+    port_->deliver_rx(std::move(msg), now, now, config_.tenant);
     ++generated_;
     schedule_next(now);
   }

@@ -42,24 +42,21 @@ struct TrafficConfig {
   std::uint64_t seed = 1;
 };
 
-/// Produces the bytes of the `seq`-th frame.
-using FrameFactory =
-    std::function<std::vector<std::uint8_t>(Rng&, std::uint64_t seq)>;
-
-/// Writes the bytes of the `seq`-th frame into `out` in place.  The
-/// zero-allocation counterpart of FrameFactory: `out` is the data buffer
-/// of a recycled message, so a filler that only assigns into it keeps the
-/// steady-state hot path allocation-free.
+/// Writes the bytes of the `seq`-th frame into `out` in place.  `out` is
+/// the data buffer of a recycled message, so a filler that only assigns
+/// into it keeps the steady-state hot path allocation-free.
 using FrameFiller =
     std::function<void(Rng&, std::uint64_t seq, std::vector<std::uint8_t>& out)>;
 
+/// Returns the bytes of the `seq`-th frame in a fresh vector.  No source
+/// takes one: the make_*_factory builders are the reference each filler's
+/// frames are byte-identical to.
+using FrameFactory =
+    std::function<std::vector<std::uint8_t>(Rng&, std::uint64_t seq)>;
+
 class TrafficSource : public Component {
  public:
-  TrafficSource(std::string name, engines::EthernetPortEngine* port,
-                FrameFactory factory, const TrafficConfig& config);
-
-  /// Zero-allocation source: frames are written into pooled message
-  /// buffers instead of freshly allocated vectors.
+  /// Each frame is written by `filler` into a pooled message buffer.
   TrafficSource(std::string name, engines::EthernetPortEngine* port,
                 FrameFiller filler, const TrafficConfig& config);
 
@@ -77,25 +74,11 @@ class TrafficSource : public Component {
   /// Publishes `workload.<name>.generated`.
   void register_telemetry(telemetry::Telemetry& t) override;
 
-  /// Helper: gap cycles for a target packet rate at a clock frequency.
-  static double gap_for_pps(double pps, Frequency clock) {
-    return clock.hz() / pps;
-  }
-  /// Helper: gap cycles to offer `rate` of `frame_bytes` frames
-  /// (wire size = frame + preamble/IFG).
-  static double gap_for_rate(DataRate rate, std::size_t frame_bytes,
-                             Frequency clock) {
-    const double pps = rate.packets_per_second(
-        static_cast<double>(frame_bytes + kMinWireSizeBytes - kMinFrameBytes));
-    return gap_for_pps(pps, clock);
-  }
-
  private:
   void schedule_next(Cycle now);
 
   engines::EthernetPortEngine* port_;
-  FrameFactory factory_;
-  FrameFiller filler_;  ///< used instead of factory_ when set
+  FrameFiller filler_;
   TrafficConfig config_;
   Rng rng_;
 

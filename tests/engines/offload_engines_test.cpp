@@ -312,7 +312,9 @@ TEST(EthernetPortTest, RxRoutesToDefaultAndMeters) {
   port.lookup_table().set_default(rmt_tile);
   m.sim.add(&port);
 
-  port.deliver_rx(frames::min_udp(kSrc, kDst), m.sim.now(), 0, TenantId{4});
+  auto frame = make_message(MessageKind::kPacket);
+  frame->data = frames::min_udp(kSrc, kDst);
+  port.deliver_rx(std::move(frame), m.sim.now(), 0, TenantId{4});
   const auto got = m.collect(rmt_tile);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->tenant.value, 4);

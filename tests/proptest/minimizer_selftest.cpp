@@ -16,6 +16,9 @@
 #include "proptest/runner.h"
 
 namespace panic::proptest {
+
+using scenario::Scenario;
+
 namespace {
 
 /// Arms the planted bug for the test body and always disarms it after —

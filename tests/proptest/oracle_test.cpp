@@ -11,6 +11,9 @@
 #include "telemetry/metrics.h"
 
 namespace panic::proptest {
+
+using scenario::Scenario;
+
 namespace {
 
 TEST(Oracles, GeneratedScenariosPassOnHealthyBuild) {
@@ -25,8 +28,9 @@ TEST(Oracles, GeneratedScenariosPassOnHealthyBuild) {
         << to_string(violations) << "\nscenario:\n"
         << s.to_string();
     // The runs actually exercised the NIC.
-    EXPECT_GT(dense.generated, 0u) << "seed " << seed;
-    EXPECT_EQ(dense.generated, event.generated) << "seed " << seed;
+    EXPECT_GT(dense.outcome.generated, 0u) << "seed " << seed;
+    EXPECT_EQ(dense.outcome.generated, event.outcome.generated)
+        << "seed " << seed;
     EXPECT_TRUE(dense.conserved) << "seed " << seed;
     EXPECT_TRUE(event.conserved) << "seed " << seed;
   }
@@ -42,14 +46,14 @@ TEST(Oracles, KvsRequestIdCollisionReplayIsClean) {
   RunResult event;
   const auto violations = check_scenario(*s, nullptr, &event);
   EXPECT_TRUE(violations.empty()) << to_string(violations);
-  EXPECT_GT(event.tx_packets, 0u);  // replies reached the wire
+  EXPECT_GT(event.outcome.tx_packets, 0u);  // replies reached the wire
 }
 
 TEST(Oracles, RunsAreBitReproducibleFromTheScenario) {
   const Scenario s = generate_scenario(3, 20000);
   for (const SimMode mode : {SimMode::kStrictTick, SimMode::kEventDriven}) {
-    const RunResult a = run_scenario(s, mode);
-    const RunResult b = run_scenario(s, mode);
+    const scenario::Outcome a = run_scenario(s, mode).outcome;
+    const scenario::Outcome b = run_scenario(s, mode).outcome;
     EXPECT_EQ(a.final_cycle, b.final_cycle);
     EXPECT_EQ(a.generated, b.generated);
     EXPECT_EQ(a.delivered, b.delivered);

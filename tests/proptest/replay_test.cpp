@@ -13,6 +13,9 @@
 #include "scenario/runner.h"
 
 namespace panic::proptest {
+
+using scenario::Scenario;
+
 namespace {
 
 TEST(Replay, PrintedScenariosParseBackFieldForField) {

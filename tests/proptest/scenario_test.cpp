@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "proptest/generator.h"
-#include "proptest/scenario.h"
+#include "scenario/scenario.h"
 
 namespace panic::proptest {
+
+using scenario::Scenario;
+using scenario::WorkloadSpec;
+
 namespace {
 
 Scenario small_scenario() {

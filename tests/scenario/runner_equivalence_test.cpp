@@ -123,6 +123,36 @@ TEST(ScenarioRunner, ResultJsonIdenticalAcrossKernelsModuloRunnerLine) {
   EXPECT_EQ(strip_runner_line(jsons[0]), strip_runner_line(jsons[1]));
 }
 
+TEST(ScenarioRunner, FillKindsAreSpellingsOfUdpAndMin) {
+  // `udp_fill` and `min_fill` name the same filler as `udp` and `min`: in
+  // either kernel, the result JSON cannot tell the spellings apart.
+  using Kind = WorkloadSpec::Kind;
+  const std::pair<Kind, Kind> spellings[] = {{Kind::kUdp, Kind::kUdpFill},
+                                             {Kind::kMinFrame, Kind::kMinFill}};
+  for (const auto& [kind, fill_kind] : spellings) {
+    for (const SimMode mode : {SimMode::kStrictTick, SimMode::kEventDriven}) {
+      std::string json[2];
+      for (int i = 0; i < 2; ++i) {
+        Scenario s;
+        s.budget_cycles = 30000;
+        WorkloadSpec w;
+        w.kind = i == 0 ? kind : fill_kind;
+        w.mean_gap_cycles = 60.0;
+        w.max_frames = 300;
+        w.frame_bytes = 700;
+        w.flows = 8;
+        s.workloads.push_back(w);
+        RunOptions opts;
+        opts.mode = mode;
+        ScenarioRun run(s, opts);
+        run.run_all();
+        json[i] = run.result_json();
+      }
+      EXPECT_EQ(json[0], json[1]) << panic::to_string(mode);
+    }
+  }
+}
+
 TEST(ScenarioRunner, UnknownFaultTargetFailsToBuild) {
   // What `panic_run check` reports for a plan naming a missing engine:
   // the dry build throws, so no run starts with the fault silently unarmed.

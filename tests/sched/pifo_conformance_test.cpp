@@ -400,17 +400,19 @@ void expect_kernels_agree(const scenario::Scenario& s) {
     EXPECT_TRUE(r.conserved) << r.conservation.to_string();
     EXPECT_EQ(r.audit_violations, 0u);
     EXPECT_EQ(r.order_violations, 0u);
-    EXPECT_GT(r.generated, 0u);
+    EXPECT_GT(r.outcome.generated, 0u);
   }
+  const scenario::Outcome& dense = runs[0].outcome;
   for (std::size_t i = 1; i < runs.size(); ++i) {
     SCOPED_TRACE("dense vs mode " + std::to_string(i));
-    EXPECT_EQ(runs[0].final_cycle, runs[i].final_cycle);
-    EXPECT_EQ(runs[0].generated, runs[i].generated);
-    EXPECT_EQ(runs[0].delivered, runs[i].delivered);
-    EXPECT_EQ(runs[0].tx_packets, runs[i].tx_packets);
-    EXPECT_EQ(runs[0].flits_routed, runs[i].flits_routed);
-    const auto diff = runs[0].snapshot.diff_names(
-        runs[i].snapshot,
+    const scenario::Outcome& other = runs[i].outcome;
+    EXPECT_EQ(dense.final_cycle, other.final_cycle);
+    EXPECT_EQ(dense.generated, other.generated);
+    EXPECT_EQ(dense.delivered, other.delivered);
+    EXPECT_EQ(dense.tx_packets, other.tx_packets);
+    EXPECT_EQ(dense.flits_routed, other.flits_routed);
+    const auto diff = dense.snapshot.diff_names(
+        other.snapshot,
         [](const std::string& name) { return name.rfind("kernel.", 0) == 0; });
     EXPECT_TRUE(diff.empty())
         << diff.size() << " metric(s) diverge, first: " << diff.front();

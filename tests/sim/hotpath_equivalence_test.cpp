@@ -12,12 +12,12 @@
 // the values are exact across machines; any drift means the zero-allocation
 // machinery changed observable behaviour, which it must never do.  Both
 // kernel modes are pinned — strict-tick and event-driven — and each is run
-// twice: once with allocating FrameFactory sources (the pre-pool workload
-// path) and once with the zero-allocation FrameFiller sources, which must
-// be indistinguishable.
+// twice: once with fillers that assign each frame an allocating
+// FrameFactory builds (how the kvs and esp kinds fill a pooled buffer) and
+// once with the prototype-caching UDP fillers, which must be
+// indistinguishable.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <tuple>
 
@@ -48,6 +48,14 @@ struct Golden {
                 t2_max = 47386;
 };
 
+/// A filler that assigns each frame `factory` builds.
+workload::FrameFiller assigning(workload::FrameFactory factory) {
+  return [factory = std::move(factory)](Rng& rng, std::uint64_t seq,
+                                        std::vector<std::uint8_t>& out) {
+    out = factory(rng, seq);
+  };
+}
+
 class HotpathEquivalence
     : public ::testing::TestWithParam<std::tuple<SimMode, bool>> {};
 
@@ -74,26 +82,18 @@ TEST_P(HotpathEquivalence, SaturatedStatsMatchPrePoolGolden) {
   inter_cfg.tenant = TenantId{1};
   inter_cfg.seed = 7;
 
-  // The filler variants must produce byte-identical frames to the
-  // factories, so every downstream stat stays pinned either way.
-  std::unique_ptr<workload::TrafficSource> bulk, inter;
-  if (use_filler) {
-    bulk = std::make_unique<workload::TrafficSource>(
-        "bulk", &nic.eth_port(1),
-        workload::make_udp_filler(bulk_src, dst, 1500), bulk_cfg);
-    inter = std::make_unique<workload::TrafficSource>(
-        "interactive", &nic.eth_port(0),
-        workload::make_min_frame_filler(inter_src, dst), inter_cfg);
-  } else {
-    bulk = std::make_unique<workload::TrafficSource>(
-        "bulk", &nic.eth_port(1),
-        workload::make_udp_factory(bulk_src, dst, 1500), bulk_cfg);
-    inter = std::make_unique<workload::TrafficSource>(
-        "interactive", &nic.eth_port(0),
-        workload::make_min_frame_factory(inter_src, dst), inter_cfg);
-  }
-  sim.add(bulk.get());
-  sim.add(inter.get());
+  workload::TrafficSource bulk(
+      "bulk", &nic.eth_port(1),
+      use_filler ? workload::make_udp_filler(bulk_src, dst, 1500)
+                 : assigning(workload::make_udp_factory(bulk_src, dst, 1500)),
+      bulk_cfg);
+  workload::TrafficSource inter(
+      "interactive", &nic.eth_port(0),
+      use_filler ? workload::make_min_frame_filler(inter_src, dst)
+                 : assigning(workload::make_min_frame_factory(inter_src, dst)),
+      inter_cfg);
+  sim.add(&bulk);
+  sim.add(&inter);
 
   sim.run(50000);
   const auto snap = sim.snapshot();

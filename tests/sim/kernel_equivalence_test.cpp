@@ -65,7 +65,7 @@ ScenarioResult run_isolation_scenario(SimMode mode, Cycles cycles) {
   bulk_traffic.tenant = TenantId{2};
   workload::TrafficSource bulk(
       "bulk", &nic.eth_port(1),
-      workload::make_udp_factory(bulk_client, server, 1500), bulk_traffic);
+      workload::make_udp_filler(bulk_client, server, 1500), bulk_traffic);
   sim.add(&bulk);
 
   // Interactive tenant: sparse Poisson requests.
@@ -75,7 +75,7 @@ ScenarioResult run_isolation_scenario(SimMode mode, Cycles cycles) {
   inter_traffic.tenant = TenantId{1};
   workload::TrafficSource interactive(
       "interactive", &nic.eth_port(0),
-      workload::make_min_frame_factory(interactive_client, server),
+      workload::make_min_frame_filler(interactive_client, server),
       inter_traffic);
   sim.add(&interactive);
 
@@ -203,7 +203,7 @@ FaultScenarioResult run_fault_scenario(SimMode mode, Cycles cycles) {
   aux_traffic.mean_gap_cycles = 400.0;
   workload::TrafficSource aux_src(
       "aux_traffic", &nic.eth_port(0),
-      workload::make_udp_factory(client, server, 256, kAuxPort), aux_traffic);
+      workload::make_udp_filler(client, server, 256, kAuxPort), aux_traffic);
   sim.add(&aux_src);
 
   workload::TrafficConfig plain_traffic;
@@ -212,7 +212,7 @@ FaultScenarioResult run_fault_scenario(SimMode mode, Cycles cycles) {
   plain_traffic.tenant = TenantId{2};
   workload::TrafficSource plain_src(
       "plain_traffic", &nic.eth_port(1),
-      workload::make_min_frame_factory(client, server), plain_traffic);
+      workload::make_min_frame_filler(client, server), plain_traffic);
   sim.add(&plain_src);
 
   sim.run(cycles);

@@ -117,16 +117,5 @@ TEST(MetricsRegistry, DuplicateCellPublicationIsRejected) {
 #endif
 }
 
-TEST(MetricsSnapshot, CsvHasHeaderAndOneRowPerMetric) {
-  MetricsRegistry m;
-  m.counter("a") = 1;
-  m.counter("b") = 2;
-  const std::string csv = m.snapshot().to_csv();
-  EXPECT_NE(csv.find("name,kind,value,count,mean,min,max,p50,p90,p99,p999"),
-            std::string::npos);
-  EXPECT_NE(csv.find("a,counter,1"), std::string::npos);
-  EXPECT_NE(csv.find("b,counter,2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace panic::telemetry

@@ -27,7 +27,7 @@ TEST(TrafficSource, ConstantRateGeneratesExpectedCount) {
   TrafficConfig cfg;
   cfg.mean_gap_cycles = 10.0;
   TrafficSource src("gen", &f.nic.eth_port(0),
-                    make_min_frame_factory(kClient, kServer), cfg);
+                    make_min_frame_filler(kClient, kServer), cfg);
   f.sim.add(&src);
   f.sim.run(1000);
   EXPECT_NEAR(static_cast<double>(src.generated()), 100.0, 2.0);
@@ -39,7 +39,7 @@ TEST(TrafficSource, MaxFramesStops) {
   cfg.mean_gap_cycles = 5.0;
   cfg.max_frames = 7;
   TrafficSource src("gen", &f.nic.eth_port(0),
-                    make_min_frame_factory(kClient, kServer), cfg);
+                    make_min_frame_filler(kClient, kServer), cfg);
   f.sim.add(&src);
   f.sim.run(1000);
   EXPECT_EQ(src.generated(), 7u);
@@ -53,7 +53,7 @@ TEST(TrafficSource, PoissonMeanRateCorrect) {
   cfg.mean_gap_cycles = 20.0;
   cfg.seed = 7;
   TrafficSource src("gen", &f.nic.eth_port(0),
-                    make_min_frame_factory(kClient, kServer), cfg);
+                    make_min_frame_filler(kClient, kServer), cfg);
   f.sim.add(&src);
   f.sim.run(100000);
   EXPECT_NEAR(static_cast<double>(src.generated()), 5000.0, 300.0);
@@ -67,20 +67,11 @@ TEST(TrafficSource, OnOffBursts) {
   cfg.on_cycles = 100;
   cfg.off_cycles = 900;
   TrafficSource src("gen", &f.nic.eth_port(0),
-                    make_min_frame_factory(kClient, kServer), cfg);
+                    make_min_frame_filler(kClient, kServer), cfg);
   f.sim.add(&src);
   f.sim.run(10000);
   // ~10% duty cycle at 1 frame/cycle.
   EXPECT_NEAR(static_cast<double>(src.generated()), 1000.0, 150.0);
-}
-
-TEST(TrafficSource, GapHelpers) {
-  const auto clock = Frequency::megahertz(500);
-  EXPECT_DOUBLE_EQ(TrafficSource::gap_for_pps(50e6, clock), 10.0);
-  // 100G of min-size frames: 148.8 Mpps -> ~3.36 cycles at 500 MHz.
-  const double gap =
-      TrafficSource::gap_for_rate(DataRate::gbps(100), 64, clock);
-  EXPECT_NEAR(gap, 3.36, 0.01);
 }
 
 TEST(KvsFactory, ProducesRequestedMix) {
@@ -145,13 +136,34 @@ TEST(UdpFactory, ProducesRequestedSize) {
   EXPECT_TRUE(parse_frame(frame).has_value());
 }
 
+TEST(UdpFiller, MatchesFactoryForEverySeq) {
+  // Sources run the fillers and perfbench the factories: each seq must
+  // give the same bytes, through every prototype and into a recycled
+  // buffer of another size.
+  const std::uint32_t flows = 5;
+  const std::pair<FrameFactory, FrameFiller> pairs[] = {
+      {make_udp_factory(kClient, kServer, 300, 7, flows),
+       make_udp_filler(kClient, kServer, 300, 7, flows)},
+      {make_min_frame_factory(kClient, kServer, flows),
+       make_min_frame_filler(kClient, kServer, flows)},
+  };
+  Rng rng(1);
+  std::vector<std::uint8_t> out(2000, 0xAA);
+  for (const auto& [factory, filler] : pairs) {
+    for (std::uint64_t seq = 0; seq < 3 * flows; ++seq) {
+      filler(rng, seq, out);
+      EXPECT_EQ(out, factory(rng, seq)) << "seq " << seq;
+    }
+  }
+}
+
 TEST(Integration, SourceDrivesNicToHost) {
   PortFixture f;
   TrafficConfig cfg;
   cfg.mean_gap_cycles = 100.0;
   cfg.max_frames = 20;
   TrafficSource src("gen", &f.nic.eth_port(0),
-                    make_min_frame_factory(kClient, kServer), cfg);
+                    make_min_frame_filler(kClient, kServer), cfg);
   f.sim.add(&src);
   ASSERT_TRUE(f.sim.run_until(
       [&] { return f.nic.dma().packets_to_host() == 20; }, 200000));

@@ -58,9 +58,8 @@
 namespace {
 
 using panic::proptest::MinimizeResult;
-using panic::proptest::RunResult;
-using panic::proptest::Scenario;
 using panic::proptest::Violation;
+using panic::scenario::Scenario;
 
 struct Options {
   int runs = 50;
