@@ -55,17 +55,14 @@ Result run_panic(std::uint64_t frames, bool kill_one_engine) {
   cfg.mesh.k = 5;
   cfg.aux_engines = 2;  // the parallel pair; chains nominally use aux0
   cfg.aux_fixed_cycles = kOffloadCycles;
-  cfg.customize_program = [](rmt::RmtProgram& program,
-                             const core::PanicTopology& topo) {
-    auto& stage = program.add_stage("offload_select");
-    rmt::MatchTable t("offload_port", rmt::MatchKind::kExact,
-                      {rmt::Field::kL4DstPort});
-    t.add_exact(kOffloadPort, rmt::Action("to_offload")
-                                  .clear_chain()
-                                  .push_hop(topo.aux[0].value)
-                                  .push_hop(topo.dma.value));
-    stage.tables.push_back(std::move(t));
-  };
+  // Packets to kOffloadPort chain through aux0, then the host.
+  cfg.program = R"(
+    stage offload_select {
+      table offload_port exact(l4.dport) {
+        7777 -> clear_chain, chain(aux0, dma);
+      }
+    }
+  )";
   const auto kill_at =
       static_cast<Cycle>(kGap * static_cast<double>(frames) * kKillFraction);
   if (kill_one_engine) cfg.faults.kill("aux0", kill_at);

@@ -51,21 +51,16 @@ Result run_panic(double gap, std::uint64_t frames) {
   cfg.aux_fixed_cycles = kSlowCycles;
   cfg.dma.base_latency = 20;  // fast host path: the offload is the only
                               // bottleneck in this experiment
-  // Route port-7777 packets through the slow aux engine; others straight
-  // to the host (the default program entry).
-  cfg.customize_program = [](rmt::RmtProgram& program,
-                             const core::PanicTopology& topo) {
-    // A stage after "classify" that overrides the default chain for
-    // packets addressed to the slow offload's port.
-    auto& stage = program.add_stage("slow_select");
-    rmt::MatchTable t("slow_port", rmt::MatchKind::kExact,
-                      {rmt::Field::kL4DstPort});
-    t.add_exact(kSlowPort, rmt::Action("to_slow")
-                               .clear_chain()
-                               .push_hop(topo.aux[0].value)
-                               .push_hop(topo.dma.value));
-    stage.tables.push_back(std::move(t));
-  };
+  // Route packets to the slow offload's port (kSlowPort) through the slow
+  // aux engine; others straight to the host (the default program entry).
+  // The stage runs after "classify" and overrides its chain.
+  cfg.program = R"(
+    stage slow_select {
+      table slow_port exact(l4.dport) {
+        7777 -> clear_chain, chain(aux0, dma);
+      }
+    }
+  )";
   core::PanicNic nic(cfg, sim);
 
   workload::TrafficConfig tcfg;

@@ -24,7 +24,7 @@ namespace {
 
 const Ipv4Addr kClient(10, 1, 0, 2);
 const Ipv4Addr kServer(10, 0, 0, 1);
-constexpr std::uint64_t kInitialTtl = 64;
+constexpr int kInitialTtl = 64;
 
 core::PanicConfig base_config(int chain_len) {
   core::PanicConfig cfg;
@@ -39,42 +39,33 @@ core::PanicConfig base_config(int chain_len) {
 }
 
 /// Mode A: full chain in one pass (PANIC with lightweight lookup tables).
-void customize_chained(rmt::RmtProgram& program,
-                       const core::PanicTopology& topo, int chain_len) {
-  auto& stage = program.add_stage("chain");
-  rmt::MatchTable t("chain", rmt::MatchKind::kTernary,
-                    {rmt::Field::kMetaMsgKind});
-  rmt::Action chain("full_chain");
-  chain.clear_chain();
+std::string chained_program(int chain_len) {
+  std::string hops;
   for (int i = 0; i < chain_len; ++i) {
-    chain.push_hop(topo.aux[static_cast<std::size_t>(i)].value);
+    hops += "aux" + std::to_string(i) + ", ";
   }
-  chain.push_hop(topo.dma.value);
-  t.add_ternary(0, ~0ull, 1, std::move(chain));
-  stage.tables.push_back(std::move(t));
+  return "stage chain {\n"
+         "  table chain ternary(meta.msg_kind) {\n"
+         "    0 prio 1 -> clear_chain, chain(" + hops + "dma);\n"
+         "  }\n"
+         "}\n";
 }
 
 /// Mode B: one hop per pass — each pass pushes the next engine only and
-/// decrements the TTL; engines default-route back to the RMT pipeline.
-void customize_per_hop(rmt::RmtProgram& program,
-                       const core::PanicTopology& topo, int chain_len) {
-  auto& stage = program.add_stage("ttl_walk");
-  rmt::MatchTable t("ttl_walk", rmt::MatchKind::kExact,
-                    {rmt::Field::kIpTtl});
+/// decrements the TTL (mod 256); engines default-route back to the RMT
+/// pipeline.
+std::string per_hop_program(int chain_len) {
+  std::string entries;
   for (int i = 0; i < chain_len; ++i) {
-    rmt::Action step("step" + std::to_string(i));
-    step.clear_chain()
-        .push_hop(topo.aux[static_cast<std::size_t>(i)].value)
-        .add_imm(rmt::Field::kIpTtl, 0xFF)  // TTL -= 1 (mod 256)
-        .and_imm(rmt::Field::kIpTtl, 0xFF);
-    t.add_exact(kInitialTtl - static_cast<std::uint64_t>(i),
-                std::move(step));
+    entries += "    " + std::to_string(kInitialTtl - i) +
+               " -> clear_chain, chain(aux" + std::to_string(i) +
+               "), set_expr(ipv4.ttl, (ipv4.ttl + 255) & 255);\n";
   }
-  rmt::Action finish("to_host");
-  finish.clear_chain().push_hop(topo.dma.value);
-  t.add_exact(kInitialTtl - static_cast<std::uint64_t>(chain_len),
-              std::move(finish));
-  stage.tables.push_back(std::move(t));
+  entries += "    " + std::to_string(kInitialTtl - chain_len) +
+             " -> clear_chain, chain(dma);\n";
+  return "stage ttl_walk {\n"
+         "  table ttl_walk exact(ipv4.ttl) {\n" + entries + "  }\n"
+         "}\n";
 }
 
 struct ModeResult {
@@ -86,14 +77,8 @@ struct ModeResult {
 /// are measured clean, and pipeline capacity follows from the F*P law.
 ModeResult run(bool per_hop, int chain_len) {
   auto cfg = base_config(chain_len);
-  cfg.customize_program = [=](rmt::RmtProgram& p,
-                              const core::PanicTopology& t) {
-    if (per_hop) {
-      customize_per_hop(p, t, chain_len);
-    } else {
-      customize_chained(p, t, chain_len);
-    }
-  };
+  cfg.program =
+      per_hop ? per_hop_program(chain_len) : chained_program(chain_len);
   Simulator sim(Frequency::megahertz(500), requested_sim_mode());
   core::PanicNic nic(cfg, sim);
 

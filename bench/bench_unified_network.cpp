@@ -27,17 +27,21 @@ struct Load {
 };
 
 /// Returns delivered bits/cycle for the given per-class offered loads.
-/// `meshes` is 1 (unified) or 2 (split by class).
+/// `meshes` is 1 (unified) or 2 (split by class).  Each mesh runs in its
+/// own simulator, all stepped in lockstep: the meshes share nothing, and
+/// each publishes its noc.* metrics into its own registry.
 double simulate(int k, std::uint32_t total_width, int meshes, Load load,
                 Cycles warmup, Cycles window) {
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  std::vector<std::unique_ptr<Simulator>> sims;
   std::vector<std::unique_ptr<noc::Mesh>> nets;
   const auto width = static_cast<std::uint32_t>(total_width / meshes);
   for (int m = 0; m < meshes; ++m) {
     noc::MeshConfig cfg;
     cfg.k = k;
     cfg.channel_bits = width;
-    nets.push_back(std::make_unique<noc::Mesh>(cfg, sim));
+    sims.push_back(std::make_unique<Simulator>(Frequency::megahertz(500),
+                                               requested_sim_mode()));
+    nets.push_back(std::make_unique<noc::Mesh>(cfg, *sims.back()));
   }
   Rng rng(17);
   const int tiles = k * k;
@@ -45,7 +49,8 @@ double simulate(int k, std::uint32_t total_width, int meshes, Load load,
   std::uint64_t delivered_bits = 0;
   double credit_a = 0, credit_b = 0;
 
-  auto inject = [&](noc::Mesh& mesh, std::size_t bytes) {
+  auto inject = [&](std::size_t m, std::size_t bytes) {
+    noc::Mesh& mesh = *nets[m];
     for (int t = 0; t < tiles; ++t) {
       const EngineId src{static_cast<std::uint16_t>(t)};
       if (!mesh.ni(src).can_inject()) continue;
@@ -53,22 +58,22 @@ double simulate(int k, std::uint32_t total_width, int meshes, Load load,
           rng.uniform_int(0, static_cast<std::uint64_t>(tiles - 1)))};
       auto msg = make_message();
       msg->data.resize(bytes);
-      mesh.ni(src).inject(std::move(msg), dst, sim.now());
+      mesh.ni(src).inject(std::move(msg), dst, sims[m]->now());
       return true;
     }
     return false;
   };
-  auto drain = [&](noc::Mesh& mesh, bool measuring) {
+  auto drain = [&](std::size_t m, bool measuring) {
     for (int t = 0; t < tiles; ++t) {
       const EngineId tile{static_cast<std::uint16_t>(t)};
-      while (auto msg = mesh.ni(tile).try_receive(sim.now())) {
+      while (auto msg = nets[m]->ni(tile).try_receive(sims[m]->now())) {
         if (measuring) delivered_bits += msg->wire_size() * 8;
       }
     }
   };
 
-  noc::Mesh& net_a = *nets[0];
-  noc::Mesh& net_b = *nets[meshes - 1];
+  const std::size_t net_a = 0;
+  const std::size_t net_b = nets.size() - 1;
 
   for (Cycles c = 0; c < warmup + window; ++c) {
     const bool measuring = c >= warmup;
@@ -80,7 +85,7 @@ double simulate(int k, std::uint32_t total_width, int meshes, Load load,
     if (credit_b > tiles) credit_b = tiles;
     drain(net_a, measuring);
     if (meshes == 2) drain(net_b, measuring);
-    sim.step();
+    for (auto& sim : sims) sim->step();
   }
   return static_cast<double>(delivered_bits) / static_cast<double>(window);
 }

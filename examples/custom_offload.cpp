@@ -72,20 +72,18 @@ int main(int argc, char** argv) {
   config.mesh.k = 4;
   config.spare_tiles = 1;  // reserve a tile for our custom engine
 
-  // Steer every host-bound packet through the telemetry tile first:
-  // rewrite the default packet chain to [telemetry, dma].
-  config.customize_program = [](rmt::RmtProgram& program,
-                                const core::PanicTopology& topo) {
-    auto& stage = program.add_stage("telemetry");
-    rmt::MatchTable t("tap", rmt::MatchKind::kTernary,
-                      {rmt::Field::kMetaMsgKind});
-    t.add_ternary(0 /*kPacket*/, ~0ull, 1,
-                  rmt::Action("tap")
-                      .clear_chain()
-                      .push_hop(topo.spare[0].value)
-                      .push_hop(topo.dma.value));
-    stage.tables.push_back(std::move(t));
-  };
+  // Steer every packet (meta.msg_kind 0) through the telemetry tile
+  // first: rewrite the default packet chain to [telemetry, dma].  The
+  // program's engine names (PanicTopology::tile_names()) name no spare
+  // tile, so the chain names it by number.
+  const std::string spare =
+      std::to_string(core::PanicNic::plan_topology(config).spare[0].value);
+  config.program =
+      "stage telemetry {\n"
+      "  table tap ternary(meta.msg_kind) {\n"
+      "    0 prio 1 -> clear_chain, chain(" + spare + ", dma);\n"
+      "  }\n"
+      "}\n";
 
   // Build the NIC, then attach our engine to the reserved tile.
   core::PanicNic nic(config, sim);

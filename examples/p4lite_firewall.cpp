@@ -9,7 +9,6 @@
 #include "common/cli.h"
 #include "core/panic_nic.h"
 #include "net/packet.h"
-#include "rmt/p4lite.h"
 
 using namespace panic;
 
@@ -20,29 +19,20 @@ int main(int argc, char** argv) {
   core::PanicConfig config;
   config.mesh.k = 4;
 
-  // Compile the extra stages against the engine names of this NIC's
-  // topology.
-  config.customize_program = [](rmt::RmtProgram& program,
-                                const core::PanicTopology& topo) {
-    const char* policy = R"(
-      stage acl {
-        table deny exact(l4.dport) {
-          666 -> clear_chain, drop;
-        }
+  // The NIC compiles the extra stages against the engine names of its
+  // topology, after the default program.
+  config.program = R"(
+    stage acl {
+      table deny exact(l4.dport) {
+        666 -> clear_chain, drop;
       }
-      stage dpi {
-        table inspect exact(l4.dport) {
-          8080 -> clear_chain, chain(regex, dma);
-        }
-      }
-    )";
-    std::string error;
-    if (!rmt::append_p4lite_stages(program, policy, topo.tile_names(),
-                                   &error)) {
-      std::fprintf(stderr, "policy compile failed: %s\n", error.c_str());
-      std::exit(1);
     }
-  };
+    stage dpi {
+      table inspect exact(l4.dport) {
+        8080 -> clear_chain, chain(regex, dma);
+      }
+    }
+  )";
 
   core::PanicNic nic(config, sim);
   nic.regex().add_pattern("(UNION|union) +(SELECT|select)");

@@ -3,7 +3,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -11,17 +11,14 @@
 #include "engines/host_driver.h"
 #include "engines/ipsec_engine.h"
 #include "engines/kvs_cache_engine.h"
-#include "engines/pcie_engine.h"
 #include "engines/rdma_engine.h"
 #include "engines/sched_queue.h"
 #include "fault/fault_plan.h"
-#include "fault/recovery.h"
 #include "fault/steering.h"
 #include "fault/watchdog.h"
 #include "noc/mesh.h"
 #include "rmt/flow_cache.h"
 #include "rmt/p4lite.h"
-#include "rmt/pipeline.h"
 
 namespace panic::core {
 
@@ -81,7 +78,6 @@ inline constexpr std::array<FixedEngine, 11> kFixedEngines = {{
 struct PanicConfig {
   noc::MeshConfig mesh{.k = 4, .channel_bits = 128};
   Frequency freq = Frequency::megahertz(500);
-  DataRate line_rate = DataRate::gbps(100);
   int eth_ports = 2;
   int rmt_engines = 2;
 
@@ -96,12 +92,8 @@ struct PanicConfig {
   rmt::FlowCacheConfig rmt_cache;
 
   engines::DmaConfig dma;
-  engines::PcieConfig pcie;
   engines::KvsCacheMode kvs_mode = engines::KvsCacheMode::kLocation;
   std::size_t kvs_capacity = 4096;
-
-  /// Number of host receive queues load-balanced across (kMetaQueue).
-  std::uint32_t rx_queues = 8;
 
   /// Slack assigned to messages whose tenant has no explicit entry.
   std::uint32_t default_slack = 1000;
@@ -109,35 +101,26 @@ struct PanicConfig {
   /// slack stage of the default program.
   std::vector<std::pair<std::uint16_t, std::uint32_t>> tenant_slacks;
 
-  /// IPv4 prefix classified as WAN: replies to these destinations are
-  /// routed through the IPSec encrypt engine (§2.2: "only packets sent
-  /// over the WAN need to be encrypted").
-  std::uint32_t wan_prefix = 0xCB007100;  // 203.0.113.0
-  int wan_prefix_len = 24;
-
   /// Extra pass-through delay engines (HOL / chain-length experiments).
   int aux_engines = 0;
   Cycles aux_fixed_cycles = 100;
-  double aux_cycles_per_byte = 0.0;
 
   /// Tiles reserved for caller-attached custom engines.
   int spare_tiles = 0;
 
-  /// TCP segmentation offload: max payload per TX segment.
-  std::uint32_t tso_mss = 1460;
-
-  /// Called after the default RMT program is built, so benchmarks and
-  /// examples can add or override table entries.
-  std::function<void(rmt::RmtProgram&, const PanicTopology&)> customize_program;
+  /// p4lite stages (rmt/p4lite.h) appended after the default RMT program
+  /// (core/program_factory.cpp) and compiled against
+  /// PanicTopology::tile_names(), so benchmarks, examples and scenario
+  /// `program` blocks can add or override table entries.
+  std::string program;
 
   // --- Fault injection & self-healing (fault/). ---
   /// Deterministic fault schedule.  When non-empty the NIC arms an
-  /// injector with it, turns the watchdog on, and enables host-driver TX
+  /// injector with it, attaches the watchdog and the recovery-time
+  /// tracker (fault.recovery.*), and enables host-driver TX
   /// timeout/retry.  Same seed + same plan => bit-identical runs in both
   /// kernel modes.
   fault::FaultPlan faults;
-  /// Forces the watchdog on even with an empty plan.
-  bool enable_watchdog = false;
   fault::WatchdogConfig watchdog;
   /// Forces host-driver TX timeout/retry on even with an empty plan.
   bool enable_tx_retry = false;
@@ -149,10 +132,6 @@ struct PanicConfig {
   /// re-opens the route; overflow is shed with fate kShed).
   fault::NoRoutePolicy on_no_route = fault::NoRoutePolicy::kDrop;
   std::size_t no_route_depth = 64;
-
-  /// Recovery-time telemetry sampling (fault.recovery.*), armed alongside
-  /// the injector whenever a fault plan is present.
-  fault::RecoveryConfig recovery;
 };
 
 }  // namespace panic::core

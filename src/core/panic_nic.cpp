@@ -80,11 +80,12 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
     return engine;
   };
 
-  // Ethernet ports: RX default route goes to their home RMT engine.
+  // 100 Gb/s Ethernet ports: RX default route goes to their home RMT
+  // engine.
   for (int i = 0; i < config_.eth_ports; ++i) {
     auto* port = adopt(new engines::EthernetPortEngine(
         "eth" + std::to_string(i), &mesh_->ni(topo_.eth_ports[static_cast<std::size_t>(i)]),
-        ecfg, config_.line_rate, config_.freq));
+        ecfg, DataRate::gbps(100), config_.freq));
     port->lookup_table().set_default(home_rmt());
     eth_ports_.push_back(port);
   }
@@ -123,7 +124,7 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
   fixed(dma_, &PanicTopology::dma, config_.dma, &host_);
   dma_->lookup_table().set_kind_route(MessageKind::kInterrupt, topo_.pcie);
 
-  engines::PcieConfig pcie_cfg = config_.pcie;
+  engines::PcieConfig pcie_cfg;
   pcie_cfg.eth_ports = topo_.eth_ports;
   fixed(pcie_, &PanicTopology::pcie, pcie_cfg);
   pcie_->lookup_table().set_kind_route(MessageKind::kDescriptorFetch,
@@ -169,7 +170,7 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
   fixed(regex_, &PanicTopology::regex, engines::RegexConfig{});
   regex_->lookup_table().set_default(home_rmt());
 
-  fixed(tso_, &PanicTopology::tso, engines::TsoConfig{.mss = config_.tso_mss});
+  fixed(tso_, &PanicTopology::tso, engines::TsoConfig{});
   tso_->lookup_table().set_default(home_rmt());
 
   fixed(rate_limiter_, &PanicTopology::rate_limiter,
@@ -182,7 +183,7 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
     auto* aux = adopt(new engines::DelayEngine(
         "aux" + std::to_string(i),
         &mesh_->ni(topo_.aux[static_cast<std::size_t>(i)]), ecfg,
-        config_.aux_fixed_cycles, config_.aux_cycles_per_byte));
+        config_.aux_fixed_cycles));
     aux->lookup_table().set_default(home_rmt());
     aux_.push_back(aux);
   }
@@ -216,11 +217,11 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
   if (topo_.aux.size() > 1) injector_->add_equivalence_group(topo_.aux);
 
   const bool faulty = !config_.faults.empty();
-  if (faulty || config_.enable_watchdog) {
+  if (faulty) {
     // Recovery-time telemetry: delivered == everything that reached a
     // terminal sink (host RX via DMA, wire TX via the MACs) — the same
     // "delivered" the conservation ledger counts.
-    recovery_ = adopt(new fault::RecoveryTracker(config_.recovery));
+    recovery_ = adopt(new fault::RecoveryTracker());
     recovery_->set_throughput_probe([this] {
       std::uint64_t delivered = dma_->packets_to_host();
       for (const auto* port : eth_ports_) {

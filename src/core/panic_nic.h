@@ -61,7 +61,6 @@ class PanicNic {
   engines::TsoEngine& tso() { return *tso_; }
   engines::RateLimiterEngine& rate_limiter() { return *rate_limiter_; }
   engines::DelayEngine& aux(int i) { return *aux_[i]; }
-  int num_aux() const { return static_cast<int>(aux_.size()); }
 
   /// Fault injection: every engine and router is registered here, and
   /// every Engine/RmtEngine consults its steering directory.  Armed in
@@ -69,7 +68,7 @@ class PanicNic {
   /// unknown engine or router tile makes the constructor throw
   /// std::runtime_error.
   fault::FaultInjector& fault_injector() { return *injector_; }
-  /// Non-null when config.faults is non-empty or enable_watchdog is set.
+  /// Non-null when config.faults is non-empty.
   fault::Watchdog* watchdog() { return watchdog_; }
   /// Recovery-time telemetry (fault.recovery.*); non-null whenever the
   /// watchdog is (same arming condition).
@@ -82,8 +81,8 @@ class PanicNic {
   /// Total heavyweight-pipeline traversals across all RMT engines.
   std::uint64_t total_rmt_passes() const;
 
-  /// Computes the tile placement this config produces (also used by
-  /// benchmarks to name engines in custom table entries before the NIC is
+  /// Computes the tile placement this config produces (also used to name
+  /// a spare tile by number in PanicConfig::program before the NIC is
   /// constructed).
   static PanicTopology plan_topology(const PanicConfig& config);
 

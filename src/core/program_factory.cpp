@@ -1,175 +1,97 @@
 #include "core/program_factory.h"
 
-#include "net/headers.h"
+#include <stdexcept>
+#include <string>
+
+#include "rmt/p4lite.h"
 
 namespace panic::core {
 
-using rmt::Action;
-using rmt::Field;
-using rmt::MatchKind;
-using rmt::MatchTable;
-using rmt::TableEntry;
-
 namespace {
 
-/// Key layout of the classify table.
-const std::vector<Field> kClassifyKey = {
-    Field::kValidEsp,    Field::kValidKvs,    Field::kKvsOp,
-    Field::kMetaMsgKind, Field::kMetaFromWan, Field::kMetaFromHost};
+/// The default program.  Wildcard key words read `0/0`; meta.msg_kind 0 is
+/// MessageKind::kPacket, and kvs.op 1, 2 and 3 are KvsOp::kGet, kSet and
+/// kGetReply.
+std::string default_program(const PanicConfig& config) {
+  std::string tenants;
+  for (const auto& [tenant, slack] : config.tenant_slacks) {
+    tenants += "    " + std::to_string(tenant) + " -> set_slack(" +
+               std::to_string(slack) + ");\n";
+  }
+  return R"(parser default;
 
-TableEntry classify_entry(std::uint64_t esp, std::uint64_t kvs,
-                          std::uint64_t op, std::uint64_t kind,
-                          std::uint64_t wan, std::uint64_t host,
-                          std::uint64_t esp_m, std::uint64_t kvs_m,
-                          std::uint64_t op_m, std::uint64_t kind_m,
-                          std::uint64_t wan_m, std::uint64_t host_m,
-                          int priority, Action action) {
-  TableEntry e;
-  e.key = {esp, kvs, op, kind, wan, host};
-  e.masks = {esp_m, kvs_m, op_m, kind_m, wan_m, host_m};
-  e.priority = priority;
-  e.action = std::move(action);
-  return e;
+// Per-tenant slack.  The metadata tenant stamped at ingress runs first,
+// with the default; a KVS header naming a tenant overrides it.
+stage slack {
+  table slack_by_meta_tenant exact(meta.tenant) {
+)" + tenants + "    default -> set_slack(" +
+         std::to_string(config.default_slack) + R"();
+  }
+  table slack_by_kvs_tenant exact(kvs.tenant) {
+)" + tenants + R"(  }
 }
 
-constexpr std::uint64_t kPacketKind =
-    static_cast<std::uint64_t>(MessageKind::kPacket);
+// WAN classification by destination prefix: only packets sent over the
+// WAN need to be encrypted (§2.2).
+stage wan {
+  table wan_by_dst lpm(ipv4.dst) {
+    203.0.113.0/24 -> set(meta.from_wan, 1);
+  }
+}
+
+// Chain construction, highest priority first.
+stage classify {
+  table classify ternary(valid_esp, valid_kvs, kvs.op, meta.msg_kind,
+                         meta.from_wan, meta.from_host) {
+    // ESP packet from the wire -> decrypt; the IPSec engine's default
+    // route returns the clear packet here for its second pass (§3.1.2).
+    (1, 0/0, 0/0, 0, 0/0, 0) prio 100 -> chain(ipsec_rx);
+    // KVS GET -> cache engine (which locally reroutes hits to RDMA and
+    // misses to the host).
+    (0, 1, 1, 0, 0/0, 0) prio 90 -> chain(kvs);
+    // KVS SET -> cache engine, then host log via DMA.
+    (0, 1, 2, 0, 0/0, 0) prio 89 -> chain(kvs, dma);
+    // Host TX packets (from the descriptor path): checksum offload,
+    // WAN encryption, then out the descriptor's egress port.
+    (0/0, 0/0, 0/0, 0, 1, 1) prio 86 ->
+        chain(checksum, ipsec_tx), chain_from(meta.egress_port);
+    (0/0, 0/0, 0/0, 0, 0/0, 1) prio 85 ->
+        chain(checksum), chain_from(meta.egress_port);
+    // NIC-generated KVS replies: the same, out the recorded egress port.
+    (0/0, 1, 3, 0, 1, 0/0) prio 80 ->
+        chain(checksum, ipsec_tx), chain_from(meta.egress_port);
+    (0/0, 1, 3, 0, 0/0, 0/0) prio 79 ->
+        chain(checksum), chain_from(meta.egress_port);
+    // Any other packet: pick one of 8 receive queues, deliver via DMA.
+    (0/0, 0/0, 0/0, 0, 0/0, 0/0) prio 10 ->
+        lb(meta.queue, ipv4.src, l4.sport, 8), chain(dma);
+  }
+}
+
+// TCP segmentation offload for host TX: jumbo TCP frames from the driver
+// detour through the TSO engine before checksum and egress.
+stage tso {
+  table tso_select ternary(meta.from_host, valid_tcp, meta.from_wan) {
+    (1, 1, 1) prio 10 -> clear_chain, chain(tso, checksum, ipsec_tx),
+                         chain_from(meta.egress_port);
+    (1, 1, 0) prio 5 -> clear_chain, chain(tso, checksum),
+                        chain_from(meta.egress_port);
+  }
+}
+)";
+}
 
 }  // namespace
 
 std::shared_ptr<rmt::RmtProgram> build_default_program(
     const PanicConfig& config, const PanicTopology& topo) {
   auto program = std::make_shared<rmt::RmtProgram>();
-  program->parser = rmt::make_default_parser();
-
-  // Stage 0: per-tenant slack.  The KVS header carries an explicit tenant;
-  // other traffic uses the metadata tenant stamped at ingress.
-  {
-    auto& stage = program->add_stage(kSlackStage);
-    MatchTable tenant_kvs("slack_by_kvs_tenant", MatchKind::kExact,
-                          {Field::kKvsTenant});
-    MatchTable tenant_meta("slack_by_meta_tenant", MatchKind::kExact,
-                           {Field::kMetaTenant});
-    for (const auto& [tenant, slack] : config.tenant_slacks) {
-      tenant_kvs.add_exact(tenant, Action("set_slack").set_slack(slack));
-      tenant_meta.add_exact(tenant, Action("set_slack").set_slack(slack));
-    }
-    tenant_meta.set_default_action(
-        Action("default_slack").set_slack(config.default_slack));
-    // Order matters: the meta table (with the default) runs first, the
-    // KVS-tenant table overrides it when the header names a tenant.
-    stage.tables.push_back(std::move(tenant_meta));
-    stage.tables.push_back(std::move(tenant_kvs));
-  }
-
-  // Stage 1: WAN classification by destination prefix.
-  {
-    auto& stage = program->add_stage(kWanStage);
-    MatchTable wan("wan_by_dst", MatchKind::kLpm, {Field::kIpDst});
-    wan.add_lpm(config.wan_prefix, config.wan_prefix_len,
-                Action("mark_wan").set_field(Field::kMetaFromWan, 1));
-    stage.tables.push_back(std::move(wan));
-  }
-
-  // Stage 2: chain construction.
-  {
-    auto& stage = program->add_stage(kClassifyStage);
-    MatchTable classify("classify", MatchKind::kTernary, kClassifyKey);
-
-    // ESP packet from the wire -> decrypt; the IPSec engine's default
-    // route returns the clear packet here for its second pass (§3.1.2).
-    classify.add_entry(classify_entry(
-        1, 0, 0, kPacketKind, 0, 0, ~0ull, 0, 0, ~0ull, 0, ~0ull, kPrioEsp,
-        Action("to_ipsec_rx").push_hop(topo.ipsec_rx.value)));
-
-    // KVS GET -> cache engine (which locally reroutes hits to RDMA and
-    // misses to the host).
-    classify.add_entry(classify_entry(
-        0, 1, static_cast<std::uint64_t>(KvsOp::kGet), kPacketKind, 0, 0,
-        ~0ull, ~0ull, ~0ull, ~0ull, 0, ~0ull, kPrioKvsGet,
-        Action("kvs_get").push_hop(topo.kvs.value)));
-
-    // KVS SET -> cache engine, then host log via DMA.
-    classify.add_entry(classify_entry(
-        0, 1, static_cast<std::uint64_t>(KvsOp::kSet), kPacketKind, 0, 0,
-        ~0ull, ~0ull, ~0ull, ~0ull, 0, ~0ull, kPrioKvsSet,
-        Action("kvs_set").push_hop(topo.kvs.value).push_hop(topo.dma.value)));
-
-    // Host TX packets (from the descriptor path): checksum offload,
-    // optional WAN encryption, then out the descriptor's egress port.
-    classify.add_entry(classify_entry(
-        0, 0, 0, kPacketKind, 1, 1, 0, 0, 0, ~0ull, ~0ull, ~0ull,
-        kPrioTxWan,
-        Action("tx_wan")
-            .push_hop(topo.checksum.value)
-            .push_hop(topo.ipsec_tx.value)
-            .push_hop_from(Field::kMetaEgressPort)));
-    classify.add_entry(classify_entry(
-        0, 0, 0, kPacketKind, 0, 1, 0, 0, 0, ~0ull, 0, ~0ull, kPrioTx,
-        Action("tx_lan")
-            .push_hop(topo.checksum.value)
-            .push_hop_from(Field::kMetaEgressPort)));
-
-    // NIC-generated replies: checksum offload, optional WAN encryption,
-    // then out the recorded egress port.
-    classify.add_entry(classify_entry(
-        0, 1, static_cast<std::uint64_t>(KvsOp::kGetReply), kPacketKind, 1,
-        0, 0, ~0ull, ~0ull, ~0ull, ~0ull, 0, kPrioReplyWan,
-        Action("reply_wan")
-            .push_hop(topo.checksum.value)
-            .push_hop(topo.ipsec_tx.value)
-            .push_hop_from(Field::kMetaEgressPort)));
-    classify.add_entry(classify_entry(
-        0, 1, static_cast<std::uint64_t>(KvsOp::kGetReply), kPacketKind, 0,
-        0, 0, ~0ull, ~0ull, ~0ull, 0, 0, kPrioReply,
-        Action("reply_lan")
-            .push_hop(topo.checksum.value)
-            .push_hop_from(Field::kMetaEgressPort)));
-
-    // Everything else that is a packet: pick a receive queue and deliver
-    // to the host via DMA.
-    classify.add_entry(classify_entry(
-        0, 0, 0, kPacketKind, 0, 0, 0, 0, 0, ~0ull, 0, 0,
-        kPrioDefaultPacket,
-        Action("to_host")
-            .hash_fields(Field::kMetaQueue, Field::kIpSrc,
-                         Field::kL4SrcPort, config.rx_queues)
-            .push_hop(topo.dma.value)));
-
-    stage.tables.push_back(std::move(classify));
-  }
-
-  // Stage 3: TCP segmentation offload for host TX.  Jumbo TCP frames from
-  // the driver detour through the TSO engine before checksum/egress.
-  {
-    auto& stage = program->add_stage(kTsoStage);
-    MatchTable tso("tso_select", MatchKind::kTernary,
-                   {Field::kMetaFromHost, Field::kValidTcp,
-                    Field::kMetaFromWan});
-    TableEntry wan;
-    wan.key = {1, 1, 1};
-    wan.priority = 10;
-    wan.action = Action("tso_wan")
-                     .clear_chain()
-                     .push_hop(topo.tso.value)
-                     .push_hop(topo.checksum.value)
-                     .push_hop(topo.ipsec_tx.value)
-                     .push_hop_from(Field::kMetaEgressPort);
-    tso.add_entry(std::move(wan));
-    TableEntry lan;
-    lan.key = {1, 1, 0};
-    lan.priority = 5;
-    lan.action = Action("tso_lan")
-                     .clear_chain()
-                     .push_hop(topo.tso.value)
-                     .push_hop(topo.checksum.value)
-                     .push_hop_from(Field::kMetaEgressPort);
-    tso.add_entry(std::move(lan));
-    stage.tables.push_back(std::move(tso));
-  }
-
-  if (config.customize_program) {
-    config.customize_program(*program, topo);
+  const rmt::SymbolTable names = topo.tile_names();
+  std::string error;
+  if (!rmt::append_p4lite_stages(*program, default_program(config), names,
+                                 &error) ||
+      !rmt::append_p4lite_stages(*program, config.program, names, &error)) {
+    throw std::runtime_error("scenario program: " + error);
   }
   return program;
 }

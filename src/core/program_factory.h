@@ -1,7 +1,9 @@
-// Builds the default RMT program that drives a PANIC NIC: tenant-slack
-// assignment, WAN classification, offload-chain construction and receive
-// queue load balancing.  This is the "P4 program" of §4.1, expressed with
-// the builder API of src/rmt.
+// Builds the RMT program that drives a PANIC NIC: the default program
+// (tenant-slack assignment, WAN classification, offload-chain
+// construction, receive-queue load balancing and TCP segmentation for
+// host TX) followed by the config's own stages.  This is the "P4 program"
+// of §4.1, written in p4lite (rmt/p4lite.h); the builder API of src/rmt is
+// what the p4lite compiler targets.
 #pragma once
 
 #include <memory>
@@ -11,39 +13,11 @@
 
 namespace panic::core {
 
-/// Stage/table layout of the default program (useful for customizers):
-///   stage 0 "slack":     exact  [meta.tenant]           -> set_slack
-///   stage 1 "wan":       lpm    [ipv4.dst]              -> meta.from_wan=1
-///   stage 2 "classify":  ternary [valid_esp, valid_kvs, kvs.op,
-///                                 meta.msg_kind, meta.from_wan]
-///                                                       -> build chain
-/// Classify entries, highest priority first:
-///   ESP packet from the wire       -> [ipsec_rx]  (returns for 2nd pass)
-///   KVS GET                        -> [kvs]       (kvs reroutes on hit)
-///   KVS SET                        -> [kvs, dma]
-///   host TX, WAN destination       -> [checksum, ipsec_tx, egress port]
-///   host TX                        -> [checksum, egress port]
-///   KVS reply, WAN destination     -> [checksum, ipsec_tx, egress port]
-///   KVS reply                      -> [checksum, egress port]
-///   any other packet               -> queue-LB + [dma]
+/// Compiles the default program's text (program_factory.cpp) and then
+/// `config.program`'s stages against `topo.tile_names()`.  A program that
+/// does not compile throws std::runtime_error("scenario program: p4lite:N:
+/// reason").
 std::shared_ptr<rmt::RmtProgram> build_default_program(
     const PanicConfig& config, const PanicTopology& topo);
-
-/// Names used for the stages/tables above.
-inline constexpr const char* kSlackStage = "slack";
-inline constexpr const char* kWanStage = "wan";
-inline constexpr const char* kClassifyStage = "classify";
-inline constexpr const char* kTsoStage = "tso";
-
-/// Priorities of the classify entries (customizers can slot entries
-/// in between).
-inline constexpr int kPrioEsp = 100;
-inline constexpr int kPrioKvsGet = 90;
-inline constexpr int kPrioKvsSet = 89;
-inline constexpr int kPrioTxWan = 86;
-inline constexpr int kPrioTx = 85;
-inline constexpr int kPrioReplyWan = 80;
-inline constexpr int kPrioReply = 79;
-inline constexpr int kPrioDefaultPacket = 10;
 
 }  // namespace panic::core

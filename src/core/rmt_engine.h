@@ -54,7 +54,6 @@ class RmtEngine : public Component {
 
   std::uint64_t messages_processed() const { return processed_; }
   std::uint64_t messages_dropped() const { return dropped_; }
-  std::uint64_t queue_drops() const { return queue_.dropped(); }
 
   /// Completion routing consults `steering` (when set): chains headed to a
   /// dead engine are rewritten toward a live equivalent, or take the

@@ -1,4 +1,4 @@
-// A configurable pass-through engine with fixed + per-byte service time.
+// A configurable pass-through engine with a fixed service time.
 // Stands in for "some offload" in topology/scheduling experiments (HOL
 // blocking, chain scaling) where only the service-time behaviour matters,
 // and doubles as the simplest example of implementing a custom engine.
@@ -11,15 +11,13 @@ namespace panic::engines {
 class DelayEngine : public Engine {
  public:
   DelayEngine(std::string name, noc::NetworkInterface* ni,
-              const EngineConfig& config, Cycles fixed_cycles,
-              double cycles_per_byte = 0.0)
-      : Engine(std::move(name), ni, config),
-        fixed_(fixed_cycles),
-        per_byte_(cycles_per_byte) {}
+              const EngineConfig& config, Cycles fixed_cycles)
+      : Engine(std::move(name), ni, config), fixed_(fixed_cycles) {}
 
  protected:
   Cycles service_time(const Message& msg) const override {
-    return offload_cycles(fixed_, per_byte_, msg.data.size());
+    (void)msg;
+    return fixed_;
   }
 
   bool process(Message& msg, Cycle now) override {
@@ -30,7 +28,6 @@ class DelayEngine : public Engine {
 
  private:
   Cycles fixed_;
-  double per_byte_;
 };
 
 }  // namespace panic::engines

@@ -26,7 +26,6 @@ class RegexEngine : public Engine {
 
   /// Adds a pattern; returns false (and ignores it) on syntax error.
   bool add_pattern(std::string_view pattern);
-  std::size_t num_patterns() const { return patterns_.size(); }
 
   std::uint64_t matched() const { return matched_; }
   std::uint64_t scanned() const { return scanned_; }

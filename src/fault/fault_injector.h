@@ -43,7 +43,6 @@ class FaultInjector {
   explicit FaultInjector(FaultPlan plan = {});
 
   const FaultPlan& plan() const { return plan_; }
-  void set_plan(FaultPlan plan) { plan_ = std::move(plan); }
 
   /// The steering directory recovery consults.  Populated by engine-death
   /// applications; equivalence groups are declared by the NIC wiring.

@@ -58,8 +58,9 @@ std::optional<RmtProgram> compile_p4lite(std::string_view source,
                                          const SymbolTable& symbols,
                                          std::string* error = nullptr);
 
-/// Compiles stage declarations only and appends them to `program`
-/// (used to extend the default PANIC program from text).
+/// Compiles stage declarations (and an optional "parser default;") and
+/// appends them to `program`: how the PANIC NIC builds its default
+/// program and then the config's own stages (core/program_factory.h).
 bool append_p4lite_stages(RmtProgram& program, std::string_view source,
                           const SymbolTable& symbols,
                           std::string* error = nullptr);

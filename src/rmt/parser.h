@@ -83,10 +83,6 @@ class Parser {
   /// Adds a state; the first state added is the start state.
   void add_state(ParserState state);
 
-  bool has_state(const std::string& name) const {
-    return states_.count(name) != 0;
-  }
-
   /// Parses `frame` into `phv`.  Returns false if the graph references a
   /// missing state, a transition loops too long, or an extract runs past
   /// the end of the frame.  On success, `locations` (if non-null) receives

@@ -6,7 +6,6 @@
 #include <functional>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/codec.h"
 #include "common/log.h"
@@ -14,7 +13,6 @@
 #include "engines/rank_program.h"
 #include "net/addr.h"
 #include "net/headers.h"
-#include "rmt/p4lite.h"
 
 namespace panic::scenario {
 
@@ -855,21 +853,7 @@ core::PanicConfig Scenario::to_config() const {
   cfg.faults = faults;
   cfg.on_no_route = on_no_route;
   cfg.no_route_depth = no_route_depth;
-  if (!program.empty()) {
-    // Compiled against the NIC's actual tile placement once the default
-    // program exists.  The full engine namespace is exposed; a compile
-    // error aborts the NIC build (PanicNic construction is where every
-    // other config error surfaces too).
-    const std::string source = program;
-    cfg.customize_program = [source](rmt::RmtProgram& prog,
-                                     const core::PanicTopology& topo) {
-      std::string error;
-      if (!rmt::append_p4lite_stages(prog, source, topo.tile_names(),
-                                     &error)) {
-        throw std::runtime_error("scenario program: " + error);
-      }
-    };
-  }
+  cfg.program = program;
   return cfg;
 }
 

@@ -66,7 +66,6 @@ class MessageTracer {
   /// Starts recording into a ring of `capacity` events.  Re-enabling
   /// clears previously recorded events.
   void enable(std::size_t capacity = kDefaultCapacity);
-  void disable() { enabled_ = false; }
   void clear();
 
   /// Interns a component name, returning a small id for TraceEvent::where.

@@ -1,8 +1,7 @@
 #include "workload/kvs_workload.h"
 
-#include <memory>
-
 #include "engines/ipsec_engine.h"
+#include "net/bytes.h"
 #include "net/packet.h"
 
 namespace panic::workload {
@@ -67,18 +66,18 @@ FrameFiller make_udp_filler(Ipv4Addr src, Ipv4Addr dst,
                             std::size_t frame_bytes,
                             std::uint16_t dst_port, std::uint32_t flows) {
   if (flows == 0) flows = 1;
-  // The factory's frames depend on seq only through `40000 + seq % flows`
-  // (the UDP source port), so `flows` cached prototypes cover every frame
-  // the filler will ever emit; prototypes are built lazily with the
-  // factory itself, which guarantees byte equality.
-  auto factory = make_udp_factory(src, dst, frame_bytes, dst_port, flows);
-  auto protos =
-      std::make_shared<std::vector<std::vector<std::uint8_t>>>(flows);
-  return [factory = std::move(factory), protos = std::move(protos), flows](
-             Rng& rng, std::uint64_t seq, std::vector<std::uint8_t>& out) {
-    auto& proto = (*protos)[seq % flows];
-    if (proto.empty()) proto = factory(rng, seq);
+  // The factory's frames differ only in the UDP source port, `40000 + seq
+  // % flows`: the UDP checksum is left 0 and payload_size fills the
+  // payload by size alone.  So one prototype, built by the factory itself,
+  // gives every frame once its source port is written in.
+  Rng rng;  // the factory draws nothing from it
+  std::vector<std::uint8_t> proto =
+      make_udp_factory(src, dst, frame_bytes, dst_port, flows)(rng, 0);
+  return [proto = std::move(proto), flows](
+             Rng&, std::uint64_t seq, std::vector<std::uint8_t>& out) {
     out.assign(proto.begin(), proto.end());
+    ByteWriter(out).patch_u16(EthernetHeader::kSize + Ipv4Header::kSize,
+                              static_cast<std::uint16_t>(40000 + seq % flows));
   };
 }
 

@@ -47,11 +47,11 @@ FrameFactory make_min_frame_factory(Ipv4Addr src, Ipv4Addr dst,
                                     std::uint32_t flows = 1024);
 
 /// Zero-allocation counterparts of the UDP factories: the frame bytes are
-/// written into the recycled message buffer in place.  The filler caches
-/// one prototype frame per distinct source port (the only seq-dependent
-/// field, `40000 + seq % flows`), so after at most `flows` builds the
-/// steady state is a pure memcpy into reused capacity.  Byte-identical to
-/// the factory's output for every seq.
+/// written into the recycled message buffer in place.  The filler keeps
+/// one prototype frame and writes each frame's UDP source port (the only
+/// seq-dependent field, `40000 + seq % flows`) into the copy, so every
+/// frame is a memcpy into reused capacity.  Byte-identical to the
+/// factory's output for every seq.
 FrameFiller make_udp_filler(Ipv4Addr src, Ipv4Addr dst,
                             std::size_t frame_bytes,
                             std::uint16_t dst_port = 9,

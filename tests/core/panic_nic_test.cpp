@@ -310,14 +310,13 @@ TEST(PanicNic, EncryptedWanKvsFullPath) {
 
 TEST(PanicNic, CustomProgramEntryDrops) {
   PanicConfig cfg = small_config();
-  cfg.customize_program = [](rmt::RmtProgram& program,
-                             const PanicTopology&) {
-    auto& acl = program.add_stage("acl");
-    rmt::MatchTable t("deny", rmt::MatchKind::kExact,
-                      {rmt::Field::kL4DstPort});
-    t.add_exact(666, rmt::Action("deny").mark_drop().clear_chain());
-    acl.tables.push_back(std::move(t));
-  };
+  cfg.program = R"(
+    stage acl {
+      table deny exact(l4.dport) {
+        666 -> drop, clear_chain;
+      }
+    }
+  )";
   Simulator sim;
   PanicNic nic(cfg, sim);
 

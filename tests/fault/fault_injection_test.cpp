@@ -31,17 +31,13 @@ core::PanicConfig aux_chain_config(int aux_engines) {
   cfg.mesh.k = 5;
   cfg.aux_engines = aux_engines;
   cfg.aux_fixed_cycles = 50;
-  cfg.customize_program = [](rmt::RmtProgram& program,
-                             const core::PanicTopology& topo) {
-    auto& stage = program.add_stage("aux_select");
-    rmt::MatchTable t("aux_port", rmt::MatchKind::kExact,
-                      {rmt::Field::kL4DstPort});
-    t.add_exact(kAuxPort, rmt::Action("to_aux")
-                              .clear_chain()
-                              .push_hop(topo.aux[0].value)
-                              .push_hop(topo.dma.value));
-    stage.tables.push_back(std::move(t));
-  };
+  cfg.program = R"(
+    stage aux_select {
+      table aux_port exact(l4.dport) {
+        7777 -> clear_chain, chain(aux0, dma);
+      }
+    }
+  )";
   return cfg;
 }
 

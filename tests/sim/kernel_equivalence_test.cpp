@@ -174,17 +174,13 @@ FaultScenarioResult run_fault_scenario(SimMode mode, Cycles cycles) {
   cfg.aux_engines = 2;
   cfg.aux_fixed_cycles = 50;
   constexpr std::uint16_t kAuxPort = 7777;
-  cfg.customize_program = [](rmt::RmtProgram& program,
-                             const core::PanicTopology& topo) {
-    auto& stage = program.add_stage("aux_select");
-    rmt::MatchTable t("aux_port", rmt::MatchKind::kExact,
-                      {rmt::Field::kL4DstPort});
-    t.add_exact(kAuxPort, rmt::Action("to_aux")
-                              .clear_chain()
-                              .push_hop(topo.aux[0].value)
-                              .push_hop(topo.dma.value));
-    stage.tables.push_back(std::move(t));
-  };
+  cfg.program = R"(
+    stage aux_select {
+      table aux_port exact(l4.dport) {
+        7777 -> clear_chain, chain(aux0, dma);
+      }
+    }
+  )";
 
   // One of everything: a death mid-run (healed through the aux equivalence
   // group), a stall, randomized corruption, and a randomized flaky link.

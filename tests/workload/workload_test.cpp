@@ -138,18 +138,25 @@ TEST(UdpFactory, ProducesRequestedSize) {
 
 TEST(UdpFiller, MatchesFactoryForEverySeq) {
   // Sources run the fillers and perfbench the factories: each seq must
-  // give the same bytes, through every prototype and into a recycled
+  // give the same bytes, through every source port and into a recycled
   // buffer of another size.
-  const std::uint32_t flows = 5;
-  const std::pair<FrameFactory, FrameFiller> pairs[] = {
-      {make_udp_factory(kClient, kServer, 300, 7, flows),
-       make_udp_filler(kClient, kServer, 300, 7, flows)},
-      {make_min_frame_factory(kClient, kServer, flows),
-       make_min_frame_filler(kClient, kServer, flows)},
+  struct Input {
+    FrameFactory factory;
+    FrameFiller filler;
+    std::uint32_t flows;
+  };
+  const Input inputs[] = {
+      {make_udp_factory(kClient, kServer, 300, 7, 5),
+       make_udp_filler(kClient, kServer, 300, 7, 5), 5},
+      {make_min_frame_factory(kClient, kServer, 5),
+       make_min_frame_filler(kClient, kServer, 5), 5},
+      // offload_mix's bulk line.
+      {make_udp_factory(kClient, kServer, 1500, 5001, 1024),
+       make_udp_filler(kClient, kServer, 1500, 5001, 1024), 1024},
   };
   Rng rng(1);
   std::vector<std::uint8_t> out(2000, 0xAA);
-  for (const auto& [factory, filler] : pairs) {
+  for (const auto& [factory, filler, flows] : inputs) {
     for (std::uint64_t seq = 0; seq < 3 * flows; ++seq) {
       filler(rng, seq, out);
       EXPECT_EQ(out, factory(rng, seq)) << "seq " << seq;
