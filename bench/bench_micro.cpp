@@ -12,8 +12,8 @@
 #include "net/checksum.h"
 #include "net/packet.h"
 #include "noc/mesh.h"
+#include "rmt/p4lite.h"
 #include "rmt/parser.h"
-#include "rmt/pipeline.h"
 #include "sim/simulator.h"
 
 namespace panic {
@@ -128,14 +128,17 @@ void BM_ZipfSample(benchmark::State& state) {
 BENCHMARK(BM_ZipfSample);
 
 void BM_RmtPipelineProcess(benchmark::State& state) {
-  auto program = std::make_shared<rmt::RmtProgram>();
-  program->parser = rmt::make_default_parser();
-  auto& stage = program->add_stage("classify");
-  rmt::MatchTable t("t", rmt::MatchKind::kTernary,
-                    {rmt::Field::kValidKvs, rmt::Field::kMetaMsgKind});
-  t.add_ternary(0, 0, 1, rmt::Action("a").set_slack(5).push_hop(3));
-  stage.tables.push_back(std::move(t));
-  rmt::Pipeline pipeline(program);
+  auto program = rmt::compile_p4lite(R"(
+    parser default;
+    stage classify {
+      table t ternary(valid_kvs, meta.msg_kind) {
+        (0/0, 0/0) prio 1 -> set_slack(5), chain(dma);
+      }
+    }
+  )",
+                                     {{"dma", 3}});
+  rmt::Pipeline pipeline(
+      std::make_shared<const rmt::RmtProgram>(std::move(*program)));
 
   auto msg = make_message(MessageKind::kPacket);
   msg->data = frames::kvs_get(kSrc, kDst, 1, 42, 7);

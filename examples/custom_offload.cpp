@@ -74,14 +74,11 @@ int main(int argc, char** argv) {
 
   // Steer every packet (meta.msg_kind 0) through the telemetry tile
   // first: rewrite the default packet chain to [telemetry, dma].  The
-  // program's engine names (PanicTopology::tile_names()) name no spare
-  // tile, so the chain names it by number.
-  const std::string spare =
-      std::to_string(core::PanicNic::plan_topology(config).spare[0].value);
+  // first spare tile is named spare0 (PanicTopology::tile_names()).
   config.program =
       "stage telemetry {\n"
       "  table tap ternary(meta.msg_kind) {\n"
-      "    0 prio 1 -> clear_chain, chain(" + spare + ", dma);\n"
+      "    0 prio 1 -> clear_chain, chain(spare0, dma);\n"
       "  }\n"
       "}\n";
 

@@ -45,8 +45,8 @@ struct PanicTopology {
                                 ///< examples/custom_offload.cpp)
 
   /// Name -> tile of every named engine: the fixed engines (kFixedEngines),
-  /// eth<N> and aux<N>.  This is the engine namespace p4lite programs
-  /// compile against.
+  /// eth<N>, aux<N> and the spare tiles as spare<N>.  This is the engine
+  /// namespace p4lite programs compile against.
   rmt::SymbolTable tile_names() const;
 };
 

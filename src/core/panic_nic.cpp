@@ -18,6 +18,9 @@ rmt::SymbolTable PanicTopology::tile_names() const {
   for (std::size_t i = 0; i < aux.size(); ++i) {
     names["aux" + std::to_string(i)] = aux[i].value;
   }
+  for (std::size_t i = 0; i < spare.size(); ++i) {
+    names["spare" + std::to_string(i)] = spare[i].value;
+  }
   return names;
 }
 

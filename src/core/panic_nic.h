@@ -81,9 +81,7 @@ class PanicNic {
   /// Total heavyweight-pipeline traversals across all RMT engines.
   std::uint64_t total_rmt_passes() const;
 
-  /// Computes the tile placement this config produces (also used to name
-  /// a spare tile by number in PanicConfig::program before the NIC is
-  /// constructed).
+  /// Computes the tile placement this config produces.
   static PanicTopology plan_topology(const PanicConfig& config);
 
  private:

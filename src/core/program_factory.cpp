@@ -83,7 +83,7 @@ stage tso {
 
 }  // namespace
 
-std::shared_ptr<rmt::RmtProgram> build_default_program(
+std::shared_ptr<const rmt::RmtProgram> build_default_program(
     const PanicConfig& config, const PanicTopology& topo) {
   auto program = std::make_shared<rmt::RmtProgram>();
   const rmt::SymbolTable names = topo.tile_names();

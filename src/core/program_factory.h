@@ -17,7 +17,7 @@ namespace panic::core {
 /// `config.program`'s stages against `topo.tile_names()`.  A program that
 /// does not compile throws std::runtime_error("scenario program: p4lite:N:
 /// reason").
-std::shared_ptr<rmt::RmtProgram> build_default_program(
+std::shared_ptr<const rmt::RmtProgram> build_default_program(
     const PanicConfig& config, const PanicTopology& topo);
 
 }  // namespace panic::core

@@ -29,16 +29,6 @@ Action& Action::copy_field(Field dst, Field src) {
   return *this;
 }
 
-Action& Action::add_imm(Field dst, std::uint64_t imm) {
-  primitives.push_back(prim(ActionOp::kAddImm, dst, Field::kCount, Field::kCount, imm, 0));
-  return *this;
-}
-
-Action& Action::and_imm(Field dst, std::uint64_t imm) {
-  primitives.push_back(prim(ActionOp::kAndImm, dst, Field::kCount, Field::kCount, imm, 0));
-  return *this;
-}
-
 Action& Action::hash_fields(Field dst, Field a, Field b,
                             std::uint64_t modulo) {
   primitives.push_back(prim(ActionOp::kHashFields, dst, a, b, modulo, 0));
@@ -75,16 +65,6 @@ Action& Action::mark_drop() {
   return *this;
 }
 
-Action& Action::reg_read(Field dst, std::uint32_t reg, Field index) {
-  primitives.push_back(prim(ActionOp::kRegRead, dst, index, Field::kCount, reg, 0));
-  return *this;
-}
-
-Action& Action::reg_write(std::uint32_t reg, Field index, Field value) {
-  primitives.push_back(prim(ActionOp::kRegWrite, Field::kCount, index, value, reg, 0));
-  return *this;
-}
-
 Action& Action::reg_add(Field dst, std::uint32_t reg, Field index,
                         std::uint64_t delta) {
   primitives.push_back(prim(ActionOp::kRegAdd, dst, index, Field::kCount, reg,
@@ -106,18 +86,6 @@ RegisterFile::RegisterFile(std::size_t num_registers,
     : entries_(entries_per_register),
       regs_(num_registers,
             std::vector<std::uint64_t>(entries_per_register, 0)) {}
-
-std::uint64_t RegisterFile::read(std::uint32_t reg,
-                                 std::uint64_t index) const {
-  if (reg >= regs_.size()) return 0;
-  return regs_[reg][index % entries_];
-}
-
-void RegisterFile::write(std::uint32_t reg, std::uint64_t index,
-                         std::uint64_t value) {
-  if (reg >= regs_.size()) return;
-  regs_[reg][index % entries_] = value;
-}
 
 std::uint64_t RegisterFile::add(std::uint32_t reg, std::uint64_t index,
                                 std::uint64_t delta) {
@@ -149,12 +117,6 @@ void apply_action(const Action& action, ActionContext& ctx) {
       case ActionOp::kCopyField:
         ctx.phv.set(p.dst, ctx.phv.get(p.src));
         break;
-      case ActionOp::kAddImm:
-        ctx.phv.set(p.dst, ctx.phv.get(p.dst) + p.imm);
-        break;
-      case ActionOp::kAndImm:
-        ctx.phv.set(p.dst, ctx.phv.get(p.dst) & p.imm);
-        break;
       case ActionOp::kHashFields: {
         const std::uint64_t h =
             mix(ctx.phv.get(p.src) * 0x9E3779B97F4A7C15ull ^
@@ -180,14 +142,6 @@ void apply_action(const Action& action, ActionContext& ctx) {
         break;
       case ActionOp::kMarkDrop:
         ctx.phv.set(Field::kMetaDrop, 1);
-        break;
-      case ActionOp::kRegRead:
-        ctx.phv.set(p.dst, ctx.regs.read(static_cast<std::uint32_t>(p.imm),
-                                         ctx.phv.get(p.src)));
-        break;
-      case ActionOp::kRegWrite:
-        ctx.regs.write(static_cast<std::uint32_t>(p.imm),
-                       ctx.phv.get(p.src), ctx.phv.get(p.src2));
         break;
       case ActionOp::kRegAdd: {
         const std::uint64_t v =

@@ -24,16 +24,12 @@ enum class ActionOp : std::uint8_t {
   kNoop,
   kSetField,       ///< dst = imm
   kCopyField,      ///< dst = src
-  kAddImm,         ///< dst = dst + imm
-  kAndImm,         ///< dst = dst & imm
   kHashFields,     ///< dst = hash(src, src2) % imm  (flow hashing / LB)
   kPushChainHop,   ///< append hop {engine=imm, slack=phv[kMetaSlack]}
   kPushChainHopFromField,  ///< append hop {engine=phv[src], slack=...}
   kClearChain,     ///< reset the chain under construction
   kSetSlack,       ///< kMetaSlack = imm
   kMarkDrop,       ///< kMetaDrop = 1
-  kRegRead,        ///< dst = reg[imm][phv[src]]
-  kRegWrite,       ///< reg[imm][phv[src]] = phv[src2]
   kRegAdd,         ///< reg[imm][phv[src]] += imm2; dst = new value
   kEvalExpr,       ///< dst = expr(PHV) — a compiled lang::Expr over fields
 };
@@ -61,16 +57,12 @@ struct Action {
 
   Action& set_field(Field dst, std::uint64_t imm);
   Action& copy_field(Field dst, Field src);
-  Action& add_imm(Field dst, std::uint64_t imm);
-  Action& and_imm(Field dst, std::uint64_t imm);
   Action& hash_fields(Field dst, Field a, Field b, std::uint64_t modulo);
   Action& push_hop(std::uint16_t engine);
   Action& push_hop_from(Field engine_field);
   Action& clear_chain();
   Action& set_slack(std::uint64_t slack);
   Action& mark_drop();
-  Action& reg_read(Field dst, std::uint32_t reg, Field index);
-  Action& reg_write(std::uint32_t reg, Field index, Field value);
   Action& reg_add(Field dst, std::uint32_t reg, Field index,
                   std::uint64_t delta);
   /// dst = expr evaluated over the PHV (expression variables are field
@@ -83,11 +75,14 @@ struct Action {
 /// run keep each register's users within one stage).
 class RegisterFile {
  public:
-  explicit RegisterFile(std::size_t num_registers = 16,
+  /// Registers in a pipeline's file; p4lite rejects a reg_add past them.
+  static constexpr std::size_t kRegisters = 16;
+
+  explicit RegisterFile(std::size_t num_registers = kRegisters,
                         std::size_t entries_per_register = 1024);
 
-  std::uint64_t read(std::uint32_t reg, std::uint64_t index) const;
-  void write(std::uint32_t reg, std::uint64_t index, std::uint64_t value);
+  /// reg[index % entries] += delta; returns the new value (0 for a
+  /// register past the file).
   std::uint64_t add(std::uint32_t reg, std::uint64_t index,
                     std::uint64_t delta);
 

@@ -29,10 +29,6 @@ void collect_reads(const ActionPrimitive& p, std::uint64_t& mask,
     case ActionOp::kCopyField:
       mask_in(mask, p.src);
       break;
-    case ActionOp::kAddImm:
-    case ActionOp::kAndImm:
-      mask_in(mask, p.dst);  // read-modify-write
-      break;
     case ActionOp::kHashFields:
       mask_in(mask, p.src);
       mask_in(mask, p.src2);
@@ -44,8 +40,6 @@ void collect_reads(const ActionPrimitive& p, std::uint64_t& mask,
       mask_in(mask, p.src);
       mask_in(mask, Field::kMetaSlack);
       break;
-    case ActionOp::kRegRead:
-    case ActionOp::kRegWrite:
     case ActionOp::kRegAdd:
       // Stateful: the resolution depends on register contents, which the
       // signature cannot cover.
@@ -95,16 +89,13 @@ FlowCache::FlowCache(const FlowCacheConfig& config, const RmtProgram& program)
   }
   entries_.resize(static_cast<std::size_t>(sets_) * ways_);
   key_scratch_.reserve(key_fields_.size());
-  table_epoch_ = table_mutation_epoch();
 }
 
 void FlowCache::refresh_generations() {
   if (!active_) return;
-  const std::uint64_t epoch = table_mutation_epoch();
   const std::uint64_t gen =
       steering_ != nullptr ? steering_->generation() : 0;
-  if (epoch == table_epoch_ && gen == steering_gen_) return;
-  table_epoch_ = epoch;
+  if (gen == steering_gen_) return;
   steering_gen_ = gen;
   flush();
 }

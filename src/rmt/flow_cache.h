@@ -12,19 +12,19 @@
 // Correct by construction:
 //   - The key mask is derived from the compiled program: the union of every
 //     table's key fields and every field any action primitive *reads*
-//     (kCopyField/kHashFields sources, kAddImm/kAndImm read-modify-write
-//     destinations, the implicit kMetaSlack read of chain-hop pushes).
+//     (kCopyField/kHashFields sources, kEvalExpr operands, the implicit
+//     kMetaSlack read of chain-hop pushes).
 //     Every PHV value the resolution can depend on is therefore part of
 //     the signature; equal signatures imply an identical resolution.
-//   - Programs with stateful register primitives (kRegRead/kRegWrite/
-//     kRegAdd) are not memoizable — the cache deactivates itself.
+//   - Programs with the stateful register primitive (kRegAdd) are not
+//     memoizable — the cache deactivates itself.
 //   - Entries store the full key-field values, not just the hash: the hash
 //     only selects the set, so collisions can never corrupt a lookup.
-//   - Invalidation is exact and cycle-deterministic: a global table
-//     mutation epoch (rmt/table.h) and the SteeringDirectory generation
-//     are compared once per processed message; any movement flushes the
-//     cache, so a cached chain can never outlive its tables or resurrect
-//     a dead engine.
+//   - Invalidation is exact and cycle-deterministic: the
+//     SteeringDirectory generation is compared once per processed message;
+//     any movement flushes the cache, so a cached chain can never
+//     resurrect a dead engine.  Tables do not change once compiled: the
+//     program is shared as const.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +80,9 @@ class FlowCache {
         steering_ != nullptr ? steering_->generation() : 0;
   }
 
-  /// Compares the table-mutation epoch and steering generation against the
-  /// last seen stamps; flushes on any movement.  Called once per processed
-  /// message, before lookup.
+  /// Compares the steering generation against the last seen stamp;
+  /// flushes when it moved.  Called once per processed message, before
+  /// lookup.
   void refresh_generations();
 
   /// Looks up the signature in the pre-action PHV.  On a hit returns the
@@ -125,7 +125,6 @@ class FlowCache {
 
   const fault::SteeringDirectory* steering_ = nullptr;
   std::uint64_t steering_gen_ = 0;
-  std::uint64_t table_epoch_ = 0;
 
   std::uint64_t tick_ = 0;
   std::size_t pending_set_ = 0;

@@ -1,5 +1,6 @@
 #include "rmt/p4lite.h"
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -100,6 +101,16 @@ class Compiler {
     return true;
   }
 
+  /// A number in 0..max; the error names `what` in the codec's words.
+  bool parse_at_most(std::uint64_t max, const std::string& what,
+                     std::uint64_t* out) {
+    if (cur().kind == TokKind::kNumber && cur().value > max) {
+      return fail(what + ": expected 0.." + std::to_string(max) +
+                  ", got '" + cur().text + "'");
+    }
+    return parse_number(out);
+  }
+
   bool parse_stage(RmtProgram& program) {
     advance();  // 'stage'
     if (cur().kind != TokKind::kIdent) return fail("expected stage name");
@@ -118,15 +129,9 @@ class Compiler {
     const std::string name = cur().text;
     advance();
 
-    MatchKind kind;
     if (cur().kind != TokKind::kIdent) return fail("expected match kind");
-    if (cur().text == "exact") {
-      kind = MatchKind::kExact;
-    } else if (cur().text == "lpm") {
-      kind = MatchKind::kLpm;
-    } else if (cur().text == "ternary") {
-      kind = MatchKind::kTernary;
-    } else {
+    const std::string kind = cur().text;
+    if (kind != "exact" && kind != "lpm" && kind != "ternary") {
       return fail("match kind must be exact/lpm/ternary");
     }
     advance();
@@ -134,6 +139,10 @@ class Compiler {
     if (!expect(TokKind::kLParen)) return false;
     std::vector<Field> key_fields;
     while (true) {
+      if (key_fields.size() == kMaxKeyFields) {
+        return fail("a table key takes at most " +
+                    std::to_string(kMaxKeyFields) + " fields");
+      }
       Field f;
       if (!parse_field(&f)) return false;
       key_fields.push_back(f);
@@ -144,11 +153,14 @@ class Compiler {
       break;
     }
     if (!expect(TokKind::kRParen)) return false;
-    if (kind == MatchKind::kLpm && key_fields.size() != 1) {
+    if (kind == "lpm" && key_fields.size() != 1) {
       return fail("lpm tables take exactly one key field");
     }
 
-    MatchTable table(name, kind, key_fields);
+    // An lpm table is a ternary table whose priorities are prefix lengths.
+    MatchTable table(
+        name, kind == "exact" ? MatchKind::kExact : MatchKind::kTernary,
+        key_fields);
     if (!expect(TokKind::kLBrace)) return false;
     while (cur().kind != TokKind::kRBrace) {
       if (cur().kind == TokKind::kIdent && cur().text == "default") {
@@ -160,62 +172,64 @@ class Compiler {
         if (!expect(TokKind::kSemi)) return false;
         continue;
       }
-      if (!parse_entry(table, kind, key_fields.size())) return false;
+      if (!parse_entry(table, kind)) return false;
     }
     if (!expect(TokKind::kRBrace)) return false;
     stage.tables.push_back(std::move(table));
     return true;
   }
 
-  bool parse_value_mask(std::uint64_t* value, std::uint64_t* mask,
-                        bool* has_mask) {
-    if (!parse_number(value)) return false;
-    *has_mask = false;
+  /// Key word `i`: a value, then "/mask" in a ternary table or
+  /// "/prefix_length" in an lpm table (default /32, the width of every
+  /// lpm entry).
+  bool parse_key_word(const std::string& kind, std::size_t i,
+                      TableEntry& entry) {
+    if (!parse_number(&entry.key[i])) return false;
+    std::uint64_t mask = ~0ull;
+    std::uint64_t prefix = 32;
     if (cur().kind == TokKind::kSlash) {
+      if (kind == "exact") return fail("exact entries take no mask");
       advance();
-      if (!parse_number(mask)) return false;
-      *has_mask = true;
+      if (!(kind == "lpm" ? parse_at_most(32, "lpm prefix length", &prefix)
+                          : parse_number(&mask))) {
+        return false;
+      }
+    }
+    if (kind == "lpm") {
+      entry.mask[i] = (0xFFFFFFFFull << (32 - prefix)) & 0xFFFFFFFFull;
+      entry.priority = static_cast<int>(prefix);
+    } else {
+      entry.mask[i] = mask;
     }
     return true;
   }
 
-  bool parse_entry(MatchTable& table, MatchKind kind, std::size_t keys) {
+  bool parse_entry(MatchTable& table, const std::string& kind) {
+    const std::size_t width = table.key_fields().size();
     TableEntry entry;
-    std::vector<std::uint64_t> masks;
-    std::vector<bool> has_mask;
-
-    auto read_one = [&]() {
-      std::uint64_t v = 0, m = 0;
-      bool hm = false;
-      if (!parse_value_mask(&v, &m, &hm)) return false;
-      entry.key.push_back(v);
-      masks.push_back(m);
-      has_mask.push_back(hm);
-      return true;
-    };
-
-    if (cur().kind == TokKind::kLParen) {
-      advance();
-      while (true) {
-        if (!read_one()) return false;
-        if (cur().kind == TokKind::kComma) {
-          advance();
-          continue;
-        }
-        break;
+    const bool list = cur().kind == TokKind::kLParen;
+    if (list) advance();
+    std::size_t words = 0;
+    while (true) {
+      if (words == width) {
+        return fail("entry key arity does not match the table");
       }
-      if (!expect(TokKind::kRParen)) return false;
-    } else {
-      if (!read_one()) return false;
+      if (!parse_key_word(kind, words++, entry)) return false;
+      if (!list || cur().kind != TokKind::kComma) break;
+      advance();
     }
-    if (entry.key.size() != keys) {
+    if (list && !expect(TokKind::kRParen)) return false;
+    if (words != width) {
       return fail("entry key arity does not match the table");
     }
 
     if (cur().kind == TokKind::kIdent && cur().text == "prio") {
+      if (kind != "ternary") return fail(kind + " entries take no prio");
       advance();
       std::uint64_t prio = 0;
-      if (!parse_number(&prio)) return false;
+      if (!parse_at_most(std::numeric_limits<int>::max(), "prio", &prio)) {
+        return false;
+      }
       entry.priority = static_cast<int>(prio);
     }
 
@@ -223,27 +237,7 @@ class Compiler {
     entry.action = Action("entry");
     if (!parse_actions(&entry.action)) return false;
     if (!expect(TokKind::kSemi)) return false;
-
-    switch (kind) {
-      case MatchKind::kExact:
-        table.add_entry(std::move(entry));
-        break;
-      case MatchKind::kLpm: {
-        // "V/len" means a prefix length for LPM.
-        const int len = has_mask[0] ? static_cast<int>(masks[0]) : 32;
-        if (len < 0 || len > 64) return fail("bad prefix length");
-        table.add_lpm(entry.key[0], len, std::move(entry.action),
-                      /*width_bits=*/32);
-        break;
-      }
-      case MatchKind::kTernary:
-        entry.masks.resize(entry.key.size());
-        for (std::size_t i = 0; i < entry.key.size(); ++i) {
-          entry.masks[i] = has_mask[i] ? masks[i] : ~0ull;
-        }
-        table.add_entry(std::move(entry));
-        break;
-    }
+    table.add_entry(std::move(entry));
     return true;
   }
 
@@ -259,11 +253,6 @@ class Compiler {
   }
 
   bool resolve_engine(std::uint16_t* out) {
-    if (cur().kind == TokKind::kNumber) {
-      *out = static_cast<std::uint16_t>(cur().value);
-      advance();
-      return true;
-    }
     if (cur().kind != TokKind::kIdent) return fail("expected engine name");
     const auto it = symbols_.find(cur().text);
     if (it == symbols_.end()) {
@@ -352,9 +341,10 @@ class Compiler {
       Field dst, index;
       std::uint64_t reg = 0, delta = 0;
       if (!parse_field(&dst) || !expect(TokKind::kComma) ||
-          !parse_number(&reg) || !expect(TokKind::kComma) ||
-          !parse_field(&index) || !expect(TokKind::kComma) ||
-          !parse_number(&delta)) {
+          !parse_at_most(RegisterFile::kRegisters - 1, "reg_add register",
+                         &reg) ||
+          !expect(TokKind::kComma) || !parse_field(&index) ||
+          !expect(TokKind::kComma) || !parse_number(&delta)) {
         return false;
       }
       action->reg_add(dst, static_cast<std::uint32_t>(reg), index, delta);

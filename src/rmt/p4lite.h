@@ -28,13 +28,21 @@
 //   * fields use the names printed by field_name(): "ipv4.dst",
 //     "meta.tenant", "valid_esp" (dots become underscores for validity
 //     bits);
-//   * key values: decimal, 0x hex, or dotted-quad IPv4; "V/M" gives an
-//     explicit ternary mask or an LPM prefix length ("10.0.0.0/8");
-//   * engine operands in chain() are names resolved through the symbol
-//     table the caller provides (e.g. "dma" -> tile id);
+//   * a table key has 1..8 fields (kMaxKeyFields), an lpm key exactly 1;
+//   * key values: decimal, 0x hex, or dotted-quad IPv4; "V/M" gives a
+//     ternary mask, "V/len" an lpm prefix length up to /32 ("10.0.0.0/8";
+//     every lpm entry is 32 bits wide, and a bare V means /32).  Exact
+//     entries take no mask.  "prio N" (0..2^31-1, higher first) orders
+//     ternary entries only: exact entries take none, and lpm entries are
+//     ordered by prefix length;
+//   * engine operands in chain() are names, never numbers, resolved
+//     through the symbol table the caller provides (e.g. "dma" -> tile
+//     id; the NIC's names are PanicTopology::tile_names(), spare tiles
+//     included as spare<N>);
 //   * actions: set_slack(n), set(field, n), copy(dst, src),
-//     lb(dst, f1, f2, buckets), chain(engine, ...), chain_from(field),
-//     clear_chain, drop, reg_add(dst, reg, index_field, delta).
+//     set_expr(dst, expression), lb(dst, f1, f2, buckets),
+//     chain(engine, ...), chain_from(field), clear_chain, drop,
+//     reg_add(dst, reg, index_field, delta) with reg in 0..15.
 //
 // The compiler reports errors with line numbers; `compile` returns
 // nullopt and fills `error` on failure.

@@ -1,6 +1,7 @@
 #include "rmt/pipeline.h"
 
 #include <cassert>
+#include <utility>
 
 #include "rmt/flow_cache.h"
 
@@ -120,8 +121,8 @@ ProcessResult Pipeline::process(Message& msg) {
 
   // The pipeline recomputes the route: any hops remaining from a previous
   // pass were consumed up to this point; actions build the new chain.
-  ChainHeader new_chain;
-  ActionContext ctx{phv, new_chain, regs_};
+  chain_scratch_.clear();
+  ActionContext ctx{phv, chain_scratch_, regs_};
   const bool capture = cache_ != nullptr && cache_->active();
   if (capture) matched_scratch_.clear();
   for (const Stage& stage : program_->stages) {
@@ -134,10 +135,10 @@ ProcessResult Pipeline::process(Message& msg) {
       if (capture) matched_scratch_.push_back(matched ? 1 : 0);
     }
   }
-  if (capture) cache_->insert(matched_scratch_, phv, new_chain);
+  if (capture) cache_->insert(matched_scratch_, phv, chain_scratch_);
 
-  if (new_chain.total_hops() > 0) {
-    msg.chain = std::move(new_chain);
+  if (chain_scratch_.total_hops() > 0) {
+    std::swap(msg.chain, chain_scratch_);
   }
   result.drop = phv.get(Field::kMetaDrop) != 0;
   result.queue = phv.get(Field::kMetaQueue);

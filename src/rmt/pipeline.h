@@ -86,6 +86,9 @@ class Pipeline {
   std::uint64_t processed_ = 0;
   std::unique_ptr<FlowCache> cache_;
   std::vector<std::uint8_t> matched_scratch_;  // per-miss capture buffer
+  /// The chain a walk builds, swapped into the message: the message's old
+  /// chain comes back here, so both keep their capacity.
+  ChainHeader chain_scratch_;
 };
 
 }  // namespace panic::rmt

@@ -1,9 +1,9 @@
-// Match+action tables: exact, longest-prefix and ternary match kinds over
-// one or more PHV fields.
+// Match+action tables over one or more PHV fields.  Every table has one
+// entry layout: a value and a mask word per key field, and a priority.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -14,30 +14,31 @@
 
 namespace panic::rmt {
 
-/// Process-wide table-mutation epoch.  Every entry insertion or
-/// default-action change on any MatchTable bumps it; the flow cache
-/// (rmt/flow_cache.h) compares the stamp once per processed message and
-/// flushes when it moved, so memoized resolutions can never outlive the
-/// tables they were derived from.  Relaxed atomic: the epoch is
-/// process-wide, shared by every Simulator in the process, and those may
-/// run on different threads.
-std::uint64_t table_mutation_epoch();
-void bump_table_mutation_epoch();
+/// The widest key a table takes; lookup gathers keys into fixed storage.
+inline constexpr std::size_t kMaxKeyFields = 8;
 
-enum class MatchKind : std::uint8_t { kExact, kLpm, kTernary };
+/// Key or mask words, one per key field; words past the key width are 0.
+using KeyWords = std::array<std::uint64_t, kMaxKeyFields>;
 
-/// One table entry.  For kExact, `masks` is ignored.  For kLpm (single key
-/// field), `masks[0]` holds the prefix mask.  For kTernary, entries are
-/// matched in descending `priority` order.
+/// kExact tables find entries through an index of their key words.
+/// kTernary tables match entries in descending `priority` order, and in
+/// insertion order within a priority; p4lite compiles an lpm table to a
+/// ternary one whose entry priorities are prefix lengths.
+enum class MatchKind : std::uint8_t { kExact, kTernary };
+
+/// One table entry.  An entry matches a key when every key word agrees
+/// with `key` on the bits `mask` sets; an exact table's masks are all
+/// ones.
 struct TableEntry {
-  std::vector<std::uint64_t> key;
-  std::vector<std::uint64_t> masks;
+  KeyWords key{};
+  KeyWords mask{};
   int priority = 0;
   Action action;
 };
 
 class MatchTable {
  public:
+  /// Precondition: 1..kMaxKeyFields key fields.
   MatchTable(std::string name, MatchKind kind, std::vector<Field> key_fields);
 
   const std::string& name() const { return name_; }
@@ -47,26 +48,14 @@ class MatchTable {
   /// Read-only entry view (flow-cache key-mask derivation walks actions).
   const std::vector<TableEntry>& entries() const { return entries_; }
 
-  /// Adds an entry.  Preconditions: key size matches the table's key
-  /// fields; for kLpm the table has exactly one key field.
+  /// Adds an entry; words past the key width are ignored.  An exact table
+  /// sets the entry's masks to all ones, and a later entry with the same
+  /// key replaces an earlier one in the index.
   void add_entry(TableEntry entry);
-
-  /// Convenience for exact tables with a single key field.
-  void add_exact(std::uint64_t key, Action action);
-
-  /// Convenience for LPM tables: match the top `prefix_len` bits of a
-  /// `width_bits`-wide value.
-  void add_lpm(std::uint64_t key, int prefix_len, Action action,
-               int width_bits = 32);
-
-  /// Convenience for ternary tables with a single key field.
-  void add_ternary(std::uint64_t key, std::uint64_t mask, int priority,
-                   Action action);
 
   /// Action to run when nothing matches (defaults to no-op / miss).
   void set_default_action(Action action) {
     default_action_ = std::move(action);
-    bump_table_mutation_epoch();
   }
   const Action* default_action() const {
     return default_action_ ? &*default_action_ : nullptr;
@@ -76,7 +65,7 @@ class MatchTable {
   /// action on miss, or nullptr when there is no default either.  When
   /// `matched` is non-null it is set to whether an entry matched (the
   /// hit/miss tally outcome), so callers can memoize and later replay the
-  /// tally via record_lookup().
+  /// tally via record_lookup().  Allocates nothing.
   const Action* lookup(const Phv& phv, bool* matched = nullptr) const;
 
   /// Replays the hit/miss accounting of a memoized lookup without
@@ -94,14 +83,20 @@ class MatchTable {
   std::uint64_t misses() const { return misses_; }
 
  private:
-  std::uint64_t exact_hash(const std::vector<std::uint64_t>& key) const;
+  /// Hashes the key's first `width` words; the rest are always 0.
+  struct KeyHash {
+    std::size_t width;
+    std::size_t operator()(const KeyWords& key) const;
+  };
+
+  const TableEntry* match(const KeyWords& key) const;
 
   std::string name_;
   MatchKind kind_;
   std::vector<Field> key_fields_;
   std::vector<TableEntry> entries_;
-  /// Exact-match index: hash of key words -> entry index.
-  std::unordered_map<std::uint64_t, std::size_t> exact_index_;
+  /// Exact-match index: key words -> entry index.
+  std::unordered_map<KeyWords, std::size_t, KeyHash> exact_index_;
   std::optional<Action> default_action_;
 
   /// Tallies, mutable because lookups are const: the compiled RmtProgram

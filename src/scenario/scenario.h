@@ -236,7 +236,7 @@ struct Scenario {
   /// p4lite source compiled into extra RMT stages after the default
   /// program (the `program <<END ... END` block); empty = stock program.
   /// Engine names resolve through core::PanicTopology::tile_names() (the
-  /// fixed engines, eth<N>, aux<N>).
+  /// fixed engines, eth<N>, aux<N>, spare<N>).
   std::string program;
 
   /// Whether this scenario can be built at all: every field inside its

@@ -101,15 +101,15 @@ TEST(PanicTopology, TileNamesNameEveryEngineTileOnce) {
   }
   EXPECT_EQ(names.at("eth1"), topo.eth_ports[1].value);
   EXPECT_EQ(names.at("aux2"), topo.aux[2].value);
-  EXPECT_EQ(names.size(), kFixedEngines.size() + 2 + 3);
+  EXPECT_EQ(names.at("spare1"), topo.spare[1].value);
+  EXPECT_EQ(names.size(), kFixedEngines.size() + 2 + 3 + 2);
 
-  // Named tiles, RMT engines and spares together own every placed tile
-  // exactly once, and nothing past them.
+  // Named tiles and RMT engines together own every placed tile exactly
+  // once, and nothing past them.
   std::vector<int> owners(25, 0);
   for (const auto& [name, tile] : names) ++owners[tile];
   for (EngineId id : topo.rmt_engines) ++owners[id.value];
-  for (EngineId id : topo.spare) ++owners[id.value];
-  const std::size_t placed = names.size() + 2 + 2;
+  const std::size_t placed = names.size() + 2;
   for (std::size_t t = 0; t < owners.size(); ++t) {
     EXPECT_EQ(owners[t], t < placed ? 1 : 0) << "tile " << t;
   }

@@ -24,15 +24,6 @@ TEST(Action, SetAndCopyFields) {
   EXPECT_TRUE(f.phv.modified(Field::kMetaQueue));
 }
 
-TEST(Action, Arithmetic) {
-  ActionFixture f;
-  Action a("a");
-  a.set_field(Field::kMetaSlack, 10).add_imm(Field::kMetaSlack, 5).and_imm(
-      Field::kMetaSlack, 0xF);
-  apply_action(a, f.ctx);
-  EXPECT_EQ(f.phv.get(Field::kMetaSlack), 15u & 0xF);
-}
-
 TEST(Action, HashIsDeterministicAndBounded) {
   ActionFixture f;
   f.phv.set_parsed(Field::kIpSrc, 0x0A000001);
@@ -98,20 +89,6 @@ TEST(Action, MarkDrop) {
   EXPECT_EQ(f.phv.get(Field::kMetaDrop), 1u);
 }
 
-TEST(Action, RegisterReadWrite) {
-  ActionFixture f;
-  f.phv.set_parsed(Field::kKvsKey, 12);
-  f.phv.set_parsed(Field::kMetaQueue, 77);
-  Action w("w");
-  w.reg_write(/*reg=*/2, Field::kKvsKey, Field::kMetaQueue);
-  apply_action(w, f.ctx);
-
-  Action r("r");
-  r.reg_read(Field::kMetaCacheHint, /*reg=*/2, Field::kKvsKey);
-  apply_action(r, f.ctx);
-  EXPECT_EQ(f.phv.get(Field::kMetaCacheHint), 77u);
-}
-
 TEST(Action, RegisterAddForCounters) {
   ActionFixture f;
   f.phv.set_parsed(Field::kMetaTenant, 4);
@@ -121,16 +98,15 @@ TEST(Action, RegisterAddForCounters) {
   apply_action(a, f.ctx);
   apply_action(a, f.ctx);
   EXPECT_EQ(f.phv.get(Field::kMetaCacheHint), 3u);
-  EXPECT_EQ(f.regs.read(0, 4), 3u);
+  EXPECT_EQ(f.regs.add(0, 4, 0), 3u);
 }
 
 TEST(RegisterFile, IndexWrapsAndBoundsChecked) {
   RegisterFile regs(2, 8);
-  regs.write(0, 9, 5);  // index 9 wraps to 1
-  EXPECT_EQ(regs.read(0, 1), 5u);
-  EXPECT_EQ(regs.read(99, 0), 0u);  // out-of-range register reads 0
-  regs.write(99, 0, 1);             // silently ignored
-  EXPECT_EQ(regs.add(99, 0, 1), 0u);
+  regs.add(0, 9, 5);  // index 9 wraps to 1
+  EXPECT_EQ(regs.add(0, 1, 0), 5u);
+  EXPECT_EQ(regs.add(99, 0, 1), 0u);  // out-of-range register: ignored
+  EXPECT_EQ(regs.add(1, 1, 0), 0u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include "fault/steering.h"
 #include "net/packet.h"
-#include "rmt/table.h"
+#include "rmt/p4lite.h"
 
 namespace panic::rmt {
 namespace {
@@ -16,43 +16,37 @@ constexpr std::uint64_t bit(Field f) {
   return 1ull << static_cast<std::size_t>(f);
 }
 
+std::shared_ptr<const RmtProgram> compile(const std::string& stages) {
+  std::string error;
+  auto program = compile_p4lite(
+      "parser default;\n" + stages,
+      {{"e7", 7}, {"host_a", 30}, {"host_b", 31}, {"kvs", 40}}, &error);
+  EXPECT_TRUE(program.has_value()) << error;
+  return std::make_shared<const RmtProgram>(std::move(program.value()));
+}
+
 /// A cacheable program: one exact table keyed on the UDP source port.
-std::shared_ptr<RmtProgram> sport_program() {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("s");
-  MatchTable t("t", MatchKind::kExact, {Field::kL4SrcPort});
-  t.add_exact(1, Action("a").set_field(Field::kMetaQueue, 3));
-  s.tables.push_back(std::move(t));
-  return program;
+std::shared_ptr<const RmtProgram> sport_program() {
+  return compile(
+      "stage s { table t exact(l4.sport) { 1 -> set(meta.queue, 3); } }");
 }
 
 /// The steering program of pipeline_test: slack by tenant, chain by class.
-std::shared_ptr<RmtProgram> steering_program() {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-
-  auto& s0 = program->add_stage("slack");
-  MatchTable slack("slack", MatchKind::kExact, {Field::kMetaTenant});
-  slack.add_exact(1, Action("hi").set_slack(10));
-  slack.set_default_action(Action("lo").set_slack(1000));
-  s0.tables.push_back(std::move(slack));
-
-  auto& s1 = program->add_stage("classify");
-  MatchTable classify("classify", MatchKind::kTernary,
-                      {Field::kValidKvs, Field::kL4DstPort});
-  classify.add_ternary(0, 0, 1,
-                       Action("to_host").push_hop(30).push_hop(31));
-  {
-    TableEntry e;
-    e.key = {1, 0};
-    e.masks = {~0ull, 0};
-    e.priority = 10;
-    e.action = Action("kvs").push_hop(40);
-    classify.add_entry(std::move(e));
-  }
-  s1.tables.push_back(std::move(classify));
-  return program;
+std::shared_ptr<const RmtProgram> steering_program() {
+  return compile(R"(
+    stage slack {
+      table slack exact(meta.tenant) {
+        1 -> set_slack(10);
+        default -> set_slack(1000);
+      }
+    }
+    stage classify {
+      table classify ternary(valid_kvs, l4.dport) {
+        (0/0, 0/0) prio 1 -> chain(host_a, host_b);
+        (1, 0/0) prio 10 -> chain(kvs);
+      }
+    }
+  )");
 }
 
 MessagePtr packet_message(std::vector<std::uint8_t> frame) {
@@ -62,23 +56,21 @@ MessagePtr packet_message(std::vector<std::uint8_t> frame) {
 }
 
 TEST(FlowCacheKeyMask, UnionsTableKeysAndActionReads) {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("s");
-  MatchTable t("t", MatchKind::kExact, {Field::kMetaTenant});
-  // Entry action reads kL4SrcPort (copy source); default action
-  // read-modify-writes kMetaSlack (add_imm).
-  t.add_exact(1, Action("a").copy_field(Field::kMetaQueue,
-                                        Field::kL4SrcPort));
-  t.set_default_action(Action("d").add_imm(Field::kMetaSlack, 5));
-  s.tables.push_back(std::move(t));
+  // The entry action reads kL4SrcPort (copy source); the default action
+  // read-modify-writes kMetaSlack (an expression operand).
+  const auto program = compile(R"(stage s {
+    table t exact(meta.tenant) {
+      1 -> copy(meta.queue, l4.sport);
+      default -> set_expr(meta.slack, meta.slack + 5);
+    }
+  })");
 
   bool cacheable = false;
   const std::uint64_t mask = FlowCache::derive_key_mask(*program, &cacheable);
   EXPECT_TRUE(cacheable);
   EXPECT_TRUE(mask & bit(Field::kMetaTenant));   // table key
   EXPECT_TRUE(mask & bit(Field::kL4SrcPort));    // copy source
-  EXPECT_TRUE(mask & bit(Field::kMetaSlack));    // RMW destination
+  EXPECT_TRUE(mask & bit(Field::kMetaSlack));    // expression operand
   EXPECT_FALSE(mask & bit(Field::kIpDst));       // never referenced
   EXPECT_FALSE(mask & bit(Field::kMetaQueue));   // written, not read
 }
@@ -86,12 +78,8 @@ TEST(FlowCacheKeyMask, UnionsTableKeysAndActionReads) {
 TEST(FlowCacheKeyMask, ChainHopsImplyMetaSlackRead) {
   // Every pushed hop carries phv[kMetaSlack], so any chain-building
   // program keys on it even without an explicit slack reference.
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("s");
-  MatchTable t("t", MatchKind::kExact, {Field::kL4DstPort});
-  t.add_exact(9, Action("go").push_hop(7));
-  s.tables.push_back(std::move(t));
+  const auto program =
+      compile("stage s { table t exact(l4.dport) { 9 -> chain(e7); } }");
 
   bool cacheable = false;
   const std::uint64_t mask = FlowCache::derive_key_mask(*program, &cacheable);
@@ -100,14 +88,11 @@ TEST(FlowCacheKeyMask, ChainHopsImplyMetaSlackRead) {
 }
 
 TEST(FlowCacheKeyMask, HashSourcesEnterTheMask) {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("s");
-  MatchTable t("t", MatchKind::kTernary, {Field::kValidIpv4});
-  t.add_ternary(1, ~0ull, 1,
-                Action("lb").hash_fields(Field::kMetaQueue, Field::kIpSrc,
-                                         Field::kL4SrcPort, 8));
-  s.tables.push_back(std::move(t));
+  const auto program = compile(R"(stage s {
+    table t ternary(valid_ipv4) {
+      1 prio 1 -> lb(meta.queue, ipv4.src, l4.sport, 8);
+    }
+  })");
 
   bool cacheable = false;
   const std::uint64_t mask = FlowCache::derive_key_mask(*program, &cacheable);
@@ -117,14 +102,11 @@ TEST(FlowCacheKeyMask, HashSourcesEnterTheMask) {
 }
 
 TEST(FlowCacheKeyMask, RegisterProgramsAreUncacheable) {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("lb");
-  MatchTable t("lb", MatchKind::kTernary, {Field::kValidIpv4});
-  t.add_ternary(1, ~0ull, 1,
-                Action("rr").reg_add(Field::kMetaQueue, 0,
-                                     Field::kValidEth, 1));
-  s.tables.push_back(std::move(t));
+  const auto program = compile(R"(stage lb {
+    table lb ternary(valid_ipv4) {
+      1 prio 1 -> reg_add(meta.queue, 0, valid_eth, 1);
+    }
+  })");
 
   bool cacheable = true;
   FlowCache::derive_key_mask(*program, &cacheable);
@@ -169,30 +151,6 @@ TEST(FlowCacheLru, EvictsLeastRecentlyUsedWithinSet) {
   EXPECT_FALSE(touch(1));  // flow 1 is gone; this in turn evicts flow 2
   EXPECT_TRUE(touch(3));   // flow 3 survived as the recently-used way
   EXPECT_EQ(cache.counters().evictions, 2u);
-}
-
-TEST(FlowCacheInvalidation, TableWriteFlushes) {
-  auto program = sport_program();
-  FlowCache cache(FlowCacheConfig{}, *program);
-  const auto touch = [&](std::uint64_t sport) {
-    Phv phv;
-    phv.set_parsed(Field::kL4SrcPort, sport);
-    if (cache.lookup(phv) != nullptr) return true;
-    cache.insert({0}, phv, ChainHeader{});
-    return false;
-  };
-
-  EXPECT_FALSE(touch(1));
-  cache.refresh_generations();
-  EXPECT_TRUE(touch(1));  // stable tables: still cached
-  EXPECT_EQ(cache.counters().flushes, 0u);
-
-  // Any table mutation bumps the global epoch; the next refresh flushes.
-  program->stages[0].tables[0].add_exact(
-      99, Action("new").set_field(Field::kMetaQueue, 1));
-  cache.refresh_generations();
-  EXPECT_EQ(cache.counters().flushes, 1u);
-  EXPECT_FALSE(touch(1));
 }
 
 TEST(FlowCacheInvalidation, SteeringResteerFlushes) {

@@ -177,7 +177,7 @@ TEST(P4Lite, RegAddCounter) {
   auto a = packet(frames::kvs_get(kSrc, kDst, 5, 1, 1));
   pipeline.process(*a);
   pipeline.process(*a);
-  EXPECT_EQ(pipeline.registers().read(2, 5), 2u);
+  EXPECT_EQ(pipeline.registers().add(2, 5, 0), 2u);
 }
 
 TEST(P4Lite, AppendStagesToExistingProgram) {
@@ -244,6 +244,46 @@ TEST(P4Lite, RejectsLpmWithMultipleKeys) {
   )",
                                       kSymbols, &error);
   EXPECT_FALSE(program.has_value());
+}
+
+TEST(P4Lite, RejectsWhatItCannotCompileAsWritten) {
+  // Each rejected table once compiled to something other than what it
+  // says; the accepted ones are the edges of the same ranges.
+  const struct {
+    std::string table;
+    std::string error;  // empty: compiles
+  } cases[] = {
+      {"lpm(ipv4.dst) { 10.0.0.0/40 -> drop; }",
+       "lpm prefix length: expected 0..32, got '40'"},
+      {"lpm(ipv4.dst) { 10.0.0.1/32 -> drop; }", ""},
+      {"exact(l4.dport) { 0/0 -> drop; }", "exact entries take no mask"},
+      {"exact(l4.dport) { 9 prio 3 -> drop; }", "exact entries take no prio"},
+      {"lpm(ipv4.dst) { 10.0.0.0/8 prio 3 -> drop; }",
+       "lpm entries take no prio"},
+      {"ternary(l4.dport) { 9 prio 4294967297 -> drop; }",
+       "prio: expected 0..2147483647, got '4294967297'"},
+      {"ternary(l4.dport) { 9 prio 2147483647 -> drop; }", ""},
+      {"ternary(l4.dport) { 0/0 -> reg_add(meta.queue, 16, meta.tenant, 1); }",
+       "reg_add register: expected 0..15, got '16'"},
+      {"ternary(l4.dport) { 0/0 -> reg_add(meta.queue, 15, meta.tenant, 1); }",
+       ""},
+      {"exact(valid_eth, valid_ipv4, valid_udp, valid_tcp, valid_esp, "
+       "valid_kvs, eth.dst, eth.src, eth.type) { }",
+       "a table key takes at most 8 fields"},
+      {"exact(valid_eth, valid_ipv4, valid_udp, valid_tcp, valid_esp, "
+       "valid_kvs, eth.dst, eth.src) { (1, 1, 1, 1, 1, 1, 1, 1) -> drop; }",
+       ""},
+      {"exact(l4.dport) { 9 -> chain(999); }", "expected engine name"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    const auto program = compile_p4lite(
+        "parser default;\nstage s {\n  table t " + c.table + "\n}\n",
+        kSymbols, &error);
+    EXPECT_EQ(error, c.error.empty() ? "" : "p4lite:3: " + c.error)
+        << c.table;
+    EXPECT_EQ(program.has_value(), c.error.empty()) << c.table;
+  }
 }
 
 TEST(P4Lite, CommentsAreIgnored) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/packet.h"
+#include "rmt/p4lite.h"
 
 namespace panic::rmt {
 namespace {
@@ -10,31 +11,30 @@ namespace {
 const Ipv4Addr kSrc(10, 0, 0, 1);
 const Ipv4Addr kDst(10, 0, 0, 2);
 
-std::shared_ptr<RmtProgram> steering_program() {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
+std::shared_ptr<const RmtProgram> compile(const std::string& stages) {
+  std::string error;
+  auto program = compile_p4lite(
+      "parser default;\n" + stages,
+      {{"host_a", 30}, {"host_b", 31}, {"kvs", 40}}, &error);
+  EXPECT_TRUE(program.has_value()) << error;
+  return std::make_shared<const RmtProgram>(std::move(program.value()));
+}
 
-  auto& s0 = program->add_stage("slack");
-  MatchTable slack("slack", MatchKind::kExact, {Field::kMetaTenant});
-  slack.add_exact(1, Action("hi").set_slack(10));
-  slack.set_default_action(Action("lo").set_slack(1000));
-  s0.tables.push_back(std::move(slack));
-
-  auto& s1 = program->add_stage("classify");
-  MatchTable classify("classify", MatchKind::kTernary,
-                      {Field::kValidKvs, Field::kL4DstPort});
-  classify.add_ternary(0, 0, 1,
-                       Action("to_host").push_hop(30).push_hop(31));
-  {
-    TableEntry e;
-    e.key = {1, 0};
-    e.masks = {~0ull, 0};
-    e.priority = 10;
-    e.action = Action("kvs").push_hop(40);
-    classify.add_entry(std::move(e));
-  }
-  s1.tables.push_back(std::move(classify));
-  return program;
+std::shared_ptr<const RmtProgram> steering_program() {
+  return compile(R"(
+    stage slack {
+      table slack exact(meta.tenant) {
+        1 -> set_slack(10);
+        default -> set_slack(1000);
+      }
+    }
+    stage classify {
+      table classify ternary(valid_kvs, l4.dport) {
+        (0/0, 0/0) prio 1 -> chain(host_a, host_b);
+        (1, 0/0) prio 10 -> chain(kvs);
+      }
+    }
+  )");
 }
 
 MessagePtr packet_message(std::vector<std::uint8_t> frame) {
@@ -108,14 +108,8 @@ TEST(Pipeline, MalformedPacketReportsParseFailure) {
 }
 
 TEST(Pipeline, DropAction) {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("acl");
-  MatchTable acl("acl", MatchKind::kExact, {Field::kL4DstPort});
-  acl.add_exact(666, Action("deny").mark_drop());
-  s.tables.push_back(std::move(acl));
-
-  Pipeline p(program);
+  Pipeline p(
+      compile("stage acl { table acl exact(l4.dport) { 666 -> drop; } }"));
   auto evil = packet_message(frames::min_udp(kSrc, kDst, 1234, 666));
   EXPECT_TRUE(p.process(*evil).drop);
   auto fine = packet_message(frames::min_udp(kSrc, kDst, 1234, 80));
@@ -123,14 +117,9 @@ TEST(Pipeline, DropAction) {
 }
 
 TEST(Pipeline, DeparseWritesModifiedFieldsBack) {
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("rewrite");
-  MatchTable t("rewrite", MatchKind::kExact, {Field::kL4DstPort});
-  t.add_exact(80, Action("redirect").set_field(Field::kL4DstPort, 8080));
-  s.tables.push_back(std::move(t));
-
-  Pipeline p(program);
+  Pipeline p(compile(R"(stage rewrite {
+    table rewrite exact(l4.dport) { 80 -> set(l4.dport, 8080); }
+  })"));
   auto msg = packet_message(frames::min_udp(kSrc, kDst, 1234, 80));
   p.process(*msg);
   const auto parsed = parse_frame(msg->data);
@@ -141,17 +130,12 @@ TEST(Pipeline, DeparseWritesModifiedFieldsBack) {
 TEST(Pipeline, StatefulLoadBalancingAcrossQueues) {
   // Round-robin queue assignment via a register counter: the classic
   // "load-balancing messages across descriptor queues" use (§3.1.2).
-  auto program = std::make_shared<RmtProgram>();
-  program->parser = make_default_parser();
-  auto& s = program->add_stage("lb");
-  MatchTable t("lb", MatchKind::kTernary, {Field::kValidIpv4});
-  Action rr("rr");
-  rr.reg_add(Field::kMetaQueue, /*reg=*/0, Field::kValidEth, 1)
-      .and_imm(Field::kMetaQueue, 0x3);  // 4 queues
-  t.add_ternary(1, ~0ull, 1, rr);
-  s.tables.push_back(std::move(t));
-
-  Pipeline p(program);
+  Pipeline p(compile(R"(stage lb {
+    table lb ternary(valid_ipv4) {
+      1 -> reg_add(meta.queue, 0, valid_eth, 1),
+           set_expr(meta.queue, meta.queue & 3);  // 4 queues
+    }
+  })"));
   std::uint64_t seen[4] = {0};
   for (int i = 0; i < 16; ++i) {
     auto msg = packet_message(frames::min_udp(kSrc, kDst));
