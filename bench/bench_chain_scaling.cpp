@@ -68,7 +68,7 @@ scenario::Scenario make_point(std::uint32_t channel_bits, int chain_len,
   return s;
 }
 
-RunResult run(const scenario::Scenario& s) {
+RunResult run(const scenario::Scenario& s, SimMode mode) {
   // Round-trip through the text format: the sweep's design points must be
   // expressible (and re-parseable) as ordinary scenario files.
   std::string error;
@@ -80,7 +80,7 @@ RunResult run(const scenario::Scenario& s) {
   }
 
   scenario::RunOptions opts;
-  opts.mode = requested_sim_mode();
+  opts.mode = mode;
   scenario::ScenarioRun run(*reparsed, opts);
   run.run_all();
 
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   Report report({"Width", "Chain len", "Delivered/Offered", "p99 (cyc)"});
   for (std::uint32_t width : {64u, 128u}) {
     for (int n : {0, 1, 2, 3, 4, 6, 8}) {
-      const auto r = run(make_point(width, n, gap, frames));
+      const auto r = run(make_point(width, n, gap, frames), args.sim_mode());
       report.add_row({strf("%u-bit", width), strf("%d", n),
                       strf("%.3f", r.delivered_ratio),
                       strf("%llu", static_cast<unsigned long long>(r.p99))});

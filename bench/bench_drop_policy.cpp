@@ -27,8 +27,8 @@ struct Result {
   std::uint64_t drops;
 };
 
-Result run(engines::DropPolicy policy) {
-  Simulator sim2(Frequency::megahertz(500), requested_sim_mode());
+Result run(engines::DropPolicy policy, SimMode mode) {
+  Simulator sim2(Frequency::megahertz(500), mode);
   core::PanicConfig cfg2;
   cfg2.mesh.k = 4;
   cfg2.tenant_slacks = {{1, 10}, {2, 100000}};
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                  "flood delivered", "queue drops"});
   for (auto policy : {engines::DropPolicy::kDropArrival,
                       engines::DropPolicy::kEvictLoosest}) {
-    const auto r = run(policy);
+    const auto r = run(policy, args.sim_mode());
     report.add_row(
         {policy == engines::DropPolicy::kDropArrival
              ? "tail-drop (baseline)"

@@ -20,10 +20,8 @@
 #include "analysis/report.h"
 #include "baselines/pipeline_nic.h"
 #include "common/cli.h"
-#include "common/rng.h"
 #include "core/panic_nic.h"
 #include "fault/invariants.h"
-#include "net/packet.h"
 #include "workload/kvs_workload.h"
 #include "workload/traffic_gen.h"
 
@@ -41,15 +39,26 @@ constexpr double kKillFraction = 0.3; // fault lands 30% into the run
 const Ipv4Addr kClient(10, 1, 0, 2);
 const Ipv4Addr kServer(10, 0, 0, 1);
 
+/// The offered load both architectures see: `frames` 256 B frames to the
+/// offload's port, one every kGap cycles.
+workload::TrafficSource offload_source(RxPort* port, std::uint64_t frames) {
+  workload::TrafficConfig tcfg;
+  tcfg.mean_gap_cycles = kGap;
+  tcfg.max_frames = frames;
+  return workload::TrafficSource(
+      "gen", port,
+      workload::make_udp_filler(kClient, kServer, 256, kOffloadPort), tcfg);
+}
+
 struct Result {
   std::uint64_t delivered = 0;
   std::uint64_t faulted = 0;  // casualties attributed to the injected fault
   bool conserved = false;
 };
 
-Result run_panic(std::uint64_t frames, bool kill_one_engine) {
+Result run_panic(std::uint64_t frames, bool kill_one_engine, SimMode mode) {
   fault::ConservationChecker conservation;
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  Simulator sim(Frequency::megahertz(500), mode);
 
   core::PanicConfig cfg;
   cfg.mesh.k = 5;
@@ -67,13 +76,7 @@ Result run_panic(std::uint64_t frames, bool kill_one_engine) {
       static_cast<Cycle>(kGap * static_cast<double>(frames) * kKillFraction);
   if (kill_one_engine) cfg.faults.kill("aux0", kill_at);
   core::PanicNic nic(cfg, sim);
-
-  workload::TrafficConfig tcfg;
-  tcfg.mean_gap_cycles = kGap;
-  tcfg.max_frames = frames;
-  workload::TrafficSource src(
-      "gen", &nic.eth_port(0),
-      workload::make_udp_filler(kClient, kServer, 256, kOffloadPort), tcfg);
+  workload::TrafficSource src = offload_source(&nic.eth_port(0), frames);
   sim.add(&src);
 
   auto& m = sim.telemetry().metrics();
@@ -92,9 +95,9 @@ Result run_panic(std::uint64_t frames, bool kill_one_engine) {
   return r;
 }
 
-Result run_pipeline(std::uint64_t frames, bool wedge_offload) {
+Result run_pipeline(std::uint64_t frames, bool wedge_offload, SimMode mode) {
   fault::ConservationChecker conservation;
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  Simulator sim(Frequency::megahertz(500), mode);
   baselines::PipelineNicConfig pcfg;
   baselines::PipelineNic nic(
       "pipe", {baselines::slow_offload_spec(kOffloadCycles, kOffloadPort)},
@@ -104,24 +107,12 @@ Result run_pipeline(std::uint64_t frames, bool wedge_offload) {
   if (wedge_offload) {
     sim.schedule_at(kill_at, [&nic] { nic.wedge_stage("slow"); });
   }
+  workload::TrafficSource src = offload_source(&nic, frames);
+  sim.add(&src);
 
   auto& m = sim.telemetry().metrics();
   const auto& delivered = m.counter("baseline.pipe.delivered");
   const auto& dropped = m.counter("baseline.pipe.dropped");
-  // Injections go through the event queue (the baseline has no Ethernet
-  // port component): predicate-side injection would be skipped whenever
-  // the event kernel fast-forwards an idle wire.
-  for (std::uint64_t i = 0; i < frames; ++i) {
-    sim.schedule_at(
-        1 + static_cast<Cycle>(static_cast<double>(i) * kGap), [&sim, &nic,
-                                                                i] {
-          nic.inject_rx(frames::min_udp(kClient, kServer,
-                                        static_cast<std::uint16_t>(
-                                            40000 + i % 512),
-                                        kOffloadPort),
-                        sim.now(), TenantId{0});
-        });
-  }
   sim.run_until(
       [&] { return delivered + dropped >= frames; },
       static_cast<Cycles>(kGap * static_cast<double>(frames)) + 200000);
@@ -151,10 +142,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kOffloadCycles),
               kKillFraction * 100, static_cast<unsigned long long>(seed));
 
-  const Result panic_clean = run_panic(frames, false);
-  const Result panic_faulty = run_panic(frames, true);
-  const Result pipe_clean = run_pipeline(frames, false);
-  const Result pipe_faulty = run_pipeline(frames, true);
+  const SimMode mode = args.sim_mode();
+  const Result panic_clean = run_panic(frames, false, mode);
+  const Result panic_faulty = run_panic(frames, true, mode);
+  const Result pipe_clean = run_pipeline(frames, false, mode);
+  const Result pipe_faulty = run_pipeline(frames, true, mode);
 
   const auto ratio = [](const Result& faulty, const Result& clean) {
     return clean.delivered == 0

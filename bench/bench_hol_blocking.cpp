@@ -4,9 +4,9 @@
 // only the packets that need it, so unrelated traffic is unaffected.
 //
 // Workload: 10% of packets address UDP port 7777 (the slow offload, 2000
-// cycles/packet); 90% are plain mice.  We report the latency of the PLAIN
-// packets on each architecture.
-#include <cmath>
+// cycles/packet); 90% are plain mice.  One TrafficSource per run feeds
+// both architectures the same frames; we report the host-delivery latency
+// of every delivered packet on each.
 #include <cstdio>
 
 #include "analysis/report.h"
@@ -28,23 +28,54 @@ constexpr double kSlowFraction = 0.10;
 const Ipv4Addr kClient(10, 1, 0, 2);
 const Ipv4Addr kServer(10, 0, 0, 1);
 
-/// The `seq`-th frame of the mix: a tenth go to the slow offload's port.
-std::vector<std::uint8_t> mixed_frame(Rng& rng, std::uint64_t seq) {
-  const bool slow = rng.bernoulli(kSlowFraction);
-  return frames::min_udp(kClient, kServer,
-                         static_cast<std::uint16_t>(40000 + seq % 512),
-                         slow ? kSlowPort : 80);
+/// The offered load: `frames` frames of the mix, one every `gap` cycles;
+/// a tenth of them go to the slow offload's port.
+workload::TrafficSource mixed_source(RxPort* port, double gap,
+                                     std::uint64_t frames) {
+  workload::TrafficConfig tcfg;
+  tcfg.mean_gap_cycles = gap;
+  tcfg.max_frames = frames;
+  return workload::TrafficSource(
+      "gen", port,
+      [](Rng& rng, std::uint64_t seq, std::vector<std::uint8_t>& out) {
+        const bool slow = rng.bernoulli(kSlowFraction);
+        out = frames::min_udp(kClient, kServer,
+                              static_cast<std::uint16_t>(40000 + seq % 512),
+                              slow ? kSlowPort : 80);
+      },
+      tcfg);
 }
 
 struct Result {
-  telemetry::MetricValue plain;  // latency summary of delivered packets
+  telemetry::MetricValue latency;  // every delivered packet's
   std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
 };
 
-/// Offered load: one packet every `gap` cycles for `frames` frames.
-Result run_panic(double gap, std::uint64_t frames) {
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+/// Cycles a run may take: the offered window plus a generous drain.
+Cycles budget(double gap, std::uint64_t frames) {
+  return static_cast<Cycles>(gap * static_cast<double>(frames)) + 3000000;
+}
+
+Result run_pipeline(double gap, std::uint64_t frames, SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
+  baselines::PipelineNicConfig pcfg;
+  pcfg.dma.base_latency = 20;  // match PANIC's host path
+  baselines::PipelineNic nic(
+      "pipe", {baselines::slow_offload_spec(kSlowCycles, kSlowPort)}, pcfg,
+      sim);
+  workload::TrafficSource src = mixed_source(&nic, gap, frames);
+  sim.add(&src);
+
+  auto& m = sim.telemetry().metrics();
+  const auto& delivered = m.counter("baseline.pipe.delivered");
+  const auto& dropped = m.counter("baseline.pipe.dropped");
+  sim.run_until([&] { return delivered + dropped >= frames; },
+                budget(gap, frames));
+  return {sim.snapshot().at("baseline.pipe.host_latency"), delivered};
+}
+
+Result run_panic(double gap, std::uint64_t frames, SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
   core::PanicConfig cfg;
   cfg.mesh.k = 4;
   cfg.aux_engines = 1;
@@ -62,16 +93,7 @@ Result run_panic(double gap, std::uint64_t frames) {
     }
   )";
   core::PanicNic nic(cfg, sim);
-
-  workload::TrafficConfig tcfg;
-  tcfg.mean_gap_cycles = gap;
-  tcfg.max_frames = frames;
-  workload::TrafficSource src(
-      "gen", &nic.eth_port(0),
-      [](Rng& rng, std::uint64_t seq, std::vector<std::uint8_t>& out) {
-        out = mixed_frame(rng, seq);
-      },
-      tcfg);
+  workload::TrafficSource src = mixed_source(&nic.eth_port(0), gap, frames);
   sim.add(&src);
 
   // Live counter handles: cheap to poll from the run_until predicate
@@ -82,19 +104,18 @@ Result run_panic(double gap, std::uint64_t frames) {
   const auto& aux_drops = m.counter("engine.aux0.queue.dropped");
   sim.run_until(
       [&] { return to_host + dma_drops + aux_drops >= frames; },
-      static_cast<Cycles>(gap * static_cast<double>(frames)) + 3000000);
+      budget(gap, frames));
+  return {sim.snapshot().at("engine.dma.host_latency"), to_host};
+}
 
-  const auto snap = sim.snapshot();
-  Result r;
-  // Plain packets are the ones whose latency the DMA recorded quickly;
-  // separate by port is not tracked there, so use tenant trick: plain and
-  // slow share tenant 0.  Instead, use the per-port latency recorded for
-  // packets that visited no offload: approximate by filtering via the aux
-  // engine count.  Simplest faithful split: rerun classification here.
-  r.plain = snap.at("engine.dma.host_latency");
-  r.delivered = to_host;
-  r.dropped = aux_drops + dma_drops;
-  return r;
+void add_row(Report& report, const char* architecture, double gap,
+             const Result& r) {
+  const auto cell = [](std::uint64_t v) {
+    return strf("%llu", static_cast<unsigned long long>(v));
+  };
+  report.add_row({architecture, strf("%.0f cyc", gap), cell(r.delivered),
+                  cell(r.latency.p50), cell(r.latency.p90),
+                  cell(r.latency.p99), cell(r.latency.max)});
 }
 
 }  // namespace
@@ -115,54 +136,9 @@ int main(int argc, char** argv) {
   for (double gap : {400.0, 150.0, 75.0}) {
     const std::uint64_t frames = 2000;
 
-    // Pipeline NIC baseline.
-    {
-      Simulator sim(Frequency::megahertz(500), requested_sim_mode());
-      baselines::PipelineNicConfig pcfg;
-      pcfg.dma.base_latency = 20;  // match PANIC's host path
-      baselines::PipelineNic nic(
-          "pipe", {baselines::slow_offload_spec(kSlowCycles, kSlowPort)},
-          pcfg, sim);
-      workload::TrafficConfig tcfg;
-      tcfg.mean_gap_cycles = gap;
-      tcfg.max_frames = frames;
-      Rng rng(tcfg.seed);
-      auto& m = sim.telemetry().metrics();
-      const auto& delivered = m.counter("baseline.pipe.delivered");
-      const auto& dropped = m.counter("baseline.pipe.dropped");
-      // Injections go through the event queue (the baseline has no
-      // Ethernet port component): predicate-side injection would be
-      // skipped whenever the event kernel fast-forwards an idle pipeline.
-      for (std::uint64_t i = 0; i < frames; ++i) {
-        sim.schedule_at(
-            static_cast<Cycle>(std::ceil(static_cast<double>(i) * gap)),
-            [&, i] {
-              nic.inject_rx(mixed_frame(rng, i), sim.now(), TenantId{0});
-            });
-      }
-      sim.run_until([&] { return delivered + dropped >= frames; },
-                    static_cast<Cycles>(gap * static_cast<double>(frames)) +
-                        3000000);
-      const auto h = sim.snapshot().at("baseline.pipe.host_latency");
-      report.add_row({"pipeline (bump-in-wire)", strf("%.0f cyc", gap),
-                      strf("%llu", static_cast<unsigned long long>(delivered)),
-                      strf("%llu", static_cast<unsigned long long>(h.p50)),
-                      strf("%llu", static_cast<unsigned long long>(h.p90)),
-                      strf("%llu", static_cast<unsigned long long>(h.p99)),
-                      strf("%llu", static_cast<unsigned long long>(h.max))});
-    }
-
-    // PANIC.
-    {
-      const auto r = run_panic(gap, frames);
-      const auto& h = r.plain;
-      report.add_row({"PANIC", strf("%.0f cyc", gap),
-                      strf("%llu", static_cast<unsigned long long>(r.delivered)),
-                      strf("%llu", static_cast<unsigned long long>(h.p50)),
-                      strf("%llu", static_cast<unsigned long long>(h.p90)),
-                      strf("%llu", static_cast<unsigned long long>(h.p99)),
-                      strf("%llu", static_cast<unsigned long long>(h.max))});
-    }
+    add_row(report, "pipeline (bump-in-wire)", gap,
+            run_pipeline(gap, frames, args.sim_mode()));
+    add_row(report, "PANIC", gap, run_panic(gap, frames, args.sim_mode()));
   }
   report.print("Host-delivery latency (cycles @500MHz; 2 cyc = 4 ns)");
 

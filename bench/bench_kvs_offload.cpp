@@ -30,8 +30,8 @@ struct KvsResult {
 };
 
 KvsResult run(engines::KvsCacheMode mode, std::size_t cache_entries,
-              std::uint64_t num_keys, double zipf_skew) {
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+              std::uint64_t num_keys, double zipf_skew, SimMode sim_mode) {
+  Simulator sim(Frequency::megahertz(500), sim_mode);
   core::PanicConfig cfg;
   cfg.mesh.k = 4;
   cfg.kvs_mode = mode;
@@ -62,7 +62,7 @@ KvsResult run(engines::KvsCacheMode mode, std::size_t cache_entries,
     std::uint64_t warm_sets = 0;
     for (std::uint64_t i = 0; i < warm; ++i) {
       const std::uint64_t key = warm - 1 - i;
-      nic.inject_rx(0,
+      deliver_frame(nic.eth_port(0),
                     frames::kvs_set(kClient, kServer, 1, key,
                                     static_cast<std::uint32_t>(key), 128),
                     sim.now());
@@ -124,14 +124,15 @@ int main(int argc, char** argv) {
                  "reply p50 (cyc)", "reply p99 (cyc)"});
   for (std::size_t entries : {64, 512, 4096}) {
     const auto r = run(engines::KvsCacheMode::kLocation, entries, 10000,
-                       0.99);
+                       0.99, args.sim_mode());
     report.add_row({"location (paper)", strf("%zu", entries),
                     strf("%.2f", r.hit_rate), strf("%.2f", r.cpu_bypass),
                     strf("%llu", static_cast<unsigned long long>(r.reply_p50)),
                     strf("%llu", static_cast<unsigned long long>(r.reply_p99))});
   }
   {
-    const auto r = run(engines::KvsCacheMode::kValue, 4096, 10000, 0.99);
+    const auto r = run(engines::KvsCacheMode::kValue, 4096, 10000, 0.99,
+                       args.sim_mode());
     report.add_row({"value (ablation)", "4096", strf("%.2f", r.hit_rate),
                     strf("%.2f", r.cpu_bypass),
                     strf("%llu", static_cast<unsigned long long>(r.reply_p50)),

@@ -25,8 +25,8 @@ struct Point {
   std::uint64_t p99;
 };
 
-Point run(int k, std::uint32_t width, double load_fraction) {
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+Point run(int k, std::uint32_t width, double load_fraction, SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
   noc::MeshConfig cfg;
   cfg.k = k;
   cfg.channel_bits = width;
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   Report report({"Offered (frac of 4bk)", "Accepted (msg/tile/cyc)",
                  "Mean latency (cyc)", "p99 (cyc)"});
   for (double load : {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}) {
-    const auto p = run(6, 128, load);
+    const auto p = run(6, 128, load, args.sim_mode());
     report.add_row({strf("%.2f", p.offered), strf("%.4f", p.accepted),
                     strf("%.0f", p.mean),
                     strf("%llu", static_cast<unsigned long long>(p.p99))});

@@ -152,7 +152,7 @@ BENCHMARK(BM_RmtPipelineProcess);
 void BM_MeshCycle(benchmark::State& state) {
   // Cost of simulating one cycle of a saturated k x k mesh.
   const int k = static_cast<int>(state.range(0));
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  Simulator sim(Frequency::megahertz(500), SimMode::kEventDriven);
   noc::MeshConfig cfg;
   cfg.k = k;
   noc::Mesh mesh(cfg, sim);

@@ -3,8 +3,11 @@
 // al.); the RMT-only baseline punts heavy work to host software; PANIC's
 // logical switch chains engines directly.  We measure unloaded
 // single-packet host-delivery latency for (a) plain packets and (b)
-// IPSec-encrypted packets on all four architectures.
+// IPSec-encrypted packets on all four architectures: each packet enters
+// the NIC's RxPort only after the previous one reached the host.
 #include <cstdio>
+#include <functional>
+#include <memory>
 
 #include "analysis/report.h"
 #include "baselines/manycore_nic.h"
@@ -24,26 +27,29 @@ const Ipv4Addr kClient(10, 1, 0, 2);
 const Ipv4Addr kServer(10, 0, 0, 1);
 const Frequency kClock = Frequency::megahertz(500);
 
-std::vector<std::uint8_t> plain() {
-  return frames::min_udp(kClient, kServer);
-}
-std::vector<std::uint8_t> encrypted() {
-  return engines::IpsecEngine::encapsulate(plain(), 0x1001, 1);
-}
+/// One architecture under test.
+struct Architecture {
+  const char* label;
+  const char* delivered;  ///< delivered-packet counter, polled per packet
+  const char* latency;    ///< host-latency histogram whose mean is reported
+  /// Builds the NIC in `sim`; the handle keeps it alive and points at its
+  /// RX port.
+  std::function<std::shared_ptr<RxPort>(Simulator&)> build;
+};
 
-/// Unloaded latency: inject `n` packets one at a time, report the mean of
-/// the latency histogram `hist_name` from the simulator's metrics registry
-/// (`count_name` is the delivered-packet counter polled between packets).
-template <typename InjectFn>
-double measure(Simulator& sim, InjectFn inject, const std::string& count_name,
-               const std::string& hist_name, int n) {
-  const auto& count = sim.telemetry().metrics().counter(count_name);
+/// Unloaded latency: delivers `n` copies of `frame` one at a time into a
+/// fresh `arch` NIC and returns the mean of its latency histogram.
+double measure(const Architecture& arch,
+               const std::vector<std::uint8_t>& frame, int n, SimMode mode) {
+  Simulator sim(kClock, mode);
+  const std::shared_ptr<RxPort> port = arch.build(sim);
+  const auto& count = sim.telemetry().metrics().counter(arch.delivered);
   for (int i = 0; i < n; ++i) {
     const auto before = count;
-    inject();
+    deliver_frame(*port, frame, sim.now());
     sim.run_until([&] { return count > before; }, 1000000);
   }
-  return sim.snapshot().at(hist_name).mean;
+  return sim.snapshot().at(arch.latency).mean;
 }
 
 }  // namespace
@@ -60,74 +66,39 @@ int main(int argc, char** argv) {
   const int n = 20;
   const auto specs = std::vector<baselines::OffloadSpec>{
       baselines::ipsec_offload_spec()};
-
-  double panic_plain = 0, panic_esp = 0;
-  {
-    Simulator sim(Frequency::megahertz(500), requested_sim_mode());
-    core::PanicConfig cfg;
-    cfg.mesh.k = 4;
-    core::PanicNic nic(cfg, sim);
-    panic_plain = measure(
-        sim, [&] { nic.inject_rx(0, plain(), sim.now()); },
-        "engine.dma.packets_to_host", "engine.dma.host_latency", n);
-    Simulator sim2(Frequency::megahertz(500), requested_sim_mode());
-    core::PanicNic nic2(cfg, sim2);
-    panic_esp = measure(
-        sim2, [&] { nic2.inject_rx(0, encrypted(), sim2.now()); },
-        "engine.dma.packets_to_host", "engine.dma.host_latency", n);
-    report.add_row({"PANIC", strf("%.2f", panic_plain * 0.002),
-                    strf("%.2f", panic_esp * 0.002),
-                    strf("%.0f", panic_plain), strf("%.0f", panic_esp)});
-  }
-
-  {
-    Simulator sim(Frequency::megahertz(500), requested_sim_mode());
-    baselines::PipelineNic nic("pipe", specs, baselines::PipelineNicConfig{},
-                               sim);
-    const double lat_plain = measure(
-        sim, [&] { nic.inject_rx(plain(), sim.now(), TenantId{0}); },
-        "baseline.pipe.delivered", "baseline.pipe.host_latency", n);
-    Simulator sim2(Frequency::megahertz(500), requested_sim_mode());
-    baselines::PipelineNic nic2("pipe", specs,
-                                baselines::PipelineNicConfig{}, sim2);
-    const double lat_esp = measure(
-        sim2, [&] { nic2.inject_rx(encrypted(), sim2.now(), TenantId{0}); },
-        "baseline.pipe.delivered", "baseline.pipe.host_latency", n);
-    report.add_row({"pipeline (bump-in-wire)", strf("%.2f", lat_plain * 0.002),
-                    strf("%.2f", lat_esp * 0.002), strf("%.0f", lat_plain),
-                    strf("%.0f", lat_esp)});
-  }
-
-  {
-    Simulator sim(Frequency::megahertz(500), requested_sim_mode());
-    baselines::ManycoreNicConfig mcfg;  // 5000-cycle (10 us) orchestration
-    baselines::ManycoreNic nic("mc", specs, mcfg, sim);
-    const double lat_plain = measure(
-        sim, [&] { nic.inject_rx(plain(), sim.now(), TenantId{0}); },
-        "baseline.mc.delivered", "baseline.mc.host_latency", n);
-    Simulator sim2(Frequency::megahertz(500), requested_sim_mode());
-    baselines::ManycoreNic nic2("mc", specs, mcfg, sim2);
-    const double lat_esp = measure(
-        sim2, [&] { nic2.inject_rx(encrypted(), sim2.now(), TenantId{0}); },
-        "baseline.mc.delivered", "baseline.mc.host_latency", n);
-    report.add_row({"manycore (CPU orchestration)",
-                    strf("%.2f", lat_plain * 0.002),
-                    strf("%.2f", lat_esp * 0.002), strf("%.0f", lat_plain),
-                    strf("%.0f", lat_esp)});
-  }
-
-  {
-    Simulator sim(Frequency::megahertz(500), requested_sim_mode());
-    baselines::RmtNic nic("rmt", specs, baselines::RmtNicConfig{}, sim);
-    const double lat_plain = measure(
-        sim, [&] { nic.inject_rx(plain(), sim.now(), TenantId{0}); },
-        "baseline.rmt.delivered", "baseline.rmt.host_latency", n);
-    Simulator sim2(Frequency::megahertz(500), requested_sim_mode());
-    baselines::RmtNic nic2("rmt", specs, baselines::RmtNicConfig{}, sim2);
-    const double lat_esp = measure(
-        sim2, [&] { nic2.inject_rx(encrypted(), sim2.now(), TenantId{0}); },
-        "baseline.rmt.delivered", "baseline.rmt.host_latency", n);
-    report.add_row({"RMT-only (FlexNIC)", strf("%.2f", lat_plain * 0.002),
+  const Architecture architectures[] = {
+      {"PANIC", "engine.dma.packets_to_host", "engine.dma.host_latency",
+       [](Simulator& sim) {
+         core::PanicConfig cfg;
+         cfg.mesh.k = 4;
+         auto nic = std::make_shared<core::PanicNic>(cfg, sim);
+         return std::shared_ptr<RxPort>(nic, &nic->eth_port(0));
+       }},
+      {"pipeline (bump-in-wire)", "baseline.pipe.delivered",
+       "baseline.pipe.host_latency",
+       [&](Simulator& sim) {
+         return std::make_shared<baselines::PipelineNic>(
+             "pipe", specs, baselines::PipelineNicConfig{}, sim);
+       }},
+      {"manycore (CPU orchestration)", "baseline.mc.delivered",
+       "baseline.mc.host_latency",
+       [&](Simulator& sim) {  // 5000-cycle (10 us) orchestration
+         return std::make_shared<baselines::ManycoreNic>(
+             "mc", specs, baselines::ManycoreNicConfig{}, sim);
+       }},
+      {"RMT-only (FlexNIC)", "baseline.rmt.delivered",
+       "baseline.rmt.host_latency",
+       [&](Simulator& sim) {
+         return std::make_shared<baselines::RmtNic>(
+             "rmt", specs, baselines::RmtNicConfig{}, sim);
+       }},
+  };
+  const auto plain = frames::min_udp(kClient, kServer);
+  const auto encrypted = engines::IpsecEngine::encapsulate(plain, 0x1001, 1);
+  for (const Architecture& arch : architectures) {
+    const double lat_plain = measure(arch, plain, n, args.sim_mode());
+    const double lat_esp = measure(arch, encrypted, n, args.sim_mode());
+    report.add_row({arch.label, strf("%.2f", lat_plain * 0.002),
                     strf("%.2f", lat_esp * 0.002), strf("%.0f", lat_plain),
                     strf("%.0f", lat_esp)});
   }

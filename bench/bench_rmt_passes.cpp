@@ -75,11 +75,11 @@ struct ModeResult {
 
 /// Light load so queues never drop: the passes/packet and added latency
 /// are measured clean, and pipeline capacity follows from the F*P law.
-ModeResult run(bool per_hop, int chain_len) {
+ModeResult run(bool per_hop, int chain_len, SimMode mode) {
   auto cfg = base_config(chain_len);
   cfg.program =
       per_hop ? per_hop_program(chain_len) : chained_program(chain_len);
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  Simulator sim(Frequency::megahertz(500), mode);
   core::PanicNic nic(cfg, sim);
 
   workload::TrafficConfig tcfg;
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
                  "mean latency (cyc)", "implied max pps (F*P=2x500MHz)"});
   for (int n : {1, 2, 4, 6}) {
     for (bool per_hop : {false, true}) {
-      const auto r = run(per_hop, n);
+      const auto r = run(per_hop, n, args.sim_mode());
       report.add_row(
           {strf("%d", n),
            per_hop ? "per-hop RMT re-entry (ablation)"

@@ -19,8 +19,8 @@ namespace {
 
 /// Measured aggregate RMT passes/cycle with `rmt_engines` engines fed at
 /// saturation from `ports` Ethernet ports.
-double measure_rmt_rate(int rmt_engines, int ports) {
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+double measure_rmt_rate(int rmt_engines, int ports, SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
   core::PanicConfig cfg;
   cfg.mesh.k = 4;
   // 1024-bit channels: a min-size frame is a single flit, so the mesh
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
                  "Model (P)", "pps @500MHz"});
   for (const auto& [engines, ports] :
        std::vector<std::pair<int, int>>{{1, 2}, {2, 2}, {2, 3}}) {
-    const double rate = measure_rmt_rate(engines, ports);
+    const double rate = measure_rmt_rate(engines, ports, args.sim_mode());
     const double expect = std::min(static_cast<double>(engines),
                                    static_cast<double>(ports));
     report.add_row({strf("%d", engines), strf("%d", ports),

@@ -19,8 +19,8 @@ namespace {
 /// Saturation throughput of a k x k mesh in bits/cycle under uniform
 /// random traffic with `payload` byte messages.
 double simulate_saturation(int k, std::uint32_t bits, std::size_t payload,
-                           Cycles warmup, Cycles measure) {
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+                           Cycles warmup, Cycles measure, SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
   noc::MeshConfig cfg;
   cfg.k = k;
   cfg.channel_bits = bits;
@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
                                                   {6, 128},
                                                   {8, 128}}) {
     const double cap = 4.0 * bits * k;
-    const double got = simulate_saturation(k, bits, 64, 3000, 15000);
+    const double got =
+        simulate_saturation(k, bits, 64, 3000, 15000, args.sim_mode());
     sim_report.add_row({strf("%dx%d", k, k), strf("%u", bits),
                         strf("%.0f", cap), strf("%.0f", got),
                         strf("%.2f", got / cap)});

@@ -108,10 +108,10 @@ scenario::Scenario round_trip(const scenario::Scenario& s) {
   return *reparsed;
 }
 
-double run_delivered_ratio(const scenario::Scenario& point) {
+double run_delivered_ratio(const scenario::Scenario& point, SimMode mode) {
   const scenario::Scenario s = round_trip(point);
   scenario::RunOptions opts;
-  opts.mode = requested_sim_mode();
+  opts.mode = mode;
   scenario::ScenarioRun run(s, opts);
   run.run_all();
   std::uint64_t offered = 0;
@@ -121,7 +121,7 @@ double run_delivered_ratio(const scenario::Scenario& point) {
          static_cast<double>(offered);
 }
 
-double run_unloaded_latency(scenario::Scenario point) {
+double run_unloaded_latency(scenario::Scenario point, SimMode mode) {
   // Same topology, one lonely frame: engine.dma.host_latency is the
   // corner-to-corner figure (wire -> RMT -> full chain -> host).
   point.name += "_unloaded";
@@ -130,18 +130,18 @@ double run_unloaded_latency(scenario::Scenario point) {
   point.budget_cycles = 20000;
   const scenario::Scenario s = round_trip(point);
   scenario::RunOptions opts;
-  opts.mode = requested_sim_mode();
+  opts.mode = mode;
   scenario::ScenarioRun run(s, opts);
   run.run_all();
   return run.sim().snapshot().at("engine.dma.host_latency").mean;
 }
 
 SweepResult run(int k, noc::RoutingAlgo routing, double gap,
-                std::uint64_t frames) {
+                std::uint64_t frames, SimMode mode) {
   SweepResult r;
   const auto point = make_point(k, routing, gap, frames);
-  r.delivered_ratio = run_delivered_ratio(point);
-  r.unloaded_latency = run_unloaded_latency(point);
+  r.delivered_ratio = run_delivered_ratio(point, mode);
+  r.unloaded_latency = run_unloaded_latency(point, mode);
   return r;
 }
 
@@ -167,7 +167,8 @@ int main(int argc, char** argv) {
                  "Chain len @100Gx2"});
   for (int k : {4, 5, 6, 8, 10}) {
     const std::uint32_t width = 128;
-    const auto r = run(k, noc::RoutingAlgo::kXY, gap, frames);
+    const auto r =
+        run(k, noc::RoutingAlgo::kXY, gap, frames, args.sim_mode());
     noc::MeshModelInput in;
     in.k = k;
     in.channel_bits = width;
@@ -185,7 +186,7 @@ int main(int argc, char** argv) {
   // Routing ablation: XY vs west-first adaptive on the 6x6 point.
   Report routing({"Routing", "Delivered/Offered", "Unloaded latency (cyc)"});
   for (auto algo : {noc::RoutingAlgo::kXY, noc::RoutingAlgo::kWestFirst}) {
-    const auto r = run(6, algo, gap, frames);
+    const auto r = run(6, algo, gap, frames, args.sim_mode());
     routing.add_row({algo == noc::RoutingAlgo::kXY ? "XY (deterministic)"
                                                    : "west-first (adaptive)",
                      strf("%.3f", r.delivered_ratio),

@@ -31,7 +31,7 @@ struct Load {
 /// own simulator, all stepped in lockstep: the meshes share nothing, and
 /// each publishes its noc.* metrics into its own registry.
 double simulate(int k, std::uint32_t total_width, int meshes, Load load,
-                Cycles warmup, Cycles window) {
+                Cycles warmup, Cycles window, SimMode mode) {
   std::vector<std::unique_ptr<Simulator>> sims;
   std::vector<std::unique_ptr<noc::Mesh>> nets;
   const auto width = static_cast<std::uint32_t>(total_width / meshes);
@@ -39,8 +39,8 @@ double simulate(int k, std::uint32_t total_width, int meshes, Load load,
     noc::MeshConfig cfg;
     cfg.k = k;
     cfg.channel_bits = width;
-    sims.push_back(std::make_unique<Simulator>(Frequency::megahertz(500),
-                                               requested_sim_mode()));
+    sims.push_back(
+        std::make_unique<Simulator>(Frequency::megahertz(500), mode));
     nets.push_back(std::make_unique<noc::Mesh>(cfg, *sims.back()));
   }
   Rng rng(17);
@@ -105,8 +105,10 @@ int main(int argc, char** argv) {
                  "Split (bits/cyc)", "Unified / Split"});
   for (double a : {0.02, 0.05, 0.1, 0.2}) {
     const Load load{a, 0.005};
-    const double uni = simulate(4, 128, 1, load, 2000, 12000);
-    const double split = simulate(4, 128, 2, load, 2000, 12000);
+    const double uni =
+        simulate(4, 128, 1, load, 2000, 12000, args.sim_mode());
+    const double split =
+        simulate(4, 128, 2, load, 2000, 12000, args.sim_mode());
     report.add_row({strf("%.3f", a), strf("%.0f", uni), strf("%.0f", split),
                     strf("%.2fx", uni / split)});
   }

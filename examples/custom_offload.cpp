@@ -66,7 +66,7 @@ class TelemetryEngine : public engines::Engine {
 int main(int argc, char** argv) {
   panic::cli::ArgParser args("custom_offload", "attach a custom engine to a spare tile");
   args.parse(argc, argv);
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  Simulator sim(Frequency::megahertz(500), args.sim_mode());
 
   core::PanicConfig config;
   config.mesh.k = 4;

@@ -18,7 +18,7 @@ using namespace panic;
 int main(int argc, char** argv) {
   panic::cli::ArgParser args("kvs_offload", "KVS GET/SET offload walkthrough");
   args.parse(argc, argv);
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  Simulator sim(Frequency::megahertz(500), args.sim_mode());
   core::PanicConfig config;
   config.mesh.k = 4;
   config.kvs_capacity = 1024;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   // LRU keeps the hottest at the end).
   std::printf("warming location cache with 1024 hot keys...\n");
   for (std::uint64_t i = 0; i < 1024; ++i) {
-    nic.inject_rx(0,
+    deliver_frame(nic.eth_port(0),
                   frames::kvs_set(lan_client, server, 1, 1023 - i,
                                   static_cast<std::uint32_t>(i), 128),
                   sim.now());

@@ -15,7 +15,7 @@ using namespace panic;
 int main(int argc, char** argv) {
   panic::cli::ArgParser args("p4lite_firewall", "p4lite-programmed firewall stages");
   args.parse(argc, argv);
-  Simulator sim(Frequency::megahertz(500), requested_sim_mode());
+  Simulator sim(Frequency::megahertz(500), args.sim_mode());
   core::PanicConfig config;
   config.mesh.k = 4;
 
@@ -41,9 +41,10 @@ int main(int argc, char** argv) {
   const Ipv4Addr server(10, 0, 0, 1);
 
   // 1. Blocked port.
-  nic.inject_rx(0, frames::min_udp(client, server, 1234, 666), sim.now());
+  RxPort& wire = nic.eth_port(0);
+  deliver_frame(wire, frames::min_udp(client, server, 1234, 666), sim.now());
   // 2. Clean web traffic to the inspected port.
-  nic.inject_rx(0,
+  deliver_frame(wire,
                 FrameBuilder()
                     .eth(*MacAddr::parse("02:00:00:00:00:01"),
                          *MacAddr::parse("02:00:00:00:00:02"))
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
                 sim.now());
   // 3. SQL injection to the inspected port.
   const std::string evil = "id=1 UNION  SELECT password FROM users";
-  nic.inject_rx(0,
+  deliver_frame(wire,
                 FrameBuilder()
                     .eth(*MacAddr::parse("02:00:00:00:00:01"),
                          *MacAddr::parse("02:00:00:00:00:02"))
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
                     .build(),
                 sim.now());
   // 4. Ordinary traffic: untouched by the policy.
-  nic.inject_rx(0, frames::min_udp(client, server, 1234, 80), sim.now());
+  deliver_frame(wire, frames::min_udp(client, server, 1234, 80), sim.now());
 
   sim.run(20000);
 

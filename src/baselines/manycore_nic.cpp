@@ -13,9 +13,7 @@ ManycoreNic::ManycoreNic(std::string name, std::vector<OffloadSpec> offloads,
   sim.add(this);
 }
 
-void ManycoreNic::inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                            TenantId tenant) {
-  MessagePtr msg = admit(std::move(frame), now, tenant);
+void ManycoreNic::admit(MessagePtr msg, Cycle now) {
   std::size_t core;
   if (config_.dispatch == ManycoreNicConfig::Dispatch::kFlowHash) {
     const std::uint64_t h =

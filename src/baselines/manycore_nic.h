@@ -31,18 +31,18 @@ class ManycoreNic : public Component, public NicModel {
   ManycoreNic(std::string name, std::vector<OffloadSpec> offloads,
               const ManycoreNicConfig& config, Simulator& sim);
 
-  /// Refused (fate kDropped) when the chosen core's queue is full.
-  void inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                 TenantId tenant);
-
   /// Publishes `baseline.<name>.*` metrics.
   void register_telemetry(telemetry::Telemetry& t) override;
 
   void tick(Cycle now) override;
 
   /// Quiescence: sleeps until the earliest core/DMA completion; fully
-  /// quiescent when every queue and server is empty (inject_rx wakes it).
+  /// quiescent when every queue and server is empty (deliver_rx wakes it).
   Cycle next_wake(Cycle now) const override;
+
+ protected:
+  /// Refused when the chosen core's queue is full.
+  void admit(MessagePtr msg, Cycle now) override;
 
  private:
   ManycoreNicConfig config_;

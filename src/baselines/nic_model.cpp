@@ -82,19 +82,17 @@ Cycles dma_cycles(const engines::DmaConfig& dma, std::size_t bytes) {
              std::ceil(static_cast<double>(bytes) / dma.bytes_per_cycle));
 }
 
-MessagePtr NicModel::admit(std::vector<std::uint8_t> frame, Cycle now,
-                           TenantId tenant) {
-  auto msg = make_message(MessageKind::kPacket);
-  msg->data = std::move(frame);
+void NicModel::deliver_rx(MessagePtr msg, Cycle now, TenantId tenant) {
+  msg->kind = MessageKind::kPacket;
   msg->tenant = tenant;
   msg->created_at = now;
   msg->nic_ingress_at = now;
   annotate_message(*msg);
-  return msg;
+  admit(std::move(msg), now);
 }
 
 void NicModel::drop(MessagePtr msg) {
-  if (msg != nullptr) msg->set_fate(MessageFate::kDropped);
+  msg->set_fate(MessageFate::kDropped);
   ++dropped_;
 }
 

@@ -1,6 +1,6 @@
-// Common ground of the baseline NIC architectures of §2.3, so the
-// benchmarks can offer identical workloads to PANIC and to each baseline
-// and compare end-to-end behaviour.
+// Common ground of the baseline NIC architectures of §2.3.  Each baseline
+// is an RxPort, as PANIC's Ethernet ports are, so one TrafficSource feeds
+// both sides of a comparison the same frames.
 //
 // Every baseline charges the PANIC engines' own costs: the offload specs
 // read the engines' default configs and cost model
@@ -23,6 +23,7 @@
 #include "engines/dma_engine.h"
 #include "engines/engine.h"
 #include "net/message.h"
+#include "net/rx_port.h"
 #include "sim/component.h"
 #include "telemetry/metrics.h"
 
@@ -101,24 +102,26 @@ class FifoServer {
   Cycle done_at_ = 0;
 };
 
-/// The front end and host side every baseline NIC shares: frames enter as
-/// stamped, annotated packet messages and leave through deliver(), which
-/// records the host latency.  Each NIC keeps its own admission rule.
-class NicModel {
+/// The front end and host side every baseline NIC shares: frames enter
+/// through deliver_rx() as stamped, annotated packet messages and leave
+/// through deliver(), which records the host latency.  Each NIC keeps its
+/// own admission rule.
+class NicModel : public RxPort {
  public:
+  /// Stamps `msg` as `tenant`'s packet, created and entering the NIC at
+  /// `now`, annotates its headers, then hands it to admit().
+  void deliver_rx(MessagePtr msg, Cycle now, TenantId tenant) final;
+
   /// Latency from injection to host delivery.
   const Histogram& host_latency() const { return latency_; }
   std::uint64_t packets_to_host() const { return delivered_; }
   std::uint64_t packets_dropped() const { return dropped_; }
 
  protected:
-  /// `frame` as a packet message of `tenant`, created and entering the NIC
-  /// at `now`, with its headers annotated.
-  static MessagePtr admit(std::vector<std::uint8_t> frame, Cycle now,
-                          TenantId tenant);
-  /// Counts a refused frame; `msg`, when one was already made, dies with
-  /// fate kDropped.
-  void drop(MessagePtr msg = nullptr);
+  /// The NIC's admission rule: queue `msg`, or drop() it.
+  virtual void admit(MessagePtr msg, Cycle now) = 0;
+  /// Counts a refused frame, which dies with fate kDropped.
+  void drop(MessagePtr msg);
   /// Hands `msg` to the host: records its latency and marks it delivered.
   void deliver(MessagePtr msg, Cycle now);
   /// Publishes baseline.<nic>.{delivered,dropped,host_latency}; the NIC's

@@ -24,9 +24,7 @@ bool PipelineNic::stage_push(std::size_t stage, MessagePtr& msg) {
   return true;
 }
 
-void PipelineNic::inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                            TenantId tenant) {
-  MessagePtr msg = admit(std::move(frame), now, tenant);
+void PipelineNic::admit(MessagePtr msg, Cycle now) {
   if (stage_push(0, msg)) {
     request_wake(now);
     return;

@@ -26,10 +26,6 @@ class PipelineNic : public Component, public NicModel {
   PipelineNic(std::string name, std::vector<OffloadSpec> offloads,
               const PipelineNicConfig& config, Simulator& sim);
 
-  /// Refused (fate kDropped) when the first stage's queue is full.
-  void inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                 TenantId tenant);
-
   /// Publishes `baseline.<name>.*` metrics.
   void register_telemetry(telemetry::Telemetry& t) override;
 
@@ -45,6 +41,10 @@ class PipelineNic : public Component, public NicModel {
   /// PANIC engine death for bench_fault_resilience.  Returns false if no
   /// stage has that name.
   bool wedge_stage(const std::string& stage_name);
+
+ protected:
+  /// Refused when the first stage's queue is full.
+  void admit(MessagePtr msg, Cycle now) override;
 
  private:
   struct Stage {

@@ -14,14 +14,12 @@ RmtNic::RmtNic(std::string name, std::vector<OffloadSpec> heavy_offloads,
   sim.add(this);
 }
 
-void RmtNic::inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                       TenantId tenant) {
+void RmtNic::admit(MessagePtr msg, Cycle now) {
   if (in_pipeline_.size() + dma_.queued() >= config_.queue_depth) {
-    drop();
+    drop(std::move(msg));
     return;
   }
-  in_pipeline_.push({admit(std::move(frame), now, tenant),
-                     now + config_.pipeline_latency});
+  in_pipeline_.push({std::move(msg), now + config_.pipeline_latency});
   request_wake(now);
 }
 

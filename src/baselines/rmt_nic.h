@@ -33,13 +33,9 @@ class RmtNic : public Component, public NicModel {
   RmtNic(std::string name, std::vector<OffloadSpec> heavy_offloads,
          const RmtNicConfig& config, Simulator& sim);
 
-  /// Refused before a message is made when the pipeline and the DMA queue
-  /// together hold `queue_depth` packets.  host_latency() is the latency
-  /// to *usable* delivery: DMA completion plus, for punted packets, the
-  /// host software processing time.
-  void inject_rx(std::vector<std::uint8_t> frame, Cycle now,
-                 TenantId tenant);
-
+  /// Packets that paid the host-software penalty.  host_latency() is the
+  /// latency to *usable* delivery: DMA completion plus, for punted
+  /// packets, the host software processing time.
   std::uint64_t packets_punted() const { return punted_; }
 
   /// Publishes `baseline.<name>.*` metrics.
@@ -50,6 +46,11 @@ class RmtNic : public Component, public NicModel {
   /// Quiescence: sleeps until the earliest pipeline exit, DMA completion,
   /// or host-software completion; quiescent when all queues are empty.
   Cycle next_wake(Cycle now) const override;
+
+ protected:
+  /// Refused when the pipeline and the DMA queue together hold
+  /// `queue_depth` packets.
+  void admit(MessagePtr msg, Cycle now) override;
 
  private:
   RmtNicConfig config_;

@@ -111,8 +111,6 @@ void ArgParser::parse(int argc, const char* const* argv) {
              value + "'");
       }
       mode_ = *mode;
-      mode_given_ = true;
-      set_sim_mode(*mode);
       continue;
     }
     const Spec* match = nullptr;
@@ -132,11 +130,6 @@ void ArgParser::parse(int argc, const char* const* argv) {
     if (!match->set(take_value(), &why)) fail("--" + name + ": " + why);
   }
   seed_ = sim_seed();
-}
-
-SimMode ArgParser::sim_mode(SimMode fallback) const {
-  if (mode_given_) return mode_;
-  return requested_sim_mode(fallback);
 }
 
 }  // namespace panic::cli

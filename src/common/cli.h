@@ -79,11 +79,9 @@ class ArgParser {
   std::uint64_t seed() const { return seed_; }
   /// True when the user passed --seed explicitly.
   bool seed_given() const { return seed_given_; }
-  /// The kernel mode to construct: an explicit --mode wins, else
-  /// requested_sim_mode(fallback).
-  SimMode sim_mode(SimMode fallback = SimMode::kEventDriven) const;
-  /// True when the user passed --mode explicitly.
-  bool mode_given() const { return mode_given_; }
+  /// The kernel to construct: --mode's, else the event kernel.  Every
+  /// simulator a binary builds takes this value.
+  SimMode sim_mode() const { return mode_; }
 
   /// Remaining bare tokens, in order (file paths etc.).
   const std::vector<std::string>& positionals() const { return positionals_; }
@@ -112,7 +110,6 @@ class ArgParser {
   std::uint64_t seed_ = 0;
   bool seed_given_ = false;
   SimMode mode_ = SimMode::kEventDriven;
-  bool mode_given_ = false;
   std::vector<std::string> positionals_;
 };
 

@@ -13,7 +13,8 @@ namespace panic {
 inline constexpr std::uint64_t kDefaultSimSeed = 0x9E3779B97F4A7C15ull;
 
 /// The process-wide simulation seed: kDefaultSimSeed unless
-/// set_sim_seed() (a --seed flag or a scenario's `seed` line) changed it.
+/// set_sim_seed() (a --seed flag) changed it.  A scenario's `seed` line
+/// is provenance only and never sets it.
 /// Every reproducible run — faulty or not — is a function of this one
 /// value plus the per-stream seeds below.
 std::uint64_t sim_seed();

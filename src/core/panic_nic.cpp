@@ -272,14 +272,6 @@ PanicNic::PanicNic(const PanicConfig& config, Simulator& sim)
   });
 }
 
-void PanicNic::inject_rx(int port, std::vector<std::uint8_t> frame,
-                         Cycle now, TenantId tenant) {
-  auto msg = make_message(MessageKind::kPacket);
-  msg->data = std::move(frame);
-  eth_ports_[static_cast<std::size_t>(port)]->deliver_rx(std::move(msg), now,
-                                                         now, tenant);
-}
-
 std::uint64_t PanicNic::total_rmt_passes() const {
   std::uint64_t total = 0;
   for (const auto* engine : rmt_engines_) {

@@ -41,6 +41,7 @@ class PanicNic {
   engines::HostMemory& host_memory() { return host_; }
 
   // --- Engine access. ---
+  /// Ethernet port `i`, the NIC's RxPort on that wire (deliver_frame()).
   engines::EthernetPortEngine& eth_port(int i) { return *eth_ports_[i]; }
   int num_eth_ports() const { return static_cast<int>(eth_ports_.size()); }
   RmtEngine& rmt(int i) { return *rmt_engines_[i]; }
@@ -73,10 +74,6 @@ class PanicNic {
   /// Recovery-time telemetry (fault.recovery.*); non-null whenever the
   /// watchdog is (same arming condition).
   fault::RecoveryTracker* recovery_tracker() { return recovery_; }
-
-  /// Delivers a frame into Ethernet port `port` (the wire side).
-  void inject_rx(int port, std::vector<std::uint8_t> frame, Cycle now,
-                 TenantId tenant = TenantId{0});
 
   /// Total heavyweight-pipeline traversals across all RMT engines.
   std::uint64_t total_rmt_passes() const;

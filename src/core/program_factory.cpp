@@ -86,6 +86,7 @@ stage tso {
 std::shared_ptr<const rmt::RmtProgram> build_default_program(
     const PanicConfig& config, const PanicTopology& topo) {
   auto program = std::make_shared<rmt::RmtProgram>();
+  program->tiles = static_cast<std::uint64_t>(config.mesh.k) * config.mesh.k;
   const rmt::SymbolTable names = topo.tile_names();
   std::string error;
   if (!rmt::append_p4lite_stages(*program, default_program(config), names,

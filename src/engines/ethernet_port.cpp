@@ -31,10 +31,10 @@ EthernetPortEngine::EthernetPortEngine(std::string name,
       clock_(clock) {}
 
 void EthernetPortEngine::deliver_rx(MessagePtr msg, Cycle now,
-                                    Cycle created_at, TenantId tenant) {
+                                    TenantId tenant) {
   rx_meter_.add_packet(msg->data.size());
   msg->kind = MessageKind::kPacket;
-  msg->created_at = created_at ? created_at : now;
+  msg->created_at = now;
   msg->nic_ingress_at = now;
   msg->tenant = tenant;
   msg->ingress_port = id();

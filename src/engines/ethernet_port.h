@@ -1,10 +1,10 @@
 // Ethernet MAC port engine.  In PANIC even the MACs are tiles on the mesh
 // (Figure 3c shows "Eth 1" / "Eth 2" tiles).
 //
-// RX: the workload delivers frames via `deliver_rx` in pooled messages;
-// the port sends them to its configured first hop (normally the
-// heavyweight RMT pipeline).  RX pacing is the responsibility of the
-// traffic generator (an open-loop source models the wire).
+// RX: the port is the NIC's RxPort.  The workload delivers frames via
+// `deliver_rx` in pooled messages; the port sends them to its configured
+// first hop (normally the heavyweight RMT pipeline).  RX pacing is the
+// job of the traffic generator (an open-loop source models the wire).
 //
 // TX: messages routed to this tile are transmitted: the engine's service
 // time models wire serialization at the configured line rate, then the
@@ -15,10 +15,11 @@
 
 #include "common/stats.h"
 #include "engines/engine.h"
+#include "net/rx_port.h"
 
 namespace panic::engines {
 
-class EthernetPortEngine : public Engine {
+class EthernetPortEngine : public Engine, public RxPort {
  public:
   using TxSink = std::function<void(const Message&, Cycle)>;
 
@@ -26,12 +27,9 @@ class EthernetPortEngine : public Engine {
                      const EngineConfig& config, DataRate line_rate,
                      Frequency clock);
 
-  /// Delivers one received frame into the NIC: the caller obtained `msg`
-  /// from make_message and wrote the frame bytes into `msg->data`; the
-  /// port stamps and routes it.  `created_at` stamps the workload's
-  /// generation time for end-to-end latency accounting.
-  void deliver_rx(MessagePtr msg, Cycle now, Cycle created_at = 0,
-                  TenantId tenant = TenantId{0});
+  /// Stamps the frame and routes it to its first hop (dropped when no
+  /// route is configured).
+  void deliver_rx(MessagePtr msg, Cycle now, TenantId tenant) override;
 
   /// Observer for transmitted frames.
   void set_tx_sink(TxSink sink) { tx_sink_ = std::move(sink); }

@@ -129,11 +129,19 @@ void apply_action(const Action& action, ActionContext& ctx) {
             EngineId{static_cast<std::uint16_t>(p.imm)},
             static_cast<std::uint32_t>(ctx.phv.get(Field::kMetaSlack)));
         break;
-      case ActionOp::kPushChainHopFromField:
+      case ActionOp::kPushChainHopFromField: {
+        // The field names the hop only at run time: a tile off the mesh
+        // drops the message, as the `drop` action would.
+        const std::uint64_t tile = ctx.phv.get(p.src);
+        if (tile >= ctx.tiles) {
+          ctx.phv.set(Field::kMetaDrop, 1);
+          break;
+        }
         ctx.chain.push_hop(
-            EngineId{static_cast<std::uint16_t>(ctx.phv.get(p.src))},
+            EngineId{static_cast<std::uint16_t>(tile)},
             static_cast<std::uint32_t>(ctx.phv.get(Field::kMetaSlack)));
         break;
+      }
       case ActionOp::kClearChain:
         ctx.chain.clear();
         break;

@@ -92,11 +92,13 @@ class RegisterFile {
 };
 
 /// The side-effect context an action executes against: the PHV, the chain
-/// being built for the message, and the stateful registers.
+/// being built for the message, the stateful registers, and the mesh's
+/// tile count (RmtProgram::tiles).
 struct ActionContext {
   Phv& phv;
   ChainHeader& chain;
   RegisterFile& regs;
+  std::uint64_t tiles = EngineId::kInvalid;
 };
 
 /// Executes every primitive of `action` in order.

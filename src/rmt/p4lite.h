@@ -41,7 +41,8 @@
 //     included as spare<N>);
 //   * actions: set_slack(n), set(field, n), copy(dst, src),
 //     set_expr(dst, expression), lb(dst, f1, f2, buckets),
-//     chain(engine, ...), chain_from(field), clear_chain, drop,
+//     chain(engine, ...), chain_from(field) (a tile off the mesh drops
+//     the message), clear_chain, drop,
 //     reg_add(dst, reg, index_field, delta) with reg in 0..15.
 //
 // The compiler reports errors with line numbers; `compile` returns

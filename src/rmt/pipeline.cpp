@@ -122,7 +122,7 @@ ProcessResult Pipeline::process(Message& msg) {
   // The pipeline recomputes the route: any hops remaining from a previous
   // pass were consumed up to this point; actions build the new chain.
   chain_scratch_.clear();
-  ActionContext ctx{phv, chain_scratch_, regs_};
+  ActionContext ctx{phv, chain_scratch_, regs_, program_->tiles};
   const bool capture = cache_ != nullptr && cache_->active();
   if (capture) matched_scratch_.clear();
   for (const Stage& stage : program_->stages) {

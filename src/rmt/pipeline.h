@@ -32,6 +32,8 @@ struct Stage {
 struct RmtProgram {
   Parser parser;
   std::vector<Stage> stages;
+  /// Tiles of the mesh the program was compiled for (EngineIds below it).
+  std::uint64_t tiles = EngineId::kInvalid;
 
   /// Adds a stage and returns a reference for adding tables.
   Stage& add_stage(const std::string& name) {

@@ -151,7 +151,8 @@ void ScenarioRun::schedule_frames() {
   // scheduling order, so a scenario's frame sequence is reproducible.
   for (const InjectSpec& spec : scenario_.injects) {
     sim_.schedule_at(spec.at, [this, spec] {
-      nic_->inject_rx(spec.port, build_inject_frame(spec), sim_.now());
+      deliver_frame(nic_->eth_port(spec.port), build_inject_frame(spec),
+                    sim_.now());
     });
   }
   for (const HostTxSpec& spec : scenario_.host_txs) {

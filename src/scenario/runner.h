@@ -30,7 +30,7 @@ namespace panic::scenario {
 Ipv4Addr default_client_addr(std::uint16_t tenant);
 
 struct RunOptions {
-  /// Kernel to execute under; pick scenario.mode (or a CLI override).
+  /// Kernel to execute under (panic_run's --mode).
   SimMode mode = SimMode::kEventDriven;
   /// Non-empty: enable the per-message tracer and write chrome://tracing
   /// JSON here after the run.

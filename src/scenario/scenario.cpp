@@ -755,8 +755,6 @@ const std::vector<Field<Scenario>>& scenario_fields() {
       number("warmup", &S::warmup_cycles, kIfChanged,
              "cycles before the measured window"),
       budget_key(),
-      choice("mode", &S::mode, kSimModeNames, kIfChanged,
-             "default kernel; panic_run --mode overrides"),
       tenant_entries(
           "slack", [](auto& s) -> auto& { return s.tenant_slacks; }, {},
           /*sorted=*/false, "(none)",

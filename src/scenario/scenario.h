@@ -1,7 +1,7 @@
 // The one scenario language: a complete, self-describing PANIC design
 // point — mesh dimensions, engine mix, chain program, scheduling policy,
-// workload sources, timed injections, fault plan, seed and kernel mode —
-// in a single declarative text file that every runner shares:
+// workload sources, timed injections, fault plan and seed — in a single
+// declarative text file that every runner shares:
 //
 //   * `panic_run <file>` executes it under any kernel and emits result
 //     JSON (tools/panic_run);
@@ -28,7 +28,6 @@
 //   sched slack                # slack | fifo | wfq | stfq | edf | prio
 //   weight 1 4                 # wfq weight for tenant 1 (default 1)
 //   drop arrival               # arrival | evict
-//   mode event                 # dense | event (CLI overrides)
 //   warmup 0                   # cycles before the measured window
 //   budget 50000               # measured cycles
 //   slack <tenant> <slack>
@@ -55,7 +54,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sim_mode.h"
 #include "common/units.h"
 #include "core/panic_config.h"
 #include "fault/fault_plan.h"
@@ -116,7 +114,7 @@ struct WorkloadSpec {
 };
 
 /// One hand-placed frame delivered into an Ethernet port at an exact
-/// cycle (the scenario-file form of PanicNic::inject_rx between runs —
+/// cycle (the scenario-file form of deliver_frame() between runs —
 /// scheduled through the event queue, so cycle-identical in every
 /// kernel).
 struct InjectSpec {
@@ -217,8 +215,6 @@ struct Scenario {
   Cycles warmup_cycles = 0;
   /// Measured cycles (after warmup).
   Cycles budget_cycles = 50000;
-  /// The kernel this scenario runs under by default; --mode overrides.
-  SimMode mode = SimMode::kEventDriven;
 
   std::vector<WorkloadSpec> workloads;
   std::vector<InjectSpec> injects;

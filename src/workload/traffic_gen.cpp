@@ -8,10 +8,8 @@
 
 namespace panic::workload {
 
-TrafficSource::TrafficSource(std::string name,
-                             engines::EthernetPortEngine* port,
-                             FrameFiller filler,
-                             const TrafficConfig& config)
+TrafficSource::TrafficSource(std::string name, RxPort* port,
+                             FrameFiller filler, const TrafficConfig& config)
     : Component(std::move(name)),
       port_(port),
       filler_(std::move(filler)),
@@ -62,7 +60,7 @@ void TrafficSource::tick(Cycle now) {
   while (!done() && next_emit_ <= static_cast<double>(now)) {
     auto msg = make_message(MessageKind::kPacket);
     filler_(rng_, generated_, msg->data);
-    port_->deliver_rx(std::move(msg), now, now, config_.tenant);
+    port_->deliver_rx(std::move(msg), now, config_.tenant);
     ++generated_;
     schedule_next(now);
   }

@@ -1,5 +1,6 @@
-// Open-loop traffic sources.  A source models the wire feeding an Ethernet
-// port: it generates frames on its own clock (constant-rate, Poisson, or
+// Open-loop traffic sources.  A source models the wire feeding a NIC's
+// RxPort (a PANIC Ethernet port or a baseline NIC's front end): it
+// generates frames on its own clock (constant-rate, Poisson, or
 // bursty on/off) regardless of NIC backpressure — exactly how line-rate
 // ingress behaves.
 #pragma once
@@ -11,7 +12,7 @@
 #include "common/codec.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "engines/ethernet_port.h"
+#include "net/rx_port.h"
 #include "sim/component.h"
 
 namespace panic::workload {
@@ -57,8 +58,8 @@ using FrameFactory =
 class TrafficSource : public Component {
  public:
   /// Each frame is written by `filler` into a pooled message buffer.
-  TrafficSource(std::string name, engines::EthernetPortEngine* port,
-                FrameFiller filler, const TrafficConfig& config);
+  TrafficSource(std::string name, RxPort* port, FrameFiller filler,
+                const TrafficConfig& config);
 
   void tick(Cycle now) override;
 
@@ -77,7 +78,7 @@ class TrafficSource : public Component {
  private:
   void schedule_next(Cycle now);
 
-  engines::EthernetPortEngine* port_;
+  RxPort* port_;
   FrameFiller filler_;
   TrafficConfig config_;
   Rng rng_;

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "baselines/manycore_nic.h"
 #include "baselines/pipeline_nic.h"
 #include "baselines/rmt_nic.h"
 #include "engines/checksum_engine.h"
 #include "engines/compression_engine.h"
 #include "engines/ipsec_engine.h"
+#include "fault/invariants.h"
 #include "net/packet.h"
 #include "noc/mesh.h"
+#include "workload/kvs_workload.h"
+#include "workload/traffic_gen.h"
 
 namespace panic::baselines {
 namespace {
@@ -106,7 +112,7 @@ TEST(PipelineNicTest, DeliversAndRecordsLatency) {
   Simulator sim;
   PipelineNic nic("pipe", {checksum_offload_spec()}, PipelineNicConfig{},
                   sim);
-  nic.inject_rx(plain_frame(), sim.now(), TenantId{0});
+  deliver_frame(nic, plain_frame(), sim.now());
   ASSERT_TRUE(
       sim.run_until([&] { return nic.packets_to_host() == 1; }, 10000));
   EXPECT_EQ(nic.host_latency().count(), 1u);
@@ -120,9 +126,9 @@ TEST(PipelineNicTest, SlowOffloadHolBlocksUnrelatedTraffic) {
   PipelineNicConfig cfg;
   PipelineNic nic("pipe", {slow_offload_spec(5000, 7777)}, cfg, sim);
 
-  nic.inject_rx(slow_frame(7777), sim.now(), TenantId{0});
+  deliver_frame(nic, slow_frame(7777), sim.now());
   for (int i = 0; i < 5; ++i) {
-    nic.inject_rx(plain_frame(), sim.now(), TenantId{0});
+    deliver_frame(nic, plain_frame(), sim.now());
   }
   ASSERT_TRUE(
       sim.run_until([&] { return nic.packets_to_host() == 6; }, 100000));
@@ -139,7 +145,7 @@ TEST(PipelineNicTest, BackpressurePropagatesNotDrops) {
   // models a MAC with finite buffering).
   int accepted = 0;
   for (int i = 0; i < 50; ++i) {
-    nic.inject_rx(slow_frame(7777), sim.now(), TenantId{0});
+    deliver_frame(nic, slow_frame(7777), sim.now());
     sim.run(10);
   }
   sim.run(100000);
@@ -154,7 +160,7 @@ TEST(ManycoreNicTest, OrchestrationLatencyFloor) {
   cfg.orchestration_cycles = 5000;  // the paper's 10 us @ 500 MHz
   ManycoreNic nic("mc", {checksum_offload_spec()}, cfg, sim);
 
-  nic.inject_rx(plain_frame(), sim.now(), TenantId{0});
+  deliver_frame(nic, plain_frame(), sim.now());
   ASSERT_TRUE(
       sim.run_until([&] { return nic.packets_to_host() == 1; }, 100000));
   // Latency is dominated by the embedded-core orchestration overhead.
@@ -169,7 +175,7 @@ TEST(ManycoreNicTest, CoresProcessInParallel) {
   ManycoreNic nic("mc", {}, cfg, sim);
 
   for (int i = 0; i < 8; ++i) {
-    nic.inject_rx(plain_frame(), sim.now(), TenantId{0});
+    deliver_frame(nic, plain_frame(), sim.now());
   }
   ASSERT_TRUE(
       sim.run_until([&] { return nic.packets_to_host() == 8; }, 100000));
@@ -186,7 +192,7 @@ TEST(ManycoreNicTest, FlowHashPinsFlows) {
   cfg.orchestration_cycles = 100;
   ManycoreNic nic("mc", {}, cfg, sim);
   for (int i = 0; i < 12; ++i) {
-    nic.inject_rx(plain_frame(), sim.now(), TenantId{0});  // same flow
+    deliver_frame(nic, plain_frame(), sim.now());  // same flow
     sim.run(1);
   }
   ASSERT_TRUE(
@@ -198,7 +204,7 @@ TEST(ManycoreNicTest, FlowHashPinsFlows) {
 TEST(RmtNicTest, SimpleTrafficIsFast) {
   Simulator sim;
   RmtNic nic("rmt", {ipsec_offload_spec()}, RmtNicConfig{}, sim);
-  nic.inject_rx(plain_frame(), sim.now(), TenantId{0});
+  deliver_frame(nic, plain_frame(), sim.now());
   ASSERT_TRUE(
       sim.run_until([&] { return nic.packets_to_host() == 1; }, 10000));
   // Pipeline latency + DMA only: far below any software path.
@@ -212,8 +218,8 @@ TEST(RmtNicTest, HeavyOffloadTrafficPuntedToHostSoftware) {
   cfg.host_software_cycles = 10000;
   RmtNic nic("rmt", {ipsec_offload_spec()}, cfg, sim);
 
-  nic.inject_rx(engines::IpsecEngine::encapsulate(plain_frame(), 1, 1),
-                sim.now(), TenantId{0});
+  deliver_frame(nic, engines::IpsecEngine::encapsulate(plain_frame(), 1, 1),
+                sim.now());
   ASSERT_TRUE(
       sim.run_until([&] { return nic.packets_to_host() == 1; }, 100000));
   EXPECT_EQ(nic.packets_punted(), 1u);
@@ -223,12 +229,94 @@ TEST(RmtNicTest, HeavyOffloadTrafficPuntedToHostSoftware) {
 TEST(RmtNicTest, MixedTrafficSplitsByNeed) {
   Simulator sim;
   RmtNic nic("rmt", {ipsec_offload_spec()}, RmtNicConfig{}, sim);
-  nic.inject_rx(plain_frame(), sim.now(), TenantId{0});
-  nic.inject_rx(engines::IpsecEngine::encapsulate(plain_frame(), 1, 1),
-                sim.now(), TenantId{0});
+  deliver_frame(nic, plain_frame(), sim.now());
+  deliver_frame(nic, engines::IpsecEngine::encapsulate(plain_frame(), 1, 1),
+                sim.now());
   ASSERT_TRUE(
       sim.run_until([&] { return nic.packets_to_host() == 2; }, 100000));
   EXPECT_EQ(nic.packets_punted(), 1u);
+}
+
+TEST(RmtNicTest, RefusedFrameIsCreatedAndDropped) {
+  // A refusal is a message with fate kDropped, as on the other baselines:
+  // the conservation ledger sees it created and dropped.
+  fault::ConservationChecker ledger;
+  Simulator sim;
+  RmtNicConfig cfg;
+  cfg.queue_depth = 1;
+  RmtNic nic("rmt", {}, cfg, sim);
+  deliver_frame(nic, plain_frame(), sim.now());
+  deliver_frame(nic, plain_frame(), sim.now());  // the queue is full
+  ASSERT_TRUE(
+      sim.run_until([&] { return nic.packets_to_host() == 1; }, 10000));
+  EXPECT_EQ(nic.packets_dropped(), 1u);
+  const auto d = ledger.delta();
+  EXPECT_EQ(d.created, 2);
+  EXPECT_EQ(d.delivered, 1);
+  EXPECT_EQ(d.dropped, 1);
+  EXPECT_TRUE(d.conserved()) << d.to_string();
+}
+
+/// One baseline as the front-door tests build it.
+struct Baseline {
+  const char* name;
+  std::function<std::unique_ptr<NicModel>(Simulator&)> build;
+};
+
+const Baseline kBaselines[] = {
+    {"pipe",
+     [](Simulator& sim) -> std::unique_ptr<NicModel> {
+       return std::make_unique<PipelineNic>(
+           "pipe", std::vector{checksum_offload_spec()}, PipelineNicConfig{},
+           sim);
+     }},
+    {"mc",
+     [](Simulator& sim) -> std::unique_ptr<NicModel> {
+       return std::make_unique<ManycoreNic>(
+           "mc", std::vector{checksum_offload_spec()}, ManycoreNicConfig{},
+           sim);
+     }},
+    {"rmt",
+     [](Simulator& sim) -> std::unique_ptr<NicModel> {
+       return std::make_unique<RmtNic>("rmt",
+                                       std::vector{ipsec_offload_spec()},
+                                       RmtNicConfig{}, sim);
+     }},
+};
+
+/// `b` fed by a TrafficSource at light load (Poisson, one frame per 2000
+/// cycles on average), run until long after the last frame.
+telemetry::MetricsSnapshot light_load(const Baseline& b, SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
+  const std::unique_ptr<NicModel> nic = b.build(sim);
+  workload::TrafficConfig tcfg;
+  tcfg.pattern = workload::ArrivalPattern::kPoisson;
+  tcfg.mean_gap_cycles = 2000;
+  tcfg.max_frames = 40;
+  workload::TrafficSource src(
+      "light", nic.get(),
+      workload::make_udp_filler(kClient, kServer, 256, 80, 8), tcfg);
+  sim.add(&src);
+  sim.run(200000);
+  return sim.snapshot();
+}
+
+TEST(BaselineFrontDoor, TrafficSourceFeedsEveryBaseline) {
+  for (const Baseline& b : kBaselines) {
+    SCOPED_TRACE(b.name);
+    const auto event = light_load(b, SimMode::kEventDriven);
+    const std::string prefix = std::string("baseline.") + b.name + ".";
+    EXPECT_EQ(event.counter("workload.light.generated"), 40u);
+    EXPECT_EQ(event.counter(prefix + "delivered"),
+              event.counter("workload.light.generated"));
+    EXPECT_EQ(event.counter(prefix + "dropped"), 0u);
+    const auto diffs = event.diff_names(
+        light_load(b, SimMode::kStrictTick), [](const std::string& name) {
+          return name.rfind("kernel.", 0) == 0;
+        });
+    EXPECT_TRUE(diffs.empty()) << diffs.size() << " metrics differ, first: "
+                               << diffs.front();
+  }
 }
 
 }  // namespace

@@ -49,15 +49,17 @@ TEST_P(ConfigSweep, KvsHitPathWorksEndToEnd) {
       [&](const Message& msg, Cycle) { tx.push_back(msg.data); });
 
   // Plain packet to the host.
-  nic.inject_rx(0, frames::min_udp(client, server), sim.now());
+  deliver_frame(nic.eth_port(0), frames::min_udp(client, server), sim.now());
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() >= 1; }, 100000));
 
   // SET then GET: the reply must leave the wire with the right payload.
-  nic.inject_rx(0, frames::kvs_set(client, server, 1, 99, 1, 48), sim.now());
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_set(client, server, 1, 99, 1, 48), sim.now());
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() >= 2; }, 100000));
-  nic.inject_rx(0, frames::kvs_get(client, server, 1, 99, 2), sim.now());
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_get(client, server, 1, 99, 2), sim.now());
   ASSERT_TRUE(sim.run_until([&] { return !tx.empty(); }, 300000));
 
   EXPECT_EQ(nic.kvs().hits(), 1u);
@@ -101,26 +103,26 @@ TEST(FailureInjection, MalformedFramesAreContained) {
   // 1. Truncated mid-IPv4.
   auto truncated = frames::min_udp(client, server);
   truncated.resize(20);
-  nic.inject_rx(0, truncated, sim.now());
+  deliver_frame(nic.eth_port(0), truncated, sim.now());
 
   // 2. Garbage bytes.
   std::vector<std::uint8_t> garbage(64);
   for (std::size_t i = 0; i < garbage.size(); ++i) {
     garbage[i] = static_cast<std::uint8_t>(i * 37 + 11);
   }
-  nic.inject_rx(0, garbage, sim.now());
+  deliver_frame(nic.eth_port(0), garbage, sim.now());
 
   // 3. ESP frame with a corrupted tag (auth failure at the IPSec engine).
   auto esp = engines::IpsecEngine::encapsulate(
       frames::min_udp(client, server), 0x1001, 1);
   esp.back() ^= 0x5A;
-  nic.inject_rx(0, esp, sim.now());
+  deliver_frame(nic.eth_port(0), esp, sim.now());
 
   // 4. KVS magic corrupted: parses as plain UDP, so it goes to the host.
   auto bad_kvs = frames::kvs_get(client, server, 1, 5, 1);
   bad_kvs[EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize] ^=
       0xFF;
-  nic.inject_rx(0, bad_kvs, sim.now());
+  deliver_frame(nic.eth_port(0), bad_kvs, sim.now());
 
   sim.run(100000);
   // The corrupted-magic frame lands at the host as opaque UDP, and the
@@ -133,7 +135,7 @@ TEST(FailureInjection, MalformedFramesAreContained) {
             1u);
 
   // The NIC still works.
-  nic.inject_rx(0, frames::min_udp(client, server), sim.now());
+  deliver_frame(nic.eth_port(0), frames::min_udp(client, server), sim.now());
   EXPECT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() >= 3; }, 100000));
 }

@@ -128,7 +128,8 @@ TEST(PanicNic, PlainPacketDeliveredToHost) {
   Simulator sim;
   PanicNic nic(small_config(), sim);
 
-  nic.inject_rx(0, frames::min_udp(kLanClient, kServer), sim.now());
+  deliver_frame(nic.eth_port(0),
+                frames::min_udp(kLanClient, kServer), sim.now());
   const bool done = sim.run_until(
       [&] { return nic.dma().packets_to_host() == 1; }, 50000);
   ASSERT_TRUE(done);
@@ -147,7 +148,8 @@ TEST(PanicNic, InterruptsAreCoalescedUnderBursts) {
   Simulator sim;
   PanicNic nic(small_config(), sim);
   for (int i = 0; i < 20; ++i) {
-    nic.inject_rx(0, frames::min_udp(kLanClient, kServer), sim.now());
+    deliver_frame(nic.eth_port(0),
+                  frames::min_udp(kLanClient, kServer), sim.now());
   }
   sim.run_until([&] { return nic.dma().packets_to_host() == 20; }, 200000);
   sim.run(2000);
@@ -162,7 +164,7 @@ TEST(PanicNic, KvsGetMissGoesToHost) {
   Simulator sim;
   PanicNic nic(small_config(), sim);
 
-  nic.inject_rx(0, frames::kvs_get(kLanClient, kServer, 1, 42, 1),
+  deliver_frame(nic.eth_port(0), frames::kvs_get(kLanClient, kServer, 1, 42, 1),
                 sim.now());
   const bool done = sim.run_until(
       [&] { return nic.dma().packets_to_host() == 1; }, 50000);
@@ -180,7 +182,8 @@ TEST(PanicNic, KvsGetHitRepliesFromNicWithoutHostDelivery) {
       [&](const Message& msg, Cycle) { tx_frames.push_back(msg.data); });
 
   // Install the value: a SET travels kvs -> host log.
-  nic.inject_rx(0, frames::kvs_set(kLanClient, kServer, 1, 42, 1, 100),
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_set(kLanClient, kServer, 1, 42, 1, 100),
                 sim.now());
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() == 1; }, 50000));
@@ -188,7 +191,7 @@ TEST(PanicNic, KvsGetHitRepliesFromNicWithoutHostDelivery) {
 
   // GET hits the location cache: RDMA reads the value and the reply goes
   // out the ingress port; the request never reaches the host.
-  nic.inject_rx(0, frames::kvs_get(kLanClient, kServer, 1, 42, 2),
+  deliver_frame(nic.eth_port(0), frames::kvs_get(kLanClient, kServer, 1, 42, 2),
                 sim.now());
   ASSERT_TRUE(sim.run_until([&] { return !tx_frames.empty(); }, 100000));
 
@@ -214,7 +217,8 @@ TEST(PanicNic, EspPacketTakesTwoRmtPasses) {
   PanicNic nic(small_config(), sim);
 
   const auto inner = frames::min_udp(kLanClient, kServer);
-  nic.inject_rx(0, engines::IpsecEngine::encapsulate(inner, 0x1001, 1),
+  deliver_frame(nic.eth_port(0),
+                engines::IpsecEngine::encapsulate(inner, 0x1001, 1),
                 sim.now());
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() == 1; }, 100000));
@@ -232,12 +236,14 @@ TEST(PanicNic, WanReplyIsEncrypted) {
   nic.eth_port(0).set_tx_sink(
       [&](const Message& msg, Cycle) { tx_frames.push_back(msg.data); });
 
-  nic.inject_rx(0, frames::kvs_set(kWanClient, kServer, 1, 7, 1, 64),
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_set(kWanClient, kServer, 1, 7, 1, 64),
                 sim.now());
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() == 1; }, 50000));
 
-  nic.inject_rx(0, frames::kvs_get(kWanClient, kServer, 1, 7, 2), sim.now());
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_get(kWanClient, kServer, 1, 7, 2), sim.now());
   ASSERT_TRUE(sim.run_until([&] { return !tx_frames.empty(); }, 200000));
 
   EXPECT_EQ(nic.ipsec_tx().encrypted(), 1u);
@@ -262,10 +268,12 @@ TEST(PanicNic, LanReplyIsNotEncrypted) {
   nic.eth_port(0).set_tx_sink(
       [&](const Message& msg, Cycle) { tx_frames.push_back(msg.data); });
 
-  nic.inject_rx(0, frames::kvs_set(kLanClient, kServer, 1, 7, 1, 64),
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_set(kLanClient, kServer, 1, 7, 1, 64),
                 sim.now());
   sim.run_until([&] { return nic.dma().packets_to_host() == 1; }, 50000);
-  nic.inject_rx(0, frames::kvs_get(kLanClient, kServer, 1, 7, 2), sim.now());
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_get(kLanClient, kServer, 1, 7, 2), sim.now());
   ASSERT_TRUE(sim.run_until([&] { return !tx_frames.empty(); }, 200000));
 
   EXPECT_EQ(nic.ipsec_tx().encrypted(), 0u);
@@ -285,14 +293,16 @@ TEST(PanicNic, EncryptedWanKvsFullPath) {
       [&](const Message& msg, Cycle) { tx_frames.push_back(msg.data); });
 
   // Warm the cache with a clear SET from the WAN client.
-  nic.inject_rx(0, frames::kvs_set(kWanClient, kServer, 1, 9, 1, 32),
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_set(kWanClient, kServer, 1, 9, 1, 32),
                 sim.now());
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() == 1; }, 50000));
 
   // Encrypted GET.
   const auto get = frames::kvs_get(kWanClient, kServer, 1, 9, 2);
-  nic.inject_rx(0, engines::IpsecEngine::encapsulate(get, 0x1001, 5),
+  deliver_frame(nic.eth_port(0),
+                engines::IpsecEngine::encapsulate(get, 0x1001, 5),
                 sim.now());
   ASSERT_TRUE(sim.run_until([&] { return !tx_frames.empty(); }, 300000));
 
@@ -320,9 +330,10 @@ TEST(PanicNic, CustomProgramEntryDrops) {
   Simulator sim;
   PanicNic nic(cfg, sim);
 
-  nic.inject_rx(0, frames::min_udp(kLanClient, kServer, 1234, 666),
+  deliver_frame(nic.eth_port(0),
+                frames::min_udp(kLanClient, kServer, 1234, 666),
                 sim.now());
-  nic.inject_rx(0, frames::min_udp(kLanClient, kServer, 1234, 80),
+  deliver_frame(nic.eth_port(0), frames::min_udp(kLanClient, kServer, 1234, 80),
                 sim.now());
   sim.run_until([&] { return nic.dma().packets_to_host() == 1; }, 50000);
   sim.run(5000);
@@ -334,8 +345,10 @@ TEST(PanicNic, CustomProgramEntryDrops) {
 TEST(PanicNic, MultiplePortsSpreadAcrossRmtEngines) {
   Simulator sim;
   PanicNic nic(small_config(), sim);
-  nic.inject_rx(0, frames::min_udp(kLanClient, kServer), sim.now());
-  nic.inject_rx(1, frames::min_udp(kLanClient, kServer), sim.now());
+  deliver_frame(nic.eth_port(0),
+                frames::min_udp(kLanClient, kServer), sim.now());
+  deliver_frame(nic.eth_port(1),
+                frames::min_udp(kLanClient, kServer), sim.now());
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() == 2; }, 50000));
   // Each port homes to a different RMT engine (round-robin assignment).
@@ -354,13 +367,15 @@ TEST(PanicNic, TenantSlackAffectsSchedulingOrder) {
 
   // Queue up bulk tenant-2 packets.
   for (int i = 0; i < 8; ++i) {
-    nic.inject_rx(0, frames::kvs_get(kLanClient, kServer, 2, 1000 + i, i),
+    deliver_frame(nic.eth_port(0),
+                  frames::kvs_get(kLanClient, kServer, 2, 1000 + i, i),
                   sim.now(), TenantId{2});
   }
   sim.run(200);  // let them reach the DMA queue
   // Now a tenant-1 (latency-critical) packet arrives.
-  nic.inject_rx(0, frames::kvs_get(kLanClient, kServer, 1, 1, 99),
-                sim.now(), TenantId{1});
+  deliver_frame(nic.eth_port(0),
+                frames::kvs_get(kLanClient, kServer, 1, 1, 99), sim.now(),
+                TenantId{1});
 
   ASSERT_TRUE(sim.run_until(
       [&] { return nic.dma().packets_to_host() >= 9; }, 300000));

@@ -191,7 +191,8 @@ TEST(TxPath, RxAndTxConcurrently) {
   // Full duplex: RX traffic to the host while the host transmits.
   TxFixture f;
   for (int i = 0; i < 10; ++i) {
-    f.nic.inject_rx(0, frames::min_udp(kLanPeer, kServer), f.sim.now());
+    deliver_frame(f.nic.eth_port(0),
+                  frames::min_udp(kLanPeer, kServer), f.sim.now());
     const auto frame = FrameBuilder()
                            .eth(*MacAddr::parse("02:00:00:00:00:02"),
                                 *MacAddr::parse("02:00:00:00:00:01"))

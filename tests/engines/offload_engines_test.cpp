@@ -314,7 +314,7 @@ TEST(EthernetPortTest, RxRoutesToDefaultAndMeters) {
 
   auto frame = make_message(MessageKind::kPacket);
   frame->data = frames::min_udp(kSrc, kDst);
-  port.deliver_rx(std::move(frame), m.sim.now(), 0, TenantId{4});
+  port.deliver_rx(std::move(frame), m.sim.now(), TenantId{4});
   const auto got = m.collect(rmt_tile);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->tenant.value, 4);

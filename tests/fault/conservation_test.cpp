@@ -115,7 +115,7 @@ TEST(Conservation, CleanPanicNicRunConservesEveryMessage) {
     for (int i = 0; i < 40; ++i) {
       sim.schedule_at(1 + static_cast<Cycle>(i) * 25, [&sim, &nic, client,
                                                        server, i] {
-        nic.inject_rx(0,
+        deliver_frame(nic.eth_port(0),
                       frames::min_udp(client, server,
                                       static_cast<std::uint16_t>(30000 + i),
                                       static_cast<std::uint16_t>(

@@ -50,7 +50,7 @@ void inject_stream(Simulator& sim, core::PanicNic& nic, int frames,
                    Cycle gap, std::uint16_t dport = kAuxPort) {
   for (int i = 0; i < frames; ++i) {
     sim.schedule_at(1 + static_cast<Cycle>(i) * gap, [&sim, &nic, i, dport] {
-      nic.inject_rx(0,
+      deliver_frame(nic.eth_port(0),
                     frames::min_udp(kClient, kServer,
                                     static_cast<std::uint16_t>(40000 + i),
                                     dport),

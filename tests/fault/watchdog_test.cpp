@@ -116,7 +116,7 @@ TEST(Watchdog, CreditLeakWedgesMeshPortAndIsDetected) {
   for (int i = 0; i < 20; ++i) {
     sim.schedule_at(1 + static_cast<Cycle>(i) * 50, [&sim, &nic, client,
                                                      server, i] {
-      nic.inject_rx(0,
+      deliver_frame(nic.eth_port(0),
                     frames::min_udp(client, server,
                                     static_cast<std::uint16_t>(40000 + i)),
                     sim.now());

@@ -72,6 +72,24 @@ TEST(Action, PushHopFromField) {
   EXPECT_EQ(f.chain.hops()[0].slack, 7u);
 }
 
+TEST(Action, PushHopFromFieldOffTheMeshDrops) {
+  // A 4x4 mesh: tile 15 is the last hop a field may name; 16 and a value
+  // that would wrap the 16-bit engine id to tile 0 mark the message
+  // dropped instead.
+  for (const std::uint64_t tile : {15ull, 16ull, 65536ull}) {
+    SCOPED_TRACE(tile);
+    ActionFixture f;
+    f.ctx.tiles = 16;
+    f.phv.set_parsed(Field::kMetaQueue, tile);
+    Action a("a");
+    a.push_hop_from(Field::kMetaQueue);
+    apply_action(a, f.ctx);
+    const bool on_mesh = tile < 16;
+    EXPECT_EQ(f.chain.total_hops(), on_mesh ? 1u : 0u);
+    EXPECT_EQ(f.phv.get(Field::kMetaDrop), on_mesh ? 0u : 1u);
+  }
+}
+
 TEST(Action, ClearChain) {
   ActionFixture f;
   Action a("a");

@@ -17,6 +17,7 @@
 
 #include "core/panic_config.h"
 #include "core/panic_nic.h"
+#include "fault/invariants.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
 
@@ -48,13 +49,16 @@ telemetry::MetricsSnapshot run_hand_built(SimMode mode, Cycle budget,
   const Ipv4Addr src(10, 1, 0, 2);
   const Ipv4Addr dst(10, 0, 0, 1);
   sim.schedule_at(0, [&] {
-    nic.inject_rx(0, frames::min_udp(src, dst, 40000, 9), sim.now());
+    deliver_frame(nic.eth_port(0),
+                  frames::min_udp(src, dst, 40000, 9), sim.now());
   });
   sim.schedule_at(0, [&] {
-    nic.inject_rx(0, frames::kvs_set(src, dst, 1, 7, 1, 64), sim.now());
+    deliver_frame(nic.eth_port(0),
+                  frames::kvs_set(src, dst, 1, 7, 1, 64), sim.now());
   });
   sim.schedule_at(2000, [&] {
-    nic.inject_rx(0, frames::kvs_get(src, dst, 1, 7, 2), sim.now());
+    deliver_frame(nic.eth_port(0),
+                  frames::kvs_get(src, dst, 1, 7, 2), sim.now());
   });
 
   sim.run(budget);
@@ -88,6 +92,42 @@ TEST(ScenarioRunner, MatchesHandBuiltReplicaInBothKernels) {
     EXPECT_EQ(o.delivered, hand.counter("engine.dma.packets_to_host"));
     EXPECT_EQ(o.flits_routed,
               static_cast<std::uint64_t>(hand.value("noc.flits_routed")));
+  }
+}
+
+TEST(ScenarioRunner, ChainFromOffTheMeshIsAProgramDrop) {
+  // chain_from reads its hop from a field, so only the RMT tile can check
+  // it: a tile past the 4x4 mesh is a program drop, not a message that
+  // routers stall on.
+  Scenario s = load_quickstart();
+  s.program = R"(
+stage off_mesh {
+  table t ternary(meta.msg_kind) {
+    0 prio 1 -> set(meta.queue, 999), clear_chain, chain_from(meta.queue);
+  }
+}
+)";
+  for (const SimMode mode : {SimMode::kStrictTick, SimMode::kEventDriven}) {
+    SCOPED_TRACE(panic::to_string(mode));
+    fault::ConservationChecker ledger;
+    RunOptions opts;
+    opts.mode = mode;
+    ScenarioRun run(s, opts);
+    run.run_all();
+    const auto snap = run.sim().snapshot();
+    EXPECT_EQ(snap.counter("rmt.rmt0.dropped") +
+                  snap.counter("rmt.rmt1.dropped"),
+              3u);
+    std::uint64_t stalls = 0;
+    for (int t = 0; t < 16; ++t) {
+      stalls += snap.counter("noc.router." + std::to_string(t) +
+                             ".stall_cycles");
+    }
+    EXPECT_EQ(stalls, 0u);
+    const auto d = ledger.delta();
+    EXPECT_EQ(d.created, 3);
+    EXPECT_EQ(d.dropped, 3);
+    EXPECT_TRUE(d.conserved()) << d.to_string();
   }
 }
 

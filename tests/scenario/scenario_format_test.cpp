@@ -40,7 +40,6 @@ Scenario make_full_scenario() {
   s.pool_reserve = 4096;
   s.warmup_cycles = 1000;
   s.budget_cycles = 30000;
-  s.mode = SimMode::kStrictTick;
 
   WorkloadSpec udp;
   udp.name = "bulk";
@@ -144,7 +143,6 @@ TEST(ScenarioFormat, SerializeParseIsByteIdenticalFixpoint) {
   // Spot-check that the reparse reconstructed the struct, not just the
   // text (kind-conditional keys are where round-trips usually break).
   EXPECT_EQ(parsed->name, "format_full");
-  EXPECT_EQ(parsed->mode, SimMode::kStrictTick);
   EXPECT_EQ(parsed->tenant_slacks, s.tenant_slacks);
   EXPECT_TRUE(parsed->rmt_cache_enabled);
   EXPECT_EQ(parsed->rmt_cache_sets, 32u);
@@ -175,7 +173,6 @@ TEST(ScenarioFormat, MinimalScenarioRoundTripsWithDefaults) {
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->mesh_k, 4);
   EXPECT_EQ(parsed->budget_cycles, 50000u);
-  EXPECT_EQ(parsed->mode, SimMode::kEventDriven);
   EXPECT_TRUE(parsed->workloads.empty());
 
   const std::string canonical = parsed->to_string();
@@ -395,17 +392,20 @@ TEST(ScenarioFormat, BadRmtCacheValueReportsLineNumber) {
 TEST(ScenarioFormat, BadEnumValuesReportAlternatives) {
   EXPECT_EQ(parse_error("panic_scenario 1\ndrop sometimes\nend\n"),
             "line 2: drop: expected arrival | evict, got 'sometimes'");
-  EXPECT_EQ(parse_error("panic_scenario 1\nmode warp\nend\n"),
-            "line 2: mode: expected event | dense, got 'warp'");
+  EXPECT_EQ(parse_error("panic_scenario 1\nrouting warp\nend\n"),
+            "line 2: routing: expected xy | westfirst, got 'warp'");
 }
 
 TEST(ScenarioFormat, RemovedKernelSpellingsAreRejected) {
-  // The sharded kernel and its shard count are gone; old files fail on
-  // the line that names them instead of running under another kernel.
+  // The sharded kernel and its shard count are gone, and a scenario no
+  // longer names a kernel (panic_run --mode does); old files fail on the
+  // line that names one instead of running under another kernel.
   EXPECT_EQ(parse_error("panic_scenario 1\nbudget 100\nthreads 2\nend\n"),
             "line 3: unknown key 'threads'");
   EXPECT_EQ(parse_error("panic_scenario 1\nmode parallel\nend\n"),
-            "line 2: mode: expected event | dense, got 'parallel'");
+            "line 2: unknown key 'mode'");
+  EXPECT_EQ(parse_error("panic_scenario 1\nmode dense\nend\n"),
+            "line 2: unknown key 'mode'");
 }
 
 TEST(ScenarioFormat, WrongHeaderFails) {

@@ -20,7 +20,6 @@
 
 #include "common/cli.h"
 #include "common/codec.h"
-#include "common/rng.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -48,9 +47,7 @@ int check_one(const std::string& path) {
     return 1;
   }
   try {
-    panic::scenario::RunOptions opts;
-    opts.mode = s->mode;
-    panic::scenario::ScenarioRun run(*s, opts);
+    panic::scenario::ScenarioRun run(*s);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
     return 1;
@@ -86,9 +83,6 @@ int cmd_run(const Scenario& loaded, const panic::cli::ArgParser& args,
             const std::string& trace_path, const std::string& out_path,
             const std::string& rmt_cache) {
   Scenario s = loaded;
-  // --seed was applied to the process-wide global by parse(); a
-  // scenario's own `seed` line fills in only when --seed was absent.
-  if (!args.seed_given() && s.seed != 0) panic::set_sim_seed(s.seed);
   if (!rmt_cache.empty()) {
     const auto on = panic::codec::value_of<bool>(panic::codec::kSwitchNames,
                                                  rmt_cache);
@@ -101,10 +95,8 @@ int cmd_run(const Scenario& loaded, const panic::cli::ArgParser& args,
   }
 
   panic::scenario::RunOptions opts;
-  // Explicit --mode wins, else the scenario's own `mode` line.
-  opts.mode = args.sim_mode(s.mode);
+  opts.mode = args.sim_mode();
   opts.trace_path = trace_path;
-  if (args.mode_given()) s.mode = opts.mode;
 
   try {
     panic::scenario::ScenarioRun run(s, opts);
