@@ -7,7 +7,8 @@
 //   unified: one mesh with W-bit channels carrying both classes.
 //   split:   two meshes with W/2-bit channels, one class each.
 // Load is asymmetric (class A heavy, class B light), the regime where the
-// paper's argument bites.
+// paper's argument bites.  Traffic is uniform random, as in bench_table3
+// and bench_load_latency.
 #include <cstdio>
 
 #include "analysis/report.h"
@@ -49,19 +50,24 @@ double simulate(int k, std::uint32_t total_width, int meshes, Load load,
   std::uint64_t delivered_bits = 0;
   double credit_a = 0, credit_b = 0;
 
+  // A uniform source and a destination other than the source.  A source
+  // whose NI is full ends the class's injections for this cycle.
+  const auto any_tile = [&] {
+    return EngineId{static_cast<std::uint16_t>(
+        rng.uniform_int(0, static_cast<std::uint64_t>(tiles - 1)))};
+  };
   auto inject = [&](std::size_t m, std::size_t bytes) {
     noc::Mesh& mesh = *nets[m];
-    for (int t = 0; t < tiles; ++t) {
-      const EngineId src{static_cast<std::uint16_t>(t)};
-      if (!mesh.ni(src).can_inject()) continue;
-      EngineId dst{static_cast<std::uint16_t>(
-          rng.uniform_int(0, static_cast<std::uint64_t>(tiles - 1)))};
-      auto msg = make_message();
-      msg->data.resize(bytes);
-      mesh.ni(src).inject(std::move(msg), dst, sims[m]->now());
-      return true;
-    }
-    return false;
+    const EngineId src = any_tile();
+    if (!mesh.ni(src).can_inject()) return false;
+    EngineId dst;
+    do {
+      dst = any_tile();
+    } while (dst == src);
+    auto msg = make_message();
+    msg->data.resize(bytes);
+    mesh.ni(src).inject(std::move(msg), dst, sims[m]->now());
+    return true;
   };
   auto drain = [&](std::size_t m, bool measuring) {
     for (int t = 0; t < tiles; ++t) {

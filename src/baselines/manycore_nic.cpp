@@ -4,6 +4,9 @@
 
 namespace panic::baselines {
 
+/// Packets one core's queue holds; a frame dispatched to a full core drops.
+constexpr std::size_t kCoreQueueDepth = 256;
+
 ManycoreNic::ManycoreNic(std::string name, std::vector<OffloadSpec> offloads,
                          const ManycoreNicConfig& config, Simulator& sim)
     : Component(std::move(name)),
@@ -22,7 +25,7 @@ void ManycoreNic::admit(MessagePtr msg, Cycle now) {
   } else {
     core = static_cast<std::size_t>(next_core_++ % static_cast<int>(cores_.size()));
   }
-  if (cores_[core].queued() >= config_.core_queue_depth) {
+  if (cores_[core].queued() >= kCoreQueueDepth) {
     drop(std::move(msg));
     return;
   }

@@ -19,7 +19,6 @@ struct ManycoreNicConfig {
   int num_cores = 8;
   /// Per-packet CPU orchestration overhead (10 µs @ 500 MHz by default).
   Cycles orchestration_cycles = 5000;
-  std::size_t core_queue_depth = 256;
   engines::DmaConfig dma;  ///< the shared DMA engine (contention unused)
   /// kFlowHash pins a flow to a core (preserves order); kRoundRobin
   /// maximizes balance.

@@ -4,6 +4,9 @@
 
 namespace panic::baselines {
 
+/// Service cycles for packets that don't need the stage's offload.
+constexpr Cycles kPassthroughCycles = 1;
+
 PipelineNic::PipelineNic(std::string name, std::vector<OffloadSpec> offloads,
                          const PipelineNicConfig& config, Simulator& sim)
     : Component(std::move(name)), config_(config) {
@@ -58,7 +61,7 @@ void PipelineNic::tick(Cycle now) {
     st.server.start_next(now, [&](const Message& msg) {
       if (dma) return dma_cycles(config_.dma, msg.size());
       return st.spec.applies(msg) ? st.spec.service_cycles(msg)
-                                  : config_.passthrough_cycles;
+                                  : kPassthroughCycles;
     });
   }
 }

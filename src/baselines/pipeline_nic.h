@@ -16,8 +16,6 @@ namespace panic::baselines {
 
 struct PipelineNicConfig {
   std::size_t stage_queue_depth = 64;
-  /// Service cycles for packets that don't need the stage's offload.
-  Cycles passthrough_cycles = 1;
   engines::DmaConfig dma;  ///< the final DMA stage (contention unused)
 };
 

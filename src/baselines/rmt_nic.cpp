@@ -6,6 +6,8 @@
 
 namespace panic::baselines {
 
+constexpr Cycles kPipelineLatency = 5;  ///< parse + M+A stages + deparse
+
 RmtNic::RmtNic(std::string name, std::vector<OffloadSpec> heavy_offloads,
                const RmtNicConfig& config, Simulator& sim)
     : Component(std::move(name)),
@@ -19,7 +21,7 @@ void RmtNic::admit(MessagePtr msg, Cycle now) {
     drop(std::move(msg));
     return;
   }
-  in_pipeline_.push({std::move(msg), now + config_.pipeline_latency});
+  in_pipeline_.push({std::move(msg), now + kPipelineLatency});
   request_wake(now);
 }
 

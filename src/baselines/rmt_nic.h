@@ -18,7 +18,6 @@
 namespace panic::baselines {
 
 struct RmtNicConfig {
-  Cycles pipeline_latency = 5;    ///< parse + M+A stages + deparse
   /// Host software cost for work the RMT pipeline cannot do (per packet);
   /// ~20 µs @ 500 MHz for a software IPSec stack.
   Cycles host_software_cycles = 10000;

@@ -1,5 +1,5 @@
 // Identifier types for the entities that appear in the PANIC architecture:
-// engines (tiles on the on-chip network), tenants, flows and messages.
+// engines (tiles on the on-chip network), tenants and messages.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +27,6 @@ struct TenantId {
   constexpr auto operator<=>(const TenantId&) const = default;
 };
 
-/// Identifies a flow (5-tuple hash or queue id) for load balancing.
-struct FlowId {
-  std::uint32_t value = 0;
-  constexpr auto operator<=>(const FlowId&) const = default;
-};
-
 /// Unique per-simulation message id, used for tracing and latency bookkeeping.
 struct MessageId {
   std::uint64_t value = 0;
@@ -52,12 +46,5 @@ template <>
 struct std::hash<panic::TenantId> {
   std::size_t operator()(panic::TenantId id) const noexcept {
     return std::hash<std::uint16_t>{}(id.value);
-  }
-};
-
-template <>
-struct std::hash<panic::FlowId> {
-  std::size_t operator()(panic::FlowId id) const noexcept {
-    return std::hash<std::uint32_t>{}(id.value);
   }
 };

@@ -7,6 +7,9 @@
 
 namespace panic::engines {
 
+/// The contention-jitter stream, combined with the global sim seed.
+constexpr std::uint64_t kJitterSeed = 0x00D7A00D;
+
 void DmaEngine::register_telemetry(telemetry::Telemetry& t) {
   Engine::register_telemetry(t);
   auto& m = t.metrics();
@@ -26,7 +29,7 @@ DmaEngine::DmaEngine(std::string name, noc::NetworkInterface* ni,
                      const EngineConfig& config, const DmaConfig& dma,
                      HostMemory* host)
     : Engine(std::move(name), ni, config), dma_(dma), host_(host),
-      rng_(derive_seed(dma.seed)) {
+      rng_(derive_seed(kJitterSeed)) {
   assert(host_ != nullptr);
 }
 
@@ -60,8 +63,7 @@ Cycles DmaEngine::service_time(const Message& msg) const {
 bool DmaEngine::process(Message& msg, Cycle now) {
   switch (msg.kind) {
     case MessageKind::kPacket: {
-      // Deliver to the host RX ring.
-      host_->write(host_->rx_slot(msg.data.size()), msg.data);
+      host_->count_delivery(msg.data.size());
       ++packets_to_host_;
       if (now >= msg.nic_ingress_at) {
         const Cycles latency = now - msg.nic_ingress_at;
@@ -92,7 +94,7 @@ bool DmaEngine::process(Message& msg, Cycle now) {
         irq->set_fate(MessageFate::kConsumed);
       }
       msg.set_fate(MessageFate::kDelivered);
-      return false;  // packet consumed (lives in host memory now)
+      return false;  // packet consumed (delivered to the host)
     }
     case MessageKind::kDmaRead: {
       ++reads_served_;

@@ -4,9 +4,9 @@
 // of as switch ports, including the on-NIC DMA and PCIe engines").
 //
 // Handled message kinds:
-//   kPacket        — host-bound packet: written to the host RX ring
-//                    (HostMemory::rx_slot), then an interrupt message is
-//                    emitted toward the PCIe tile.
+//   kPacket        — host-bound packet: delivered to the host (counted in
+//                    HostMemory::bytes_written, not stored), then an
+//                    interrupt message is emitted toward the PCIe tile.
 //   kDmaRead       — returns a kDmaCompletion carrying the bytes to
 //                    msg->reply_to.
 //   kDmaWrite      — writes msg->data at msg->dma_addr; a zero-length
@@ -32,7 +32,6 @@ struct DmaConfig {
   Cycles base_latency = 75;        ///< ~150 ns @ 500 MHz PCIe round trip
   double bytes_per_cycle = 32.0;   ///< ~128 Gbps payload bandwidth @500MHz
   double contention_mean = 0.0;    ///< mean extra cycles (exponential); 0=off
-  std::uint64_t seed = 0x00D7A00D;
 };
 
 class DmaEngine : public Engine {

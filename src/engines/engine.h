@@ -46,7 +46,6 @@ struct EngineConfig {
   SchedSpec sched_policy = SchedKind::kSlack;
   DropPolicy drop_policy = DropPolicy::kDropArrival;
   std::size_t queue_capacity = 64;   ///< scheduler queue depth (messages)
-  std::size_t output_staging = 16;   ///< completed messages awaiting inject
   NoRouteConfig no_route;            ///< degraded-mode admission
 };
 
@@ -142,7 +141,7 @@ class Engine : public Component {
   /// engines that emit multiple messages per input should check before
   /// starting service.
   bool can_stage(std::size_t n = 1) const {
-    return egress_.staged() + n <= config_.output_staging;
+    return egress_.staged() + n <= kOutputStaging;
   }
 
   /// Root of this engine's metric names: "engine.<name>.".
@@ -165,8 +164,11 @@ class Engine : public Component {
   Cycle service_done_ = 0;
   Cycles service_cycles_ = 0;  ///< duration of the current service window
 
+  /// Completed messages that may await injection (see can_stage()).
+  static constexpr std::size_t kOutputStaging = 16;
+
   /// Steering, degraded-mode admission and output staging.  Staging is
-  /// logically bounded by `config_.output_staging` via can_stage(), but
+  /// logically bounded by `kOutputStaging` via can_stage(), but
   /// emit() is also an external entry point (a MAC's deliver_rx), so the
   /// queue itself is unbounded.
   TileEgress egress_;

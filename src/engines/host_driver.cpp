@@ -9,6 +9,10 @@
 
 namespace panic::engines {
 
+/// The jitter stream, combined with the global sim seed via derive_seed:
+/// shift --seed and every retry schedule shifts deterministically with it.
+constexpr std::uint64_t kJitterSeed = 0x7D17;
+
 Cycles backoff_delay(const HostDriverConfig& config, std::uint64_t stream,
                      int attempt) {
   // Exponential base, capped: tx_timeout << (attempt-1), saturating the
@@ -26,7 +30,7 @@ Cycles backoff_delay(const HostDriverConfig& config, std::uint64_t stream,
   // One fresh draw per (stream, attempt): splitmix-style mixing keeps
   // adjacent descriptors/attempts decorrelated, derive_seed folds in the
   // global sim seed.
-  std::uint64_t mixed = config.seed;
+  std::uint64_t mixed = kJitterSeed;
   mixed ^= stream * 0x9E3779B97F4A7C15ull;
   mixed ^= static_cast<std::uint64_t>(attempt) * 0xBF58476D1CE4E5B9ull;
   Rng rng(derive_seed(mixed));

@@ -40,16 +40,12 @@ struct HostDriverConfig {
   /// Jitter amplitude as a fraction of the (capped) delay: the drawn
   /// delay lands in [(1-j)*base, (1+j)*base).  0 disables jitter.
   double jitter = 0.25;
-  /// Per-driver jitter stream, combined with the global sim seed via
-  /// derive_seed — shift --seed and every retry schedule shifts
-  /// deterministically with it.
-  std::uint64_t seed = 0x7D17;
 };
 
 /// The retry delay armed after doorbell ring number `attempt` (1-based)
 /// for descriptor stream `stream` (the descriptor address).  Pure:
 /// exponential base capped at max_backoff, jittered by a fresh Rng
-/// seeded from derive_seed of (config.seed, stream, attempt) mixed —
+/// seeded from derive_seed of (a fixed seed, stream, attempt) mixed —
 /// no state, so the schedule is reproducible and unit-testable in
 /// isolation.
 Cycles backoff_delay(const HostDriverConfig& config, std::uint64_t stream,

@@ -1,7 +1,6 @@
 #include "engines/host_memory.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace panic::engines {
 
@@ -90,14 +89,6 @@ void HostMemory::read_into(std::uint64_t addr, std::uint32_t len,
 std::uint64_t HostMemory::allocate(std::uint32_t len) {
   const std::uint64_t addr = next_alloc_;
   next_alloc_ += (len + 63) & ~63ull;  // cache-line align
-  assert(next_alloc_ <= kRxRingBase && "allocator ran into the RX ring");
-  return addr;
-}
-
-std::uint64_t HostMemory::rx_slot(std::size_t len) {
-  if (next_rx_ + len > kRxRingBase + kRxRingBytes) next_rx_ = kRxRingBase;
-  const std::uint64_t addr = next_rx_;
-  next_rx_ += (len + 63) & ~63ull;
   return addr;
 }
 

@@ -5,17 +5,10 @@
 // a deterministic pseudo-random fill for untouched addresses (so DMA reads
 // always produce stable, checkable data without pre-populating gigabytes).
 //
-// The host address map has two regions:
-//   [kAllocBase, kRxRingBase)  the bump allocator: TX frames and
-//                              descriptors, the KVS value log.  Every DMA
-//                              read address comes from here.
-//   [kRxRingBase, +kRxRingBytes)  the RX ring the DMA engine writes
-//                              host-bound packets into.  A packet that
-//                              would cross the ring's end starts again at
-//                              its base, so delivery touches a fixed set
-//                              of pages however long a run lasts.  Nothing
-//                              reads the ring back, so the wrap is
-//                              unobservable.
+// Every stored address comes from a bump allocator counting up from
+// kAllocBase: TX frames and descriptors, the KVS value log.  Host-bound
+// packets the DMA engine delivers are counted, not stored: nothing reads
+// them back, so delivery touches no page however long a run lasts.
 #pragma once
 
 #include <array>
@@ -30,10 +23,6 @@ namespace panic::engines {
 class HostMemory {
  public:
   static constexpr std::uint64_t kAllocBase = std::uint64_t{1} << 20;
-  static constexpr std::uint64_t kRxRingBase = std::uint64_t{1} << 40;
-  /// Larger than any frame the scenario language can build (an IPv4
-  /// total length caps them below 64 KiB plus the Ethernet header).
-  static constexpr std::uint64_t kRxRingBytes = std::uint64_t{1} << 20;
 
   void write(std::uint64_t addr, std::span<const std::uint8_t> data);
   std::vector<std::uint8_t> read(std::uint64_t addr, std::uint32_t len) const;
@@ -43,16 +32,14 @@ class HostMemory {
                  std::vector<std::uint8_t>& out) const;
 
   /// Bump allocator for TX frames, descriptors and KVS values: 64-byte
-  /// aligned, counting up from kAllocBase, never into the RX ring.
+  /// aligned, counting up from kAllocBase.
   std::uint64_t allocate(std::uint32_t len);
 
-  /// The RX-ring address the next host-bound packet of `len` bytes is
-  /// written at (64-byte aligned slots, wrapping to the ring base).  A
-  /// packet longer than the ring would run past its end from the base;
-  /// nothing lives there.
-  std::uint64_t rx_slot(std::size_t len);
+  /// A host-bound packet of `len` bytes reached the host: counted in
+  /// bytes_written(), not stored.
+  void count_delivery(std::size_t len) { bytes_written_ += len; }
 
-  /// Every byte ever written, ring overwrites included.
+  /// Every byte written or delivered.
   std::size_t bytes_written() const { return bytes_written_; }
   /// Pages touched so far; tests use it to check memory stays bounded.
   std::size_t pages_resident() const { return store_.size(); }
@@ -75,7 +62,6 @@ class HostMemory {
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Page>> store_;  // by page
   std::uint64_t next_alloc_ = kAllocBase;
-  std::uint64_t next_rx_ = kRxRingBase;
   std::size_t bytes_written_ = 0;
 };
 

@@ -21,14 +21,15 @@ std::array<std::uint8_t, ChaCha20::kNonceBytes> nonce_for(std::uint32_t spi,
   return nonce;
 }
 
+/// The security association the encrypt path seals every frame under.
+constexpr std::uint32_t kEncryptSpi = 0x1001;
+
 }  // namespace
 
 IpsecEngine::IpsecEngine(std::string name, noc::NetworkInterface* ni,
                          const EngineConfig& config,
                          const IpsecConfig& ipsec)
     : Engine(std::move(name), ni, config), ipsec_(ipsec) {}
-
-void IpsecEngine::install_sa(std::uint32_t spi) { (void)spi; }
 
 std::array<std::uint8_t, ChaCha20::kKeyBytes> IpsecEngine::key_for_spi(
     std::uint32_t spi) {
@@ -131,7 +132,7 @@ bool IpsecEngine::process(Message& msg, Cycle now) {
     return true;
   }
 
-  msg.data = encapsulate(msg.data, ipsec_.default_spi, next_seq_++);
+  msg.data = encapsulate(msg.data, kEncryptSpi, next_seq_++);
   msg.meta_valid = false;
   ++encrypted_;
   return true;

@@ -28,7 +28,6 @@ struct IpsecConfig {
   IpsecMode mode = IpsecMode::kDecrypt;
   Cycles setup_cycles = 24;       ///< per-packet key schedule / SA lookup
   double cycles_per_byte = 0.25;  ///< 4 B/cycle crypto datapath
-  std::uint32_t default_spi = 0x1001;
 };
 
 class IpsecEngine : public Engine {
@@ -41,9 +40,6 @@ class IpsecEngine : public Engine {
 
   IpsecEngine(std::string name, noc::NetworkInterface* ni,
               const EngineConfig& config, const IpsecConfig& ipsec);
-
-  /// Installs a security association (key derived from the SPI if absent).
-  void install_sa(std::uint32_t spi);
 
   std::uint64_t decrypted() const { return decrypted_; }
   std::uint64_t encrypted() const { return encrypted_; }

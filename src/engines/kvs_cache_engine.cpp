@@ -7,6 +7,8 @@
 
 namespace panic::engines {
 
+constexpr Cycles kLookupCycles = 4;  ///< one SRAM cache lookup
+
 KvsCacheEngine::KvsCacheEngine(std::string name, noc::NetworkInterface* ni,
                                const EngineConfig& config,
                                const KvsCacheConfig& kvs, HostMemory* host)
@@ -16,7 +18,7 @@ KvsCacheEngine::KvsCacheEngine(std::string name, noc::NetworkInterface* ni,
 
 Cycles KvsCacheEngine::service_time(const Message& msg) const {
   (void)msg;
-  return kvs_.lookup_cycles;
+  return kLookupCycles;
 }
 
 void KvsCacheEngine::touch(std::uint64_t key, Entry& entry) {

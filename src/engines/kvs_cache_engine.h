@@ -27,7 +27,6 @@ enum class KvsCacheMode { kLocation, kValue };
 struct KvsCacheConfig {
   KvsCacheMode mode = KvsCacheMode::kLocation;
   std::size_t capacity_entries = 1024;
-  Cycles lookup_cycles = 4;  ///< SRAM cache lookup
   EngineId rdma_engine;      ///< where location hits go
   EngineId reply_route;      ///< where kValue-mode replies are injected
                              ///< (normally an RMT engine for egress routing)

@@ -52,8 +52,8 @@ namespace {
 
 /// Read-only input slots, in RankInputs declaration order.
 constexpr std::string_view kInputNames[] = {
-    "slack", "tenant", "flow",  "bytes",  "now",
-    "created", "seq",  "vtime", "weight", "kind",
+    "slack", "tenant", "bytes",  "now",  "created",
+    "seq",   "vtime",  "weight", "kind",
 };
 
 std::string line_error(int line, const std::string& reason) {
@@ -133,7 +133,6 @@ std::optional<RankProgram> RankProgram::compile(std::string_view source,
     pos = nl + 1;
   }
 
-  bool saw_statement = false;
   for (std::size_t si = 0; si < statements.size(); ++si) {
     const std::string_view stmt = statements[si];
     const int this_line = statement_lines[si];
@@ -145,23 +144,6 @@ std::optional<RankProgram> RankProgram::compile(std::string_view source,
     }
     const std::string lhs = cur.cur.text;
     cur.advance();
-
-    if (lhs == "key") {
-      if (saw_statement) {
-        return fail(this_line, "'key' must be the first statement");
-      }
-      if (cur.cur.kind != lang::TokKind::kIdent ||
-          (cur.cur.text != "tenant" && cur.cur.text != "flow")) {
-        return fail(this_line, "key must be 'tenant' or 'flow'");
-      }
-      p.keyed_by_flow_ = cur.cur.text == "flow";
-      cur.advance();
-      if (cur.cur.kind != lang::TokKind::kEnd) {
-        return fail(this_line,
-                    "unexpected trailing token '" + cur.cur.text + "'");
-      }
-      continue;
-    }
 
     std::uint32_t dst = 0;
     if (lhs == "rank") {
@@ -199,7 +181,6 @@ std::optional<RankProgram> RankProgram::compile(std::string_view source,
     s.expr = std::move(*expr);
     s.line = this_line;
     p.statements_.push_back(std::move(s));
-    saw_statement = true;
   }
 
   bool assigns_rank = false;
@@ -248,18 +229,17 @@ std::uint64_t RankProgram::evaluate(
   scratch.assign(total_slots(), 0);
   scratch[0] = in.slack;
   scratch[1] = in.tenant;
-  scratch[2] = in.flow;
-  scratch[3] = in.bytes;
-  scratch[4] = in.now;
-  scratch[5] = in.created;
-  scratch[6] = in.seq;
-  scratch[7] = in.vtime;
-  scratch[8] = in.weight;
-  scratch[9] = in.kind;
+  scratch[2] = in.bytes;
+  scratch[3] = in.now;
+  scratch[4] = in.created;
+  scratch[5] = in.seq;
+  scratch[6] = in.vtime;
+  scratch[7] = in.weight;
+  scratch[8] = in.kind;
   if (!state_vars_.empty()) {
     const std::vector<std::uint64_t>* flow_state = nullptr;
     if (flow_slots_ > 0) {
-      const auto it = state.flows.find(state_key(in));
+      const auto it = state.flows.find(in.tenant);
       if (it != state.flows.end()) flow_state = &it->second;
     }
     for (std::size_t i = 0; i < state_vars_.size(); ++i) {
@@ -281,11 +261,11 @@ std::uint64_t RankProgram::evaluate(
 
 void RankProgram::commit(RankState& state,
                          const std::vector<std::uint64_t>& scratch,
-                         std::uint64_t key) const {
+                         std::uint64_t tenant) const {
   if (state_vars_.empty()) return;
   std::vector<std::uint64_t>* flow_state = nullptr;
   if (flow_slots_ > 0) {
-    flow_state = &state.flows[key];
+    flow_state = &state.flows[tenant];
     flow_state->resize(flow_slots_, 0);
   }
   if (queue_slots_ > 0) state.queue.resize(queue_slots_, 0);

@@ -20,12 +20,12 @@
 //               must assign it at least once (its value after the last
 //               statement wins).
 //   flow.<x>    per-flow state, persisted across enqueues of the same
-//               flow key (see `key` below), initially 0.
+//               tenant, initially 0.  A scheduling flow is a tenant:
+//               messages carry no finer flow id.
 //   queue.<x>   per-queue state, persisted across all enqueues.
 // Read-only inputs (all uint64):
 //   slack       chain-header slack at this engine
 //   tenant      scheduling tenant id
-//   flow        flow id
 //   bytes       wire size of the message (payload + chain header)
 //   now         current cycle
 //   created     cycle the workload created the message
@@ -34,8 +34,6 @@
 //   weight      this tenant's configured weight (default 1; `weight` lines
 //               in the scenario / SchedSpec::weights)
 //   kind        MessageKind as an integer
-// An optional first statement `key tenant` (default) or `key flow` picks
-// which id partitions the flow.* state.
 //
 // Per-flow/queue state written by a statement is only COMMITTED when the
 // message is actually admitted; a message dropped at a full queue does
@@ -119,7 +117,6 @@ struct SchedSpec {
 struct RankInputs {
   std::uint64_t slack = 0;
   std::uint64_t tenant = 0;
-  std::uint64_t flow = 0;
   std::uint64_t bytes = 0;
   std::uint64_t now = 0;
   std::uint64_t created = 0;
@@ -131,6 +128,7 @@ struct RankInputs {
 
 /// Persistent state one queue keeps for one rank program.
 struct RankState {
+  /// flow.* state by tenant id.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> flows;
   std::vector<std::uint64_t> queue;
 };
@@ -146,12 +144,6 @@ class RankProgram {
   static std::shared_ptr<const RankProgram> compile_spec(
       const SchedSpec& spec, std::string* error);
 
-  /// True when the program keys flow.* state by flow id (`key flow`);
-  /// default is tenant.
-  bool keyed_by_flow() const { return keyed_by_flow_; }
-  std::uint64_t state_key(const RankInputs& in) const {
-    return keyed_by_flow_ ? in.flow : in.tenant;
-  }
   bool stateful() const { return flow_slots_ > 0 || queue_slots_ > 0; }
 
   /// Fast-path introspection: exactly `rank = slack` / `rank = <const>`.
@@ -164,18 +156,18 @@ class RankProgram {
 
   /// Runs the program against `in` and `state` WITHOUT mutating state;
   /// all variable values land in `scratch` (resized as needed).  Returns
-  /// the rank.  Call commit() with the same scratch to persist the
-  /// flow./queue. writes once the message is admitted.
+  /// the rank.  Call commit() with the same scratch and the message's
+  /// tenant to persist the flow./queue. writes once it is admitted.
   std::uint64_t evaluate(const RankInputs& in, const RankState& state,
                          std::vector<std::uint64_t>& scratch) const;
   void commit(RankState& state, const std::vector<std::uint64_t>& scratch,
-              std::uint64_t key) const;
+              std::uint64_t tenant) const;
 
   /// One-shot convenience for reference models: evaluate + commit.
   std::uint64_t rank_and_commit(const RankInputs& in, RankState& state,
                                 std::vector<std::uint64_t>& scratch) const {
     const std::uint64_t r = evaluate(in, state, scratch);
-    commit(state, scratch, state_key(in));
+    commit(state, scratch, in.tenant);
     return r;
   }
 
@@ -195,9 +187,9 @@ class RankProgram {
     std::uint32_t ordinal = 0;
   };
 
-  // Slot layout: [0..9] read-only inputs, [10] rank, then state vars in
+  // Slot layout: [0..8] read-only inputs, [9] rank, then state vars in
   // first-mention order.
-  static constexpr std::uint32_t kInputCount = 10;
+  static constexpr std::uint32_t kInputCount = 9;
   static constexpr std::uint32_t kRankSlot = kInputCount;
   static constexpr std::uint32_t kStateBase = kRankSlot + 1;
   std::uint32_t total_slots() const {
@@ -209,7 +201,6 @@ class RankProgram {
   std::vector<StateVar> state_vars_;
   std::uint32_t flow_slots_ = 0;
   std::uint32_t queue_slots_ = 0;
-  bool keyed_by_flow_ = false;
   bool trivial_slack_ = false;
   bool trivial_const_ = false;
   std::uint64_t const_rank_ = 0;

@@ -7,6 +7,8 @@
 
 namespace panic::engines {
 
+constexpr Cycles kLookupCycles = 2;  ///< one token-bucket lookup
+
 RateLimiterEngine::RateLimiterEngine(std::string name,
                                      noc::NetworkInterface* ni,
                                      const EngineConfig& config,
@@ -50,7 +52,7 @@ Cycles RateLimiterEngine::service_time(const Message& msg) const {
   (void)msg;
   const Cycles delay = pending_delay_;
   pending_delay_ = 0;
-  return limiter_.lookup_cycles + delay;
+  return kLookupCycles + delay;
 }
 
 bool RateLimiterEngine::process(Message& msg, Cycle now) {

@@ -24,7 +24,6 @@ struct RateLimiterConfig {
   /// Default limit applied to tenants without an explicit one.
   double default_rate_bytes_per_cycle = 25.0;  ///< 100 Gbps @ 500 MHz
   double default_burst_bytes = 16 * 1024;
-  Cycles lookup_cycles = 2;
 };
 
 class RateLimiterEngine : public Engine {

@@ -5,20 +5,25 @@
 
 namespace panic::engines {
 
+constexpr Cycles kRequestCycles = 8;    ///< build/issue a DMA work element
+constexpr Cycles kResponseCycles = 12;  ///< assemble reply headers
+/// DMA reads in flight; a hit beyond them is dropped (the client retries).
+constexpr std::size_t kMaxOutstanding = 64;
+
 RdmaEngine::RdmaEngine(std::string name, noc::NetworkInterface* ni,
                        const EngineConfig& config, const RdmaConfig& rdma)
     : Engine(std::move(name), ni, config), rdma_(rdma) {}
 
 Cycles RdmaEngine::service_time(const Message& msg) const {
-  return msg.kind == MessageKind::kDmaCompletion ? rdma_.response_cycles
-                                                 : rdma_.request_cycles;
+  return msg.kind == MessageKind::kDmaCompletion ? kResponseCycles
+                                                 : kRequestCycles;
 }
 
 bool RdmaEngine::process(Message& msg, Cycle now) {
   if (msg.kind == MessageKind::kPacket && msg.meta_valid && msg.meta.is_kvs &&
       msg.dma_bytes > 0) {
     // A location-cache hit: issue the DMA read for the value.
-    if (pending_.size() >= rdma_.max_outstanding) {
+    if (pending_.size() >= kMaxOutstanding) {
       ++overflow_;
       return false;  // drop under overload; client retries
     }

@@ -11,10 +11,7 @@
 namespace panic::engines {
 
 struct RdmaConfig {
-  Cycles request_cycles = 8;   ///< build/issue a DMA work element
-  Cycles response_cycles = 12; ///< assemble reply headers
-  EngineId dma_engine;         ///< where DMA reads are sent
-  std::size_t max_outstanding = 64;
+  EngineId dma_engine;  ///< where DMA reads are sent
 };
 
 class RdmaEngine : public Engine {

@@ -54,7 +54,6 @@ RankInputs SchedulerQueue::inputs_for(const Message& msg, Cycle now,
   RankInputs in;
   in.slack = msg.slack;
   in.tenant = msg.tenant.value;
-  in.flow = msg.flow.value;
   in.bytes = msg.wire_size();
   in.now = now;
   in.created = msg.created_at;
@@ -116,8 +115,7 @@ bool SchedulerQueue::try_enqueue(MessagePtr msg, Cycle now) {
   trace(telemetry::TraceEventKind::kEnqueue, now, *msg);
   if (g_audit) shadow_enqueue(*msg, now);
   if (fast_ == FastPath::kProgram && program_->stateful()) {
-    program_->commit(state_, scratch_,
-                     program_->state_key(inputs_for(*msg, now, vtime_)));
+    program_->commit(state_, scratch_, msg->tenant.value);
   }
   items_.push_back(Item{std::move(msg), rank, next_seq_++, now});
   std::push_heap(items_.begin(), items_.end(), order);
@@ -186,9 +184,7 @@ void SchedulerQueue::shadow_enqueue(const Message& msg, Cycle now) {
   const std::uint64_t ref_rank = program_->evaluate(
       inputs_for(msg, now, shadow_vtime_), shadow_state_, shadow_scratch_);
   if (program_->stateful()) {
-    program_->commit(shadow_state_, shadow_scratch_,
-                     program_->state_key(inputs_for(msg, now,
-                                                    shadow_vtime_)));
+    program_->commit(shadow_state_, shadow_scratch_, msg.tenant.value);
   }
   shadow_.push_back(ShadowItem{ref_rank, next_seq_});
 }

@@ -5,6 +5,8 @@
 
 namespace panic::engines {
 
+constexpr std::uint32_t kMss = 1460;  ///< max TCP payload per segment
+
 TsoEngine::TsoEngine(std::string name, noc::NetworkInterface* ni,
                      const EngineConfig& config, const TsoConfig& tso)
     : Engine(std::move(name), ni, config), tso_(tso) {}
@@ -63,7 +65,7 @@ Cycles TsoEngine::service_time(const Message& msg) const {
 
 bool TsoEngine::process(Message& msg, Cycle now) {
   if (msg.kind != MessageKind::kPacket) return true;
-  auto segments = segment_frame(msg.data, tso_.mss);
+  auto segments = segment_frame(msg.data, kMss);
   if (segments.empty()) {
     ++passthrough_;
     return true;  // small or non-TCP: continue unchanged
@@ -83,7 +85,6 @@ bool TsoEngine::process(Message& msg, Cycle now) {
     segment->chain = msg.chain;
     segment->slack = msg.slack;
     segment->tenant = msg.tenant;
-    segment->flow = msg.flow;
     segment->from_host = msg.from_host;
     segment->egress_port = msg.egress_port;
     segment->ingress_port = msg.ingress_port;

@@ -15,7 +15,6 @@
 namespace panic::engines {
 
 struct TsoConfig {
-  std::uint32_t mss = 1460;      ///< max TCP payload per segment
   Cycles setup_cycles = 16;
   double cycles_per_byte = 0.0625;  ///< 16 B/cycle DMA-style copy engine
 };

@@ -5,6 +5,9 @@
 
 namespace panic::fault {
 
+/// A window within (1 - kSteadyTolerance) of the pre-incident one is steady.
+constexpr double kSteadyTolerance = 0.10;
+
 RecoveryTracker::RecoveryTracker(RecoveryConfig config)
     : Component("recovery"), config_(config), next_check_(config.period) {
   if (config_.period == 0) config_.period = 1;
@@ -77,7 +80,7 @@ void RecoveryTracker::tick(Cycle now) {
     if (!i.steady) {
       // Integer floor keeps the comparison exact and kernel-identical.
       const auto floor = static_cast<std::uint64_t>(
-          (1.0 - config_.steady_tolerance) *
+          (1.0 - kSteadyTolerance) *
           static_cast<double>(i.pre_window));
       if (window >= floor) {
         i.steady = true;

@@ -13,7 +13,7 @@
 //     down; a seamless equivalence-group takeover re-steers within one
 //     window);
 //   * time-to-steady:   incident open -> first window whose delivered
-//     count is back within `steady_tolerance` of the pre-incident window
+//     count is back within 10% of the pre-incident window
 //     (the recovery-time objective bench_recovery gates on);
 //   * restore_cycles:   incident open -> the revive/spare that closed it;
 //   * degraded_served:  messages delivered while any incident was open.
@@ -35,8 +35,7 @@
 namespace panic::fault {
 
 struct RecoveryConfig {
-  Cycles period = 256;            ///< throughput sampling interval
-  double steady_tolerance = 0.10; ///< window within (1-tol)·pre => steady
+  Cycles period = 256;  ///< throughput sampling interval
 };
 
 class RecoveryTracker : public Component {

@@ -38,7 +38,6 @@ void Message::reset_for_reuse() {
   kind = MessageKind::kPacket;
   data.clear();   // keeps capacity: the recycled packet-byte buffer
   tenant = TenantId{};
-  flow = FlowId{};
   chain.clear();  // keeps the hop vector's capacity too
   slack = 0;
   meta = MessageMeta{};

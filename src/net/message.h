@@ -35,7 +35,7 @@ const char* to_string(MessageKind kind);
 /// end-to-end invariant violation the fault subsystem exists to catch.
 enum class MessageFate : std::uint8_t {
   kInFlight = 0,  ///< not yet decided (the only illegal fate at destroy)
-  kDelivered,     ///< reached the host RX ring or left on the wire
+  kDelivered,     ///< reached the host or left on the wire
   kDropped,       ///< policy drop (scheduler queue, RMT program, no route)
   kConsumed,      ///< terminally processed (request absorbed, reply emitted)
   kFaulted,       ///< destroyed because of an injected fault (dead engine,
@@ -73,7 +73,6 @@ struct Message {
   std::vector<std::uint8_t> data;
 
   TenantId tenant;
-  FlowId flow;
 
   /// The PANIC chain header: remaining engine hops + per-hop slack.
   ChainHeader chain;

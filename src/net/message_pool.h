@@ -75,12 +75,15 @@ class MessagePool {
   /// messages are unaffected.
   void trim();
 
-  /// Pre-warms the free list up to `target` entries so a saturated run's
-  /// working set never touches the heap (pool-miss-free from cycle 0, not
-  /// just after warmup).  Only the free list and the `prewarmed` stat are
-  /// touched — live/recycled accounting and the conservation ledger never
-  /// see these messages until they are acquired normally.  No-op when the
-  /// free list already holds `target` or more.
+  /// Pre-warms the free list up to `target` entries, so a saturated run
+  /// takes no `Message` from the heap (pool-miss-free from cycle 0, not
+  /// just after warmup).  The messages are minted empty: each one's
+  /// `data` and `chain` buffers are allocated on its first use, so the
+  /// run's working set still reaches the heap.  Only the free list and
+  /// the `prewarmed` stat are touched — live/recycled accounting and the
+  /// conservation ledger never see these messages until they are
+  /// acquired normally.  No-op when the free list already holds `target`
+  /// or more.
   void reserve(std::size_t target);
 
  private:

@@ -48,8 +48,7 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim)
     for (int x = 0; x < k; ++x) {
       const EngineId tile = tile_id(x, y);
       nis_.push_back(std::make_unique<NetworkInterface>(
-          tile, config_.channel_bits, routers_[tile.value].get(),
-          config_.inject_depth));
+          tile, config_.channel_bits, routers_[tile.value].get()));
     }
   }
 

@@ -24,7 +24,6 @@ struct MeshConfig {
   int k = 6;                         ///< mesh side (k×k tiles)
   std::uint32_t channel_bits = 64;   ///< link width per cycle
   std::size_t buffer_flits = 8;      ///< input FIFO depth per port
-  std::size_t inject_depth = 4;      ///< NI message injection queue
   RoutingAlgo routing = RoutingAlgo::kXY;
 };
 

@@ -8,13 +8,12 @@
 namespace panic::noc {
 
 NetworkInterface::NetworkInterface(EngineId tile, std::uint32_t channel_bits,
-                                   Router* router, std::size_t inject_depth)
+                                   Router* router)
     : Component("ni(" + std::to_string(tile.value) + ")"),
       tile_(tile),
       channel_bits_(channel_bits),
       router_(router),
-      inject_depth_(inject_depth),
-      pending_(inject_depth ? inject_depth : 1) {
+      pending_(kInjectDepth) {
   assert(router_ != nullptr);
   assert(channel_bits_ > 0);
   router_->set_local_sink(this);

@@ -20,11 +20,8 @@ class Mesh;
 
 class NetworkInterface : public Component {
  public:
-  /// `tile` — this NI's address; `channel_bits` — mesh channel width;
-  /// `inject_depth` — how many *messages* may be queued for injection
-  /// before `can_inject` goes false (engine-side backpressure).
-  NetworkInterface(EngineId tile, std::uint32_t channel_bits,
-                   Router* router, std::size_t inject_depth = 4);
+  /// `tile` — this NI's address; `channel_bits` — mesh channel width.
+  NetworkInterface(EngineId tile, std::uint32_t channel_bits, Router* router);
 
   EngineId tile() const { return tile_; }
 
@@ -33,7 +30,7 @@ class NetworkInterface : public Component {
   void set_client(Component* client) { client_ = client; }
 
   /// True if another message can be queued for injection.
-  bool can_inject() const { return pending_.size() < inject_depth_; }
+  bool can_inject() const { return pending_.size() < kInjectDepth; }
 
   /// Queues `msg` for transmission to `dst`.  Precondition: can_inject().
   void inject(MessagePtr msg, EngineId dst, Cycle now);
@@ -67,13 +64,16 @@ class NetworkInterface : public Component {
     std::uint32_t sent_flits = 0;
   };
 
+  /// How many *messages* may be queued for injection before can_inject()
+  /// goes false (engine-side backpressure).
+  static constexpr std::size_t kInjectDepth = 4;
+
   EngineId tile_;
   std::uint32_t channel_bits_;
   Router* router_;
-  std::size_t inject_depth_;
   Component* client_ = nullptr;
 
-  /// Segmentation in progress, at most `inject_depth_` messages: inject()
+  /// Segmentation in progress, at most `kInjectDepth` messages: inject()
   /// asserts can_inject(), and every caller waits for it.
   Fifo<PendingMessage> pending_;
   /// Reassembled messages awaiting the engine.  Logically unbounded (the

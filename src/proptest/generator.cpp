@@ -230,13 +230,10 @@ Scenario generate_rank_scenario(std::uint64_t seed, Cycles budget_cycles) {
   // the rank program is layered on top.
   Rng rng(seed ^ 0x9E3779B97F4A7C15ULL);
 
-  // Every emitted program is per-tenant MONOTONE: with flow.* state keyed
-  // by tenant (the default key), a tenant's ranks never decrease, so the
-  // per-tenant egress ordering oracle stays sound (messages of one tenant
-  // dequeue in (rank, seq) = arrival order at every queue).  `key flow`
-  // is deliberately never emitted — workloads cycle several 5-tuples per
-  // tenant, and independent per-flow accumulators would legitimately
-  // reorder a tenant's messages.
+  // Every emitted program is per-tenant MONOTONE: flow.* state is keyed
+  // by tenant, so a tenant's ranks never decrease and the per-tenant
+  // egress ordering oracle stays sound (messages of one tenant dequeue in
+  // (rank, seq) = arrival order at every queue).
   const auto number = [&rng](std::initializer_list<std::uint64_t> c) {
     return std::to_string(pick(rng, c));
   };
@@ -253,7 +250,6 @@ Scenario generate_rank_scenario(std::uint64_t seed, Cycles budget_cycles) {
   };
 
   std::string prog;
-  if (rng.bernoulli(0.3)) prog += "key tenant\n";  // the default, spelled out
   switch (rng.uniform_int(0, 2)) {
     case 0:
       // Accumulator family: virtual-finish-time shape (the WFQ/STFQ

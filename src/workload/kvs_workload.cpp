@@ -6,6 +6,9 @@
 
 namespace panic::workload {
 
+/// The security association WAN requests arrive under.
+constexpr std::uint32_t kWanSpi = 0x1001;
+
 FrameFactory make_kvs_factory(const KvsWorkloadConfig& config) {
   // The Zipf sampler is shared across calls; captured by value in a
   // mutable lambda so the factory is self-contained.
@@ -24,7 +27,7 @@ FrameFactory make_kvs_factory(const KvsWorkloadConfig& config) {
                               config.value_size);
     }
     if (config.wan_fraction > 0.0 && rng.bernoulli(config.wan_fraction)) {
-      frame = engines::IpsecEngine::encapsulate(frame, config.spi, esp_seq++);
+      frame = engines::IpsecEngine::encapsulate(frame, kWanSpi, esp_seq++);
     }
     return frame;
   };

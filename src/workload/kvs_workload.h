@@ -21,7 +21,6 @@ struct KvsWorkloadConfig {
   std::size_t value_size = 128;
   /// Fraction of requests arriving ESP-encrypted from the WAN.
   double wan_fraction = 0.0;
-  std::uint32_t spi = 0x1001;
 };
 
 /// Frame factory producing the configured GET/SET/WAN mix.  Request ids

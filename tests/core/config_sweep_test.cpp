@@ -4,6 +4,8 @@
 // policy and cache mode.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/panic_nic.h"
 #include "net/packet.h"
 
@@ -18,14 +20,11 @@ struct SweepCase {
   engines::KvsCacheMode kvs_mode;
 };
 
-std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
-  const auto& p = info.param;
-  std::string name = "k" + std::to_string(p.k) + "_w" +
-                     std::to_string(p.width) + "_rmt" +
-                     std::to_string(p.rmt_engines);
-  name += p.sched == engines::SchedKind::kSlack ? "_slack" : "_fifo";
-  name += p.kvs_mode == engines::KvsCacheMode::kLocation ? "_loc" : "_val";
-  return name;
+// The case's label, which ctest puts in the test name.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "k" << c.k << "_w" << c.width << "_rmt" << c.rmt_engines << "_"
+      << engines::to_string(c.sched)
+      << (c.kvs_mode == engines::KvsCacheMode::kLocation ? "_loc" : "_val");
 }
 
 class ConfigSweep : public ::testing::TestWithParam<SweepCase> {};
@@ -87,8 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{6, 64, 2, engines::SchedKind::kFifo,
                   engines::KvsCacheMode::kValue},
         SweepCase{8, 128, 4, engines::SchedKind::kSlack,
-                  engines::KvsCacheMode::kLocation}),
-    case_name);
+                  engines::KvsCacheMode::kLocation}));
 
 // Failure injection: malformed input must never reach the host or crash
 // the NIC; well-formed traffic afterwards still flows.

@@ -114,20 +114,20 @@ TEST(Engine, SlackPriorityServicesUrgentFirst) {
     auto bulk = packet();
     bulk->chain.push_hop(worker, /*slack=*/1000);
     bulk->chain.push_hop(sink, 1000);
-    bulk->flow = FlowId{static_cast<std::uint32_t>(i)};
+    bulk->dma_addr = static_cast<std::uint64_t>(i);  // a tag
     m.send(std::move(bulk), src, worker);
     m.sim.run(2);
   }
   auto urgent = packet();
   urgent->chain.push_hop(worker, /*slack=*/1);
   urgent->chain.push_hop(sink, 1);
-  urgent->flow = FlowId{99};
+  urgent->dma_addr = 99;
   m.send(std::move(urgent), src, worker);
 
   for (int i = 0; i < 4; ++i) {
     const auto got = m.collect(sink);
     ASSERT_NE(got, nullptr);
-    order.push_back(got->flow.value);
+    order.push_back(got->dma_addr);
   }
   // First bulk was already in service; the urgent message is second.
   EXPECT_EQ(order[0], 0u);

@@ -86,29 +86,13 @@ TEST(HostMemory, WritesStraddlingWordsAndPagesReadBackExactly) {
   EXPECT_EQ(mem.pages_resident(), 2u);
 }
 
-TEST(HostMemory, RxRingWrapsIntoAFixedSetOfPages) {
+TEST(HostMemory, DeliveriesAreCountedNotStored) {
   HostMemory mem;
-  // Slots are 64-byte aligned and start at the ring base, far above
-  // anything the allocator hands out.
-  EXPECT_EQ(mem.rx_slot(1500), HostMemory::kRxRingBase);
-  EXPECT_EQ(mem.rx_slot(60), HostMemory::kRxRingBase + 1536);
-  EXPECT_EQ(mem.rx_slot(0), HostMemory::kRxRingBase + 1600);
-  // A packet that would cross the ring's end starts again at its base.
-  HostMemory wrap;
-  const std::uint64_t slots = HostMemory::kRxRingBytes / 1536;
-  for (std::uint64_t i = 0; i < slots; ++i) {
-    EXPECT_EQ(wrap.rx_slot(1500), HostMemory::kRxRingBase + i * 1536);
-  }
-  EXPECT_EQ(wrap.rx_slot(1500), HostMemory::kRxRingBase);
-
-  // Delivering ten ring-fulls touches the ring's pages and no others;
-  // every byte still counts as written.
-  const std::vector<std::uint8_t> packet(1500, 0x5A);
-  for (std::uint64_t i = 0; i < 10 * slots; ++i) {
-    mem.write(mem.rx_slot(packet.size()), packet);
-  }
-  EXPECT_EQ(mem.pages_resident(), HostMemory::kRxRingBytes / 4096);
-  EXPECT_EQ(mem.bytes_written(), 10 * slots * packet.size());
+  mem.write(0x1000, std::vector<std::uint8_t>(100, 0x5A));
+  const std::size_t pages = mem.pages_resident();
+  for (int i = 0; i < 1000; ++i) mem.count_delivery(1500);
+  EXPECT_EQ(mem.bytes_written(), 100u + 1000u * 1500u);
+  EXPECT_EQ(mem.pages_resident(), pages);
 }
 
 TEST(LocalLookupTable, ChainHopWinsOverEverything) {

@@ -42,7 +42,6 @@ TEST(MessagePool, ResetForReuseClearsAllMessageState) {
   auto msg = make_message(MessageKind::kDmaRead);
   msg->data.assign(64, 1);
   msg->tenant = TenantId{7};
-  msg->flow = FlowId{9};
   msg->chain.push_hop(EngineId{3}, 11);
   msg->slack = 42;
   msg->meta.has_udp = true;
@@ -63,7 +62,6 @@ TEST(MessagePool, ResetForReuseClearsAllMessageState) {
   EXPECT_EQ(msg->kind, MessageKind::kPacket);
   EXPECT_TRUE(msg->data.empty());
   EXPECT_EQ(msg->tenant, TenantId{});
-  EXPECT_EQ(msg->flow, FlowId{});
   EXPECT_FALSE(msg->chain.current().has_value());
   EXPECT_EQ(msg->chain.total_hops(), 0u);
   EXPECT_EQ(msg->slack, 0u);

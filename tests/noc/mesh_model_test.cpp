@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace panic::noc {
 namespace {
 
@@ -13,6 +15,11 @@ struct Table3Case {
   double bisection_gbps;
   double chain_len;
 };
+
+// The row's label, which ctest puts in the test name.
+void PrintTo(const Table3Case& c, std::ostream* os) {
+  *os << c.rate_gbps << "G_w" << c.width << "_k" << c.k;
+}
 
 class Table3 : public ::testing::TestWithParam<Table3Case> {};
 

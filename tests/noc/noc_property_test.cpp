@@ -3,6 +3,8 @@
 // channel width and message size.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.h"
 #include "noc/mesh.h"
 #include "sim/simulator.h"
@@ -17,11 +19,10 @@ struct NocCase {
   RoutingAlgo routing = RoutingAlgo::kXY;
 };
 
-std::string case_name(const ::testing::TestParamInfo<NocCase>& info) {
-  return "k" + std::to_string(info.param.k) + "_w" +
-         std::to_string(info.param.width) + "_b" +
-         std::to_string(info.param.payload) +
-         (info.param.routing == RoutingAlgo::kWestFirst ? "_wf" : "_xy");
+// The case's label, which ctest puts in the test name.
+void PrintTo(const NocCase& c, std::ostream* os) {
+  *os << "k" << c.k << "_w" << c.width << "_b" << c.payload
+      << (c.routing == RoutingAlgo::kWestFirst ? "_wf" : "_xy");
 }
 
 class NocSweep : public ::testing::TestWithParam<NocCase> {};
@@ -53,7 +54,7 @@ TEST_P(NocSweep, ConservationAndCorrectDelivery) {
           auto msg = make_message();
           msg->data.resize(param.payload);
           // Stamp the intended destination for the delivery check.
-          msg->flow = FlowId{dst.value};
+          msg->dma_addr = dst.value;
           mesh.ni(src).inject(std::move(msg), dst, sim.now());
           ++injected;
         }
@@ -61,7 +62,7 @@ TEST_P(NocSweep, ConservationAndCorrectDelivery) {
           const EngineId tile{static_cast<std::uint16_t>(t)};
           while (auto msg = mesh.ni(tile).try_receive(sim.now())) {
             ++delivered;
-            if (msg->flow.value != tile.value) misdelivered = true;
+            if (msg->dma_addr != tile.value) misdelivered = true;
           }
         }
         return injected == kMessages && delivered == kMessages;
@@ -111,8 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
                       // (losslessness, minimality) must hold.
                       NocCase{4, 128, 64, RoutingAlgo::kWestFirst},
                       NocCase{6, 64, 64, RoutingAlgo::kWestFirst},
-                      NocCase{8, 128, 1500, RoutingAlgo::kWestFirst}),
-    case_name);
+                      NocCase{8, 128, 1500, RoutingAlgo::kWestFirst}));
 
 // Under adversarial "transpose" traffic ((x,y) -> (y,x)), XY concentrates
 // load while west-first can spread east-bound packets over multiple

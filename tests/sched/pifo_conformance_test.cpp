@@ -105,7 +105,7 @@ class ReferenceModel {
 MessagePtr msg_for(const Arrival& a, std::uint32_t id, Cycle now) {
   auto msg = make_message();
   msg->tenant = TenantId{a.tenant};
-  msg->flow = FlowId{id};
+  msg->dma_addr = id;  // a tag nothing on the queue path reads
   msg->slack = a.slack;
   msg->data.resize(a.payload);
   msg->created_at = now;
@@ -114,7 +114,7 @@ MessagePtr msg_for(const Arrival& a, std::uint32_t id, Cycle now) {
 
 /// Feeds the same arrivals through the real queue and the reference model
 /// under one enqueue/dequeue interleaving and requires identical dequeue
-/// orders (messages identified by the flow-id tag).
+/// orders (messages identified by the dma_addr tag).
 void drive_and_compare(const SchedSpec& spec,
                        const std::vector<Arrival>& arrivals,
                        std::size_t enq_chunk, std::size_t deq_chunk) {
@@ -135,7 +135,7 @@ void drive_and_compare(const SchedSpec& spec,
       return false;
     }
     want.push_back(*expect);
-    got.push_back(msg->flow.value);
+    got.push_back(static_cast<std::uint32_t>(msg->dma_addr));
     msg->set_fate(MessageFate::kConsumed);
     return true;
   };
@@ -243,11 +243,11 @@ TEST(PifoConformance, EqualRanksDequeueInArrivalOrder) {
       }
       auto msg = q.dequeue(round);
       ASSERT_NE(msg, nullptr);
-      got.push_back(msg->flow.value);
+      got.push_back(static_cast<std::uint32_t>(msg->dma_addr));
       msg->set_fate(MessageFate::kConsumed);
     }
     while (auto msg = q.dequeue(100)) {
-      got.push_back(msg->flow.value);
+      got.push_back(static_cast<std::uint32_t>(msg->dma_addr));
       msg->set_fate(MessageFate::kConsumed);
     }
     std::vector<std::uint32_t> want(got.size());
@@ -431,7 +431,6 @@ TEST(PifoConformance, CustomRankProgramIsKernelIndependent) {
   scenario::Scenario s = two_tenant_scenario();
   s.sched_policy = SchedSpec(SchedKind::kCustom);
   s.sched_policy.rank_source =
-      "key tenant\n"
       "flow.fin = max(flow.fin, vtime) + bytes + tenant * 3\n"
       "rank = flow.fin\n";
   expect_kernels_agree(s);

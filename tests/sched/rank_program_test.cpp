@@ -45,7 +45,6 @@ TEST(RankProgram, LegacyFastPathsDetected) {
   EXPECT_FALSE(wfq->trivial_slack());
   EXPECT_FALSE(wfq->trivial_const(nullptr));
   EXPECT_TRUE(wfq->stateful());
-  EXPECT_FALSE(wfq->keyed_by_flow());  // per-tenant state by default
 }
 
 TEST(RankProgram, WfqComputesVirtualStartTimes) {
@@ -88,31 +87,8 @@ TEST(RankProgram, EvaluateDoesNotCommit) {
   EXPECT_EQ(p->evaluate(in, state, scratch), 0u);  // no finish advanced
   EXPECT_TRUE(state.flows.empty());
 
-  p->commit(state, scratch, p->state_key(in));
+  p->commit(state, scratch, in.tenant);
   EXPECT_EQ(p->evaluate(in, state, scratch), 64u);  // now it did
-}
-
-TEST(RankProgram, KeyFlowPartitionsState) {
-  std::string error;
-  auto p = RankProgram::compile(
-      "key flow\n"
-      "flow.n = flow.n + 1\n"
-      "rank = flow.n\n",
-      &error);
-  ASSERT_TRUE(p.has_value()) << error;
-  EXPECT_TRUE(p->keyed_by_flow());
-
-  RankState state;
-  std::vector<std::uint64_t> scratch;
-  RankInputs a;
-  a.flow = 10;
-  a.tenant = 1;
-  RankInputs b;
-  b.flow = 20;
-  b.tenant = 1;  // same tenant, different flow: independent counters
-  EXPECT_EQ(p->rank_and_commit(a, state, scratch), 1u);
-  EXPECT_EQ(p->rank_and_commit(a, state, scratch), 2u);
-  EXPECT_EQ(p->rank_and_commit(b, state, scratch), 1u);
 }
 
 TEST(RankProgram, QueueStateIsGlobal) {
@@ -158,10 +134,13 @@ TEST(RankProgram, NegativeDiagnostics) {
             "line 1: can only assign 'rank', 'flow.<name>' or "
             "'queue.<name>' (got 'foo')");
   EXPECT_EQ(compile_error("rank 1\n"), "line 1: expected '=' after 'rank'");
-  EXPECT_EQ(compile_error("rank = 1\nkey flow\n"),
-            "line 2: 'key' must be the first statement");
-  EXPECT_EQ(compile_error("key port\nrank = 1\n"),
-            "line 1: key must be 'tenant' or 'flow'");
+  // Messages carry no flow id and flow.* state is always per tenant, so
+  // neither a `flow` input nor a `key` statement exists.
+  EXPECT_EQ(compile_error("rank = flow\n"),
+            "line 1: unknown variable 'flow'");
+  EXPECT_EQ(compile_error("key tenant\nrank = 1\n"),
+            "line 1: can only assign 'rank', 'flow.<name>' or "
+            "'queue.<name>' (got 'key')");
   EXPECT_EQ(compile_error("rank = 1 2\n"),
             "line 1: unexpected trailing token '2'");
   EXPECT_EQ(compile_error("flow.x = flow.x + 1\n"),

@@ -18,8 +18,7 @@
 // indistinguishable.
 #include <gtest/gtest.h>
 
-#include <string>
-#include <tuple>
+#include <ostream>
 
 #include "core/panic_nic.h"
 #include "workload/kvs_workload.h"
@@ -56,8 +55,18 @@ workload::FrameFiller assigning(workload::FrameFactory factory) {
   };
 }
 
-class HotpathEquivalence
-    : public ::testing::TestWithParam<std::tuple<SimMode, bool>> {};
+struct HotpathCase {
+  SimMode mode;
+  bool use_filler;
+};
+
+// The case's label, which ctest puts in the test name.
+void PrintTo(const HotpathCase& c, std::ostream* os) {
+  *os << (c.mode == SimMode::kStrictTick ? "StrictTick" : "EventDriven")
+      << (c.use_filler ? "Filler" : "Factory");
+}
+
+class HotpathEquivalence : public ::testing::TestWithParam<HotpathCase> {};
 
 TEST_P(HotpathEquivalence, SaturatedStatsMatchPrePoolGolden) {
   const auto [mode, use_filler] = GetParam();
@@ -139,16 +148,10 @@ TEST_P(HotpathEquivalence, SaturatedStatsMatchPrePoolGolden) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, HotpathEquivalence,
-    ::testing::Combine(::testing::Values(SimMode::kStrictTick,
-                                         SimMode::kEventDriven),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      const SimMode mode = std::get<0>(info.param);
-      const bool filler = std::get<1>(info.param);
-      std::string name =
-          mode == SimMode::kStrictTick ? "StrictTick" : "EventDriven";
-      return name + (filler ? "Filler" : "Factory");
-    });
+    ::testing::Values(HotpathCase{SimMode::kStrictTick, false},
+                      HotpathCase{SimMode::kStrictTick, true},
+                      HotpathCase{SimMode::kEventDriven, false},
+                      HotpathCase{SimMode::kEventDriven, true}));
 
 }  // namespace
 }  // namespace panic

@@ -11,16 +11,17 @@
 // flow cache on, that the cache hits at least 90% of its lookups.  The
 // steady cases, with the cache on and off, also require that the second
 // half of the window makes no heap allocation at all: this binary
-// replaces the global allocation functions with counting ones.  (The
-// DMA RX ring wraps for the first time in the first half; until then
-// each new ring page is a heap allocation.)  The saturated cases are
-// exempt from that count (DESIGN.md §5).  The pool and the count are
+// replaces the global allocation functions with counting ones.  (In the
+// first half a wake-wheel bucket may still grow its vector to the depth
+// the load needs: under the event kernel, two allocations, both from an
+// NI's inject wake.)  The saturated cases are exempt from that count
+// (DESIGN.md §5).  The pool and the count are
 // process-wide, so a case only proves allocation-freedom in a fresh
 // process; ctest runs every case in its own.  Host speed is perfbench's
 // job (perfbench/README.md).
 //
-// HostPagesStayFlat checks the saturated leg's host memory stops growing
-// once the DMA RX ring has wrapped.
+// HostPagesStayFlat checks the saturated leg's host deliveries touch no
+// host-memory page.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,12 +121,10 @@ void check_leg(const char* file, SimMode mode, bool rmt_cache,
 }
 
 TEST(HotpathGate, HostPagesStayFlat) {
-  // Every delivered packet lands in the fixed RX ring, so once the ring
-  // has wrapped the host holds the same pages from L cycles to 16L: the
-  // ring's 256 and nothing else, since this scenario has no KVS log and
-  // no host TX.  A scenario whose KVS SETs append values to the host-side
-  // log keeps growing, as the paper's KVS design says it should:
-  // offload_mix goes from 260 pages at 1M cycles to 319 at 16M.
+  // Delivered packets are counted, not stored, and this scenario has no
+  // KVS log and no host TX, so the host holds no page at L cycles or at
+  // 16L.  A scenario whose KVS SETs append values to the host-side log
+  // keeps growing, as the paper's KVS design says it should.
   constexpr Cycles kL = 250'000;
   std::string error;
   const auto s = scenario::Scenario::load(
@@ -136,8 +135,9 @@ TEST(HotpathGate, HostPagesStayFlat) {
   run.sim().run(kL);
   const std::size_t at_l = host.pages_resident();
   run.sim().run(15 * kL);
-  EXPECT_EQ(host.pages_resident(), at_l);
-  EXPECT_EQ(at_l, engines::HostMemory::kRxRingBytes / 4096);
+  EXPECT_EQ(at_l, 0u);
+  EXPECT_EQ(host.pages_resident(), 0u);
+  EXPECT_GT(host.bytes_written(), 0u);
 }
 
 TEST(HotpathGate, SaturatedDense) {
