@@ -23,7 +23,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -126,12 +125,6 @@ class FlitBurstQueue {
     FlitBurst& b = bursts_.front();
     b.seq += n;
     b.ready += n;
-  }
-
-  /// Cycle at which the oldest flit becomes ready (max if empty).
-  Cycle next_ready() const {
-    return flits_ == 0 ? std::numeric_limits<Cycle>::max()
-                       : bursts_.front().ready;
   }
 
  private:

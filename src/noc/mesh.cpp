@@ -1,6 +1,7 @@
 #include "noc/mesh.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 
@@ -11,7 +12,7 @@ constexpr int kLocalPort = static_cast<int>(Direction::kLocal);
 }  // namespace
 
 Mesh::Mesh(const MeshConfig& config, Simulator& sim)
-    : config_(config), sim_(sim) {
+    : Component("mesh"), config_(config), sim_(sim) {
   const int k = config_.k;
   assert(k >= 2);
   routers_.reserve(static_cast<std::size_t>(k) * k);
@@ -52,15 +53,13 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim)
     }
   }
 
-  // Tick NIs before routers so an injected flit can be considered by the
-  // router on the next cycle (both use ready = now + 1, so order only
-  // affects constant staging latency, not correctness).  Trains rely on
-  // this order: a destination NI pops its eject queue before its router
-  // pushes into it.
-  for (auto& ni : nis_) sim.add(ni.get());
-  for (auto& r : routers_) sim.add(r.get());
   for (auto& r : routers_) r->mesh_ = this;
   for (auto& ni : nis_) ni->mesh_ = this;
+  const std::size_t members = 2 * static_cast<std::size_t>(tiles());
+  busy_.assign((members + 63) / 64, 0);
+  assert(busy_.size() <= 64 && "busy_words_ has one bit per busy_ word");
+  walk_.assign(busy_.size(), 0);
+  sim.add(this);
 
   auto& metrics = sim.telemetry().metrics();
   metrics.expose_gauge("noc.flits_routed", [this] {
@@ -68,6 +67,7 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim)
   });
   metrics.expose_counter("kernel.noc.trains", &trains_formed_);
   metrics.expose_counter("kernel.noc.train_moves", &train_moves_);
+  metrics.expose_counter("kernel.noc.member_ticks", &member_ticks_);
 
   // Trains are the event kernel's alone: the dense kernel is the per-flit
   // reference.
@@ -90,6 +90,59 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim)
   sim.add_end_of_cycle_hook([this](Cycle now) { end_of_cycle(now); });
 }
 
+void Mesh::register_telemetry(telemetry::Telemetry& t) {
+  for (auto& ni : nis_) ni->register_telemetry(t);
+  for (auto& r : routers_) r->register_telemetry(t);
+}
+
+void Mesh::tick(Cycle now) {
+  // NIs tick before routers, so a flit an NI injects reaches its router's
+  // allocation on the next cycle (ready = now + 1 either way).  Trains
+  // rely on this order: a destination NI pops its eject queue before its
+  // router pushes into it.
+  const auto n = static_cast<std::size_t>(tiles());
+  if (sim_.mode() == SimMode::kStrictTick) {
+    for (auto& ni : nis_) ni->tick(now);
+    for (auto& r : routers_) r->tick(now);
+    member_ticks_ += 2 * n;
+    return;
+  }
+  const std::uint64_t words = busy_words_;
+  for (std::uint64_t ws = words; ws != 0; ws &= ws - 1) {
+    const auto w = static_cast<std::size_t>(std::countr_zero(ws));
+    walk_[w] = busy_[w];
+  }
+  std::uint64_t ticks = 0;
+  for (std::uint64_t ws = words; ws != 0; ws &= ws - 1) {
+    const auto w = static_cast<std::size_t>(std::countr_zero(ws));
+    for (std::uint64_t bits = walk_[w]; bits != 0; bits &= bits - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(bits));
+      const std::size_t m = w * 64 + b;
+      bool work;
+      if (m < n) {
+        NetworkInterface& ni = *nis_[m];
+        ni.tick(now);
+        work = ni.has_work();
+      } else {
+        Router& r = *routers_[m - n];
+        r.tick(now);
+        work = r.has_work();
+      }
+      if (!work) busy_[w] &= ~(std::uint64_t{1} << b);
+      ++ticks;
+    }
+    // A later member may still hand this word work (a router ejecting to
+    // its NI), which sets the bit again.
+    if (busy_[w] == 0) busy_words_ &= ~(std::uint64_t{1} << w);
+  }
+  member_ticks_ += ticks;
+}
+
+Cycle Mesh::next_wake(Cycle now) const {
+  if (busy_words_ != 0) return now + 1;
+  return next_train_end_ > now ? next_train_end_ : now + 1;
+}
+
 void Mesh::end_of_cycle(Cycle now) {
   for (Router* r : credit_dirty_) r->flush_credits();
   credit_dirty_.clear();
@@ -98,8 +151,8 @@ void Mesh::end_of_cycle(Cycle now) {
     std::size_t keep = 0;
     for (const int tile : active_trains_) {
       Train& t = trains_[static_cast<std::size_t>(tile)];
-      // The source is due on the train's last cycle, so that cycle always
-      // runs (fast-forward stops there).
+      // The Mesh is due on the train's last cycle (next_wake), so that
+      // cycle always runs (fast-forward stops there).
       assert(t.end >= now);
       if (t.end == now) {
         hand_back(t, now);
@@ -173,7 +226,6 @@ void Mesh::try_form_train(NetworkInterface& src, Cycle now) {
   t.anchor = now;
   t.end = now + (p.total_flits - 1 - p.sent_flits);
   src.inject_held_ = true;
-  src.inject_held_until_ = t.end;
   for (const TrainHop& h : t.hops) {
     h.router->held_in_ |= static_cast<std::uint8_t>(1u << h.in);
     h.router->held_out_ |= static_cast<std::uint8_t>(1u << h.out);
@@ -204,16 +256,15 @@ void Mesh::advance(Train& t, Cycle through) {
 
 void Mesh::hand_back(Train& t, Cycle through) {
   advance(t, through);
-  const Cycle wake = through + 1;
   t.src->inject_held_ = false;
-  t.src->request_wake(wake);
+  mark_ni(t.src->tile().value);
   for (const TrainHop& h : t.hops) {
     h.router->held_in_ &= static_cast<std::uint8_t>(~(1u << h.in));
     h.router->held_out_ &= static_cast<std::uint8_t>(~(1u << h.out));
-    h.router->request_wake(wake);
+    mark_router(h.router->tile_);
   }
   t.dst->eject_held_ = false;
-  t.dst->request_wake(wake);
+  mark_ni(t.dst->tile().value);
 }
 
 void Mesh::settle_trains() {

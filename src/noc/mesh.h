@@ -2,6 +2,12 @@
 // PANIC on-chip network (Figure 3c).  Tile addresses are row-major:
 // tile(x, y) = y*k + x; EngineId values are tile addresses.
 //
+// The Mesh is the simulator's one component for the whole NoC: it ticks
+// its NIs, then its routers, in tile order.  Under the event kernel it
+// ticks only the members that hold work.  A member joins that set when a
+// hand-off gives it work and leaves it after a tick that leaves it none
+// (DESIGN.md §5, "The mesh as one component").
+//
 // Under the event kernel the mesh also carries *wormhole trains*: once
 // every hop on a message's locked path moves one flit per cycle, the Mesh
 // advances the whole path arithmetically instead of ticking each router
@@ -27,9 +33,9 @@ struct MeshConfig {
   RoutingAlgo routing = RoutingAlgo::kXY;
 };
 
-class Mesh {
+class Mesh final : public Component {
  public:
-  /// Constructs the routers/NIs and registers them with `sim`.
+  /// Constructs the routers and NIs and registers the mesh with `sim`.
   Mesh(const MeshConfig& config, Simulator& sim);
 
   int k() const { return config_.k; }
@@ -53,10 +59,25 @@ class Mesh {
   std::uint64_t total_flits_routed() const;
 
   /// A message is carried as a train only if at least this many of its
-  /// body flits remain.  Below the event kernel's linger window (8
-  /// cycles) the source NI would stay awake anyway, while every router on
-  /// the path pays a park and a hand-back wake.
+  /// body flits remain: a shorter train saves a few member ticks and
+  /// costs a path walk and a hand-back.
   static constexpr std::uint32_t kMinTrainCycles = 8;
+
+  /// Dense kernel: ticks every NI, then every router.  Event kernel:
+  /// ticks the members that held work when the cycle's walk began, NIs
+  /// then routers, in tile order, and drops each one that its tick left
+  /// without work.
+  void tick(Cycle now) override;
+
+  /// `now + 1` while any member holds work; otherwise the last cycle of
+  /// the earliest-ending train, so that cycle runs and hands its path
+  /// back; otherwise never.
+  Cycle next_wake(Cycle now) const override;
+
+  /// Every NI, then every router, interns its name and publishes its
+  /// metrics.  The Mesh interns no name of its own: trace events carry
+  /// the member's tag.
+  void register_telemetry(telemetry::Telemetry& t) override;
 
   /// Brings every train's path — queues, counters, the source's segmenter
   /// — up to the last completed cycle.  Every read of a NoC counter calls
@@ -65,9 +86,9 @@ class Mesh {
   /// cycle boundaries.
   void settle_trains();
 
-  /// Ends every train at the last completed cycle and wakes its path, so
-  /// per-flit ticking resumes this cycle.  Arming a router fault calls it:
-  /// a faulted router never joins a train.
+  /// Ends every train at the last completed cycle and hands its path
+  /// back, so per-flit ticking resumes this cycle.  Arming a router fault
+  /// calls it: a faulted router never joins a train.
   void end_trains();
 
   /// Declares that a watchdog reads router counters from its tick every
@@ -76,6 +97,24 @@ class Mesh {
   void attach_router_watchdog();
 
  private:
+  friend class Router;            // hands work to routers and NIs
+  friend class NetworkInterface;  // hands work to its own NI
+
+  /// Hand-offs: the member now holds work and ticks from the present
+  /// cycle on (DESIGN.md §5 rule 2 decides whether that is this cycle or
+  /// the next).  NI t is member t and router t is member k² + t.
+  void mark_ni(int tile) { mark(static_cast<std::size_t>(tile)); }
+  void mark_router(int tile) {
+    mark(static_cast<std::size_t>(tiles() + tile));
+  }
+  void mark(std::size_t member) {
+    // busy_words_ is zero only between walks (during one, the ticking
+    // member's own bit is still set), where the Mesh may be parked.
+    if (busy_words_ == 0) request_wake(sim_.now());
+    busy_[member / 64] |= std::uint64_t{1} << (member % 64);
+    busy_words_ |= std::uint64_t{1} << (member / 64);
+  }
+
   /// One hop of a train's path: `router` forwards from input `in` to
   /// output `out` (kLocal at the destination router).
   struct TrainHop {
@@ -105,8 +144,8 @@ class Mesh {
   void try_form_train(NetworkInterface& src, Cycle now);
   /// Advances `t`'s path from its anchor through cycle `through`.
   void advance(Train& t, Cycle through);
-  /// Settles `t` through `through`, releases its ports and wakes its path
-  /// at `through + 1`.
+  /// Settles `t` through `through`, releases its ports and hands every
+  /// member on its path work again.
   void hand_back(Train& t, Cycle through);
 
   MeshConfig config_;
@@ -116,6 +155,16 @@ class Mesh {
   /// Routers with credit returns staged this cycle, appended by the
   /// popping downstream router and emptied by the end-of-cycle flush.
   std::vector<Router*> credit_dirty_;
+
+  // --- Occupancy (event kernel; hand-offs set bits under both). ---
+  /// Bit per member, set while the member holds work.
+  std::vector<std::uint64_t> busy_;
+  /// Bit w set while busy_[w] is non-zero (2k² <= 64 * 64 members).
+  std::uint64_t busy_words_ = 0;
+  /// busy_ as the cycle's walk found it: a member handed work during the
+  /// walk got it ready for the next cycle, so it waits for that walk.
+  std::vector<std::uint64_t> walk_;
+  std::uint64_t member_ticks_ = 0;  ///< kernel.noc.member_ticks
 
   // --- Wormhole trains (event kernel only). ---
   std::vector<Train> trains_;          ///< by source tile

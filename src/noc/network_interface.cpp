@@ -9,17 +9,15 @@ namespace panic::noc {
 
 NetworkInterface::NetworkInterface(EngineId tile, std::uint32_t channel_bits,
                                    Router* router)
-    : Component("ni(" + std::to_string(tile.value) + ")"),
-      tile_(tile),
+    : tile_(tile),
       channel_bits_(channel_bits),
       router_(router),
       pending_(kInjectDepth) {
   assert(router_ != nullptr);
   assert(channel_bits_ > 0);
-  router_->set_local_sink(this);
 }
 
-void NetworkInterface::inject(MessagePtr msg, EngineId dst, Cycle now) {
+void NetworkInterface::inject(MessagePtr msg, EngineId dst, Cycle /*now*/) {
   assert(can_inject());
   assert(msg != nullptr);
   PendingMessage p;
@@ -27,9 +25,7 @@ void NetworkInterface::inject(MessagePtr msg, EngineId dst, Cycle now) {
   p.msg = std::move(msg);
   p.dst = dst;
   pending_.push(std::move(p));
-  // next_wake sees pending_ non-empty, so only a sleeping NI needs the
-  // explicit wake to start segmenting at the next tick.
-  if (!kernel_awake()) request_wake(now);
+  mesh_->mark_ni(tile_.value);
 }
 
 MessagePtr NetworkInterface::try_receive(Cycle now) {
@@ -78,7 +74,7 @@ void NetworkInterface::tick(Cycle now) {
 }
 
 void NetworkInterface::register_telemetry(telemetry::Telemetry& t) {
-  Component::register_telemetry(t);
+  t.tracer().intern("ni(" + std::to_string(tile_.value) + ")");
   auto& m = t.metrics();
   const std::string prefix = "noc.ni." + std::to_string(tile_.value) + ".";
   m.expose_counter(prefix + "messages_sent", &messages_sent_);
@@ -87,22 +83,6 @@ void NetworkInterface::register_telemetry(telemetry::Telemetry& t) {
   m.expose_gauge(prefix + "rx_high_watermark", [this] {
     return static_cast<double>(received_.high_watermark());
   });
-}
-
-Cycle NetworkInterface::next_wake(Cycle now) const {
-  // Segmentation pending: one flit per cycle (retrying while the router's
-  // local input is full).  Otherwise sleep until the next ejected flit —
-  // next_ready() is kNeverWake when the eject queue is empty.  A held
-  // side waits for its train: the injection side is due again on the
-  // train's last cycle, so the kernel runs that cycle and the Mesh hands
-  // the path back at its end; the ejection side is woken by the hand-back.
-  Cycle next = kNeverWake;
-  if (!pending_.empty()) next = inject_held_ ? inject_held_until_ : now + 1;
-  if (!eject_held_) {
-    const Cycle eject = router_->eject_queue().next_ready();
-    if (eject < next) next = eject;
-  }
-  return next > now + 1 ? next : now + 1;
 }
 
 }  // namespace panic::noc

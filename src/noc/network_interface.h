@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/fifo.h"
@@ -18,10 +19,15 @@ namespace panic::noc {
 
 class Mesh;
 
-class NetworkInterface : public Component {
+/// Ticked by its Mesh, not by the simulator, and only while it has work
+/// under the event kernel (Mesh::tick).
+class NetworkInterface {
  public:
   /// `tile` — this NI's address; `channel_bits` — mesh channel width.
   NetworkInterface(EngineId tile, std::uint32_t channel_bits, Router* router);
+  // Its engine, its router's trains and the Mesh hold its address.
+  NetworkInterface(const NetworkInterface&) = delete;
+  NetworkInterface& operator=(const NetworkInterface&) = delete;
 
   EngineId tile() const { return tile_; }
 
@@ -32,7 +38,8 @@ class NetworkInterface : public Component {
   /// True if another message can be queued for injection.
   bool can_inject() const { return pending_.size() < kInjectDepth; }
 
-  /// Queues `msg` for transmission to `dst`.  Precondition: can_inject().
+  /// Queues `msg` for transmission to `dst`; segmentation starts at this
+  /// NI's next tick.  Precondition: can_inject().
   void inject(MessagePtr msg, EngineId dst, Cycle now);
 
   /// Returns a fully reassembled incoming message, or nullptr.
@@ -40,19 +47,24 @@ class NetworkInterface : public Component {
 
   /// Pushes at most one flit per cycle into the router and drains at most
   /// one ejected flit per cycle (matching the single local port).
-  void tick(Cycle now) override;
+  void tick(Cycle now);
 
-  /// Quiescent when there is nothing to segment and nothing to eject;
-  /// inject() and the router's eject path wake it.
-  Cycle next_wake(Cycle now) const override;
+  /// True while a tick has something to do: a message to segment or a
+  /// flit to eject, on a side no train holds.  inject() and the router's
+  /// eject path hand it work; a train's hand-back returns its held sides.
+  bool has_work() const {
+    return (!inject_held_ && !pending_.empty()) ||
+           (!eject_held_ && !router_->eject_queue().empty());
+  }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t messages_received() const { return messages_received_; }
   /// Settles a train this NI injects first (see Mesh).
   std::uint64_t flits_sent() const;
 
-  /// Publishes `noc.ni.<tile>.*` metrics.
-  void register_telemetry(telemetry::Telemetry& t) override;
+  /// Interns `ni(<tile>)` as a trace name and publishes `noc.ni.<tile>.*`
+  /// metrics.
+  void register_telemetry(telemetry::Telemetry& t);
 
  private:
   friend class Mesh;  // forms, carries and hands back wormhole trains
@@ -90,13 +102,13 @@ class NetworkInterface : public Component {
   /// Where the NI lists itself after injecting a body flit of a message
   /// long enough to carry as a train; nullptr when trains cannot form.
   std::vector<NetworkInterface*>* train_candidates_ = nullptr;
-  /// A train holds the injection side through `inject_held_until_` (the
-  /// cycle before the tail flit goes out) and/or the ejection side; tick
-  /// skips held sides and next_wake ignores them.
+  /// A train holds the injection side (until the cycle before the tail
+  /// flit goes out) and/or the ejection side; tick skips held sides and
+  /// has_work ignores them.
   bool inject_held_ = false;
   bool eject_held_ = false;
-  Cycle inject_held_until_ = 0;
-  Cycle ejected_at_ = kNeverWake;  ///< the cycle a flit last left eject_
+  /// The cycle a flit last left eject_.
+  Cycle ejected_at_ = std::numeric_limits<Cycle>::max();
 };
 
 }  // namespace panic::noc

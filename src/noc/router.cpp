@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cassert>
+#include <limits>
+#include <string>
 
 #include "noc/mesh.h"
 #include "telemetry/telemetry.h"
@@ -26,10 +28,10 @@ constexpr unsigned kAllPorts = (1u << kNumPorts) - 1;
 
 Router::Router(int x, int y, int k, std::size_t buffer_flits,
                RoutingAlgo algo)
-    : Component("router(" + std::to_string(x) + "," + std::to_string(y) + ")"),
-      x_(x),
+    : x_(x),
       y_(y),
       k_(k),
+      tile_(y * k + x),
       algo_(algo),
       inputs_{FlitBurstQueue(buffer_flits), FlitBurstQueue(buffer_flits),
               FlitBurstQueue(buffer_flits), FlitBurstQueue(buffer_flits),
@@ -37,7 +39,7 @@ Router::Router(int x, int y, int k, std::size_t buffer_flits,
       eject_(kEjectDepth) {
   output_owner_.fill(-1);
   rr_.fill(0);
-  forwarded_at_.fill(kNeverWake);
+  forwarded_at_.fill(std::numeric_limits<Cycle>::max());
 }
 
 std::uint64_t Router::flits_routed() const {
@@ -100,11 +102,7 @@ void Router::accept(Direction from, Flit flit, Cycle now) {
   const std::uint8_t outs = flit.is_head() ? route(flit.dst) : 0;
   q.push_flit(std::move(flit), ready, outs);
   occupied_ |= static_cast<std::uint8_t>(1u << in);
-  // An awake router re-discovers the flit itself: it ticks every cycle
-  // and its parking poll (next_wake) reads the occupancy mask.  Eliding
-  // the redundant wake here removes the hottest request_wake call site
-  // under saturation (one per accepted flit).
-  if (!kernel_awake()) request_wake(ready);  // the flit's ready cycle
+  mesh_->mark_router(tile_);
 }
 
 std::uint8_t Router::route(EngineId dst) const {
@@ -134,10 +132,11 @@ bool Router::downstream_ready(Direction out) const {
 }
 
 void Router::register_telemetry(telemetry::Telemetry& t) {
-  Component::register_telemetry(t);
+  tracer_ = &t.tracer();
+  trace_tag_ = tracer_->intern("router(" + std::to_string(x_) + "," +
+                               std::to_string(y_) + ")");
   auto& m = t.metrics();
-  const std::string prefix =
-      "noc.router." + std::to_string(y_ * k_ + x_) + ".";
+  const std::string prefix = "noc.router." + std::to_string(tile_) + ".";
   m.expose_counter(prefix + "flits", &flits_routed_);
   m.expose_counter(prefix + "stall_cycles", &stall_cycles_);
   m.expose_counter(prefix + "flits_delayed", &flits_delayed_);
@@ -147,7 +146,7 @@ void Router::register_telemetry(telemetry::Telemetry& t) {
 
 void Router::fault_link(int port, double probability, Cycles delay,
                         Cycle until, std::uint64_t seed) {
-  if (mesh_ != nullptr) mesh_->end_trains();
+  mesh_->end_trains();
   for (int p = 0; p < kNumPorts; ++p) {
     if (port >= 0 && p != port) continue;
     PortFault& pf = port_faults_[p];
@@ -161,7 +160,7 @@ void Router::fault_link(int port, double probability, Cycles delay,
 }
 
 void Router::fault_leak_credits(int port, std::uint32_t amount) {
-  if (mesh_ != nullptr) mesh_->end_trains();
+  mesh_->end_trains();
   for (int p = 0; p < kNumPorts; ++p) {
     if (port >= 0 && p != port) continue;
     port_faults_[p].leaked_credits += amount;
@@ -189,18 +188,14 @@ void Router::forward(Direction out, Flit flit, Cycle now) {
   // The tail flit carries the message, so the hop is attributed when the
   // whole message has cleared this router (keeps Flit free of extra
   // per-flit state on the hot path).
-  if (flit.is_tail() && flit.msg != nullptr) {
-    trace(telemetry::TraceEventKind::kNocHop, now, flit.msg->id,
-          flit.dst.value);
+  if (flit.is_tail() && flit.msg != nullptr && tracer_ != nullptr) {
+    tracer_->record(telemetry::TraceEventKind::kNocHop, now, flit.msg->id,
+                    trace_tag_, flit.dst.value);
   }
   if (out == Direction::kLocal) {
     assert(!eject_.full());
     eject_.push_flit(std::move(flit), now + 1);
-    // The NI's next_wake scans this eject queue, so an awake NI needs no
-    // explicit wake (same elision as Router::accept).
-    if (local_sink_ != nullptr && !local_sink_->kernel_awake()) {
-      local_sink_->request_wake(now + 1);
-    }
+    mesh_->mark_ni(tile_);
     return;
   }
   const int o = static_cast<int>(out);
@@ -286,23 +281,6 @@ void Router::tick(Cycle now) {
     if (flit.msg != nullptr) ++flit.msg->noc_hops;  // tail flit carries msg
     forward(out, std::move(flit), now);
   }
-}
-
-Cycle Router::next_wake(Cycle now) const {
-  // Each input FIFO's front is its earliest-ready flit (ready stamps are
-  // monotonic per port).  A front that is already routable but stalled on
-  // a full downstream retries every cycle so stall accounting matches the
-  // dense kernel.  Held inputs are the Mesh's to move, and a head flit
-  // whose permitted outputs are all held cannot move (or stall) before a
-  // train hands its path back, which wakes this router.
-  Cycle next = kNeverWake;
-  for (unsigned m = occupied_ & ~unsigned{held_in_}; m != 0; m &= m - 1) {
-    const FlitBurst& b = inputs_[std::countr_zero(m)].front();
-    if (b.seq == 0 && (b.route & ~held_out_) == 0) continue;
-    const Cycle ready = b.ready > now + 1 ? b.ready : now + 1;
-    if (ready < next) next = ready;
-  }
-  return next;
 }
 
 }  // namespace panic::noc

@@ -36,15 +36,19 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/codec.h"
 #include "common/rng.h"
 #include "noc/burst_queue.h"
 #include "noc/flit.h"
-#include "sim/component.h"
+#include "telemetry/trace.h"
+
+namespace panic::telemetry {
+class Telemetry;
+}  // namespace panic::telemetry
 
 namespace panic::noc {
 
@@ -81,12 +85,17 @@ inline constexpr codec::Name<RoutingAlgo> kRoutingNames[] = {
 
 class Mesh;
 
-class Router : public Component {
+/// Ticked by its Mesh, not by the simulator, and only while it has work
+/// under the event kernel (Mesh::tick).
+class Router {
  public:
   /// `x`,`y` — coordinates in a `k`×`k` mesh; `buffer_flits` — depth of
   /// each input FIFO.
   Router(int x, int y, int k, std::size_t buffer_flits,
          RoutingAlgo algo = RoutingAlgo::kXY);
+  // Neighbors and the Mesh hold its address.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
 
   int x() const { return x_; }
   int y() const { return y_; }
@@ -138,18 +147,23 @@ class Router : public Component {
   FlitBurstQueue& eject_queue() { return eject_; }
   const FlitBurstQueue& eject_queue() const { return eject_; }
 
-  /// Registers the component draining the eject queue (the attached NI);
-  /// it is woken whenever a flit is ejected toward it.
-  void set_local_sink(Component* sink) { local_sink_ = sink; }
-
   /// One allocation + switch traversal cycle.
-  void tick(Cycle now) override;
+  void tick(Cycle now);
 
-  /// Quiescent when every input FIFO is empty (arriving flits wake the
-  /// router via accept()); otherwise sleeps until the earliest front flit
-  /// becomes routable.  Ignores held inputs, and a head flit whose
-  /// permitted outputs are all held by trains.
-  Cycle next_wake(Cycle now) const override;
+  /// True while a tick could move a flit or count a stall: some input no
+  /// train holds has, at its front, a body flit or a head permitted on an
+  /// output no train holds.  Every flit at a front is ready by the next
+  /// cycle (a flaky link's delayed flit aside), so the ready cycle is not
+  /// consulted.  A head whose permitted outputs are all held can neither
+  /// move nor stall before its train hands the path back, which hands
+  /// this router work again.
+  bool has_work() const {
+    for (unsigned m = occupied_ & ~unsigned{held_in_}; m != 0; m &= m - 1) {
+      const FlitBurst& b = inputs_[std::countr_zero(m)].front();
+      if (b.seq != 0 || (b.route & ~held_out_) != 0) return true;
+    }
+    return false;
+  }
 
   // --- Counters for experiments. ---
   /// Settles any train through this router first (see Mesh).
@@ -163,8 +177,9 @@ class Router : public Component {
   /// cannot in Release/CI builds.
   std::uint64_t credit_violations() const { return credit_violations_; }
 
-  /// Publishes `noc.router.<tile>.*` metrics (tile id = y*k + x).
-  void register_telemetry(telemetry::Telemetry& t) override;
+  /// Interns `router(x,y)` as this router's trace name and publishes
+  /// `noc.router.<tile>.*` metrics (tile id = y*k + x).
+  void register_telemetry(telemetry::Telemetry& t);
 
   // --- Fault-injection hooks (armed by fault::FaultInjector). ---
 
@@ -213,6 +228,7 @@ class Router : public Component {
   int x_;
   int y_;
   int k_;
+  int tile_;  ///< y*k + x
   RoutingAlgo algo_;
 
   /// Input FIFOs store flit bursts (contiguous runs of one message as a
@@ -223,7 +239,6 @@ class Router : public Component {
   std::uint8_t occupied_ = 0;
   std::array<Router*, kNumPorts> neighbors_{};
   FlitBurstQueue eject_;
-  Component* local_sink_ = nullptr;
 
   /// Registered flow-control state for the four mesh outputs (kLocal uses
   /// live eject occupancy).  `credits_` is spent by this router's ticks
@@ -246,11 +261,17 @@ class Router : public Component {
   std::array<Cycle, kNumPorts> forwarded_at_;
 
   /// Ports a wormhole train holds (bit per port): the Mesh carries their
-  /// flits, so tick() skips the held outputs and inputs and next_wake
+  /// flits, so tick() skips the held outputs and inputs and has_work
   /// ignores them.  Zero outside the event kernel.
   std::uint8_t held_out_ = 0;
   std::uint8_t held_in_ = 0;
-  Mesh* mesh_ = nullptr;  ///< the mesh this router belongs to (trains)
+  /// The mesh this router belongs to: hand-offs mark their target busy,
+  /// and trains settle through it.
+  Mesh* mesh_ = nullptr;
+
+  /// Where kNocHop events go (nullptr until register_telemetry).
+  telemetry::MessageTracer* tracer_ = nullptr;
+  std::uint16_t trace_tag_ = 0;
 
   std::uint64_t flits_routed_ = 0;
   std::uint64_t stall_cycles_ = 0;

@@ -1,5 +1,6 @@
-// Base class for everything that advances with the NIC clock: routers,
-// engines, RMT stages, traffic generators.
+// Base class for everything that advances with the NIC clock: engines,
+// RMT stages, traffic generators, and the NoC mesh, which ticks its own
+// routers and NIs (noc/mesh.h).
 #pragma once
 
 #include <cstdint>
@@ -33,13 +34,14 @@ class Simulator;
 ///     injection time);
 ///   * `kNeverWake` — fully quiescent: tick again only when woken.
 ///
-/// Anything that hands a quiescent component work — a NoC link delivering
-/// a flit, a queue enqueue, a DMA completion, a scheduled injection — must
-/// wake it through `request_wake`.  A correct implementation is therefore
-/// conservative: when in doubt, return `now + 1`; a tick that finds nothing
-/// to do must be an observable no-op, so spurious wake-ups are always safe,
-/// while a missed wake-up stalls the component.  In strict-tick mode the
-/// contract is ignored and every component ticks every cycle.
+/// Anything that hands a quiescent component work — an NI delivering a
+/// message to its engine, a queue enqueue, a DMA completion, a scheduled
+/// injection — must wake it through `request_wake`.  A correct
+/// implementation is therefore conservative: when in doubt, return
+/// `now + 1`; a tick that finds nothing to do must be an observable no-op,
+/// so spurious wake-ups are always safe, while a missed wake-up stalls the
+/// component.  In strict-tick mode the contract is ignored and every
+/// component ticks every cycle.
 class Component {
  public:
   /// Sentinel for "quiescent until woken".
@@ -68,26 +70,13 @@ class Component {
   /// unit tests) or the simulator runs in strict-tick mode.
   void request_wake(Cycle at);
 
-  /// True while this component is in the kernel's active set (it ticks
-  /// every cycle until it parks again).  Producers whose target's
-  /// next_wake re-discovers the handed-over work from the target's own
-  /// state — a router scanning its input FIFOs, an NI scanning its eject
-  /// queue — may elide request_wake on an awake target: the next tick (or
-  /// the parking poll) sees the work anyway.  Do NOT elide for targets
-  /// whose next_wake cannot see the hand-off (engines learn of arrivals
-  /// only through the wake).  Always false in strict-tick mode and for
-  /// unregistered components, where request_wake is a no-op anyway.
-  bool kernel_awake() const { return awake_; }
-
-  /// The simulator this component is registered with (nullptr if none).
-  Simulator* simulator() const { return sim_; }
-
   /// Called once by Simulator::add.  Overrides publish this component's
   /// counters/histograms into `t.metrics()` (see DESIGN.md §Telemetry for
-  /// the naming scheme) and must call the base implementation first: it
-  /// binds the tracer so the `trace()` helper works.  Components that are
-  /// never registered with a simulator (manually ticked unit tests) simply
-  /// publish nothing.
+  /// the naming scheme) and call the base implementation first: it
+  /// interns the name and binds the tracer so the `trace()` helper works.
+  /// (noc::Mesh, which traces nothing itself, skips it: its members intern
+  /// their own names.)  Components that are never registered with a
+  /// simulator (manually ticked unit tests) simply publish nothing.
   virtual void register_telemetry(telemetry::Telemetry& t);
 
  protected:
@@ -113,7 +102,6 @@ class Component {
   telemetry::MessageTracer* tracer_ = nullptr;
   std::uint16_t trace_tag_ = 0;
   std::uint32_t slot_ = 0;  ///< registration index within the simulator
-  bool awake_ = false;      ///< mirror of the slot's active bit (kernel_awake)
 };
 
 }  // namespace panic

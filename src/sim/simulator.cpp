@@ -98,9 +98,9 @@ void Simulator::wake_slot(std::uint32_t slot, Cycle at) {
     return;
   }
   if (ctx_.is_active(slot)) {
-    // Hot path: an active component re-arming itself (a router on every
-    // accepted flit) coalesces into the slot instead of churning the wake
-    // heap.  Folded into the post-tick sleep decision by finish_tick().
+    // Hot path: a wake for an active component (an engine waking itself
+    // on every emit) coalesces into the slot instead of churning the wake
+    // queue.  Folded into the post-tick sleep decision by finish_tick().
     if (eff < s.pending_request) s.pending_request = eff;
     return;
   }
@@ -110,7 +110,6 @@ void Simulator::wake_slot(std::uint32_t slot, Cycle at) {
 void Simulator::activate(std::uint32_t slot) {
   if (ctx_.is_active(slot)) return;
   ctx_.set_active(slot);
-  slots_[slot].c->awake_ = true;
   ++ctx_.active_count;
   ++ctx_.wakeups;
 }
@@ -195,7 +194,6 @@ void Simulator::finish_tick(std::uint32_t slot, Cycle now) {
   // window and still park (so fast-forward is only delayed, never lost).
   if (nw > now + kLingerWindow) {
     ctx_.set_idle(slot);
-    s.c->awake_ = false;
     --ctx_.active_count;
     if (nw != Component::kNeverWake) push_wake(slot, nw);
   }

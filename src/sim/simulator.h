@@ -147,9 +147,9 @@ class Simulator {
     /// pushes; stale heap entries are ignored on pop).
     Cycle pending_wake = Component::kNeverWake;
     /// Earliest wake requested while the slot was ACTIVE.  Hot components
-    /// re-arming themselves (a router on every accepted flit) coalesce
-    /// here — two loads and a store — instead of churning the wake heap;
-    /// the value is folded into the post-tick sleep decision and cleared.
+    /// re-arming themselves (an engine on every emit) coalesce here — two
+    /// loads and a store — instead of churning the wake queue; the value
+    /// is folded into the post-tick sleep decision and cleared.
     Cycle pending_request = Component::kNeverWake;
   };
   struct Wake {
@@ -269,7 +269,9 @@ class Simulator {
 
   /// finish_tick keeps a component active (no-op ticks) rather than
   /// parking it when its next wake is at most this many cycles away; see
-  /// the comment in finish_tick for the cost model.
+  /// the comment in finish_tick for the cost model.  It applies to the
+  /// Mesh's one slot, not to its routers and NIs: the Mesh drops a member
+  /// from its walk as soon as a tick leaves it without work.
   static constexpr Cycles kLingerWindow = 8;
 
   void wake_slot(std::uint32_t slot, Cycle at);

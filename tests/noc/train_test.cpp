@@ -1,20 +1,30 @@
-// Wormhole trains against the per-flit reference.  Under the event kernel
-// the Mesh carries a streaming message's body instead of ticking every
-// router per flit; the dense kernel never forms a train.  Each case runs
-// one traffic script on both kernels in lockstep and requires, after every
-// step, the same credits, flit counters and queue occupancies everywhere
-// in the mesh — and that the event kernel did form trains.
+// The event kernel's NoC schedule against the per-flit reference.
+//
+// Wormhole trains: under the event kernel the Mesh carries a streaming
+// message's body instead of ticking every router per flit; the dense
+// kernel never forms a train.  Each NocTrain case runs one traffic script
+// on both kernels in lockstep and requires, after every step, the same
+// credits, flit counters and queue occupancies everywhere in the mesh —
+// and that the event kernel did form trains.
+//
+// Occupancy: the mesh is one kernel component; under the event kernel it
+// ticks only the members that hold work (Router::has_work,
+// NetworkInterface::has_work), and a hand-off into a member lands in the
+// cycle DESIGN.md §5's rule 2 gives it (MeshSchedule.*).
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "noc/mesh.h"
 #include "sim/simulator.h"
 
 namespace panic::noc {
 namespace {
+
+constexpr SimMode kModes[] = {SimMode::kStrictTick, SimMode::kEventDriven};
 
 constexpr Direction kDirections[] = {Direction::kNorth, Direction::kEast,
                                      Direction::kSouth, Direction::kWest,
@@ -108,13 +118,14 @@ TEST(NocTrain, LongMessageOnBareMesh) {
 TEST(NocTrain, HeadBehindHeldOutputAllocatesOnTheDenseCycle) {
   // A streams east along row 0 into (3,0)'s local port; B turns north
   // into (3,0) and waits for that same output, held by A's train.  With
-  // nothing else to do, (3,0) sleeps until A's train hands the path back.
+  // nothing else to do, (3,0) has no work, so it leaves the mesh's walk
+  // until A's train hands the path back.
   const auto trains = run_lockstep(
       [](Leg& leg, Cycle c) {
         if (c == 0) leg.send(0, 0, 3, 0, 95);
         if (c == 30) leg.send(1, 1, 3, 0, 40);
         if (c == 80 && leg.sim.mode() == SimMode::kEventDriven) {
-          EXPECT_FALSE(leg.mesh.router(leg.tile(3, 0)).kernel_awake());
+          EXPECT_FALSE(leg.mesh.router(leg.tile(3, 0)).has_work());
         }
       },
       260);
@@ -260,6 +271,143 @@ TEST(NocTrain, WestFirstRoutingWithContention) {
       },
       300, RoutingAlgo::kWestFirst);
   EXPECT_GE(trains, 2u);
+}
+
+// --- The mesh's schedule. ---
+
+/// Calls `fn` from its tick every cycle; registered after the mesh, it
+/// ticks after every router and NI.
+class Caller : public Component {
+ public:
+  explicit Caller(std::function<void(Cycle)> fn)
+      : Component("caller"), fn_(std::move(fn)) {}
+  void tick(Cycle now) override { fn_(now); }
+
+ private:
+  std::function<void(Cycle)> fn_;
+};
+
+TEST(MeshSchedule, BareMeshTakesOneKernelSlot) {
+  for (const int k : {2, 4, 16}) {
+    Leg leg(SimMode::kEventDriven, k);
+    EXPECT_EQ(leg.sim.active_components(), 1u) << "k=" << k;
+  }
+}
+
+TEST(MeshSchedule, MemberTicksCountEveryMemberUnderTheDenseKernel) {
+  Leg leg(SimMode::kStrictTick, 4);
+  leg.sim.run(10);
+  EXPECT_EQ(leg.sim.component_ticks(), 10u);
+  EXPECT_EQ(leg.sim.snapshot().counter("kernel.noc.member_ticks"),
+            10u * 2 * 16);
+}
+
+TEST(MeshSchedule, IdleMeshParksAndFastForwards) {
+  Leg leg(SimMode::kEventDriven, 4);
+  leg.sim.run(1000);
+  EXPECT_EQ(leg.sim.active_components(), 0u);
+  EXPECT_GT(leg.sim.fast_forwarded_cycles(), 900u);
+  EXPECT_EQ(leg.sim.snapshot().counter("kernel.noc.member_ticks"), 0u);
+}
+
+TEST(MeshSchedule, HeadBehindAHeldOutputHasNoWork) {
+  // A streams east along row 0 into (3,0)'s local port as a train; B
+  // reaches (3,0) from the south wanting that same, held, output.
+  Leg leg(SimMode::kEventDriven, 4);
+  const Router& r = leg.mesh.router(leg.tile(3, 0));
+  leg.send(0, 0, 3, 0, 95);
+  leg.sim.run(30);
+  leg.send(1, 1, 3, 0, 40);
+  leg.sim.run(50);
+  ASSERT_GT(leg.trains(), 0u);
+  ASSERT_GT(r.queued_flits(Direction::kSouth), 0u);
+  EXPECT_FALSE(r.has_work());
+}
+
+TEST(MeshSchedule, HeadStalledOnCreditsHasWork) {
+  // Leaking the whole West buffer of (1,0) leaves (0,0) no East credit:
+  // the head at (0,0)'s local input is granted and stalls every cycle.
+  for (const SimMode mode : kModes) {
+    Leg leg(mode, 2);
+    const Router& r = leg.mesh.router(leg.tile(0, 0));
+    leg.mesh.router(leg.tile(1, 0))
+        .fault_leak_credits(static_cast<int>(Direction::kWest), 8);
+    leg.send(0, 0, 1, 0, 4);
+    leg.sim.run(20);
+    ASSERT_EQ(r.credits(Direction::kEast), 0u) << to_string(mode);
+    ASSERT_GT(r.queued_flits(Direction::kLocal), 0u) << to_string(mode);
+    EXPECT_TRUE(r.has_work()) << to_string(mode);
+    const std::uint64_t stalls = r.stall_cycles();
+    leg.sim.run(10);
+    EXPECT_EQ(r.stall_cycles(), stalls + 10) << to_string(mode);
+  }
+}
+
+TEST(MeshSchedule, OnlyHeldPortsMeanNoWork) {
+  // Mid-train, a middle router's only occupied input is held, and so are
+  // the source NI's injection side and the destination NI's ejection side.
+  Leg leg(SimMode::kEventDriven, 4);
+  leg.send(0, 0, 3, 0, 95);
+  leg.sim.run(40);
+  ASSERT_GT(leg.trains(), 0u);
+  const Router& mid = leg.mesh.router(leg.tile(1, 0));
+  ASSERT_GT(mid.queued_flits(Direction::kWest), 0u);
+  EXPECT_FALSE(mid.has_work());
+  EXPECT_FALSE(leg.mesh.ni(leg.tile(0, 0)).has_work());
+  EXPECT_FALSE(leg.mesh.ni(leg.tile(3, 0)).has_work());
+  // The hand-back returns them work, and the message arrives whole.
+  leg.sim.run(200);
+  EXPECT_EQ(leg.mesh.ni(leg.tile(3, 0)).messages_received(), 1u);
+}
+
+TEST(MeshSchedule, FrontDelayedByAFlakyLinkHasWork) {
+  // Every flit into (1,0)'s West input is delayed 50 cycles: the front
+  // waits, unready, and the router keeps ticking it as a no-op.
+  for (const SimMode mode : kModes) {
+    Leg leg(mode, 2);
+    Router& r = leg.mesh.router(leg.tile(1, 0));
+    r.fault_link(static_cast<int>(Direction::kWest), 1.0, 50, 1000, 3);
+    leg.send(0, 0, 1, 0, 2);
+    leg.sim.run(10);
+    ASSERT_GT(r.queued_flits(Direction::kWest), 0u) << to_string(mode);
+    EXPECT_EQ(r.flits_routed(), 0u) << to_string(mode);
+    EXPECT_TRUE(r.has_work()) << to_string(mode);
+    leg.sim.run(100);
+    EXPECT_EQ(r.flits_delayed(), 2u) << to_string(mode);
+    EXPECT_EQ(leg.mesh.ni(leg.tile(1, 0)).messages_received(), 1u)
+        << to_string(mode);
+  }
+}
+
+TEST(MeshSchedule, InjectionFromTheEventsPhaseMovesThatCycle) {
+  // The event fires at the start of cycle 100, before the mesh ticks, so
+  // the NI pushes the head into its router's local input in cycle 100.
+  for (const SimMode mode : kModes) {
+    Leg leg(mode, 4);
+    const Router& r = leg.mesh.router(leg.tile(1, 2));
+    leg.sim.schedule_at(100, [&] { leg.send(1, 2, 3, 3, 4); });
+    leg.sim.run(100);
+    EXPECT_EQ(r.queued_flits(Direction::kLocal), 0u) << to_string(mode);
+    leg.sim.step();
+    EXPECT_EQ(r.queued_flits(Direction::kLocal), 1u) << to_string(mode);
+  }
+}
+
+TEST(MeshSchedule, InjectionFromALaterComponentMovesNextCycle) {
+  // A component registered after the mesh ticks after the NIs, so the NI
+  // it hands a message to in cycle 100 first injects in cycle 101.
+  for (const SimMode mode : kModes) {
+    Leg leg(mode, 4);
+    const Router& r = leg.mesh.router(leg.tile(1, 2));
+    Caller caller([&](Cycle now) {
+      if (now == 100) leg.send(1, 2, 3, 3, 4);
+    });
+    leg.sim.add(&caller);
+    leg.sim.run(101);
+    EXPECT_EQ(r.queued_flits(Direction::kLocal), 0u) << to_string(mode);
+    leg.sim.step();
+    EXPECT_EQ(r.queued_flits(Direction::kLocal), 1u) << to_string(mode);
+  }
 }
 
 }  // namespace

@@ -9,13 +9,10 @@
 // Each case checks that the measured window (after warmup) takes no
 // message from the heap — zero MessagePool misses — and, with the RMT
 // flow cache on, that the cache hits at least 90% of its lookups.  The
-// steady cases, with the cache on and off, also require that the second
-// half of the window makes no heap allocation at all: this binary
-// replaces the global allocation functions with counting ones.  (In the
-// first half a wake-wheel bucket may still grow its vector to the depth
-// the load needs: under the event kernel, two allocations, both from an
-// NI's inject wake.)  The saturated cases are exempt from that count
-// (DESIGN.md §5).  The pool and the count are
+// steady cases, with the cache on and off, also require that the whole
+// window makes no heap allocation at all: this binary replaces the
+// global allocation functions with counting ones.  The saturated cases
+// are exempt from that count (DESIGN.md §5).  The pool and the count are
 // process-wide, so a case only proves allocation-freedom in a fresh
 // process; ctest runs every case in its own.  Host speed is perfbench's
 // job (perfbench/README.md).
@@ -83,8 +80,8 @@ namespace {
 
 constexpr double kMinHitRate = 0.90;
 
-/// `heap_free`: the window's second half must make no heap allocation,
-/// not only take no message from the heap.
+/// `heap_free`: the window must make no heap allocation, not only take
+/// no message from the heap.
 void check_leg(const char* file, SimMode mode, bool rmt_cache,
                bool heap_free) {
   std::string error;
@@ -98,18 +95,15 @@ void check_leg(const char* file, SimMode mode, bool rmt_cache,
   scenario::ScenarioRun run(*s, opts);
   run.run_warmup();
   const auto before = MessagePool::instance().stats();
-  const Cycles half = s->budget_cycles / 2;
-  run.sim().run(half);
   const std::uint64_t allocations_before = g_heap_allocations.load();
-  run.sim().run(s->budget_cycles - half);
+  run.sim().run(s->budget_cycles);
   const std::uint64_t allocations =
       g_heap_allocations.load() - allocations_before;
   const auto after = MessagePool::instance().stats();
   EXPECT_EQ(after.pool_misses - before.pool_misses, 0u)
       << "the measured window allocated messages from the heap";
   if (heap_free) {
-    EXPECT_EQ(allocations, 0u)
-        << "heap allocations in the measured window's second half";
+    EXPECT_EQ(allocations, 0u) << "heap allocations in the measured window";
   }
   if (!rmt_cache) return;
 
